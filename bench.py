@@ -141,7 +141,7 @@ def bench_flagship(pages_path: str) -> float:
     import ray.data as rd
 
     from geoflow.pipelines.flagship import (dedup_exact, enrich_pages,
-                                            zonal_page_stats_driver)
+                                            zonal_page_stats)
 
     t0 = time.time()
     # CPU-independent 128 blocks == cache file count: identical across
@@ -149,8 +149,8 @@ def bench_flagship(pages_path: str) -> float:
     # one whole file per read task (Ray's fast scan path), byte-balanced
     # by the cache build's row shuffle so no read/extract straggler
     pages = rd.read_parquet(pages_path, override_num_blocks=128)
-    zonal = zonal_page_stats_driver(
-        dedup_exact(enrich_pages(pages, slim=True)))
+    zonal = zonal_page_stats(
+        dedup_exact(enrich_pages(pages, slim=True))).to_pandas()
     assert len(zonal) > 0
     return time.time() - t0
 

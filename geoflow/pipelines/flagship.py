@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..stages import cells
-from ..stages.extract import extract_text, extract_texts_arrow
+from ..stages.extract import extract_text
 from ..stages.geocode import geocode_urls
 
 PAGE_CELL_RES = 12   # fine cell carried per page (~10 km grid step)
@@ -46,41 +46,39 @@ def text_hash64(texts) -> np.ndarray:
     ).view(np.int64)
 
 
+def hash_bucket(h: np.ndarray, num_buckets: int) -> np.ndarray:
+    """Bucket id per 64-bit content hash (splitmix-style fold, then
+    ``% num_buckets``), as int64.
+
+    The single definition behind the ``dedup_exact`` shuffle key and
+    the ``state.ingest`` seen-index partitions, so the two bucketings
+    always agree."""
+    u = h.astype(np.uint64)
+    u = (u ^ (u >> np.uint64(31))) * np.uint64(0x9E3779B97F4A7C15)
+    return ((u >> np.uint64(40)) % np.uint64(num_buckets)).astype(np.int64)
+
+
 def enrich_pages_batch(batch: pa.Table, cell_res: int = PAGE_CELL_RES,
-                       verify: bool = True, strict: bool = False,
-                       slim: bool = False,
-                       extractor: str = "scalar") -> pa.Table:
+                       strict: bool = False, slim: bool = False) -> pa.Table:
     """One fused pass: extract + verify + geocode + cell + content hash.
 
     Fusing these into a single Arrow batch transform means the pipeline
     reads each page's html exactly once and the (potentially MB-sized)
     binary column is dropped before any downstream exchange.
 
-    ``strict=True`` turns the byte-identity check into an in-pipeline
-    assertion: any row whose stored ``text`` differs from the extractor
-    output fails the task loudly (north-rule invariant enforcement).
-
-    ``extractor`` routes the extraction pass: ``"scalar"`` (default)
-    is the per-row definition; ``"arrow"`` runs the whole-column RE2
-    twin (byte-parity-tested against the scalar definition). The
-    round-5 promotion of the arrow twin to default was REJECTED on an
-    interleaved flagship A/B at sf0.1: scalar median 9.7 s vs arrow
-    14.6 s at 32 CPUs, 41.5 s vs 67.6 s at pinned 8 — each
-    ``replace_substring_regex`` pass in the twin copies the full
-    column, and the chained passes cost more than the single
-    compiled-regex scan per row. The flag stays for corpora where the
-    per-row Python overhead dominates (many tiny documents).
+    Extraction is ``stages.extract.extract_text`` per row (null html
+    extracts to ""). Whenever the batch carries a stored ``text``
+    column, each row is compared with its extraction; the full output
+    reports the result per row in ``text_ok``. ``strict=True`` turns
+    the check into an in-pipeline assertion: any mismatching row fails
+    the task with a ``byte-identity`` error (north-rule invariant
+    enforcement). ``slim=True`` emits only the four columns dedup and
+    zonal need (url, cell, text_hash, n_chars).
     """
     urls = batch.column("url").to_pylist()
-    if extractor == "arrow":
-        # nulls -> "" to match the scalar path's `h is None` branch
-        import pyarrow.compute as pc
-        extracted = pc.fill_null(
-            extract_texts_arrow(batch.column("html")), "").to_pylist()
-    else:
-        htmls = batch.column("html").to_pylist()
-        extracted = [extract_text(h) if h is not None else "" for h in htmls]
-    if verify and "text" in batch.column_names:
+    htmls = batch.column("html").to_pylist()
+    extracted = [extract_text(h) if h is not None else "" for h in htmls]
+    if "text" in batch.column_names:
         stored = batch.column("text").to_pylist()
         ok = np.fromiter((a == b for a, b in zip(extracted, stored)),
                          dtype=bool, count=len(extracted))
@@ -123,31 +121,29 @@ def enrich_pages_batch(batch: pa.Table, cell_res: int = PAGE_CELL_RES,
     })
 
 
-def enrich_pages(pages_ds, cell_res: int = PAGE_CELL_RES, verify: bool = True,
-                 strict: bool = False, slim: bool = False,
-                 extractor: str = "scalar"):
+def enrich_pages(pages_ds, cell_res: int = PAGE_CELL_RES,
+                 strict: bool = False, slim: bool = False):
     return pages_ds.map_batches(
-        lambda b: enrich_pages_batch(b, cell_res, verify, strict, slim,
-                                     extractor),
+        lambda b: enrich_pages_batch(b, cell_res, strict, slim),
         batch_format="pyarrow",
     )
 
 
-def dedup_exact(enriched_ds, num_buckets: int = 64,
-                combine_batch_size: int | None = None):
+def dedup_exact(enriched_ds, num_buckets: int = 64):
     """First-wins exact dedup on the content hash (deterministic: min url).
 
-    Shuffle-light shape, round-2 plan: slim (text_hash, url, n_chars)
-    rows get a batch-local pre-dedup (cuts shuffle rows when duplicates
-    are block-local), then ONE shuffle keyed on ``hash(text_hash) %
-    num_buckets`` with a vectorized pandas combine per bucket group.
-    Keying the shuffle on a small bucket id instead of the raw 64-bit
-    hash measured 3x faster end to end than
-    ``groupby("text_hash").aggregate(Min, Min, Sum)`` at 10^6 rows
-    (Ray's sort comparator and per-unique-key aggregate paths are the
-    cost; the bucket sort is nearly free and the per-bucket pandas
-    groupby is one vectorized C pass). ``num_buckets`` bounds reducer
-    memory — scale it with input rows (rows/5M is a good target).
+    Shuffle-light shape: slim (text_hash, url, n_chars) rows get a
+    batch-local Arrow pre-dedup that fuses with the enrich map (cuts
+    shuffle rows when duplicates are block-local), then ONE shuffle
+    keyed on ``hash_bucket(text_hash, num_buckets)`` with an Arrow
+    hash-aggregate combine per bucket group. Keying the shuffle on a
+    small bucket id instead of the raw 64-bit hash measured 3x faster
+    end to end than ``groupby("text_hash").aggregate(Min, Min, Sum)``
+    at 10^6 rows (Ray's sort comparator and per-unique-key aggregate
+    paths are the cost; the bucket sort is nearly free and the
+    per-bucket combine is one vectorized C pass). ``num_buckets``
+    bounds reducer memory — scale it with input rows (rows/5M is a good
+    target).
     Winners' geocode/cell are re-derived from the url, which is cheaper
     than shuffling the full rows.
     """
@@ -160,9 +156,8 @@ def dedup_exact(enriched_ds, num_buckets: int = 64,
         out = pa.TableGroupBy(b.select(["text_hash", "url", "n_chars"]),
                               "text_hash").aggregate(
             [("url", "min"), ("n_chars", "min"), ("url", "count")])
-        h = out.column("text_hash").to_numpy().astype(np.uint64)
-        h = (h ^ (h >> np.uint64(31))) * np.uint64(0x9E3779B97F4A7C15)
-        bk = ((h >> np.uint64(40)) % np.uint64(num_buckets)).astype(np.int32)
+        bk = hash_bucket(out.column("text_hash").to_numpy(),
+                         num_buckets).astype(np.int32)
         return pa.table({
             "text_hash": out.column("text_hash"),
             "url": out.column("url_min"),
@@ -181,43 +176,7 @@ def dedup_exact(enriched_ds, num_buckets: int = 64,
             "n_copies": out.column("_copies_sum"),
         })
 
-    def _merge_partials(b: pa.Table) -> pa.Table:
-        # second-level combine over BUNDLED slim partials (tiny rows):
-        # same keys, partial-mergeable aggregates
-        out = pa.TableGroupBy(b, "text_hash").aggregate(
-            [("url", "min"), ("n_chars", "min"), ("_copies", "sum"),
-             ("_bk", "min")])       # _bk is a pure function of the key
-        return pa.table({
-            "text_hash": out.column("text_hash"),
-            "url": out.column("url_min"),
-            "n_chars": out.column("n_chars_min"),
-            "_copies": out.column("_copies_sum"),
-            "_bk": out.column("_bk_min"),
-        })
-
-    # combine level 1 stays at whole-block batches so it FUSES with the
-    # enrich map. ``combine_batch_size`` (OFF by default) engages a
-    # second merge level over the SLIM partials, collapsing pre-shuffle
-    # block count so the sort shuffle makes no empty reduce partitions
-    # (the source of the two benign "RefBundle with a different schema"
-    # warnings: 128 read blocks, 64 buckets -> ~half-empty partitions).
-    # Round-5 interleaved A/Bs (sf0.1, both levels) on every
-    # zero-warning variant, all REJECTED as the default:
-    #   - bundling level 1 (batch_size=128k): -31% wall at 8 CPUs but
-    #     +65% at 32 (bundling drops the fused read->enrich chain to
-    #     16-way parallelism);
-    #   - this second level at 128k: +4-5 s at 32 CPUs, repeatable
-    #     (merge tasks wait on ~16 upstream blocks, so the shuffle
-    #     stops overlapping the enrich tail);
-    #   - num_buckets=256 > reduce partitions: warnings persist (Ray's
-    #     sampled sort boundaries still leave empty ranges).
-    # The empty partitions cost idle microtasks only; the empty-block
-    # BUG class stays defended by nonempty_* / skip_empty. Use the knob
-    # for low-parallelism deployments where task overhead dominates.
     slim = enriched_ds.map_batches(_local_combine, batch_format="pyarrow")
-    if combine_batch_size:
-        slim = slim.map_batches(_merge_partials, batch_format="pyarrow",
-                                batch_size=combine_batch_size)
     # NOTE: do NOT coalesce slim before this groupby. A
     # repartition(shuffle=False) here measured +30% flagship wall time
     # at 8 CPUs (52 -> 68 s interleaved A/B at sf0.1) for a mild 32-CPU
@@ -244,22 +203,6 @@ def dedup_exact(enriched_ds, num_buckets: int = 64,
     return winners.map_batches(_rederive, batch_format="pyarrow")
 
 
-def dedup_exact_rows(enriched_ds):
-    """Row-preserving exact dedup (keeps every column of the winner).
-
-    Per-group ``map_groups`` — use at moderate group counts or when
-    columns beyond (url, n_chars) must survive; ``dedup_exact`` is the
-    scale path.
-    """
-    import pandas as pd
-
-    def _first(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values("url").head(1)
-
-    return enriched_ds.groupby("text_hash").map_groups(
-        _first, batch_format="pandas")
-
-
 def zonal_page_stats(enriched_ds, zone_res: int = ZONE_CELL_RES):
     """Pages per coarse cell + char-volume stats (combiner -> tiny shuffle)."""
     from ..functions.agg import grouped_count_sum
@@ -278,30 +221,6 @@ def zonal_page_stats(enriched_ds, zone_res: int = ZONE_CELL_RES):
                              count_alias="n_pages", coalesce=1)
 
 
-def zonal_page_stats_driver(enriched_ds, zone_res: int = ZONE_CELL_RES):
-    """Driver-combine zonal stats (same numbers as zonal_page_stats).
-
-    One distributed pass emits per-batch per-zone partials; the final
-    merge over <= 4^zone_res tiny rows happens on the driver, saving a
-    whole sort-shuffle of fixed setup cost. Use when the zone count is
-    bounded (coarse resolutions); the distributed variant is the path
-    for fine-resolution / web-scale cardinality.
-    """
-    from ..functions.agg import grouped_count_sum_driver
-
-    def _add_zone(batch: pa.Table) -> pa.Table:
-        zone = cells.cell_parent(
-            batch.column("cell").to_numpy().astype(np.uint64), zone_res)
-        return batch.append_column(
-            "zone", pa.array(zone.astype(np.int64), pa.int64()))
-
-    zoned = enriched_ds.map_batches(_add_zone, batch_format="pyarrow")
-    out = grouped_count_sum_driver(zoned, ["zone"], ["n_chars"],
-                                   count_alias="n_pages")
-    return out.sort_values(["n_pages", "zone"],
-                           ascending=[False, True]).reset_index(drop=True)
-
-
 def run_flagship_checkpointed(pages_dir: str, work_dir: str,
                               shards: int = 8,
                               cell_res: int = PAGE_CELL_RES,
@@ -313,7 +232,8 @@ def run_flagship_checkpointed(pages_dir: str, work_dir: str,
     (geoflow.state.lineage):
 
     1. ``enrich`` — per input shard (embarrassingly parallel, so resume
-       granularity is the shard),
+       granularity is the shard); strict, so a stored ``text`` that
+       differs from its extraction fails the run (``byte-identity``),
     2. ``dedup`` — global (the groupby crosses shards; one partition
        whose input digest covers every enrich output),
     3. ``zonal`` — over the dedup output.
@@ -337,7 +257,7 @@ def run_flagship_checkpointed(pages_dir: str, work_dir: str,
     parts = input_partitions_from_dir(pages_dir, shards)
     r1 = run_partitioned_stage(
         "enrich", f"{work_dir}/enrich", parts,
-        lambda ds: enrich_pages(ds, cell_res))
+        lambda ds: enrich_pages(ds, cell_res, strict=True))
 
     r2 = run_partitioned_stage(
         "dedup", f"{work_dir}/dedup",

@@ -1727,13 +1727,13 @@ def raster_pages_cell_join(sf_dir: str):
     from ..sources.pages import pages_from_documents
     from ..stages.zonal import (RasterGeo, join_zonal_with_pages,
                                 raster_zonal_stats)
-    from .flagship import enrich_pages, zonal_page_stats_driver
+    from .flagship import enrich_pages, zonal_page_stats
 
     geo = RasterGeo(lat0=53.0, lon0=-1.5, dlat=-0.005, dlon=0.005)
     rz = raster_zonal_stats(_fixture_tiles(), geo, res=7,
                             tile_size=64).to_pandas()
-    pz = zonal_page_stats_driver(
-        enrich_pages(pages_from_documents(sf_dir)), zone_res=5)
+    pz = zonal_page_stats(
+        enrich_pages(pages_from_documents(sf_dir)), zone_res=5).to_pandas()
     j = join_zonal_with_pages(rz, pz, raster_res=7, page_res=5)
     out = j[["band", "cell", "join_cell", "n_pixels", "mean_value",
              "n_pages", "n_chars_sum"]].copy()

@@ -6,7 +6,7 @@ generator (geoflow.sources.pages) runs this exact function to populate the
 ``text`` column, so parity is checked byte-for-byte in tests and can be
 re-checked on any pipeline run.
 
-The extractor is pure Python/stdlib + Arrow with pinned rules (no
+Extraction is pure Python/stdlib with pinned rules (no
 version-drifting HTML libraries):
 
 1. drop <script>...</script>, <style>...</style> and <!-- comments -->,
@@ -16,29 +16,16 @@ version-drifting HTML libraries):
    collapse to one space, lines are stripped, empty lines dropped,
    lines joined by \\n.
 
-Hot-path shape (round 3): the tag-stripping regexes and the whitespace
-canonicalization run VECTORIZED over the whole Arrow column via
-``pyarrow.compute.replace_substring_regex`` (RE2, C++) — every pattern
-is pinned to constructs that evaluate IDENTICALLY in Python ``re`` and
-RE2 (explicit ASCII classes; no ``\\b``/``\\s``/``\\w``, whose
-unicode semantics differ between the engines — the same discipline the
-PII module uses), and the scalar path compiles the very same strings,
-so ``extract_text`` (the definition) and ``extract_texts_arrow`` (the
-hot path) agree byte-for-byte; a hypothesis property test and the
-flagship's strict in-pipeline assertion both enforce it. The only
-remaining per-row step is ``html.unescape``. The html (binary) column
-is projected away immediately after extraction so wide payload bytes
-never reach a shuffle (SURVEY.md section 7.4 "wide binary rows").
+The flagship enrich pass (``pipelines.flagship``) runs ``extract_text``
+once per row, asserts it equals the stored ``text`` and projects the
+html (binary) column away before any shuffle (SURVEY.md section 7.4
+"wide binary rows").
 """
 
 from __future__ import annotations
 
 import html as _html
 import re
-
-import numpy as np
-import pyarrow as pa
-import pyarrow.compute as pc
 
 # Tags treated as block-level (their boundaries become line breaks).
 _BLOCK_TAGS = (
@@ -47,14 +34,13 @@ _BLOCK_TAGS = (
     "figcaption|dl|dt|dd|form|fieldset|address"
 )
 
-# Engine-portable tag-name boundary: after the name, either '>' follows
-# immediately or one non-name char (ASCII alnum/_ excluded; a negated
-# class matches the same codepoints in Python re and RE2) starts the
-# attribute region. Replaces ``\b`` (ASCII word boundary in RE2,
-# unicode in Python re).
+# Tag-name boundary: after the name, either '>' follows immediately or
+# one non-name char (ASCII alnum/_ excluded) starts the attribute
+# region. An explicit ASCII class, not ``\b``, whose word rules are
+# unicode in Python re.
 _TAGEND = r"(?:[^>a-zA-Z0-9_][^>]*)?>"
-# HTML-spec whitespace before a closer's '>' (replaces ``\s*``, whose
-# unicode coverage differs between the engines).
+# HTML-spec whitespace before a closer's '>' (not ``\s*``, which also
+# matches unicode spaces).
 _HTWS = r"[\t\n\f\r ]*"
 
 _P_DROP = (rf"(?is)<script{_TAGEND}.*?</script{_HTWS}>"
@@ -63,43 +49,13 @@ _P_DROP = (rf"(?is)<script{_TAGEND}.*?</script{_HTWS}>"
 _P_BLOCK = rf"(?i)</?(?:{_BLOCK_TAGS}){_TAGEND}"
 _P_TAG = r"<[^>]*>"
 
-# The exact codepoint set Python's str.split() treats as whitespace
-# (str.isspace); enumerated literally so the RE2 class and the scalar
-# path agree. \n is excluded — it is the line separator, handled after
-# the in-line collapse.
-_PY_WS = "".join(map(chr, (
-    0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20,
-    0x85, 0xA0, 0x1680,
-    0x2000, 0x2001, 0x2002, 0x2003, 0x2004, 0x2005, 0x2006, 0x2007,
-    0x2008, 0x2009, 0x200A, 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)))
-_WS_NO_NL = _PY_WS.replace("\n", "")
-_P_WSRUN = "[" + _WS_NO_NL + "]+"          # none are class-special
-# One merged pass: any whitespace run touching a newline collapses to a
-# single newline. Replays split("\n") + drop-empty-lines: padding
-# spaces around each \n and whole blank lines disappear together.
-# (Measured 2.7x the two-pass " *\n *" + "\n+" chain in RE2.)
-_P_NLPAD = "[ \n]*\n[ \n]*"
-
-# Vectorized entity decode, guarded: the literal chain below equals
-# html.unescape exactly WHEN every '&' in the batch starts one of these
-# entities (checked with two counting scans; '&amp;' must be replaced
-# LAST so '&amp;lt;' never double-decodes — any row where counts
-# disagree routes the whole batch to the scalar unescape).
-_SAFE_ENT_RE = "&(amp|lt|gt|quot|copy|nbsp|#8212);"
-_ENT_CHAIN = (("&lt;", "<"), ("&gt;", ">"), ("&quot;", '"'),
-              ("&copy;", "©"), ("&nbsp;", " "),
-              ("&#8212;", "—"), ("&amp;", "&"))
-
 _RE_DROP = re.compile(_P_DROP)
 _RE_BLOCK = re.compile(_P_BLOCK)
 _RE_TAG = re.compile(_P_TAG)
 
 
 def extract_text(html_bytes: bytes) -> str:
-    """Extract canonical plain text from one HTML document (deterministic).
-
-    This scalar path IS the definition; ``extract_texts_arrow`` is the
-    vectorized equivalent (same pinned patterns, RE2 execution)."""
+    """Extract canonical plain text from one HTML document (deterministic)."""
     raw = html_bytes.decode("utf-8", errors="replace")
     raw = _RE_DROP.sub(" ", raw)
     raw = _RE_BLOCK.sub("\n", raw)
@@ -112,71 +68,3 @@ def extract_text(html_bytes: bytes) -> str:
             lines.append(" ".join(parts))
     return "\n".join(lines)
 
-
-def extract_texts_arrow(htmls) -> pa.Array:
-    """Whole-column extraction: RE2 (C++) for the three tag passes and
-    the whitespace canonicalization; per-row ``html.unescape`` only.
-
-    Byte-identical to ``extract_text`` per row (shared pattern strings;
-    the whitespace chain replays split()/join() exactly: collapse
-    non-\\n whitespace runs to one space, merge spaces into the
-    neighboring newline, collapse newline runs, trim the ends). Falls
-    back to the scalar path for batches whose html is not valid UTF-8
-    (Arrow's cast cannot replace invalid bytes the way
-    ``bytes.decode(errors="replace")`` does)."""
-    if isinstance(htmls, pa.ChunkedArray):
-        htmls = htmls.combine_chunks()
-    try:
-        x = pc.cast(htmls, pa.large_string()) \
-            if pa.types.is_large_binary(htmls.type) or \
-            pa.types.is_binary(htmls.type) else pc.cast(htmls,
-                                                       pa.string())
-    except pa.ArrowInvalid:
-        return pa.array(
-            [extract_text(h) if h is not None else None
-             for h in htmls.to_pylist()], type=pa.string())
-    x = pc.replace_substring_regex(x, pattern=_P_DROP, replacement=" ")
-    x = pc.replace_substring_regex(x, pattern=_P_BLOCK, replacement="\n")
-    x = pc.replace_substring_regex(x, pattern=_P_TAG, replacement=" ")
-    # entity decode: literal-replace chain (vectorized) when the batch
-    # provably contains only the common entities, else stdlib unescape
-    # per row (exotic/named/numeric refs, no-semicolon forms)
-    amp = pc.count_substring(x, "&")
-    safe = pc.count_substring_regex(x, _SAFE_ENT_RE)
-    if pc.all(pc.equal(amp, safe)).as_py():
-        for ent, rep in _ENT_CHAIN:
-            x = pc.replace_substring(x, pattern=ent, replacement=rep)
-    else:
-        x = pa.array([_html.unescape(v) if v is not None else None
-                      for v in x.to_pylist()], type=pa.string())
-    x = pc.replace_substring_regex(x, pattern=_P_WSRUN, replacement=" ")
-    x = pc.replace_substring_regex(x, pattern=_P_NLPAD, replacement="\n")
-    return pc.utf8_trim(x, characters=" \n")
-
-
-def extract_batch(batch: pa.Table, html_col: str = "html",
-                  out_col: str = "extracted_text",
-                  drop_html: bool = True) -> pa.Table:
-    """Arrow batch transform: add extracted text, drop the binary payload.
-
-    Use with ``ds.map_batches(extract_batch, batch_format="pyarrow")``.
-    """
-    texts = extract_texts_arrow(batch.column(html_col))
-    out = batch.append_column(out_col, pc.cast(texts, pa.string()))
-    if drop_html:
-        out = out.drop_columns([html_col])
-    return out
-
-
-def verify_extraction_batch(batch: pa.Table) -> pa.Table:
-    """Per-batch invariant check: extract(html) must equal the stored text.
-
-    Emits one row per input row with a boolean ``text_matches`` — the
-    pipeline-level invariant reduce is then a cheap ``Sum``/``Count``.
-    """
-    ext = extract_texts_arrow(batch.column("html"))
-    ok = pc.equal(ext, pc.cast(batch.column("text"), ext.type))
-    return pa.table({
-        "url": batch.column("url"),
-        "text_matches": pc.fill_null(ok, False),
-    })

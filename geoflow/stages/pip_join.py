@@ -4,10 +4,12 @@ North-rule operator ("STRtree point-in-polygon joins ... executed via
 actor pools holding pinned spatial indexes"). No shapely in this
 environment (SURVEY.md section 7.0), so the index is hand-rolled:
 
-- index = polygon bboxes sorted into a uniform lon/lat grid (an
-  STRtree stand-in with the same O(candidates) query contract),
-- candidates per point via its grid bucket, then an exact even-odd
-  ray-casting test (vectorized numpy over all points x one polygon).
+- index = a Sort-Tile-Recursive packed R-tree (``STRtree``) over the
+  polygon bboxes, with shapely.STRtree's O(log n + candidates) query
+  contract,
+- candidate points per polygon come from one vectorized descent of the
+  tree with the whole point batch, then an exact even-odd ray-casting
+  test (vectorized numpy over those points x one polygon).
 
 The polygon table is the SMALL side: it is ``ray.put`` once and pinned
 per actor in ``__init__`` (``fn_constructor_kwargs``), never re-shipped
@@ -170,83 +172,31 @@ class STRtree:
         return out
 
 
-class GridIndex:
-    """Uniform-grid bbox index over polygons (cheap alternative to the
-    STRtree for roughly uniform polygon layouts)."""
-
-    def __init__(self, polygons: pd.DataFrame, grid: int = 64):
-        self.grid = grid
-        self.rings = [np.asarray(r, dtype=np.float64)
-                      for r in polygons["ring"]]
-        self.region_ids = polygons["region_id"].to_numpy()
-        self.bboxes = np.array([
-            [r[:, 0].min(), r[:, 1].min(), r[:, 0].max(), r[:, 1].max()]
-            for r in self.rings])
-        self.buckets: dict[tuple[int, int], list[int]] = {}
-        for i, (x0, y0, x1, y1) in enumerate(self.bboxes):
-            for gx in range(self._gx(x0), self._gx(x1) + 1):
-                for gy in range(self._gy(y0), self._gy(y1) + 1):
-                    self.buckets.setdefault((gx, gy), []).append(i)
-
-    def _gx(self, lon: float) -> int:
-        return min(self.grid - 1, max(0, int((lon + 180) / 360 * self.grid)))
-
-    def _gy(self, lat: float) -> int:
-        return min(self.grid - 1, max(0, int((lat + 90) / 180 * self.grid)))
-
-    def candidates(self, lat: np.ndarray, lon: np.ndarray) -> dict[int, np.ndarray]:
-        """polygon idx -> indices of points whose bucket intersects it."""
-        gx = np.minimum(self.grid - 1, np.maximum(
-            0, ((lon + 180) / 360 * self.grid).astype(int)))
-        gy = np.minimum(self.grid - 1, np.maximum(
-            0, ((lat + 90) / 180 * self.grid).astype(int)))
-        by_poly: dict[int, list[int]] = {}
-        # group points by bucket, then fan out to that bucket's polygons
-        order = np.lexsort((gy, gx))
-        keys = gx[order] * self.grid + gy[order]
-        bounds = np.flatnonzero(np.diff(keys)) + 1
-        for seg in np.split(order, bounds):
-            b = (int(gx[seg[0]]), int(gy[seg[0]]))
-            for poly_idx in self.buckets.get(b, ()):
-                by_poly.setdefault(poly_idx, []).append(seg)
-        return {p: np.concatenate(segs) for p, segs in by_poly.items()}
-
-
 class PIPJoiner:
     """Actor-pool callable: points batch -> (id, region_id, name) matches.
 
-    ``index="str"`` (default) pins an STR-packed R-tree per actor;
-    ``index="grid"`` keeps the uniform-grid bucket index (cheaper build,
-    good for roughly uniform polygon layouts).
+    Pins one STR-packed R-tree over the polygon bboxes per actor.
     """
 
-    def __init__(self, polygons_ref, grid: int = 64, index: str = "str"):
+    def __init__(self, polygons_ref):
         import ray
         polygons = ray.get(polygons_ref)
-        self.kind = index
         self.rings = [np.asarray(r, dtype=np.float64)
                       for r in polygons["ring"]]
         self.region_ids = polygons["region_id"].to_numpy()
         self.bboxes = np.array([
             [r[:, 0].min(), r[:, 1].min(), r[:, 0].max(), r[:, 1].max()]
             for r in self.rings])
-        if index == "str":
-            self.tree = STRtree(self.bboxes)
-        else:
-            self.grid_index = GridIndex(polygons, grid)
+        self.tree = STRtree(self.bboxes)
         self.names = polygons["name"].to_numpy()
-
-    def _candidates(self, lat, lon) -> dict[int, np.ndarray]:
-        if self.kind == "str":
-            return self.tree.query_points(lon, lat)   # bbox x=lon, y=lat
-        return self.grid_index.candidates(lat, lon)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         lat = batch.column("lat").to_numpy()
         lon = batch.column("lon").to_numpy()
         ids = batch.column("id").to_numpy()
         out_id, out_region, out_name = [], [], []
-        for poly_idx, pt_idx in self._candidates(lat, lon).items():
+        # bbox x=lon, y=lat
+        for poly_idx, pt_idx in self.tree.query_points(lon, lat).items():
             ring = self.rings[poly_idx]
             bb = self.bboxes[poly_idx]
             la, lo = lat[pt_idx], lon[pt_idx]
@@ -272,15 +222,14 @@ class PIPJoiner:
         })
 
 
-def pip_join(points_ds, polygons: pd.DataFrame, concurrency: int = 4,
-             grid: int = 64, index: str = "str"):
+def pip_join(points_ds, polygons: pd.DataFrame, concurrency: int = 4):
     """points_ds(id, lat, lon) |> PIP join against the polygon table."""
     import ray
 
     ref = ray.put(polygons)
     return points_ds.map_batches(
         PIPJoiner, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(polygons_ref=ref, grid=grid, index=index),
+        fn_constructor_kwargs=dict(polygons_ref=ref),
         concurrency=(1, concurrency), batch_size=4096,
     )
 

@@ -12,7 +12,7 @@ Plan (all distributed, nothing corpus-sized on the driver):
 
 1. the new shard runs the flagship enrich + within-shard exact dedup
    (``flagship.dedup_exact`` — bucket-keyed one-shuffle plan);
-2. winners are re-bucketed by the same hash mix and ONE
+2. winners are re-bucketed by the same ``flagship.hash_bucket`` and ONE
    ``groupby(bucket).map_groups`` pass filters novelty: each task reads
    ONLY its bucket's index partition (numpy ``isin`` against the
    committed hashes), so the per-task index slice is total_index /
@@ -39,31 +39,26 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..pipelines.flagship import dedup_exact, enrich_pages
-
-
-def _bucket_of(h: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Same mix as flagship.dedup_exact's shuffle key (splitmix-style),
-    so index bucketing and dedup bucketing agree."""
-    u = h.astype(np.uint64)
-    u = (u ^ (u >> np.uint64(31))) * np.uint64(0x9E3779B97F4A7C15)
-    return ((u >> np.uint64(40)) % np.uint64(num_buckets)).astype(np.int64)
+from ..pipelines.flagship import dedup_exact, enrich_pages, hash_bucket
 
 
 def incremental_ingest(pages_ds, work_dir: str, shard_id: str,
-                       num_buckets: int = 16, verify: bool = True):
+                       num_buckets: int = 16):
     """Ingest one crawl shard; return the Dataset of rows whose content
     hash has never been committed by ANY prior shard (first-wins by
-    url within the shard, earlier shards win across runs)."""
+    url within the shard, earlier shards win across runs).
+
+    Enrich runs strict: a stored ``text`` that differs from its
+    extraction fails the ingest with a ``byte-identity`` error."""
     if "/" in shard_id or shard_id.startswith("."):
         raise ValueError(f"invalid shard_id: {shard_id!r}")
-    winners = dedup_exact(enrich_pages(pages_ds, slim=True, verify=verify),
+    winners = dedup_exact(enrich_pages(pages_ds, strict=True, slim=True),
                           num_buckets=num_buckets)
 
     def _tag(b: pa.Table) -> pa.Table:
         h = b.column("text_hash").to_numpy()
         return b.append_column(
-            "_bk", pa.array(_bucket_of(h, num_buckets), pa.int64()))
+            "_bk", pa.array(hash_bucket(h, num_buckets), pa.int64()))
 
     seen_root = os.path.join(work_dir, "seen")
 

@@ -49,10 +49,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..pipelines.flagship import hash_bucket
 from ..stages.dedup import (
     _mod_p31, _perm_params, _shingle_hashes, explode_bands, _EMPTY_SIG,
 )
-from .ingest import _bucket_of
 
 
 def sig_shingle_batch(batch: pa.Table, id_col: str, text_col: str,
@@ -146,7 +146,7 @@ def incremental_near_ingest(docs_ds, work_dir: str, shard_id: str,
         batch_format="pyarrow")
 
     def _tag_bh(b: pa.Table) -> pa.Table:
-        bk = _bucket_of(b.column("band_hash").to_numpy(), num_buckets)
+        bk = hash_bucket(b.column("band_hash").to_numpy(), num_buckets)
         return b.append_column("_bk", pa.array(bk, pa.int64()))
 
     def _candidates(g: pd.DataFrame) -> pd.DataFrame:
@@ -178,7 +178,7 @@ def incremental_near_ingest(docs_ds, work_dir: str, shard_id: str,
         batch_format="pyarrow")
 
     def _tag_ref(b: pa.Table) -> pa.Table:
-        rk = _bucket_of(b.column("ref_id").to_numpy(), num_buckets)
+        rk = hash_bucket(b.column("ref_id").to_numpy(), num_buckets)
         return b.append_column("_rk", pa.array(rk, pa.int64()))
 
     def _verify(g: pd.DataFrame) -> pd.DataFrame:
@@ -252,7 +252,7 @@ def incremental_near_ingest(docs_ds, work_dir: str, shard_id: str,
                                              id_col),
                        batch_format="pyarrow")
      .map_batches(lambda b: b.append_column("_rk", pa.array(
-         _bucket_of(b.column(id_col).to_numpy(), num_buckets),
+         hash_bucket(b.column(id_col).to_numpy(), num_buckets),
          pa.int64())), batch_format="pyarrow")
      .groupby("_rk").map_groups(_commit_sh, batch_format="pandas")
      .materialize())

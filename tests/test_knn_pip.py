@@ -177,7 +177,7 @@ def test_strtree_query_matches_bbox_scan():
             assert (have == exp).all(), (n, r)
 
 
-def test_pip_strtree_equals_grid_and_brute(ray_session):
+def test_pip_strtree_equals_brute(ray_session):
     import ray.data as rd
     from geoflow.stages.pip_join import (make_polygons, pip_bruteforce,
                                          pip_join)
@@ -188,14 +188,11 @@ def test_pip_strtree_equals_grid_and_brute(ray_session):
                         "lon": rng.uniform(-179, 179, 3000)})
     polys = make_polygons(48, seed=9)
     exp = pip_bruteforce(pts, polys)
-    for index in ("str", "grid"):
-        got = (pip_join(rd.from_pandas(pts), polys, concurrency=2,
-                        index=index).to_pandas()
-               .sort_values(["id", "region_id"]).reset_index(drop=True))
-        assert len(got) == len(exp), index
-        assert (got["id"].to_numpy() == exp["id"].to_numpy()).all()
-        assert (got["region_id"].to_numpy()
-                == exp["region_id"].to_numpy()).all()
+    got = (pip_join(rd.from_pandas(pts), polys, concurrency=2).to_pandas()
+           .sort_values(["id", "region_id"]).reset_index(drop=True))
+    assert len(got) == len(exp)
+    assert (got["id"].to_numpy() == exp["id"].to_numpy()).all()
+    assert (got["region_id"].to_numpy() == exp["region_id"].to_numpy()).all()
 
 
 def test_knn_haversine_shuffle_matches_pinned(ray_session):

@@ -5,7 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from geoflow.pipelines.flagship import enrich_pages, zonal_page_stats_driver, zonal_page_stats
+from geoflow.pipelines.flagship import enrich_pages, zonal_page_stats
 from geoflow.sources.pages import pages_dataset
 from geoflow.stages import skew
 from geoflow.state import lineage
@@ -27,16 +27,6 @@ def test_salted_agg_matches_plain(ray_session):
     assert len(m) == len(plain) == len(salted)
     assert (m["n"] == m["n_exp"]).all()
     assert (m["n_chars_sum"] == m["n_chars_sum_exp"]).all()
-
-
-def test_zonal_driver_matches_distributed(ray_session):
-    ds = _enriched().materialize()
-    drv = zonal_page_stats_driver(ds)
-    dist = zonal_page_stats(ds).to_pandas()
-    m = drv.merge(dist, on="zone", suffixes=("", "_d"))
-    assert len(m) == len(dist) == len(drv)
-    assert (m["n_pages"] == m["n_pages_d"]).all()
-    assert (m["n_chars_sum"] == m["n_chars_sum_d"]).all()
 
 
 def test_split_cell_rebalance(ray_session):
