@@ -176,8 +176,7 @@ def cmd_report(args) -> dict:
     rose = rose_diagram_ds(tiles).to_pandas()
     corr = correlation_eval_ds(derive_terrain(tiles)).to_pandas()
     scores, _, _ = rank_corrections(tiles)
-    rank_df = scores.reset_index()
-    rank_df.columns = ["correction", "score"]
+    rank_df = scores.reset_index().rename(columns={"Score": "score"})
     out = render_full_report(args.out_dir, rose, corr, rank_df)
     return {"out_dir": args.out_dir,
             "files": {k: len(v) for k, v in out.items()},

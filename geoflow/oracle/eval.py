@@ -1,7 +1,8 @@
 """Transcription oracle for the evaluation/ranking layer.
 
 Single-process truth for metric evaluation (full-array band values,
-``multi_criteria_eval.py:123-158``) and the merge/normalize/rank math
+``multi_criteria_eval.py:123-158``, scored by this module's own metric
+code, never the engine's registry) and the merge/normalize/rank math
 (``multi_criteria_rank.py:169-197``), written in the reference's pandas
 idioms (.xs pre-combine capture, .where/.gt(level=1) split
 normalization) so the engine's independent implementation can be
@@ -16,71 +17,66 @@ import numpy as np
 import pandas as pd
 
 from ..context import CorrectionContext, DEFAULT_CONTEXT
-from ..stages.metrics import METRIC_IDS, ORIG_KEY, evaluate_metrics
+from ..stages.metrics import METRIC_IDS, ORIG_KEY
 from . import kernels as ok
+
+
+def _reference_metrics(vals: np.ndarray, omin: float, omax: float,
+                      lum: np.ndarray) -> dict[str, float]:
+    """The 7 reference metrics (``metrics.py:81-195``), one numpy call
+    each, written apart from the engine's metric registry."""
+    q1, q3 = np.percentile(vals, [25, 75])
+    iqr = q3 - q1
+    return {
+        "std_reduction": float(np.std(vals)),
+        "cv_reduction": float(np.std(vals) / np.mean(vals)),
+        "iqr_reduction": float(iqr),
+        "relative_median_difference": float(np.median(vals)),
+        "outliers_threshold": float(np.count_nonzero(
+            (vals < omin) | (vals > omax))),
+        "outliers_iqr": float(np.count_nonzero(
+            (vals < q1 - iqr) | (vals > q3 + iqr))),
+        "determination_coefficient": float(np.corrcoef(
+            lum.astype(np.float64), vals.astype(np.float64))[0, 1] ** 2),
+    }
 
 
 def oracle_metrics_table(bands: np.ndarray, dem: np.ndarray,
                          names: list[str] | None = None,
-                         ctx: CorrectionContext = DEFAULT_CONTEXT) -> pd.DataFrame:
-    """(correction, band) x 7 metrics over full arrays (driver-style)."""
+                         ctx: CorrectionContext = DEFAULT_CONTEXT,
+                         zones: np.ndarray | None = None) -> pd.DataFrame:
+    """(correction, band) x 7 metrics over full arrays (driver-style).
+
+    ``zones`` is the (H, W) classification map: metrics are then taken
+    per zone over zone-masked arrays, with min, max and luminance masked
+    by the same zone (``eval.py:173-179``, ``multi_criteria_eval.py:128``),
+    and the index gains a trailing ``zone`` level. Without it the whole
+    image is the one group (``eval.py:128-141``).
+    """
     names = names or list(ok.CORRECTION_NAMES)
     slope = ok.zt_slope_radians(dem)
     aspect = ok.zt_aspect_radians(dem)
     lum = ok.luminance(slope, aspect, ctx).astype(np.float32)
     coeffs = ok.fit_coefficients(bands, lum, slope, ctx)
     lum_flat = lum.ravel()
+    zflat = np.ones(lum_flat.size, np.int32) if zones is None else zones.ravel()
     rows = []
     for b in range(bands.shape[0]):
-        orig = bands[b].ravel()
-        omin, omax = float(orig.min()), float(orig.max())
-        m = evaluate_metrics(orig, omin, omax, lum_flat)
-        m.update({"correction": ORIG_KEY, "band": b})
-        rows.append(m)
+        sources = {ORIG_KEY: bands[b].ravel()}
         for name in names:
-            vals = ok.apply_correction(name, bands[b], lum, slope, coeffs, b,
-                                       ctx).ravel()
-            m = evaluate_metrics(vals, omin, omax, lum_flat)
-            m.update({"correction": name, "band": b})
-            rows.append(m)
-    df = pd.DataFrame(rows)[["correction", "band"] + METRIC_IDS]
-    return df.set_index(["correction", "band"]).sort_index()
-
-
-def oracle_metrics_table_zonal(bands: np.ndarray, dem: np.ndarray,
-                               zones: np.ndarray,
-                               names: list[str] | None = None,
-                               ctx: CorrectionContext = DEFAULT_CONTEXT) -> pd.DataFrame:
-    """(correction, band, zone) x 7 metrics over zone-masked full arrays
-    (eval.py:173-179 masking; luminance masked per group,
-    multi_criteria_eval.py:128)."""
-    names = names or list(ok.CORRECTION_NAMES)
-    slope = ok.zt_slope_radians(dem)
-    aspect = ok.zt_aspect_radians(dem)
-    lum = ok.luminance(slope, aspect, ctx).astype(np.float32)
-    coeffs = ok.fit_coefficients(bands, lum, slope, ctx)
-    zflat = zones.ravel()
-    lum_flat = lum.ravel()
-    rows = []
-    for b in range(bands.shape[0]):
-        orig = bands[b].ravel()
-        corrected = {name: ok.apply_correction(name, bands[b], lum, slope,
-                                               coeffs, b, ctx).ravel()
-                     for name in names}
+            sources[name] = ok.apply_correction(name, bands[b], lum, slope,
+                                                coeffs, b, ctx).ravel()
         for zone in np.unique(zflat):
             zmask = zflat == zone
-            zorig = orig[zmask]
-            zlum = lum_flat[zmask]
+            zorig = sources[ORIG_KEY][zmask]
             omin, omax = float(zorig.min()), float(zorig.max())
-            m = evaluate_metrics(zorig, omin, omax, zlum)
-            m.update({"correction": ORIG_KEY, "band": b, "zone": int(zone)})
-            rows.append(m)
-            for name in names:
-                m = evaluate_metrics(corrected[name][zmask], omin, omax, zlum)
+            for name, vals in sources.items():
+                m = _reference_metrics(vals[zmask], omin, omax, lum_flat[zmask])
                 m.update({"correction": name, "band": b, "zone": int(zone)})
                 rows.append(m)
-    df = pd.DataFrame(rows)[["correction", "band", "zone"] + METRIC_IDS]
-    return df.set_index(["correction", "band", "zone"]).sort_index()
+    keys = ["correction", "band"] + ([] if zones is None else ["zone"])
+    df = pd.DataFrame(rows)[keys + METRIC_IDS]
+    return df.set_index(keys).sort_index()
 
 
 def oracle_merge_rank(metrics: pd.DataFrame,

@@ -4,9 +4,11 @@ Engine shape (SURVEY.md section 3.2): a single terrain + fit pass feeds
 ONE wide ``map_batches`` that applies every correction (adding one
 column per correction per tile row — the reference spawns a process per
 correction and round-trips GeoTIFFs, ``multi_criteria_rank.py:199-239``),
-then per-band metric groups compute all 7 metrics for the original and
+then per-band metric groups compute all metrics for the original and
 every correction in one task, and the tiny (corrections x bands) table
-is normalized/weighted/ranked on the driver.
+is normalized/weighted/ranked on the driver. Tiles that carry
+``zone_ids`` (the reference's classification map) are evaluated and
+ranked per zone by the same code; tiles without it are one zone.
 
 Normalization semantics transcribed from ``multi_criteria_rank.py:169-197``:
 - reductions combine with sign flip (metrics.py:64,77-78);
@@ -34,8 +36,7 @@ import pyarrow as pa
 from ..context import CorrectionContext, DEFAULT_CONTEXT
 from ..oracle import kernels as ok
 from ..stages.corrections import fit_corrections
-from ..stages.metrics import (METRIC_IDS, ORIG_KEY,
-                              evaluate_corrections_ds, metric_ids)
+from ..stages.metrics import ORIG_KEY, evaluate_corrections_ds, metric_ids
 from ..stages.terrain import _rows_as_arrays
 from .correction import prepare_terrain
 
@@ -71,7 +72,8 @@ def apply_all_wide_batch(batch: pa.Table, fns: list,
 
 def compute_metrics_table(tiles_ds, names: list[str] | None = None,
                           ctx: CorrectionContext = DEFAULT_CONTEXT) -> pd.DataFrame:
-    """-> DataFrame indexed (correction, band) with the 7 metric columns."""
+    """-> DataFrame indexed (correction, band) with the metric columns;
+    tiles that carry ``zone_ids`` add a trailing ``zone`` level."""
     from ..registry import CORRECTIONS
 
     names = names or list(ok.CORRECTION_NAMES)
@@ -84,7 +86,8 @@ def compute_metrics_table(tiles_ds, names: list[str] | None = None,
     mt = evaluate_corrections_ds(wide, [_col(n) for n in names]).to_pandas()
     inv = {_col(n): n for n in names}
     mt["correction"] = mt["correction"].map(lambda c: inv.get(c, c))
-    return mt.set_index(["correction", "band"]).sort_index()
+    keys = ["correction", "band"] + (["zone"] if "zone" in mt.columns else [])
+    return mt.set_index(keys).sort_index()
 
 
 def combine_vs_original(metrics: pd.DataFrame) -> pd.DataFrame:
@@ -130,74 +133,43 @@ def normalize_vs_original(combined: pd.DataFrame,
     return norm.drop(ORIG_KEY, level=0)
 
 
+def _rank(metrics: pd.DataFrame, weights: dict[str, float] | None,
+          band_combine: str):
+    """One zone's (correction, band) metric table -> (scores sorted desc,
+    normalized metrics): combine, normalize, weight, combine bands."""
+    from ..registry import METRICS
+
+    if band_combine not in ("sum", "mean", "max", "min", "median"):
+        raise KeyError(band_combine)
+    combined = combine_vs_original(metrics)
+    normalized = normalize_vs_original(combined, metrics.xs(ORIG_KEY))
+    w = np.array([(weights or {}).get(m, METRICS[m].weight)
+                  for m in metric_ids()])
+    per_band = (normalized * w).sum(axis=1)
+    scores = getattr(per_band.groupby(level=0), band_combine)()
+    return (scores.to_frame(name="Score").sort_values("Score", ascending=False),
+            normalized)
+
+
 def rank_corrections(tiles_ds, names: list[str] | None = None,
                      ctx: CorrectionContext = DEFAULT_CONTEXT,
                      weights: dict[str, float] | None = None,
                      band_combine: str = "sum"):
     """Full ranking. Returns (scores DataFrame sorted desc, metrics,
-    normalized metrics)."""
+    normalized metrics). Zoned tiles are ranked per zone, independently
+    (reference ``eval.py:143-151``): scores and normalized metrics then
+    carry a leading ``zone`` level. Pass ``tiles.drop_columns(["zone_ids"])``
+    for a whole-band rank of zoned tiles."""
     metrics = compute_metrics_table(tiles_ds, names, ctx)
-    combined = combine_vs_original(metrics)
-    normalized = normalize_vs_original(combined, metrics.xs(ORIG_KEY))
-    from ..registry import METRICS
-
-    w = np.array([(weights or {}).get(m, METRICS[m].weight)
-                  for m in metric_ids()])
-    per_band = (normalized * w).sum(axis=1)
-    combiner = {
-        "sum": lambda s: s.sum(), "mean": lambda s: s.mean(),
-        "max": lambda s: s.max(), "min": lambda s: s.min(),
-        "median": lambda s: s.median(),
-    }[band_combine]
-    scores = combiner(per_band.groupby(level=0)).to_frame(name="Score")
-    scores = scores.sort_values("Score", ascending=False)
+    if "zone" not in metrics.index.names:
+        scores, normalized = _rank(metrics, weights, band_combine)
+        return scores, metrics, normalized
+    zones = metrics.index.unique(level="zone")
+    ranked = [_rank(metrics.xs(z, level="zone"), weights, band_combine)
+              for z in zones]
+    scores, normalized = (pd.concat(parts, keys=zones, names=["zone"])
+                          for parts in zip(*ranked))
     return scores, metrics, normalized
-
-
-def compute_metrics_table_zonal(tiles_ds, names: list[str] | None = None,
-                                ctx: CorrectionContext = DEFAULT_CONTEXT) -> pd.DataFrame:
-    """(correction, band, zone) x 7 metrics; requires ``zone_ids`` tiles."""
-    from ..stages.metrics import evaluate_corrections_zonal_ds
-
-    from ..registry import CORRECTIONS
-
-    names = names or list(ok.CORRECTION_NAMES)
-    fns = [(n, CORRECTIONS[n]) for n in names]   # driver-side resolve
-    terrain = prepare_terrain(tiles_ds, ctx)
-    coeffs = fit_corrections(terrain, ctx)
-    wide = terrain.map_batches(
-        lambda b: apply_all_wide_batch(b, fns, coeffs, ctx),
-        batch_format="pyarrow")
-    mt = evaluate_corrections_zonal_ds(wide, [_col(n) for n in names]).to_pandas()
-    inv = {_col(n): n for n in names}
-    mt["correction"] = mt["correction"].map(lambda c: inv.get(c, c))
-    return mt.set_index(["correction", "band", "zone"]).sort_index()
-
-
-def rank_corrections_zonal(tiles_ds, names: list[str] | None = None,
-                           ctx: CorrectionContext = DEFAULT_CONTEXT,
-                           weights: dict[str, float] | None = None,
-                           band_combine: str = "sum") -> dict[int, pd.DataFrame]:
-    """Per-zone ranking (reference evaluates each classification group
-    independently, ``eval.py:143-151``). Returns {zone: scores}."""
-    mt = compute_metrics_table_zonal(tiles_ds, names, ctx)
-    out: dict[int, pd.DataFrame] = {}
-    for zone in sorted(mt.index.get_level_values(2).unique()):
-        sub = mt.xs(zone, level=2)
-        combined = combine_vs_original(sub)
-        normalized = normalize_vs_original(combined, sub.xs(ORIG_KEY))
-        from ..registry import METRICS
-        w = np.array([(weights or {}).get(m, METRICS[m].weight)
-                      for m in metric_ids()])
-        per_band = (normalized * w).sum(axis=1)
-        combiner = {
-            "sum": lambda s: s.sum(), "mean": lambda s: s.mean(),
-            "max": lambda s: s.max(), "min": lambda s: s.min(),
-            "median": lambda s: s.median(),
-        }[band_combine]
-        scores = combiner(per_band.groupby(level=0)).to_frame(name="Score")
-        out[int(zone)] = scores.sort_values("Score", ascending=False)
-    return out
 
 
 def export_rank_report(scores: pd.DataFrame, metrics: pd.DataFrame,

@@ -15,17 +15,21 @@ Transcribed metric semantics (reference
 
 ``determination_coefficient`` uses the closed-form Pearson r (the
 standard formula behind scipy.stats.linregress, metrics.py:193-195;
-scipy is not available in this environment — SURVEY.md section 7.0).
+scipy is not available in this environment -- SURVEY.md section 7.0).
 
 Evaluation shape: corrections are applied in ONE wide ``map_batches``
 pass (one column per correction + the original), then
-``groupby("band").map_groups`` computes all metrics for all corrections
-of a band in one task. Exact medians/percentiles come from the gathered
-per-band group — correct at raster scale where a band fits a worker
-(reference holds full bands in the driver, multi_criteria_eval.py:128);
-the web-scale variant groups by (band, cell) so groups stay small.
-Group rows are sorted by (tile_y, tile_x) before concatenation so
-floating reductions are deterministic.
+``groupby("band").map_groups`` computes every registered metric for all
+corrections of a band in one task. Exact medians/percentiles come from
+the gathered per-band group (the reference holds full bands in the
+driver, multi_criteria_eval.py:128). Group rows are sorted by
+(tile_y, tile_x) before concatenation so floating reductions are
+deterministic.
+
+Zones follow the reference's optional classification map
+(``eval.py:128-141``): tiles that carry ``zone_ids`` are evaluated per
+zone; tiles without it are one zone covering the band, and the output
+then has no ``zone`` column.
 """
 
 from __future__ import annotations
@@ -38,10 +42,6 @@ METRIC_IDS = [
     "relative_median_difference", "outliers_threshold", "outliers_iqr",
     "determination_coefficient",
 ]
-
-# is_reduction flag per metric (metrics.py:60-78; DeterminationCoefficient
-# and the others all default True in the registry — combine multiplies by -1)
-IS_REDUCTION = {m: True for m in METRIC_IDS}
 
 ORIG_KEY = "__orig__"
 
@@ -77,21 +77,32 @@ def _metric_snapshot():
     return [(mid, spec.fn) for mid, spec in METRICS.items()]
 
 
-def evaluate_metrics(values: np.ndarray, orig_min: float, orig_max: float,
-                     luminance: np.ndarray, specs=None) -> dict[str, float]:
-    """All registered metric values for one (correction, band[, zone])
-    array (the 7 reference metrics plus any user-registered ones)."""
-    specs = specs if specs is not None else _metric_snapshot()
-    return {mid: fn(values, orig_min, orig_max, luminance)
-            for mid, fn in specs}
+def _zone_slices(g: pd.DataFrame):
+    """Pixel order and [(zone, start, stop)] slices of one band group.
+
+    Tiles with ``zone_ids`` are grouped by one stable argsort, so each
+    zone's pixels keep their boolean-mask order; tiles without it are one
+    zone (``None``) covering the band, evaluated on views.
+    """
+    if "zone_ids" not in g.columns:
+        return None, [(None, 0, None)]
+    zones = np.concatenate([np.asarray(v, np.int32) for v in g["zone_ids"]])
+    order = np.argsort(zones, kind="stable")
+    ids, starts = np.unique(zones[order], return_index=True)
+    stops = np.append(starts[1:], zones.size)
+    return order, list(zip(ids.tolist(), starts, stops))
 
 
 def metrics_for_band_group(correction_cols: list[str]):
     """map_groups fn over a per-band group of wide tile rows.
 
     Expects columns: band, tile_y, tile_x, pixels (original), luminance,
-    and one column per correction name in ``correction_cols``.
-    Emits one row per correction (plus ``__orig__``) with the 7 metrics.
+    one column per correction name in ``correction_cols`` and optionally
+    ``zone_ids``. Emits one row per (correction, zone), ``__orig__``
+    included, with every registered metric; the ``zone`` column appears
+    only for zoned input. Each zone's min, max and luminance come from
+    that zone (reference ``eval.py:173-179``,
+    ``multi_criteria_eval.py:123-133``).
     """
     specs = _metric_snapshot()
     ids = [mid for mid, _ in specs]
@@ -99,62 +110,28 @@ def metrics_for_band_group(correction_cols: list[str]):
     def _eval(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["tile_y", "tile_x"])
         band = int(g["band"].iloc[0])
-        lum = np.concatenate([np.asarray(v, np.float32) for v in g["luminance"]])
-        orig = np.concatenate([np.asarray(v, np.float32) for v in g["pixels"]])
-        orig_min, orig_max = float(orig.min()), float(orig.max())
+        order, slices = _zone_slices(g)
+        lum, *arrays = [
+            np.concatenate([np.asarray(v, np.float32) for v in g[c]])
+            for c in ["luminance", "pixels"] + list(correction_cols)]
+        if order is not None:
+            lum, arrays = lum[order], [a[order] for a in arrays]
+        orig = arrays[0]
+        sources = list(zip([ORIG_KEY] + list(correction_cols), arrays))
         rows = []
-        sources = [(ORIG_KEY, orig)] + [
-            (name, np.concatenate([np.asarray(v, np.float32) for v in g[name]]))
-            for name in correction_cols
-        ]
-        for name, vals in sources:
-            m = evaluate_metrics(vals, orig_min, orig_max, lum, specs)
-            m.update({"correction": name, "band": band})
-            rows.append(m)
-        return pd.DataFrame(rows)[["correction", "band"] + ids]
+        for zone, lo, hi in slices:
+            zlum, zorig = lum[lo:hi], orig[lo:hi]
+            omin, omax = float(zorig.min()), float(zorig.max())
+            for name, vals in sources:
+                rows.append({"correction": name, "band": band, "zone": zone,
+                             **{mid: fn(vals[lo:hi], omin, omax, zlum)
+                                for mid, fn in specs}})
+        keys = ["correction", "band"] + (["zone"] if order is not None else [])
+        return pd.DataFrame(rows)[keys + ids]
     return _eval
 
 
 def evaluate_corrections_ds(wide_ds, correction_cols: list[str]):
-    """wide per-tile dataset -> (correction, band, 7 metrics) Dataset."""
+    """wide per-tile dataset -> (correction, band[, zone], metrics) Dataset."""
     return wide_ds.groupby("band").map_groups(
         metrics_for_band_group(correction_cols), batch_format="pandas")
-
-
-def metrics_for_band_group_zonal(correction_cols: list[str]):
-    """Zonal variant: per-band group rows carry ``zone_ids``; metrics are
-    evaluated per (zone, correction) over zone-masked pixels, with the
-    original stats and luminance masked by the SAME zone (reference:
-    ``eval.py:173-179`` + ``multi_criteria_eval.py:123-133`` — masked
-    luminance/min/max per group)."""
-    specs = _metric_snapshot()
-    ids = [mid for mid, _ in specs]
-
-    def _eval(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["tile_y", "tile_x"])
-        band = int(g["band"].iloc[0])
-        lum = np.concatenate([np.asarray(v, np.float32) for v in g["luminance"]])
-        orig = np.concatenate([np.asarray(v, np.float32) for v in g["pixels"]])
-        zones = np.concatenate([np.asarray(v, np.int32) for v in g["zone_ids"]])
-        sources = [(ORIG_KEY, orig)] + [
-            (name, np.concatenate([np.asarray(v, np.float32) for v in g[name]]))
-            for name in correction_cols
-        ]
-        rows = []
-        for zone in np.unique(zones):
-            zmask = zones == zone
-            zlum = lum[zmask]
-            zorig = orig[zmask]
-            omin, omax = float(zorig.min()), float(zorig.max())
-            for name, vals in sources:
-                m = evaluate_metrics(vals[zmask], omin, omax, zlum, specs)
-                m.update({"correction": name, "band": band, "zone": int(zone)})
-                rows.append(m)
-        return pd.DataFrame(rows)[["correction", "band", "zone"] + ids]
-    return _eval
-
-
-def evaluate_corrections_zonal_ds(wide_ds, correction_cols: list[str]):
-    """-> (correction, band, zone, 7 metrics) Dataset."""
-    return wide_ds.groupby("band").map_groups(
-        metrics_for_band_group_zonal(correction_cols), batch_format="pandas")

@@ -62,3 +62,34 @@ def test_cli_correct_geotiff_roundtrip(ray_session, capsys, tmp_path):
     exp, _ = ok.correct_raster("COSINE-T", dem[None], dem)
     assert np.allclose(bands[0], np.nan_to_num(exp[0], nan=0.0),
                        atol=1e-4, equal_nan=True)
+
+
+def test_cli_report_on_zoned_tiles(ray_session, capsys, tmp_path):
+    """``report`` over a zoned tile table ranks per zone: the rank sheet
+    carries a ``zone`` column beside correction and score."""
+    import re
+    import zipfile
+
+    import pyarrow.parquet as pq
+    from geoflow.oracle.kernels import CORRECTION_NAMES
+    from geoflow.sources import tiles as tsrc
+
+    dem = tsrc.synth_dem(64, 64, seed=4)
+    bands = tsrc.synth_bands(dem, 1, seed=4)
+    zones = tsrc.synth_zones(64, 64, seed=4)
+    tiles_dir = tmp_path / "tiles"
+    tiles_dir.mkdir()
+    pq.write_table(tsrc.raster_to_tile_table(bands, dem, tile=32, zones=zones),
+                   str(tiles_dir / "part-0.parquet"))
+    out_dir = str(tmp_path / "rep")
+    assert main(["report", "--tiles-dir", str(tiles_dir),
+                 "--out-dir", out_dir]) == 0
+    res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert res["files"]["xlsx"] == 1
+    with zipfile.ZipFile(f"{out_dir}/rank.xlsx") as z:
+        sheet = z.read("xl/worksheets/sheet1.xml").decode()
+    header = re.search(r'<row r="1">(.*?)</row>', sheet).group(1)
+    assert re.findall(r"<t>(.*?)</t>", header) == ["zone", "correction",
+                                                    "score"]
+    n_zones = len(set(zones.ravel().tolist()))
+    assert sheet.count("<row ") == 1 + n_zones * len(CORRECTION_NAMES)

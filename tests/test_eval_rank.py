@@ -71,6 +71,22 @@ def test_outlier_counts_exact(tile_ds, fixture_raster):
     assert (metrics.xs(ORIG_KEY)["outliers_threshold"] == 0).all()
 
 
+def test_oracle_metrics_independent_of_registry(fixture_raster,
+                                                monkeypatch):
+    """The oracle scores with its own metric code: a wrong registry metric
+    changes the engine's table but not the oracle's."""
+    import geoflow.registry as reg
+
+    dem, bands = fixture_raster
+    before = oracle_metrics_table(bands, dem, ["SCS"], CTX)
+    for mid in list(reg.METRICS):
+        monkeypatch.setitem(reg.METRICS, mid, reg.MetricSpec(
+            lambda values, orig_min, orig_max, luminance: -1.0))
+    after = oracle_metrics_table(bands, dem, ["SCS"], CTX)
+    pd.testing.assert_frame_equal(before, after, check_exact=True)
+    assert (after != -1.0).all().all()
+
+
 def test_rose_diagram_matches_fullarray(tile_ds, fixture_raster):
     dem, bands = fixture_raster
     got = rose_diagram_ds(tile_ds).to_pandas()

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from geoflow.context import CorrectionContext
-from geoflow.oracle.eval import oracle_merge_rank, oracle_metrics_table_zonal
-from geoflow.pipelines.rank import (compute_metrics_table_zonal,
-                                    export_rank_report, rank_corrections,
-                                    rank_corrections_zonal)
+from geoflow.oracle.eval import oracle_merge_rank, oracle_metrics_table
+from geoflow.pipelines.rank import (compute_metrics_table, export_rank_report,
+                                    rank_corrections)
 from geoflow.sources import tiles as tsrc
 from geoflow.stages.metrics import METRIC_IDS
 
@@ -29,8 +28,8 @@ def zoned_fixture(ray_session):
 
 def test_zonal_metrics_match_oracle(zoned_fixture):
     ds, dem, bands, zones = zoned_fixture
-    got = compute_metrics_table_zonal(ds, NAMES, CTX).sort_index()
-    exp = oracle_metrics_table_zonal(bands, dem, zones, NAMES, CTX).sort_index()
+    got = compute_metrics_table(ds, NAMES, CTX).sort_index()
+    exp = oracle_metrics_table(bands, dem, NAMES, CTX, zones=zones).sort_index()
     assert list(got.index) == list(exp.index)
     zone_vals = got.index.get_level_values(2).unique()
     assert set(zone_vals) == set(np.unique(zones))  # incl. rare zone 9
@@ -42,10 +41,12 @@ def test_zonal_metrics_match_oracle(zoned_fixture):
 
 def test_zonal_rank_per_zone(zoned_fixture):
     ds, dem, bands, zones = zoned_fixture
-    ranks = rank_corrections_zonal(ds, NAMES, CTX)
-    assert set(ranks) == set(int(z) for z in np.unique(zones))
-    exp_metrics = oracle_metrics_table_zonal(bands, dem, zones, NAMES, CTX)
-    for zone, scores in ranks.items():
+    ranks, _, _ = rank_corrections(ds, NAMES, CTX)
+    assert list(ranks.index.names) == ["zone", "correction"]
+    assert set(ranks.index.unique(level="zone")) == set(np.unique(zones))
+    exp_metrics = oracle_metrics_table(bands, dem, NAMES, CTX, zones=zones)
+    for zone in ranks.index.unique(level="zone"):
+        scores = ranks.xs(zone)
         sub = exp_metrics.xs(zone, level=2)
         exp_scores, _ = oracle_merge_rank(sub)
         assert list(scores.index) == list(exp_scores.index), f"zone {zone}"
@@ -67,4 +68,5 @@ def test_export_rank_report(zoned_fixture, tmp_path):
     with zipfile.ZipFile(xlsx[0]) as z:
         assert "xl/worksheets/sheet1.xml" in z.namelist()
     back = pd.read_parquet(tmp_path / "scores.parquet")
-    assert list(back["correction"]) == list(scores.index)
+    assert list(back.columns) == ["zone", "correction", "Score"]
+    assert list(zip(back["zone"], back["correction"])) == list(scores.index)
