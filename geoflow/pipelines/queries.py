@@ -884,32 +884,25 @@ def ann_ivf_top5(sf_dir: str):
     similarity search; brute-force twin is knn_cosine_top5). The index
     is built DISTRIBUTED (map_batches k-means partials, driver holds
     nlist x dim centroids; corpus blocks stay in the object store —
-    see build_ivf_index_distributed). SELF-CHECKING: recall@5 vs an
+    see geoflow.stages.knn.cosine_topk_ivf). SELF-CHECKING: recall@5 vs an
     exact in-query brute force must be >= 0.8 (approximate results
     have no SQL oracle by nature)."""
-    import ray
     import ray.data as rd
-    from ..stages.knn import CosineTopKIVF, build_ivf_index_distributed
+    from ..stages.knn import cosine_topk_ivf
 
     corpus_ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     n = corpus_ds.count()                      # parquet metadata only
+    qdf = corpus_ds.limit(10).to_pandas()      # 10 query rows, not corpus
     # near-uniform synthetic embeddings have no cluster structure, so
     # recall needs a wide probe fraction (real embedding corpora cluster,
-    # letting nprobe/nlist shrink); 5/8 buckets -> recall ~0.88 here
-    index = build_ivf_index_distributed(corpus_ds, "vec_id", "embedding",
-                                        nlist=8)
-    ref = ray.put(index)
-    qdf = corpus_ds.limit(10).to_pandas()      # 10 query rows, not corpus
-    queries = rd.from_pandas(qdf.rename(columns={"vec_id": "query_id"}))
-    # small corpora (sf0.001 smoke: 500 vectors over 8 buckets) spread
+    # letting nprobe/nlist shrink); 5/8 buckets -> recall ~0.88 here.
+    # Small corpora (sf0.001 smoke: 500 vectors over 8 buckets) spread
     # each query's true neighbors across most buckets, so partial
     # probing can't hold the recall floor — IVF legitimately
     # degenerates to probing every bucket below ~10^3 vectors
     nprobe = 8 if n < 1000 else 5
-    out = queries.map_batches(
-        CosineTopKIVF, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(index_ref=ref, k=5, nprobe=nprobe),
-        concurrency=2)
+    out = cosine_topk_ivf(rd.from_pandas(qdf), corpus_ds, k=5, nlist=8,
+                          nprobe=nprobe, concurrency=2)
     res = out.map_batches(
         lambda b: pa.table({
             "query_id": b.column("query_id"),
@@ -1519,40 +1512,6 @@ def _pip_edges_sql() -> str:
             rows.append(f"({poly.region_id}, '{poly.name}', "
                         f"{x1!r}, {y1!r}, {x2!r}, {y2!r})")
     return ",\n".join(rows)
-
-
-@register("knn_haversine_shuffle_docs",
-          sql=None)   # same oracle as knn_haversine_docs, bound below
-def knn_haversine_shuffle_docs(sf_dir: str):
-    """The NO-BROADCAST spatial kNN (cell co-partitioned shuffle,
-    geoflow.stages.knn.knn_haversine_shuffle) over the same doc/query
-    points as knn_haversine_docs — verified against the identical
-    brute-force DuckDB replay, proving the shuffle plan is exact when
-    the ring covers the neighbor radius."""
-    import ray.data as rd
-    from ..stages.knn import knn_haversine_shuffle
-
-    docs = _read(sf_dir, "documents", ["doc_id"])
-
-    def _pts(b: pa.Table) -> pa.Table:
-        g = _geocode_batch(b)
-        return pa.table({"id": g.column("doc_id"),
-                         "lat": g.column("lat"), "lon": g.column("lon")})
-
-    points = docs.map_batches(_pts, batch_format="pyarrow")
-    qids = np.arange(20, dtype=np.int64)
-    qlat, qlon = geocode_doc_ids(qids + 777_000)
-    queries = rd.from_pandas(pd.DataFrame(
-        {"query_id": qids, "lat": qlat, "lon": qlon}))
-    out = knn_haversine_shuffle(queries, points, k=5, res=4, ring=2)
-    return out.map_batches(
-        lambda b: pa.table({
-            "query_id": b.column("query_id"),
-            "neighbor_id": b.column("neighbor_id"),
-            "rank": pc.cast(b.column("rank"), pa.int64()),
-            "distance_km": pa.array(
-                np.round(b.column("distance_km").to_numpy(), 3)),
-        }), batch_format="pyarrow")
 
 
 @register("pip_polygon_docs", sql=_GEO_SQL_CTE + f"""
@@ -2489,7 +2448,6 @@ def zonal_split_docs(sf_dir: str):
 
 
 ORACLE_SQL["events_hourly_streaming"] = ORACLE_SQL["events_hourly"]
-ORACLE_SQL["knn_haversine_shuffle_docs"] = ORACLE_SQL["knn_haversine_docs"]
 
 
 @register("events_hourly_streaming")
@@ -7976,19 +7934,19 @@ def cms_frequent_tokens(sf_dir: str):
 # carry a DuckDB oracle: the 5 self-checking no-oracle entries (ANN
 # recall floors, HLL error bound, twins of *_verified queries) and the
 # oracle-bearing queries whose semantics a STRONGER in-window twin
-# already covers (pinned-index kNN vs the shuffle variant; streaming
-# sessions vs batch sessions + streaming hourly; plain Bernoulli sample
-# vs the stratified sampler; char ratios vs quality scores + token
-# stats; bbox join vs the polygon PIP join; lang-source rollup vs
-# langid + corpus curation) move past the window, which frees slots for
-# one hash-checked representative of EVERY operator family (incl. the
-# curation trio: tf-idf, decontamination, PII scrub).
+# already covers (streaming sessions vs batch sessions + streaming
+# hourly; plain Bernoulli sample vs the stratified sampler; char ratios
+# vs quality scores + token stats; bbox join vs the polygon PIP join;
+# lang-source rollup vs langid + corpus curation) move past the window,
+# which frees slots for one hash-checked representative of EVERY
+# operator family (incl. the curation trio: tf-idf, decontamination,
+# PII scrub).
 # tools/validate_queries.py still validates the full oracle-bearing set
 # at sf0.001/0.01/0.1 — see BASELINE.md.
 # ---------------------------------------------------------------------------
 _PAST_WINDOW = [
     # oracle-bearing, locally validated, covered by in-window twins
-    "knn_haversine_docs", "user_sessions_streaming", "sampled_docs",
+    "user_sessions_streaming", "sampled_docs",
     "doc_char_ratios", "bbox_join_docs", "lang_source_stats",
     "events_sliding_window", "top_users_by_value",
     # relational shapes with in-window representatives (q1, filtered_
@@ -8036,8 +7994,8 @@ _PAST_WINDOW = [
     # boilerplate is the line-granular sibling of the in-window
     # window-rewrite (dedup_windows_docs) over the same duplicated
     # corpus; nearest-site top-1 haversine is contained in the
-    # in-window shuffle top-k twin (knn_haversine_shuffle_docs, same
-    # trig replayed in SQL); quality-score thresholds are APPLIED
+    # in-window pinned-index top-k (knn_haversine_docs, same trig
+    # replayed in SQL); quality-score thresholds are APPLIED
     # decision-level by in-window corpus_curation.
     "domain_stats", "line_dedup_docs", "nearest_site_docs",
     "doc_quality_scores",
@@ -8146,7 +8104,7 @@ _PAST_WINDOW = [
     "doc_fingerprints",
     # demotion admitting geohash_cells: IDW's two mechanisms each keep
     # an in-window rep — the same-operation-order haversine trig is
-    # replayed by knn_haversine_shuffle_docs AND stay_points_events;
+    # replayed by knn_haversine_docs AND stay_points_events;
     # the broadcast-small-side + vectorized (batch x refs) matrix
     # kernel is the plan shape the kNN/ANN family pins.
     "idw_interpolation_docs",

@@ -8,13 +8,13 @@ holding pinned spatial indexes"; task brief "Similarity search"):
   answers query batches with a blocked matmul + argpartition top-k.
   Baseline brute force; the IVF-style scale path is
   ``cosine_topk_ivf`` (coarse k-means buckets, probe best ones).
-- ``knn_haversine``: spatial kNN over geocoded points using quadtree
-  cells: candidates come from the query's cell + 3x3 neighbor ring at a
-  chosen resolution (expanding rings until k found), exact haversine
-  distances decide, (distance, id) tie-break keeps output deterministic.
-  Pinned-index variant — right while the point table fits a worker
-  heap; ``knn_haversine_shuffle`` is the no-broadcast scale path (cell
-  co-partitioned shuffle, DuckDB-verified exact under ring coverage).
+- ``knn_haversine``: the one spatial kNN. Each actor pins the point
+  table sorted by quadtree cell (``HaversineKNN``); a query searches
+  expanding cell rings until a distance bound proves its k-th neighbor,
+  and scans every pinned point when no ring proves it. The result is
+  exactly the brute-force (distance, id) top-min(k, N) for every input.
+  Memory: 40 bytes per pinned point (ids, lat, lon read zero-copy from
+  the object store; sorted cell ids and their order on each actor heap).
 """
 
 from __future__ import annotations
@@ -116,23 +116,20 @@ CORPUS_BROADCAST_ROW_LIMIT = 1_000_000
 def cosine_topk(queries_ds, corpus_ds, k: int = 5,
                 id_col: str = "vec_id", vec_col: str = "embedding",
                 concurrency: int = 4, exclude_self: bool = True,
-                broadcast_limit: int | None = None, nlist: int = 64):
+                nlist: int = 64):
     """Brute-force cosine top-k: broadcast corpus, actor-pool matmul.
 
-    SIZE-GUARDED: corpora above ``broadcast_limit`` rows (default
-    ``CORPUS_BROADCAST_ROW_LIMIT``) never touch the driver — the call
-    auto-routes to ``cosine_topk_ivf`` with a FULL probe, which is
-    exact (probing every bucket makes IVF a pure partition of the
-    corpus; proven by test_ivf_distributed_build_full_probe_is_exact)
-    so results are identical on both paths. Callers that can accept
-    approximate results at scale should call ``cosine_topk_ivf`` with
-    a small ``nprobe`` or ``cosine_topk_lsh`` (no corpus pin at all)
-    directly."""
+    SIZE-GUARDED: corpora above ``CORPUS_BROADCAST_ROW_LIMIT`` rows
+    never touch the driver — the call auto-routes to ``cosine_topk_ivf``
+    with a FULL probe, which is exact (probing every bucket makes IVF a
+    pure partition of the corpus; proven by
+    test_ivf_distributed_build_full_probe_is_exact) so results are
+    identical on both paths. Callers that can accept approximate results
+    at scale should call ``cosine_topk_ivf`` with a small ``nprobe`` or
+    ``cosine_topk_lsh`` (no corpus pin at all) directly."""
     import ray
 
-    if broadcast_limit is None:
-        broadcast_limit = CORPUS_BROADCAST_ROW_LIMIT
-    if corpus_ds.count() > broadcast_limit:
+    if corpus_ds.count() > CORPUS_BROADCAST_ROW_LIMIT:
         return cosine_topk_ivf(queries_ds, corpus_ds, k=k, id_col=id_col,
                                vec_col=vec_col, concurrency=concurrency,
                                exclude_self=exclude_self, nlist=nlist)
@@ -197,32 +194,25 @@ class CosineTopKIVF:
     def __init__(self, index_ref, k: int = 5, nprobe: int = 4,
                  exclude_self: bool = True):
         import ray
-        index = ray.get(index_ref)
-        if len(index) == 3:                    # legacy driver-built form
-            self.centroids, self.bucket_ids, self.bucket_mats = index
-        else:
-            # distributed form: (centroids, [Arrow block refs]) — the
-            # corpus blocks live in the OBJECT STORE; each actor
-            # assembles its pinned buckets here, once, worker-side
-            # (nothing corpus-sized ever touched the driver)
-            self.centroids, block_refs = index
-            ids_parts, mat_parts, asg_parts = [], [], []
-            for t in ray.get(list(block_refs)):
-                if not len(t):
-                    continue
-                ids_parts.append(t.column("id").to_numpy().astype(np.int64))
-                mat_parts.append(_flat_matrix(t.column("vec")))
-                asg_parts.append(
-                    t.column("bucket").to_numpy().astype(np.int64))
-            ids = np.concatenate(ids_parts) if ids_parts \
-                else np.empty(0, dtype=np.int64)
-            mat = np.vstack(mat_parts) if mat_parts else np.empty((0, 0))
-            asg = np.concatenate(asg_parts) if asg_parts \
-                else np.empty(0, dtype=np.int64)
-            self.bucket_ids = [ids[asg == c]
-                               for c in range(len(self.centroids))]
-            self.bucket_mats = [mat[asg == c]
-                                for c in range(len(self.centroids))]
+        # index = (centroids, [Arrow block refs]) from
+        # build_ivf_index_distributed: the corpus blocks live in the
+        # OBJECT STORE; each actor assembles its pinned buckets here,
+        # once, worker-side (nothing corpus-sized ever touched the driver)
+        self.centroids, block_refs = ray.get(index_ref)
+        ids_parts, mat_parts, asg_parts = [], [], []
+        for t in ray.get(list(block_refs)):
+            if not len(t):
+                continue
+            ids_parts.append(t.column("id").to_numpy().astype(np.int64))
+            mat_parts.append(_flat_matrix(t.column("vec")))
+            asg_parts.append(t.column("bucket").to_numpy().astype(np.int64))
+        ids = np.concatenate(ids_parts) if ids_parts \
+            else np.empty(0, dtype=np.int64)
+        mat = np.vstack(mat_parts) if mat_parts else np.empty((0, 0))
+        asg = np.concatenate(asg_parts) if asg_parts \
+            else np.empty(0, dtype=np.int64)
+        self.bucket_ids = [ids[asg == c] for c in range(len(self.centroids))]
+        self.bucket_mats = [mat[asg == c] for c in range(len(self.centroids))]
         self.k = k
         self.nprobe = nprobe
         self.exclude_self = exclude_self
@@ -341,48 +331,36 @@ def build_ivf_index_distributed(corpus_ds, id_col: str, vec_col: str,
     return cent, assigned.to_arrow_refs()
 
 
-def build_ivf_index(corpus_df: pd.DataFrame, id_col: str, vec_col: str,
-                    nlist: int = 16, iters: int = 8, seed: int = 11):
-    """Tiny k-means (cosine) -> (centroids, [bucket ids], [bucket mats])."""
-    ids, mat = normalized_matrix(corpus_df, id_col, vec_col)
-    rng = np.random.default_rng(seed)
-    cent = mat[rng.choice(len(mat), size=min(nlist, len(mat)), replace=False)]
-    for _ in range(iters):
-        assign = np.argmax(mat @ cent.T, axis=1)
-        for c in range(len(cent)):
-            members = mat[assign == c]
-            if len(members):
-                v = members.sum(axis=0)
-                cent[c] = v / max(np.linalg.norm(v), 1e-12)
-    assign = np.argmax(mat @ cent.T, axis=1)
-    bucket_ids = [ids[assign == c] for c in range(len(cent))]
-    bucket_mats = [mat[assign == c] for c in range(len(cent))]
-    return cent, bucket_ids, bucket_mats
-
-
 # ---------------------------------------------------------------------------
 # Spatial kNN (haversine, cell-bucketed candidates)
 # ---------------------------------------------------------------------------
 
-class HaversineKNN:
-    """Actor-pool spatial kNN: pinned per-cell point index.
+# Widest ring (in cells around the query's cell) searched before a query
+# falls back to scanning every pinned point.
+MAX_RING = 6
 
-    Index: points sorted by cell id at ``res``; candidate generation
-    walks expanding neighbor rings (1, 2, 3 cells radius ...) until at
-    least k candidates exist, then exact haversine + (distance, id)
-    lexsort picks the k. Deterministic; exact as long as the true k-th
-    neighbor lies within the searched ring (callers pick ``res`` so a
-    ring covers the expected neighbor radius; tests compare against
-    brute force).
+
+class HaversineKNN:
+    """Actor-pool spatial kNN over a pinned, cell-sorted point index.
+
+    Index: points sorted by cell id at ``res``. A query walks expanding
+    neighbor rings (1 .. ``MAX_RING`` cells radius) until the k-th
+    candidate distance is proven smaller than the distance to any point
+    outside the searched box. A query no ring proves (fewer than k
+    points within ``MAX_RING`` cells, or a k-th neighbor farther than
+    the widest ring can prove) scans every pinned point instead;
+    ``fallback_queries`` counts those. Exact haversine distances with a
+    (distance, id) lexsort pick the neighbors, so each query gets
+    exactly the brute-force top-min(k, N) rows.
     """
 
-    def __init__(self, points_ref, k: int = 5, res: int = 7, max_ring: int = 6):
+    def __init__(self, points_ref, k: int = 5, res: int = 7):
         import ray
         pts = ray.get(points_ref)          # (ids, lat, lon)
         self.ids, self.lat, self.lon = pts
         self.res = res
         self.k = k
-        self.max_ring = max_ring
+        self.fallback_queries = 0
         cell = cellmod.cell_id(self.lat, self.lon, res)
         order = np.argsort(cell, kind="stable")
         self.cell_sorted = cell[order]
@@ -396,40 +374,41 @@ class HaversineKNN:
         ring_cells = np.unique(cellmod.xy_to_cell(gx.ravel(), gy.ravel(), self.res))
         lo = np.searchsorted(self.cell_sorted, ring_cells, side="left")
         hi = np.searchsorted(self.cell_sorted, ring_cells, side="right")
-        if not len(ring_cells):
-            return np.empty(0, dtype=np.int64)
         return np.concatenate([self.order[a:b] for a, b in zip(lo, hi)])
 
     def _candidates(self, qlat: float, qlon: float) -> np.ndarray:
         """Expand rings until the k-th candidate distance is provably
-        smaller than the distance to anything outside the searched box.
+        smaller than the distance to anything outside the searched box;
+        all points when no ring proves it.
 
         Bound: a point outside a +-ring-cell box differs from the query
-        by >= (ring-1) cells in lat (>= deg * 111.195 km great-circle) or
-        in lon (>= deg * 111.195 * cos(reachable |lat|) km); 0.95 safety
-        factor on the lon bound.
+        by >= margin = (ring-1) cells in lat or in lon. A lat gap of
+        dphi puts it >= R * dphi away. A lon gap of dlon puts it at
+        least as far as the nearest point of the meridian dlon away,
+        R * asin(cos(qlat) * sin(dlon)), or of the pole once dlon
+        reaches 90 degrees.
         """
-        cell_h = 180.0 / (1 << self.res)
-        cell_w = 360.0 / (1 << self.res)
+        n = 1 << self.res
+        cell_h = np.radians(180.0 / n)
+        cell_w = np.radians(360.0 / n)
         x, y = cellmod.lonlat_to_xy(np.array([qlat]), np.array([qlon]), self.res)
         x0, y0 = int(x[0]), int(y[0])
-        for ring in range(1, self.max_ring + 1):
+        for ring in range(1, MAX_RING + 1):
             idx = self._gather(x0, y0, ring)
-            if len(idx) >= self.k:
-                d = haversine_km(qlat, qlon,
-                                 self.lat[idx], self.lon[idx])
-                dk = np.partition(d, self.k - 1)[self.k - 1]
-                margin = (ring - 1)
-                lat_reach = min(89.9, abs(qlat) + (ring + 1) * cell_h)
-                bound = min(
-                    margin * cell_h * 111.195,
-                    0.95 * margin * cell_w * 111.195 *
-                    np.cos(np.radians(lat_reach)))
-                if dk <= bound or ring == self.max_ring:
-                    return idx
-            elif ring == self.max_ring:
+            if len(idx) < self.k:
+                continue
+            d = haversine_km(qlat, qlon, self.lat[idx], self.lon[idx])
+            dk = np.partition(d, self.k - 1)[self.k - 1]
+            margin = ring - 1
+            bound = EARTH_RADIUS_KM * margin * cell_h
+            if 2 * ring + 1 < n:           # some longitudes lie outside
+                dlon = min(np.pi / 2, margin * cell_w)
+                bound = min(bound, EARTH_RADIUS_KM * np.arcsin(
+                    np.cos(np.radians(qlat)) * np.sin(dlon)))
+            if dk < bound:
                 return idx
-        return np.empty(0, dtype=np.int64)
+        self.fallback_queries += 1
+        return np.arange(len(self.ids))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         qids = batch.column("query_id").to_numpy()
@@ -438,13 +417,13 @@ class HaversineKNN:
         out_q, out_n, out_d, out_r = [], [], [], []
         for qid, la, lo in zip(qids, qlat, qlon):
             idx = self._candidates(la, lo)
-            if len(idx) == 0:
+            k = min(self.k, len(idx))
+            if k == 0:
                 continue
             d = haversine_km(la, lo, self.lat[idx], self.lon[idx])
-            k = min(self.k, len(idx))
-            top = np.argpartition(d, k - 1)[:k] if len(d) > k else np.arange(len(d))
-            order = np.lexsort((self.ids[idx][top], d[top]))
-            top = top[order][:k]
+            # every candidate tied with the k-th distance competes on id
+            near = np.nonzero(d <= np.partition(d, k - 1)[k - 1])[0]
+            top = near[np.lexsort((self.ids[idx][near], d[near]))][:k]
             out_q.extend([qid] * k)
             out_n.extend(self.ids[idx][top].tolist())
             out_d.extend(d[top].tolist())
@@ -470,104 +449,6 @@ def knn_haversine(queries_ds, points_df: pd.DataFrame, k: int = 5,
         fn_constructor_kwargs=dict(points_ref=ref, k=k, res=res),
         concurrency=(1, concurrency), batch_size=512,
     )
-
-
-def knn_haversine_shuffle(queries_ds, points_ds, k: int = 5, res: int = 6,
-                          ring: int = 2, id_col: str = "id"):
-    """Distributed spatial kNN with NO broadcast side (the 100-TB path;
-    ``knn_haversine`` pins the whole point index per actor, which holds
-    only while the point table fits a worker heap).
-
-    Plan (mirrors ``cosine_topk_lsh``): points carry their quadtree
-    cell; each query replicates to every cell of its (2*ring+1)^2
-    neighborhood; ONE groupby co-locates each cell's points with the
-    queries probing it; per-cell exact haversine local top-k; a final
-    small groupby merges per-query candidates. Shuffle volume =
-    points + queries x ring-area — row count, never an index.
-
-    Exact iff the true k-th neighbor lies within the ring box (pick
-    ``res``/``ring`` so a ring covers the expected neighbor radius —
-    same contract as the pinned variant's ring bound, tested vs brute
-    force); deterministic (distance, id) tie-break.
-    """
-    def _tag_points(b: pa.Table) -> pa.Table:
-        lat = b.column("lat").to_numpy()
-        lon = b.column("lon").to_numpy()
-        cell = cellmod.cell_id(lat, lon, res).astype(np.int64)
-        return pa.table({
-            "cell": pa.array(cell, pa.int64()),
-            "_side": pa.array(np.ones(len(lat), dtype=np.int8)),
-            "item_id": pc.cast(b.column(id_col), pa.int64()),
-            "lat": pa.array(lat), "lon": pa.array(lon),
-        })
-
-    def _tag_queries(b: pa.Table) -> pa.Table:
-        lat = b.column("lat").to_numpy()
-        lon = b.column("lon").to_numpy()
-        qid = b.column("query_id").to_numpy().astype(np.int64)
-        cell = cellmod.cell_id(lat, lon, res)
-        # replicate each query into its (2*ring+1)^2 neighborhood,
-        # vectorized per (dx, dy) offset (lon wraps, lat clamps)
-        out_cell, out_qid, out_lat, out_lon = [], [], [], []
-        x, y = cellmod.cell_to_xy(cell)
-        n = np.int64(1 << res)
-        offs = range(-ring, ring + 1)
-        for dy in offs:
-            for dx in offs:
-                nx = (x.astype(np.int64) + dx) % n
-                ny = np.clip(y.astype(np.int64) + dy, 0, n - 1)
-                out_cell.append(cellmod.xy_to_cell(
-                    nx.astype(np.uint64), ny.astype(np.uint64),
-                    res).astype(np.int64))
-                out_qid.append(qid)
-                out_lat.append(lat)
-                out_lon.append(lon)
-        reps = len(offs) ** 2
-        return pa.table({
-            "cell": pa.array(np.concatenate(out_cell), pa.int64()),
-            "_side": pa.array(np.zeros(len(lat) * reps, dtype=np.int8)),
-            "item_id": pa.array(np.concatenate(out_qid), pa.int64()),
-            "lat": pa.array(np.concatenate(out_lat)),
-            "lon": pa.array(np.concatenate(out_lon)),
-        })
-
-    q = queries_ds.map_batches(_tag_queries, batch_format="pyarrow")
-    p = points_ds.map_batches(_tag_points, batch_format="pyarrow")
-
-    def _local_topk(g: pd.DataFrame) -> pd.DataFrame:
-        qs = g[g["_side"] == 0].drop_duplicates("item_id")
-        ps = g[g["_side"] == 1]
-        if qs.empty or ps.empty:
-            return pd.DataFrame({
-                "query_id": pd.Series(dtype=np.int64),
-                "neighbor_id": pd.Series(dtype=np.int64),
-                "distance_km": pd.Series(dtype=np.float64)})
-        pid = ps["item_id"].to_numpy(dtype=np.int64)
-        pla = ps["lat"].to_numpy()
-        plo = ps["lon"].to_numpy()
-        rows_q, rows_n, rows_d = [], [], []
-        for r in qs.itertuples(index=False):
-            d = haversine_km(r.lat, r.lon, pla, plo)
-            kk = min(k, len(d))
-            top = np.argpartition(d, kk - 1)[:kk] if len(d) > kk \
-                else np.arange(len(d))
-            rows_q.extend([r.item_id] * len(top))
-            rows_n.extend(pid[top].tolist())
-            rows_d.extend(d[top].tolist())
-        return pd.DataFrame({"query_id": rows_q, "neighbor_id": rows_n,
-                             "distance_km": rows_d})
-
-    local = q.union(p).groupby("cell").map_groups(
-        _local_topk, batch_format="pandas")
-
-    def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates("neighbor_id")
-        g = g.sort_values(["distance_km", "neighbor_id"]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "neighbor_id", "rank", "distance_km"]]
-
-    return local.groupby("query_id").map_groups(_merge, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------

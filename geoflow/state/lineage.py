@@ -34,12 +34,14 @@ MANIFEST = "_lineage.jsonl"
 
 
 def partition_digest(paths: list[str]) -> str:
-    """Cheap input fingerprint: names + sizes + mtimes (content digest
-    would re-read terabytes; size+mtime catches regenerated inputs)."""
+    """Cheap input fingerprint: names + sizes + nanosecond mtimes
+    (content digest would re-read terabytes; size+mtime catches
+    regenerated inputs, including a same-size rewrite within one
+    second)."""
     h = hashlib.blake2b(digest_size=12)
     for p in sorted(paths):
         st = os.stat(p)
-        h.update(f"{os.path.basename(p)}:{st.st_size}:{int(st.st_mtime)}".encode())
+        h.update(f"{os.path.basename(p)}:{st.st_size}:{st.st_mtime_ns}".encode())
     return h.hexdigest()
 
 

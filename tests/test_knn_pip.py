@@ -29,17 +29,18 @@ def test_cosine_topk_matches_bruteforce(ray_session):
         assert got["neighbor_id"].tolist() == ids[top].tolist()
 
 
-def test_cosine_topk_size_guard_routes_to_ivf(ray_session):
-    """broadcast_limit=0 forces the auto-route: the distributed-IVF
+def test_cosine_topk_size_guard_routes_to_ivf(ray_session, monkeypatch):
+    """A zero row limit forces the auto-route: the distributed-IVF
     full-probe path must return EXACTLY the brute-force broadcast
     result (neighbor sets, ranks, and cosines)."""
     import ray.data as rd
     df = _embeddings(250)
     brute = knn.cosine_topk(rd.from_pandas(df.head(12)),
                             rd.from_pandas(df), k=5).to_pandas()
+    monkeypatch.setattr(knn, "CORPUS_BROADCAST_ROW_LIMIT", 0)
     routed = knn.cosine_topk(rd.from_pandas(df.head(12)),
                              rd.from_pandas(df).repartition(4), k=5,
-                             broadcast_limit=0, nlist=6).to_pandas()
+                             nlist=6).to_pandas()
     a = brute.sort_values(["query_id", "rank"]).reset_index(drop=True)
     b = routed.sort_values(["query_id", "rank"]).reset_index(drop=True)
     assert a["neighbor_id"].tolist() == b["neighbor_id"].tolist()
@@ -47,17 +48,11 @@ def test_cosine_topk_size_guard_routes_to_ivf(ray_session):
 
 
 def test_cosine_topk_ivf_recall(ray_session):
-    import ray
     import ray.data as rd
     df = _embeddings(400)
-    index = knn.build_ivf_index(df, "vec_id", "embedding", nlist=8)
-    ref = ray.put(index)
-    q = rd.from_pandas(df.head(20).rename(
-        columns={"vec_id": "query_id"}))
-    out = q.map_batches(
-        knn.CosineTopKIVF, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(index_ref=ref, k=5, nprobe=4),
-        concurrency=2).to_pandas()
+    out = knn.cosine_topk_ivf(rd.from_pandas(df.head(20)),
+                              rd.from_pandas(df), k=5, nlist=8, nprobe=4,
+                              concurrency=2).to_pandas()
     ids, mat = knn.normalized_matrix(df, "vec_id", "embedding")
     hits = total = 0
     for qid in range(20):
@@ -85,6 +80,79 @@ def test_knn_haversine_matches_bruteforce(ray_session):
         order = np.lexsort((ids, d))[:5]
         got = out[out["query_id"] == q].sort_values("rank")["neighbor_id"]
         assert got.tolist() == ids[order].tolist(), f"query {q}"
+    # on this dense fixture every query is proven by a ring
+    _, index = _pinned_knn(points, qlat, qlon, k=5, res=6)
+    assert index.fallback_queries == 0
+
+
+def _pinned_knn(points, qlat, qlon, k, res):
+    """One HaversineKNN actor body called directly: (rows, index)."""
+    import pyarrow as pa
+    import ray
+    index = knn.HaversineKNN(ray.put((points["id"].to_numpy(),
+                                      points["lat"].to_numpy(),
+                                      points["lon"].to_numpy())),
+                             k=k, res=res)
+    out = index(pa.table({"query_id": np.arange(len(qlat), dtype=np.int64),
+                          "lat": np.asarray(qlat, dtype=np.float64),
+                          "lon": np.asarray(qlon, dtype=np.float64)}))
+    return out.to_pandas(), index
+
+
+def _assert_bruteforce(out, points, qlat, qlon, k):
+    """Every query's rows equal the brute-force (distance, id) top-min(k, N)."""
+    ids = points["id"].to_numpy()
+    for q in range(len(qlat)):
+        d = knn.haversine_km(qlat[q], qlon[q], points["lat"].to_numpy(),
+                             points["lon"].to_numpy())
+        top = np.lexsort((ids, d))[:k]
+        got = out[out["query_id"] == q].sort_values("rank")
+        assert got["neighbor_id"].tolist() == ids[top].tolist(), f"query {q}"
+        assert np.array_equal(got["distance_km"].to_numpy(), d[top])
+
+
+def test_knn_haversine_nearest_outside_last_ring(ray_session):
+    """res=7, k=1: the only point inside the widest ring box is 1824 km
+    away; the true nearest sits just outside the box at 1101 km."""
+    points = pd.DataFrame({"id": np.array([0, 1], dtype=np.int64),
+                           "lat": [0.1, -9.8], "lon": [16.5, 0.1]})
+    out, index = _pinned_knn(points, [0.1], [0.1], k=1, res=7)
+    _assert_bruteforce(out, points, [0.1], [0.1], k=1)
+    assert out["neighbor_id"].tolist() == [1]
+    assert index.fallback_queries == 1
+
+
+def test_knn_haversine_fewer_than_k_near_query(ray_session):
+    """k=3 with one point within the widest ring box: all three rows."""
+    points = pd.DataFrame({"id": np.array([0, 1, 2], dtype=np.int64),
+                           "lat": [10.2, 40.0, -35.0],
+                           "lon": [20.3, 100.0, -60.0]})
+    out, _ = _pinned_knn(points, [10.0], [20.0], k=3, res=7)
+    assert len(out) == 3
+    _assert_bruteforce(out, points, [10.0], [20.0], k=3)
+
+
+def test_knn_haversine_ties_break_on_id(ray_session):
+    """Ten points at one spot, ids stored in descending order: k=3 must
+    keep the three smallest ids, as brute force does."""
+    points = pd.DataFrame({"id": np.arange(9, -1, -1, dtype=np.int64),
+                           "lat": np.full(10, 48.0),
+                           "lon": np.full(10, 11.0)})
+    out, _ = _pinned_knn(points, [48.5], [11.5], k=3, res=7)
+    _assert_bruteforce(out, points, [48.5], [11.5], k=3)
+
+
+def test_knn_haversine_polar_queries(ray_session):
+    """Near a pole, points far apart in longitude are close; queries
+    between 85 and 89.9 degrees must still get the brute-force rows."""
+    rng = np.random.default_rng(3)
+    points = pd.DataFrame({"id": np.arange(3000, dtype=np.int64),
+                           "lat": rng.uniform(75, 90, 3000),
+                           "lon": rng.uniform(-180, 180, 3000)})
+    qlat, qlon = rng.uniform(85, 89.9, 200), rng.uniform(-180, 180, 200)
+    out, index = _pinned_knn(points, qlat, qlon, k=5, res=7)
+    _assert_bruteforce(out, points, qlat, qlon, k=5)
+    assert index.fallback_queries > 0
 
 
 def test_pip_join_matches_bruteforce(ray_session):
@@ -193,32 +261,6 @@ def test_pip_strtree_equals_brute(ray_session):
     assert len(got) == len(exp)
     assert (got["id"].to_numpy() == exp["id"].to_numpy()).all()
     assert (got["region_id"].to_numpy() == exp["region_id"].to_numpy()).all()
-
-
-def test_knn_haversine_shuffle_matches_pinned(ray_session):
-    """The no-broadcast cell-shuffle spatial kNN equals the pinned-index
-    variant (itself brute-force-exact) when the ring covers the
-    neighbor radius."""
-    import ray.data as rd
-
-    ids = np.arange(2000, dtype=np.int64)
-    lat, lon = geocode_doc_ids(ids)
-    points = pd.DataFrame({"id": ids, "lat": lat, "lon": lon})
-    qids = np.arange(25, dtype=np.int64)
-    qlat, qlon = geocode_doc_ids(qids + 100000)
-    qdf = pd.DataFrame({"query_id": qids, "lat": qlat, "lon": qlon})
-    exact = knn.knn_haversine(rd.from_pandas(qdf), points, k=5,
-                              res=6).to_pandas()
-    shuf = knn.knn_haversine_shuffle(
-        rd.from_pandas(qdf), rd.from_pandas(points), k=5, res=5,
-        ring=2).to_pandas()
-    hits = total = 0
-    for q in range(25):
-        e = exact[exact["query_id"] == q].sort_values("rank")
-        s = shuf[shuf["query_id"] == q].sort_values("rank")
-        hits += len(set(e["neighbor_id"]) & set(s["neighbor_id"]))
-        total += len(e)
-    assert hits / total >= 0.95, hits / total
 
 
 def test_ivf_distributed_build_full_probe_is_exact(ray_session):

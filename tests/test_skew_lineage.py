@@ -130,6 +130,28 @@ def test_lineage_resume(ray_session, tmp_path):
                 "wall_ms"} <= set(r) for r in recs)
 
 
+def test_partition_digest_sees_same_second_rewrite(tmp_path):
+    """A same-size rewrite of an input inside one wall-clock second must
+    change the digest; otherwise resume skips it and keeps stale output."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    def write(x):       # plain, uncompressed: equal size for any values
+        pq.write_table(pa.table({"x": x}), f, compression="none",
+                       use_dictionary=False, write_statistics=False)
+
+    f = tmp_path / "f.parquet"
+    second_ns = 1_700_000_000 * 10**9
+    write(np.arange(100))
+    os.utime(f, ns=(second_ns + 100_000_000,) * 2)
+    size, before = f.stat().st_size, lineage.partition_digest([str(f)])
+
+    write(np.arange(100) + 7)
+    os.utime(f, ns=(second_ns + 600_000_000,) * 2)
+    assert f.stat().st_size == size
+    assert lineage.partition_digest([str(f)]) != before
+
+
 def test_iterative_rebalance_bounds_concentrated_cluster(ray_session):
     """A point cluster much smaller than the child cell defeats the
     one-round split (everything lands in one child); the iterative
