@@ -5,10 +5,19 @@ Pattern (SURVEY.md section 7.3, ray_guide "Aggregation at scale"): a bare
 aggregates (count/sum/min/max/mean) we first collapse each *batch* to one
 row per key inside ``map_batches`` (a local combine, no shuffle), then run
 the small ``groupby`` over the partials. With B batches and K distinct
-keys per batch the shuffle moves O(B*K) rows instead of O(N) — at web
-scale with Zipf-hot cells this is the difference between a working zonal
-aggregate and an all-to-all bottleneck; hot keys are additionally safe
-because partials for the same key combine associatively.
+keys per batch the shuffle moves O(B*K) rows instead of O(N); hot keys
+are safe because partials for the same key combine associatively.
+
+One path serves every such reduction, pages and rasters alike:
+
+- ``combine_partials`` is the per-table Arrow combine. Stages whose rows
+  are not yet flat (raster tiles) call it from their own tile kernel
+  after laying out per-pixel or per-tile key/value columns;
+- ``partial_group_sums`` wraps it as a ``map_batches`` fn for flat rows;
+- ``merge_partials`` is the one final merge over partials that already
+  exist (``grouped_count_sum`` = the two composed).
+
+Partials have the layout ``key_cols, {c}_sum, _n, {c}_min, {c}_max``.
 """
 
 from __future__ import annotations
@@ -16,44 +25,75 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Max, Min, Sum
+
+
+def combine_partials(t: pa.Table, key_cols: list[str], sum_cols: list[str],
+                     min_cols: list[str] | None = None,
+                     max_cols: list[str] | None = None) -> pa.Table:
+    """One table -> one partial row per key (Arrow C++ hash aggregate:
+    an order of magnitude faster than a pandas groupby-agg at typical
+    block sizes, no pandas round-trip). Single-threaded, so float sums
+    run in row order and a reduction is reproducible bit for bit."""
+    min_cols = min_cols or []
+    max_cols = max_cols or []
+    specs = ([(c, "sum") for c in sum_cols]
+             + [(c, "min") for c in min_cols]
+             + [(c, "max") for c in max_cols]
+             + [([], "count_all")])
+    t = t.select(key_cols + sorted(set(sum_cols + min_cols + max_cols)))
+    out = pa.TableGroupBy(t, key_cols, use_threads=False).aggregate(specs)
+    cols = {k: out.column(k) for k in key_cols}
+    for c in sum_cols:
+        cols[f"{c}_sum"] = out.column(f"{c}_sum")
+    cols["_n"] = out.column("count_all")
+    for c in min_cols:
+        cols[f"{c}_min"] = out.column(f"{c}_min")
+    for c in max_cols:
+        cols[f"{c}_max"] = out.column(f"{c}_max")
+    return pa.table(cols)
 
 
 def partial_group_sums(key_cols: list[str], sum_cols: list[str],
-                       count_col: str = "_n",
                        min_cols: list[str] | None = None,
                        max_cols: list[str] | None = None):
-    """Return a map_batches fn collapsing a batch to per-key partial rows.
-
-    Output columns: key_cols + [f"{c}_sum"] + [count_col] (+ min/max).
-    """
-    min_cols = min_cols or []
-    max_cols = max_cols or []
-
+    """Return a map_batches fn collapsing a batch to per-key partial rows."""
     def _combine(batch: pa.Table):
         if batch.num_rows == 0:      # post-shuffle zero-row blocks can
             return                   # carry an EMPTY schema — emit nothing
-        t = batch.select(key_cols + sorted(set(sum_cols + min_cols
-                                               + max_cols)))
-        # Arrow C++ hash aggregate (same swap as flagship dedup's local
-        # combine: order-of-magnitude faster than pandas groupby-agg at
-        # typical block sizes, no pandas round-trip)
-        specs = ([(c, "sum") for c in sum_cols]
-                 + [(c, "min") for c in min_cols]
-                 + [(c, "max") for c in max_cols]
-                 + [([], "count_all")])
-        out = pa.TableGroupBy(t, key_cols).aggregate(specs)
-        cols = {k: out.column(k) for k in key_cols}
-        for c in sum_cols:
-            cols[f"{c}_sum"] = out.column(f"{c}_sum")
-        for c in min_cols:
-            cols[f"{c}_min"] = out.column(f"{c}_min")
-        for c in max_cols:
-            cols[f"{c}_max"] = out.column(f"{c}_max")
-        cols[count_col] = out.column("count_all")
-        yield pa.table(cols)
+        yield combine_partials(batch, key_cols, sum_cols, min_cols, max_cols)
 
     return _combine
+
+
+def merge_partials(partials, key_cols: list[str], sum_cols: list[str],
+                   count_alias: str = "n",
+                   min_cols: list[str] | None = None,
+                   max_cols: list[str] | None = None,
+                   coalesce: int | None = None):
+    """Final merge of a Dataset of partials -> key_cols, ``count_alias``,
+    ``{c}_sum`` per sum col (plus ``{c}_min``/``{c}_max`` when requested).
+
+    ``coalesce``: when the key cardinality K is known-small (zones,
+    nations, sites, raster bands — tens to thousands), pass a small
+    block count to collapse the slim partials (O(B*K) rows for B input
+    blocks) before the groupby. Ray's sort shuffle makes one reduce
+    partition per input block, so K keys spread over B>>K partials
+    blocks leaves most reduce partitions EMPTY — each emits a zero-row
+    empty-schema block ("RefBundle with a different schema" warnings)
+    and pays a task launch. Coalescing to ~1 block makes the final
+    combine one small task. Leave None for high-cardinality keys (the
+    partials are no longer slim; use grouped_count_sum_bucketed there
+    instead).
+    """
+    if coalesce is not None:
+        partials = coalesce_blocks(partials, coalesce)
+    aggs = [Sum("_n", alias_name=count_alias)]
+    aggs += [Sum(f"{c}_sum", alias_name=f"{c}_sum") for c in sum_cols]
+    aggs += [Min(f"{c}_min", alias_name=f"{c}_min") for c in min_cols or []]
+    aggs += [Max(f"{c}_max", alias_name=f"{c}_max") for c in max_cols or []]
+    key = key_cols[0] if len(key_cols) == 1 else key_cols
+    return partials.groupby(key).aggregate(*aggs)
 
 
 def grouped_count_sum(ds, key_cols: list[str], sum_cols: list[str],
@@ -61,36 +101,13 @@ def grouped_count_sum(ds, key_cols: list[str], sum_cols: list[str],
                       min_cols: list[str] | None = None,
                       max_cols: list[str] | None = None,
                       coalesce: int | None = None):
-    """count + sums per key with batch-level pre-aggregation.
-
-    Result columns: key_cols, ``count_alias``, and ``{c}_sum`` per sum col
-    (plus ``{c}_min``/``{c}_max`` when requested).
-
-    ``coalesce``: when the key cardinality K is known-small (zones,
-    nations, sites — tens to thousands), pass a small block count to
-    collapse the slim partials (O(B*K) rows for B input blocks) before
-    the groupby. Ray's sort shuffle makes one reduce partition per
-    input block, so K keys spread over B>>K partials blocks leaves most
-    reduce partitions EMPTY — each emits a zero-row empty-schema block
-    ("RefBundle with a different schema" warnings) and pays a task
-    launch. Coalescing to ~1 block makes the final combine one small
-    task. Leave None for high-cardinality keys (the partials are no
-    longer slim; use grouped_count_sum_bucketed there instead).
-    """
-    partial = partial_group_sums(key_cols, sum_cols, min_cols=min_cols,
-                                 max_cols=max_cols)
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    if coalesce is not None:
-        partials = coalesce_blocks(partials, coalesce)
-    aggs = [Sum("_n", alias_name=count_alias)]
-    for c in sum_cols:
-        aggs.append(Sum(f"{c}_sum", alias_name=f"{c}_sum"))
-    for c in (min_cols or []):
-        aggs.append(Min(f"{c}_min", alias_name=f"{c}_min"))
-    for c in (max_cols or []):
-        aggs.append(Max(f"{c}_max", alias_name=f"{c}_max"))
-    key = key_cols[0] if len(key_cols) == 1 else key_cols
-    return partials.groupby(key).aggregate(*aggs)
+    """count + sums (+ mins/maxes) per key: the per-batch combine of flat
+    rows followed by ``merge_partials``."""
+    partials = ds.map_batches(
+        partial_group_sums(key_cols, sum_cols, min_cols, max_cols),
+        batch_format="pyarrow")
+    return merge_partials(partials, key_cols, sum_cols, count_alias,
+                          min_cols, max_cols, coalesce)
 
 
 def grouped_count_sum_bucketed(ds, key_cols: list[str],
@@ -138,41 +155,6 @@ def grouped_count_sum_bucketed(ds, key_cols: list[str],
     return (partials.map_batches(_bucket, batch_format="pyarrow")
             .groupby("_b")
             .map_groups(_combine_bucket, batch_format="pyarrow"))
-
-
-def grouped_count_sum_driver(ds, key_cols: list[str], sum_cols: list[str],
-                             count_alias: str = "n",
-                             min_cols: list[str] | None = None,
-                             max_cols: list[str] | None = None) -> pd.DataFrame:
-    """Same result as grouped_count_sum, but the FINAL combine runs on
-    the driver over the per-batch partial rows (streamed, pandas).
-
-    Right when the distinct-key count is small (<= ~10^6): the per-batch
-    partials are already tiny, so a full distributed shuffle would spend
-    seconds of fixed sort-shuffle setup to merge kilobytes. The
-    distributed variant remains the path for web-scale cardinality.
-    """
-    partial = partial_group_sums(key_cols, sum_cols, min_cols=min_cols,
-                                 max_cols=max_cols)
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    pieces = [b for b in partials.iter_batches(batch_size=None,
-                                               batch_format="pandas")
-              if len(b) > 0]                  # post-shuffle zero-row
-    if not pieces:
-        cols = (key_cols + [count_alias] + [f"{c}_sum" for c in sum_cols]
-                + [f"{c}_min" for c in (min_cols or [])]
-                + [f"{c}_max" for c in (max_cols or [])])
-        return pd.DataFrame({c: [] for c in cols})
-    allp = pd.concat(pieces, ignore_index=True)
-    g = allp.groupby(key_cols, sort=False, observed=True)
-    spec = {count_alias: (f"_n", "sum")}
-    for c in sum_cols:
-        spec[f"{c}_sum"] = (f"{c}_sum", "sum")
-    for c in (min_cols or []):
-        spec[f"{c}_min"] = (f"{c}_min", "min")
-    for c in (max_cols or []):
-        spec[f"{c}_max"] = (f"{c}_max", "max")
-    return g.agg(**spec).reset_index()
 
 
 def quantile_from_counts(values, counts, q: float) -> float:

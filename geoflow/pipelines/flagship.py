@@ -223,7 +223,6 @@ def zonal_page_stats(enriched_ds, zone_res: int = ZONE_CELL_RES):
 
 def run_flagship_checkpointed(pages_dir: str, work_dir: str,
                               shards: int = 8,
-                              cell_res: int = PAGE_CELL_RES,
                               zone_res: int = ZONE_CELL_RES) -> dict:
     """Flagship with per-stage checkpoint resume (north rule: "resumable
     from checkpoint with per-partition lineage + metrics").
@@ -257,7 +256,7 @@ def run_flagship_checkpointed(pages_dir: str, work_dir: str,
     parts = input_partitions_from_dir(pages_dir, shards)
     r1 = run_partitioned_stage(
         "enrich", f"{work_dir}/enrich", parts,
-        lambda ds: enrich_pages(ds, cell_res, strict=True))
+        lambda ds: enrich_pages(ds, strict=True))
 
     r2 = run_partitioned_stage(
         "dedup", f"{work_dir}/dedup",
@@ -273,15 +272,14 @@ def run_flagship_checkpointed(pages_dir: str, work_dir: str,
             "zonal_dir": f"{work_dir}/zonal/part=all"}
 
 
-def run_flagship(pages_ds, cell_res: int = PAGE_CELL_RES,
-                 zone_res: int = ZONE_CELL_RES):
+def run_flagship(pages_ds, zone_res: int = ZONE_CELL_RES):
     """pages -> enriched/deduped -> zonal stats Dataset (small result).
 
     Returns the zonal stats Dataset sorted by page count (descending).
     The text-extraction byte-identity invariant is enforced en route:
     ``strict=True`` makes any mismatching row fail its task loudly.
     """
-    enriched = enrich_pages(pages_ds, cell_res, strict=True, slim=True)
+    enriched = enrich_pages(pages_ds, strict=True, slim=True)
     deduped = dedup_exact(enriched)
     zonal = zonal_page_stats(deduped, zone_res)
     return zonal.sort("n_pages", descending=True)

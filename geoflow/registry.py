@@ -50,16 +50,6 @@ for _name in ok.CORRECTION_NAMES:
     CORRECTIONS[_name] = _builtin(_name)
 
 
-def apply_registered(name: str, I, L, slope_rad, coeffs, band_idx, ctx) -> np.ndarray:
-    try:
-        fn = CORRECTIONS[name]
-    except KeyError:
-        raise KeyError(f"unknown correction {name!r}; "
-                       f"registered: {sorted(CORRECTIONS)}") from None
-    return np.asarray(fn(I, L, slope_rad, coeffs, band_idx, ctx),
-                      dtype=np.float32)
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 Two-phase design (SURVEY.md section 2.3 "Ray Data mapping"):
 
 FIT — one streaming pass over the terrain-enriched tile dataset computes
-per-(raster_id, band) float64 moment partials inside ``map_batches``
-(a combiner: one output row per key per batch), a tiny
-``groupby.aggregate(Sum)`` merges them, and the driver solves the
-closed-form OLS / means. This single pass yields the coefficients for
-ALL 11 corrections at once — the reference reruns its full fit per
-correction and per band in the driver process
+one row of float64 moments per tile inside ``map_batches``, the shared
+Arrow combine (``functions.agg.combine_partials``) sums them to one row
+per (raster_id, band) per batch, ``functions.agg.merge_partials``
+merges the batches, and the driver solves the closed-form OLS / means.
+This single pass yields the coefficients for ALL 11 corrections at
+once — the reference reruns its full fit per correction and per band in
+the driver process
 (``LuminanceRegressionTopoCorrectionAlgorithm.py:30-35``,
 ``MinnaertTopoCorrectionAlgorithm.py:107-115``,
 ``CosineCTopoCorrectionAlgorithm.py:40-42``).
@@ -29,36 +30,33 @@ cells are zeroed then set to gdal_calc's Float32 default NDV.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from ray.data.aggregate import Sum
-
 from ..context import CorrectionContext, DEFAULT_CONTEXT
+from ..functions.agg import combine_partials, merge_partials
 from ..oracle import kernels as ok
-from ..registry import CORRECTIONS, apply_registered
+from ..registry import CORRECTIONS
 from .terrain import _rows_as_arrays
 
 CORRECTION_NAMES = list(ok.CORRECTION_NAMES)
 
+# per-tile moments; the merge sums each into ``{c}_sum``
 _MOMENT_COLS = [
-    "n", "sum_I", "sum_lum",
-    "m_n", "m_sum_x", "m_sum_y", "m_sum_xx", "m_sum_xy",   # OLS on masked px
-    "mn_sum_x", "mn_sum_y", "mn_sum_xx", "mn_sum_xy",      # Minnaert log-fit
+    "n", "I", "lum",
+    "m_n", "m_x", "m_y", "m_xx", "m_xy",     # OLS on masked px
+    "mn_x", "mn_y", "mn_xx", "mn_xy",        # Minnaert log-fit
 ]
 
 
 def fit_moments_batch(batch: pa.Table,
                       ctx: CorrectionContext = DEFAULT_CONTEXT) -> pa.Table:
     """Collapse a tile batch to per-(raster_id, band) moment partials."""
-    rid = batch.column("raster_id").to_pylist()
-    band = batch.column("band").to_numpy()
     pixels = _rows_as_arrays(batch.column("pixels"))
     lums = _rows_as_arrays(batch.column("luminance"))
     slopes = _rows_as_arrays(batch.column("slope"))
-    acc: dict[tuple, np.ndarray] = {}
+    rows = [np.empty((0, len(_MOMENT_COLS)))]
     T = ctx.pixel_ignore_threshold
-    for r, b, I, L, s in zip(rid, band, pixels, lums, slopes):
+    for I, L, s in zip(pixels, lums, slopes):
         I64 = I.astype(np.float64)
         L64 = L.astype(np.float64)
         mask = I > T
@@ -68,25 +66,16 @@ def fit_moments_batch(batch: pa.Table,
         # (MinnaertTopoCorrectionAlgorithm.py:74-105); fills participate.
         mx = ok.minnaert_x(L, s).astype(np.float64).ravel()
         my = ok.minnaert_y(I, s).astype(np.float64).ravel()
-        vals = np.array([
+        rows.append([[
             I.size, I64.sum(), L64.sum(),
             x.size, x.sum(), y.sum(), (x * x).sum(), (x * y).sum(),
             mx.sum(), my.sum(), (mx * mx).sum(), (mx * my).sum(),
-        ])
-        key = (r, int(b))
-        if key in acc:
-            acc[key] += vals
-        else:
-            acc[key] = vals
-    rows = {
-        "raster_id": [k[0] for k in acc],
-        "band": np.array([k[1] for k in acc], dtype=np.int32),
-    }
-    stacked = (np.vstack(list(acc.values()))
-               if acc else np.empty((0, len(_MOMENT_COLS))))
-    for j, c in enumerate(_MOMENT_COLS):
-        rows[c] = stacked[:, j]
-    return pa.table(rows)
+        ]])
+    moments = np.concatenate(rows)
+    tile = pa.table({"raster_id": batch.column("raster_id"),
+                     "band": batch.column("band").cast(pa.int32()),
+                     **{c: moments[:, j] for j, c in enumerate(_MOMENT_COLS)}})
+    return combine_partials(tile, ["raster_id", "band"], _MOMENT_COLS)
 
 
 def _closed_form_ols(n, sx, sy, sxx, sxy) -> tuple[float, float]:
@@ -110,22 +99,22 @@ def fit_corrections(terrain_ds, ctx: CorrectionContext = DEFAULT_CONTEXT) -> dic
     """Streaming fit pass -> {raster_id: coeffs} (oracle-shaped dicts)."""
     partials = terrain_ds.map_batches(
         lambda b: fit_moments_batch(b, ctx), batch_format="pyarrow")
-    # few (raster, band) keys over many tile blocks: coalesce the slim
-    # per-batch moment rows so the sort shuffle doesn't make one (mostly
-    # empty) reduce partition per tile block
-    from ..functions.agg import coalesce_blocks
-    partials = coalesce_blocks(partials, 1)
-    aggs = [Sum(c, alias_name=c) for c in _MOMENT_COLS]
-    table = partials.groupby(["raster_id", "band"]).aggregate(*aggs).to_pandas()
+    # few (raster, band) keys over many tile blocks: coalesce=1 so the
+    # sort shuffle doesn't make one (mostly empty) reduce partition per
+    # tile block
+    table = merge_partials(partials, ["raster_id", "band"], _MOMENT_COLS,
+                           "n_tiles", coalesce=1).to_pandas()
     out: dict[str, dict] = {}
     for rid, g in table.groupby("raster_id"):
         coeffs = {"luminance_mean": None, "h0": ok.pbc_h0(ctx), "bands": {}}
         for row in g.itertuples(index=False):
             b = int(row.band)
             intercept, slope = _closed_form_ols(
-                row.m_n, row.m_sum_x, row.m_sum_y, row.m_sum_xx, row.m_sum_xy)
+                row.m_n_sum, row.m_x_sum, row.m_y_sum, row.m_xx_sum,
+                row.m_xy_sum)
             m_int, m_slope = _closed_form_ols(
-                row.n, row.mn_sum_x, row.mn_sum_y, row.mn_sum_xx, row.mn_sum_xy)
+                row.n_sum, row.mn_x_sum, row.mn_y_sum, row.mn_xx_sum,
+                row.mn_xy_sum)
             coeffs["bands"][b] = {
                 "ols_intercept": intercept,
                 "ols_slope": slope,
@@ -137,19 +126,18 @@ def fit_corrections(terrain_ds, ctx: CorrectionContext = DEFAULT_CONTEXT) -> dic
                 "minnaert_intercept": m_int,
                 "minnaert_k": m_slope,
                 "pbc_c": m_slope / m_int if m_int != 0 else 0.0,
-                "band_mean": float(row.sum_I / row.n),
+                "band_mean": float(row.I_sum / row.n_sum),
                 "zero_noise": ok.deterministic_zero_noise(b),
             }
             # luminance is band-independent; any band's sums give the mean
-            coeffs["luminance_mean"] = float(row.sum_lum / row.n)
+            coeffs["luminance_mean"] = float(row.lum_sum / row.n_sum)
         out[rid] = coeffs
     return out
 
 
 def apply_correction_batch(batch: pa.Table, fn, coeffs_by_raster: dict,
-                           ctx: CorrectionContext = DEFAULT_CONTEXT,
-                           out_col: str = "corrected") -> pa.Table:
-    """Stateless apply kernel over tile rows; adds ``out_col`` (f32 list).
+                           ctx: CorrectionContext = DEFAULT_CONTEXT) -> pa.Table:
+    """Stateless apply kernel over tile rows; adds ``corrected`` (f32 list).
 
     ``fn`` is the correction callable resolved from the registry ON THE
     DRIVER (geoflow.registry) — passing the function through the closure
@@ -163,7 +151,7 @@ def apply_correction_batch(batch: pa.Table, fn, coeffs_by_raster: dict,
     lums = _rows_as_arrays(batch.column("luminance"))
     slopes = _rows_as_arrays(batch.column("slope"))
     has_nodata = "nodata" in batch.column_names
-    ndmasks = (_rows_as_arrays_bool(batch.column("nodata"))
+    ndmasks = (_rows_as_arrays(batch.column("nodata"))
                if has_nodata else [None] * len(rid))
     outs = []
     for r, b, I, L, s, nd in zip(rid, band, pixels, lums, slopes, ndmasks):
@@ -172,28 +160,17 @@ def apply_correction_batch(batch: pa.Table, fn, coeffs_by_raster: dict,
         if nd is not None and nd.any():
             res = ok.propagate_ndv(res, nd)
         outs.append(res.ravel())
-    return batch.append_column(out_col, pa.array(outs, pa.list_(pa.float32())))
-
-
-def _rows_as_arrays_bool(col) -> list[np.ndarray]:
-    out = []
-    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
-    for chunk in chunks:
-        flat = chunk.values.to_numpy(zero_copy_only=False)
-        offsets = chunk.offsets.to_numpy(zero_copy_only=False)
-        for i in range(len(chunk)):
-            out.append(flat[offsets[i]:offsets[i + 1]])
-    return out
+    return batch.append_column("corrected",
+                               pa.array(outs, pa.list_(pa.float32())))
 
 
 def apply_correction_ds(terrain_ds, name: str, coeffs_by_raster: dict,
-                        ctx: CorrectionContext = DEFAULT_CONTEXT,
-                        out_col: str = "corrected"):
+                        ctx: CorrectionContext = DEFAULT_CONTEXT):
     if name not in CORRECTIONS:
         raise KeyError(f"unknown correction {name!r}; "
                        f"registry: {sorted(CORRECTIONS)}")
     fn = CORRECTIONS[name]          # resolve on the driver (see batch fn)
     return terrain_ds.map_batches(
-        lambda b: apply_correction_batch(b, fn, coeffs_by_raster, ctx, out_col),
+        lambda b: apply_correction_batch(b, fn, coeffs_by_raster, ctx),
         batch_format="pyarrow",
     )

@@ -6,8 +6,9 @@ band_max]], transposed; plus a degree-1 fit of band ~ luminance over ALL
 pixels (no threshold mask, :100).
 
 Distributed shape (SURVEY.md section 2.4): two passes —
-1. per-band min/max (pre-aggregated combiner -> tiny groupby), because
-   np.histogram2d needs the full value range up front; the reference
+1. per-band min/max (the shared ``functions.agg`` combine of per-pixel
+   (band, value) rows, then its merge), because np.histogram2d needs
+   the full value range up front; the reference
    gets it from GDAL's approx-OK band statistics (``:97``) — the engine
    computes EXACT min/max (deviation documented; approx stats are a
    parity hazard, SURVEY.md 2.4).
@@ -21,36 +22,26 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ray.data.aggregate import Max, Min, Sum
-
+from ..functions.agg import combine_partials, merge_partials
 from .terrain import _rows_as_arrays
 
 
 def band_minmax(terrain_ds) -> dict[int, tuple[float, float]]:
     """Exact per-band min/max of the pixel values (pass 1)."""
     def _partial(batch: pa.Table) -> pa.Table:
-        bands = batch.column("band").to_numpy()
-        pixels = _rows_as_arrays(batch.column("pixels"))
-        acc: dict[int, list[float]] = {}
-        for b, px in zip(bands, pixels):
-            mn, mx = float(px.min()), float(px.max())
-            cur = acc.get(int(b))
-            if cur is None:
-                acc[int(b)] = [mn, mx]
-            else:
-                cur[0] = min(cur[0], mn)
-                cur[1] = max(cur[1], mx)
-        return pa.table({
-            "band": pa.array(list(acc), pa.int32()),
-            "mn": pa.array([v[0] for v in acc.values()], pa.float64()),
-            "mx": pa.array([v[1] for v in acc.values()], pa.float64()),
-        })
+        px = batch.column("pixels")
+        flat = pa.table({
+            "band": np.repeat(batch.column("band").to_numpy(),
+                              pc.list_value_length(px).to_numpy()),
+            "value": pc.list_flatten(px)})
+        return combine_partials(flat, ["band"], [], ["value"], ["value"])
 
-    t = terrain_ds.map_batches(_partial, batch_format="pyarrow")
-    df = t.groupby("band").aggregate(
-        Min("mn", alias_name="mn"), Max("mx", alias_name="mx")).to_pandas()
-    return {int(r.band): (float(r.mn), float(r.mx))
+    partials = terrain_ds.map_batches(_partial, batch_format="pyarrow")
+    df = merge_partials(partials, ["band"], [], "n_pixels", ["value"],
+                        ["value"]).to_pandas()
+    return {int(r.band): (float(r.value_min), float(r.value_max))
             for r in df.itertuples(index=False)}
 
 

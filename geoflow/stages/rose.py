@@ -6,10 +6,12 @@ DEGREES (``in_radians=False``), binned by integer-floor ranges
 groups_count, bin = (v - lower) // group_size), mean of band pixels per
 (slope_bin, aspect_bin) with a take-mask slope <= 90 and aspect <= 360.
 
-Engine shape: one ``map_batches`` derives the bins per tile, a
-pre-aggregated sum/count combiner feeds a tiny
-``groupby(band, slope_bin, aspect_bin)`` — the template the north-rule
-raster<->vector zonal aggregation reuses (SURVEY.md section 3.3).
+Engine shape: the tile kernel derives the bins of every pixel of the
+batch, and the shared Arrow combine (``functions.agg.combine_partials``)
+collapses the (band, slope_bin, aspect_bin, value) rows to per-bin sums;
+``functions.agg.merge_partials`` finishes with a tiny
+``groupby(band, slope_bin, aspect_bin)`` — the same path the raster
+zonal aggregation takes (``stages.zonal``, SURVEY.md section 3.3).
 ``npg.aggregate``'s dense fill_value=0 matrix is reproduced on the
 driver by ``densify``.
 """
@@ -19,10 +21,12 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.agg import grouped_count_sum
+from ..functions.agg import combine_partials, merge_partials
 from ..oracle import kernels as ok
 from .terrain import _rows_as_arrays
+from .zonal import with_mean
 
 
 def group_by_range(arr: np.ndarray, groups_count: int, upper_bound: float,
@@ -35,62 +39,39 @@ def group_by_range(arr: np.ndarray, groups_count: int, upper_bound: float,
 def rose_bins_batch(batch: pa.Table, slope_groups: int = 3,
                     slope_max: float = 90.0, aspect_groups: int = 36,
                     aspect_max: float = 360.0) -> pa.Table:
-    """Tile rows -> (band, slope_bin, aspect_bin, value) pixel-run rows,
-    pre-aggregated to per-bin partial sums within the batch."""
-    heights = batch.column("height").to_numpy()
-    widths = batch.column("width").to_numpy()
-    bands = batch.column("band").to_numpy()
-    halos = _rows_as_arrays(batch.column("dem_halo"))
-    pixels = _rows_as_arrays(batch.column("pixels"))
-    acc: dict[tuple, np.ndarray] = {}
-    for h, w, b, halo, px in zip(heights, widths, bands, halos, pixels):
+    """Tile rows -> per-(band, slope_bin, aspect_bin) partial sums within
+    the batch."""
+    hs = batch.column("height").to_numpy()
+    ws = batch.column("width").to_numpy()
+    slope, aspect = [np.empty(0, np.float32)], [np.empty(0, np.float32)]
+    for h, w, halo in zip(hs, ws, _rows_as_arrays(batch.column("dem_halo"))):
         p = halo.reshape(h + 2, w + 2)
-        slope_deg = ok.zt_slope_degrees_padded(p).ravel()
-        aspect_deg = ok.zt_aspect_degrees_padded(p).ravel()
-        sbin = group_by_range(slope_deg, slope_groups, slope_max)
-        abin = group_by_range(aspect_deg, aspect_groups, aspect_max)
-        take = np.logical_and(slope_deg <= slope_max, aspect_deg <= aspect_max)
-        sbin, abin, vals = sbin[take], abin[take], px[take].astype(np.float64)
-        keys = sbin.astype(np.int64) * 1000 + abin.astype(np.int64)
-        order = np.argsort(keys, kind="stable")
-        keys_s, vals_s = keys[order], vals[order]
-        bounds = np.flatnonzero(np.diff(keys_s)) + 1
-        for seg_keys, seg_vals in zip(np.split(keys_s, bounds),
-                                      np.split(vals_s, bounds)):
-            key = (int(b), int(seg_keys[0] // 1000), int(seg_keys[0] % 1000))
-            part = np.array([seg_vals.sum(), len(seg_vals)])
-            if key in acc:
-                acc[key] += part
-            else:
-                acc[key] = part
-    ks = list(acc.keys())
-    stacked = np.vstack(list(acc.values())) if acc else np.empty((0, 2))
-    return pa.table({
-        "band": pa.array([k[0] for k in ks], pa.int32()),
-        "slope_bin": pa.array([k[1] for k in ks], pa.int64()),
-        "aspect_bin": pa.array([k[2] for k in ks], pa.int64()),
-        "value_sum": pa.array(stacked[:, 0], pa.float64()),
-        "_n": pa.array(stacked[:, 1].astype(np.int64), pa.int64()),
+        slope.append(ok.zt_slope_degrees_padded(p).ravel())
+        aspect.append(ok.zt_aspect_degrees_padded(p).ravel())
+    slope, aspect = np.concatenate(slope), np.concatenate(aspect)
+    take = np.logical_and(slope <= slope_max, aspect <= aspect_max)
+    pixels = pc.list_flatten(batch.column("pixels")).to_numpy()
+    flat = pa.table({
+        "band": pa.array(np.repeat(batch.column("band").to_numpy(),
+                                   hs * ws)[take], pa.int32()),
+        "slope_bin": group_by_range(slope[take], slope_groups, slope_max),
+        "aspect_bin": group_by_range(aspect[take], aspect_groups, aspect_max),
+        "value": pixels[take].astype(np.float64),
     })
+    return combine_partials(flat, ["band", "slope_bin", "aspect_bin"],
+                            ["value"])
 
 
 def rose_diagram_ds(tiles_ds, slope_groups: int = 3, aspect_groups: int = 36):
-    """Tile dataset -> (band, slope_bin, aspect_bin, mean_value) Dataset."""
-    from ray.data.aggregate import Sum
-
+    """Tile dataset -> (band, slope_bin, aspect_bin, value_sum, n_pixels,
+    mean_value) Dataset."""
     partials = tiles_ds.map_batches(
         lambda b: rose_bins_batch(b, slope_groups=slope_groups,
                                   aspect_groups=aspect_groups),
         batch_format="pyarrow")
-    agg = partials.groupby(["band", "slope_bin", "aspect_bin"]).aggregate(
-        Sum("value_sum", alias_name="value_sum"),
-        Sum("_n", alias_name="n_pixels"))
-
-    def _mean(batch: pa.Table) -> pa.Table:
-        mean = batch.column("value_sum").to_numpy() / batch.column("n_pixels").to_numpy()
-        return batch.append_column("mean_value", pa.array(mean, pa.float64()))
-
-    return agg.map_batches(_mean, batch_format="pyarrow")
+    keys = ["band", "slope_bin", "aspect_bin"]
+    return with_mean(merge_partials(partials, keys, ["value"], "n_pixels"),
+                     keys)
 
 
 def densify(df: pd.DataFrame, band: int, slope_groups: int = 3,

@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ray.data.aggregate import Max, Min, Sum
+from ray.data.aggregate import Sum
 
 from . import cells as cellmod
 from ..functions.agg import partial_group_sums
@@ -61,10 +61,13 @@ def salted_grouped_count_sum(ds, key_col: str, sum_cols: list[str],
 
 
 def cell_counts(ds, cell_col: str = "cell") -> pd.DataFrame:
-    """Per-cell row counts via batch-combined partials (small result)."""
-    from ..functions.agg import grouped_count_sum_driver
+    """Per-cell row counts via batch-combined partials (small result);
+    empty input gives an empty frame that still has both columns."""
+    from ..functions.agg import grouped_count_sum
 
-    return grouped_count_sum_driver(ds, [cell_col], [], count_alias="n")
+    return grouped_count_sum(ds, [cell_col], [], count_alias="n",
+                             coalesce=1).to_pandas().reindex(
+                                 columns=[cell_col, "n"])
 
 
 def compute_split_plan(counts: pd.DataFrame, cap: int,

@@ -44,7 +44,6 @@ def _rows_as_arrays(col: pa.ChunkedArray | pa.Array) -> list[np.ndarray]:
 
 def derive_terrain_batch(batch: pa.Table,
                          ctx: CorrectionContext = DEFAULT_CONTEXT,
-                         drop_halo: bool = True,
                          ewres: float = 1.0, nsres: float = -1.0) -> pa.Table:
     """Add slope/aspect (radians, f32) + luminance (f32) columns per tile.
 
@@ -64,9 +63,7 @@ def derive_terrain_batch(batch: pa.Table,
         slopes.append(slope_rad.ravel())
         aspects.append(aspect_rad.ravel())
         lums.append(lum.ravel())
-    out = batch
-    if drop_halo:
-        out = out.drop_columns(["dem_halo"])
+    out = batch.drop_columns(["dem_halo"])
     out = out.append_column("slope", pa.array(slopes, pa.list_(pa.float32())))
     out = out.append_column("aspect", pa.array(aspects, pa.list_(pa.float32())))
     out = out.append_column("luminance", pa.array(lums, pa.list_(pa.float32())))
@@ -74,10 +71,9 @@ def derive_terrain_batch(batch: pa.Table,
 
 
 def derive_terrain(tiles_ds, ctx: CorrectionContext = DEFAULT_CONTEXT,
-                   drop_halo: bool = True,
                    ewres: float = 1.0, nsres: float = -1.0):
     return tiles_ds.map_batches(
-        lambda b: derive_terrain_batch(b, ctx, drop_halo, ewres, nsres),
+        lambda b: derive_terrain_batch(b, ctx, ewres, nsres),
         batch_format="pyarrow",
     )
 

@@ -10,10 +10,11 @@ and geocoded pages aggregate under the SAME keys and can be joined
 cell-to-cell afterwards.
 
 Shape: each tile knows its georeference (affine lat/lon of pixel (0,0)
-of the raster + per-pixel steps); a stateless ``map_batches`` computes
-per-pixel cell ids and collapses them to per-(band, cell) partials
-WITHIN the tile (pixels of one tile span only a handful of coarse
-cells), so the groupby shuffle moves O(tiles x cells-per-tile) rows,
+of the raster + per-pixel steps). The tile kernel lays out one
+(band, cell, value) row per pixel of the batch and collapses them with
+the shared Arrow combine (``functions.agg.combine_partials``); pixels of
+one batch span only a handful of coarse cells, so the shuffle of
+``functions.agg.merge_partials`` moves O(batches x cells-per-batch) rows,
 not O(pixels).
 """
 
@@ -24,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-from ray.data.aggregate import Max, Min, Sum
+import pyarrow.compute as pc
 
 from . import cells as cellmod
-from .terrain import _rows_as_arrays
+from ..functions.agg import combine_partials, merge_partials
 
 
 @dataclass(frozen=True)
@@ -50,64 +50,47 @@ class RasterGeo:
 
 
 def zonal_partials_batch(batch: pa.Table, geo: RasterGeo, res: int,
-                         tile_size: int,
-                         value_col: str = "pixels") -> pa.Table:
-    """Tile rows -> per-(band, cell) partial sums within the batch."""
-    bands = batch.column("band").to_numpy()
-    tys = batch.column("tile_y").to_numpy()
-    txs = batch.column("tile_x").to_numpy()
+                         tile_size: int) -> pa.Table:
+    """Tile rows -> per-(band, cell) partials within the batch."""
     hs = batch.column("height").to_numpy()
     ws = batch.column("width").to_numpy()
-    vals = _rows_as_arrays(batch.column(value_col))
-    acc: dict[tuple, np.ndarray] = {}
-    for b, ty, tx, h, w, v in zip(bands, tys, txs, hs, ws, vals):
+    cell = [np.empty(0, np.uint64)]
+    for ty, tx, h, w in zip(batch.column("tile_y").to_numpy(),
+                            batch.column("tile_x").to_numpy(), hs, ws):
         lat, lon = geo.pixel_lonlat(ty * tile_size, tx * tile_size, h, w)
-        cell = cellmod.cell_id(lat, lon, res).astype(np.int64)
-        v64 = v.astype(np.float64)
-        order = np.argsort(cell, kind="stable")
-        cs, vs = cell[order], v64[order]
-        bounds = np.flatnonzero(np.diff(cs)) + 1
-        for seg_c, seg_v in zip(np.split(cs, bounds), np.split(vs, bounds)):
-            key = (int(b), int(seg_c[0]))
-            part = np.array([seg_v.sum(), len(seg_v),
-                             seg_v.min(), seg_v.max()])
-            cur = acc.get(key)
-            if cur is None:
-                acc[key] = part
-            else:
-                cur[0] += part[0]
-                cur[1] += part[1]
-                cur[2] = min(cur[2], part[2])
-                cur[3] = max(cur[3], part[3])
-    ks = list(acc)
-    st = np.vstack(list(acc.values())) if acc else np.empty((0, 4))
-    return pa.table({
-        "band": pa.array([k[0] for k in ks], pa.int32()),
-        "cell": pa.array([k[1] for k in ks], pa.int64()),
-        "value_sum": pa.array(st[:, 0], pa.float64()),
-        "_n": pa.array(st[:, 1].astype(np.int64), pa.int64()),
-        "value_min": pa.array(st[:, 2], pa.float64()),
-        "value_max": pa.array(st[:, 3], pa.float64()),
+        cell.append(cellmod.cell_id(lat, lon, res))
+    flat = pa.table({
+        "band": pa.array(np.repeat(batch.column("band").to_numpy(), hs * ws),
+                         pa.int32()),
+        "cell": pa.array(np.concatenate(cell).astype(np.int64), pa.int64()),
+        "value": pc.list_flatten(batch.column("pixels")).cast(pa.float64()),
     })
+    return combine_partials(flat, ["band", "cell"], ["value"],
+                            ["value"], ["value"])
+
+
+def with_mean(merged, key_cols: list[str]):
+    """Merged pixel partials -> key_cols, value_sum, n_pixels, any
+    min/max columns, mean_value (the zonal and rose output layout)."""
+    def _mean(b: pa.Table) -> pa.Table:
+        head = key_cols + ["value_sum", "n_pixels"]
+        mean = b.column("value_sum").to_numpy() / b.column("n_pixels").to_numpy()
+        return b.select(head + [c for c in b.column_names if c not in head]
+                        ).append_column("mean_value", pa.array(mean, pa.float64()))
+
+    return merged.map_batches(_mean, batch_format="pyarrow")
 
 
 def raster_zonal_stats(tiles_ds, geo: RasterGeo = RasterGeo(), res: int = 6,
-                       tile_size: int = 64, value_col: str = "pixels"):
-    """-> Dataset (band, cell, n_pixels, mean_value, min, max)."""
+                       tile_size: int = 64):
+    """-> Dataset (band, cell, value_sum, n_pixels, value_min, value_max,
+    mean_value)."""
     partials = tiles_ds.map_batches(
-        lambda b: zonal_partials_batch(b, geo, res, tile_size, value_col),
+        lambda b: zonal_partials_batch(b, geo, res, tile_size),
         batch_format="pyarrow")
-    agg = partials.groupby(["band", "cell"]).aggregate(
-        Sum("value_sum", alias_name="value_sum"),
-        Sum("_n", alias_name="n_pixels"),
-        Min("value_min", alias_name="value_min"),
-        Max("value_max", alias_name="value_max"))
-
-    def _mean(b: pa.Table) -> pa.Table:
-        mean = b.column("value_sum").to_numpy() / b.column("n_pixels").to_numpy()
-        return b.append_column("mean_value", pa.array(mean, pa.float64()))
-
-    return agg.map_batches(_mean, batch_format="pyarrow")
+    keys = ["band", "cell"]
+    return with_mean(merge_partials(partials, keys, ["value"], "n_pixels",
+                                    ["value"], ["value"]), keys)
 
 
 def join_zonal_with_pages(raster_zonal_df: pd.DataFrame,

@@ -48,8 +48,7 @@ def test_tenbytenraster_parity(ray_session):
     assert table.num_rows == 9           # ceil(10/4)^2 tiles x 1 band
 
     out = derive_terrain(rd.from_arrow(table),
-                         ewres=meta["ewres"], nsres=meta["nsres"],
-                         drop_halo=True).to_pandas()
+                         ewres=meta["ewres"], nsres=meta["nsres"]).to_pandas()
     slope = tile_rows_to_raster(out, "slope", 1, 10, 10)[0]
     aspect = tile_rows_to_raster(out, "aspect", 1, 10, 10)[0]
 

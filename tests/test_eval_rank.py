@@ -87,9 +87,10 @@ def test_oracle_metrics_independent_of_registry(fixture_raster,
     assert (after != -1.0).all().all()
 
 
-def test_rose_diagram_matches_fullarray(tile_ds, fixture_raster):
+@pytest.mark.parametrize("blocks", [1, 6])
+def test_rose_diagram_matches_fullarray(tile_ds, fixture_raster, blocks):
     dem, bands = fixture_raster
-    got = rose_diagram_ds(tile_ds).to_pandas()
+    got = rose_diagram_ds(tile_ds.repartition(blocks)).to_pandas()
     # full-array oracle (rose_diagram_eval.py:197-233 semantics)
     slope_deg = ok.zt_slope_degrees(dem).ravel()
     aspect_deg = ok.zt_aspect_degrees(dem).ravel()
@@ -107,9 +108,11 @@ def test_rose_diagram_matches_fullarray(tile_ds, fixture_raster):
         np.testing.assert_allclose(dense_got, dense_exp, rtol=1e-6)
 
 
-def test_correlation_histogram_matches_fullarray(tile_ds, fixture_raster):
+@pytest.mark.parametrize("blocks", [1, 6])
+def test_correlation_histogram_matches_fullarray(tile_ds, fixture_raster,
+                                                 blocks):
     dem, bands = fixture_raster
-    terrain = derive_terrain(tile_ds, CTX)
+    terrain = derive_terrain(tile_ds.repartition(blocks), CTX)
     got = correlation_eval_ds(terrain, bins=50).to_pandas()
     slope = ok.zt_slope_radians(dem)
     aspect = ok.zt_aspect_radians(dem)

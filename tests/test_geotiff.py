@@ -150,8 +150,7 @@ def test_geotiff_tile_table_terrain_parity(tmp_path, ray_session):
     write_geotiff(p, dem, pixel_scale=(10.0, 10.0))
     table, meta = geotiff_to_tile_table(p, tile=16)
     out = derive_terrain(rd.from_arrow(table),
-                         ewres=meta["ewres"], nsres=meta["nsres"],
-                         drop_halo=True).to_pandas()
+                         ewres=meta["ewres"], nsres=meta["nsres"]).to_pandas()
     slope = tile_rows_to_raster(out, "slope", 1, 48, 48)[0]
     exp = np.deg2rad(ok.zt_slope_degrees(dem, ewres=10.0, nsres=-10.0)
                      ).astype(np.float32)

@@ -16,10 +16,12 @@ def tile_ds(ray_session):
     return rd.from_arrow(tsrc.raster_to_tile_table(bands, dem, tile=32)), bands
 
 
-def test_raster_zonal_matches_bruteforce(tile_ds):
+@pytest.mark.parametrize("blocks", [1, 6])
+def test_raster_zonal_matches_bruteforce(tile_ds, blocks):
     ds, bands = tile_ds
     geo = RasterGeo(lat0=50.0, lon0=10.0, dlat=-0.02, dlon=0.02)
-    got = raster_zonal_stats(ds, geo, res=7, tile_size=32).to_pandas()
+    got = raster_zonal_stats(ds.repartition(blocks), geo, res=7,
+                             tile_size=32).to_pandas()
 
     # brute force: per-pixel cells over the full arrays
     h, w = bands.shape[1:]

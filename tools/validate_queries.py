@@ -8,12 +8,17 @@ Usage: python tools/validate_queries.py [sf_dir] [query ...]
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 import time
 
 import duckdb
 import numpy as np
 import pandas as pd
+
+# the checkout this script lives in (Ray workers import geoflow from the
+# working directory, so run it from that checkout's root)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def to_pandas(result) -> pd.DataFrame:
@@ -54,7 +59,7 @@ def main():
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     import __ray_entry__ as e
 
     con = duckdb.connect()
