@@ -4262,112 +4262,6 @@ def approx_quantiles_price(sf_dir: str):
     return pd.DataFrame({"q": qs, "value": np.round(ests, 4)})
 
 
-# ---------------------------------------------------------------------------
-# Round-3 link-graph family (geoflow.stages.graph): anchor extraction,
-# degrees, integer PageRank. Links are INJECTED via doc_id arithmetic
-# (the url_dedup_pages pattern): the engine recovers them from real
-# anchor-tag HTML with whole-column Arrow kernels, the oracle recomputes
-# them from arithmetic alone — a hash match proves the extractor
-# recovers exactly the injected graph.
-# ---------------------------------------------------------------------------
-
-_LINKS_SQL_CTE = """
-WITH nn AS MATERIALIZED (SELECT count(*) AS c FROM documents),
-js AS MATERIALIZED (
-  SELECT doc_id, unnest(generate_series(1, 1 + doc_id % 3)) AS j
-  FROM documents
-),
-raw AS MATERIALIZED (
-  SELECT doc_id AS src,
-         (doc_id * 31 + j * 977 + 7) % (SELECT c FROM nn) AS dst
-  FROM js
-),
-e AS MATERIALIZED (SELECT DISTINCT src, dst FROM raw WHERE dst <> src)
-"""
-
-
-def _link_pairs(sf_dir: str):
-    """documents -> synthetic anchor HTML -> extracted (src, dst)."""
-    from ..stages.graph import extract_link_pairs, synth_page_html
-
-    ds = _read(sf_dir, "documents", ["doc_id"])
-    n = ds.count()
-
-    def _synth(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy().astype(np.int64)
-        return pa.table({
-            "doc_id": pa.array(ids, pa.int64()),
-            "html": pa.array(synth_page_html(ids, n), pa.string()),
-        })
-
-    return (ds.map_batches(_synth, batch_format="pyarrow")
-              .map_batches(extract_link_pairs, batch_format="pyarrow")), ds
-
-
-@register("link_graph_degrees", sql=_LINKS_SQL_CTE + """,
-o AS (SELECT src AS doc_id, count(*) AS c FROM e GROUP BY 1),
-i AS (SELECT dst AS doc_id, count(*) AS c FROM e GROUP BY 1)
-SELECT d.doc_id, CAST(coalesce(o.c, 0) AS BIGINT) AS out_deg,
-       CAST(coalesce(i.c, 0) AS BIGINT) AS in_deg
-FROM documents d LEFT JOIN o USING (doc_id) LEFT JOIN i USING (doc_id)
-""")
-def link_graph_degrees(sf_dir: str):
-    """Web-graph degree table: anchor hrefs extracted from raw HTML by
-    the Arrow kernel chain (split_pattern -> flat extract_regex — no
-    per-row Python regex), then out/in-degree for EVERY page (zero-
-    degree pages included) in ONE groupby shuffle of 24-byte counter
-    rows (geoflow.stages.graph.link_degrees)."""
-    from ..stages.graph import link_degrees
-
-    pairs, docs = _link_pairs(sf_dir)
-    return link_degrees(pairs, docs.select_columns(["doc_id"]))
-
-
-@register("pagerank_pages", sql=_LINKS_SQL_CTE + """,
-od AS MATERIALIZED (SELECT src, count(*) AS od FROM e GROUP BY 1),
-r0 AS MATERIALIZED (
-  SELECT doc_id, CAST(1000000000000 AS BIGINT) AS r FROM documents),
-r1 AS MATERIALIZED (
-  SELECT d.doc_id, CAST(150000000000 + coalesce(s.m, 0) AS BIGINT) AS r
-  FROM documents d LEFT JOIN (
-    SELECT e.dst AS doc_id, sum((85 * r.r) // (100 * od.od)) AS m
-    FROM e JOIN r0 r ON e.src = r.doc_id JOIN od ON od.src = e.src
-    GROUP BY 1) s USING (doc_id)),
-r2 AS MATERIALIZED (
-  SELECT d.doc_id, CAST(150000000000 + coalesce(s.m, 0) AS BIGINT) AS r
-  FROM documents d LEFT JOIN (
-    SELECT e.dst AS doc_id, sum((85 * r.r) // (100 * od.od)) AS m
-    FROM e JOIN r1 r ON e.src = r.doc_id JOIN od ON od.src = e.src
-    GROUP BY 1) s USING (doc_id)),
-r3 AS MATERIALIZED (
-  SELECT d.doc_id, CAST(150000000000 + coalesce(s.m, 0) AS BIGINT) AS r
-  FROM documents d LEFT JOIN (
-    SELECT e.dst AS doc_id, sum((85 * r.r) // (100 * od.od)) AS m
-    FROM e JOIN r2 r ON e.src = r.doc_id JOIN od ON od.src = e.src
-    GROUP BY 1) s USING (doc_id)),
-r4 AS MATERIALIZED (
-  SELECT d.doc_id, CAST(150000000000 + coalesce(s.m, 0) AS BIGINT) AS r
-  FROM documents d LEFT JOIN (
-    SELECT e.dst AS doc_id, sum((85 * r.r) // (100 * od.od)) AS m
-    FROM e JOIN r3 r ON e.src = r.doc_id JOIN od ON od.src = e.src
-    GROUP BY 1) s USING (doc_id))
-SELECT doc_id, r AS pr FROM r4
-""")
-def pagerank_pages(sf_dir: str):
-    """Damped PageRank (4 iterations, dangling mass dropped) over the
-    extracted link graph in EXACT int64 arithmetic — contribution
-    (85*r)//(100*outdeg), base 0.15*1e12 — so the chained-CTE DuckDB
-    replay hash-matches bit for bit (the bpe_merges AS MATERIALIZED
-    idiom; float PageRank could never hash-match across summation
-    orders). Each iteration = one bucketed hash join + one groupby-sum;
-    ranks materialize per iteration; nothing corpus-sized on the
-    driver (geoflow.stages.graph.pagerank_int)."""
-    from ..stages.graph import pagerank_int
-
-    pairs, docs = _link_pairs(sf_dir)
-    return pagerank_int(pairs, docs.select_columns(["doc_id"]), iters=4)
-
-
 @register("grid_dbscan_docs", sql="WITH RECURSIVE "
           + _GEO_SQL_CTE.split("WITH ", 1)[1] + """,
 prm AS MATERIALIZED (
@@ -5707,67 +5601,6 @@ def geary_autocorrelation(sf_dir: str):
         "geary_c": round(r["geary_c"], 6)}])
 
 
-def _coreness_sql():
-    """Chained-CTE h-index replay (the pagerank_pages AS MATERIALIZED
-    idiom): c0 = degree, each round c_{r+1}(v) = max(least(rank,
-    neighbor c)) over the neighbor values ranked descending — the SQL
-    form of the H-index. 16 rounds >= the engine's observed fixpoint
-    (the engine asserts its round count stays within this)."""
-    rounds = 16
-    parts = [_LINKS_SQL_CTE.strip().removeprefix("WITH "), """
-ua AS MATERIALIZED (
-  SELECT least(src, dst) AS u, greatest(src, dst) AS v
-  FROM e GROUP BY 1, 2),
-adj AS MATERIALIZED (
-  SELECT u AS node, v AS nbr FROM ua
-  UNION ALL SELECT v, u FROM ua),
-c0 AS MATERIALIZED (SELECT node, count(*) AS c FROM adj GROUP BY 1)"""]
-    for r in range(1, rounds + 1):
-        parts.append(f"""
-c{r} AS MATERIALIZED (
-  SELECT node, max(least(rn, c)) AS c FROM (
-    SELECT a.node,
-           row_number() OVER (PARTITION BY a.node
-                              ORDER BY p.c DESC, a.nbr) AS rn,
-           p.c
-    FROM adj a JOIN c{r - 1} p ON p.node = a.nbr)
-  GROUP BY node)""")
-    return ("WITH " + ",".join(parts) + f"""
-SELECT c AS core, count(*) AS n_nodes,
-       CAST(sum(node) AS BIGINT) AS node_checksum
-FROM c{rounds} GROUP BY 1
-""")
-
-
-@register("coreness_histogram", lazy_sql=_coreness_sql)
-def coreness_histogram(sf_dir: str):
-    """k-core decomposition of the web link graph by distributed
-    h-index iteration (Lu et al. 2016): c(v) starts at deg(v) and
-    each round becomes the H-index of its neighbors' values — two
-    bucket shuffles per round (ship values along edges, per-node
-    vectorized H-index), converging to the unique core numbers
-    (independently pinned against a sequential Matula-Beck peel in
-    pytest). Output: core histogram with node checksums; the oracle
-    replays 16 h-index rounds as chained window-rank CTEs, strictly
-    more than the fixpoint needs (asserted in-query)
-    (geoflow.stages.graph.coreness_iterative)."""
-    from ..functions.agg import grouped_count_sum
-    from ..stages.graph import coreness_iterative
-
-    pairs, _docs = _link_pairs(sf_dir)
-    cores = coreness_iterative(pairs, max_rounds=16)
-
-    def _h(b: pa.Table) -> pa.Table:
-        return pa.table({"core": pc.cast(b.column("core"), pa.int64()),
-                         "node": pc.cast(b.column("node"), pa.int64())})
-
-    out = grouped_count_sum(
-        cores.map_batches(_h, batch_format="pyarrow"),
-        ["core"], ["node"], count_alias="n_nodes").to_pandas()
-    out = out.rename(columns={"node_sum": "node_checksum"})
-    return out[["core", "n_nodes", "node_checksum"]].astype(np.int64)
-
-
 @register("behavior_near_dup_users", sql=r"""
 WITH base AS (
   SELECT user_id, string_agg(event_type, ' ' ORDER BY ts, event_id)
@@ -5845,50 +5678,6 @@ def behavior_near_dup_users(sf_dir: str):
             "jaccard": pa.array(
                 np.round(b.column("jaccard").to_numpy(), 6)),
         }), batch_format="pyarrow")
-
-
-@register("triangle_histogram", sql=_LINKS_SQL_CTE + """,
-ue AS MATERIALIZED (
-  SELECT least(src, dst) AS u, greatest(src, dst) AS v
-  FROM e GROUP BY 1, 2),
-tri AS MATERIALIZED (
-  SELECT a.u AS x, a.v AS y, b.v AS z
-  FROM ue a JOIN ue b ON b.u = a.v
-  JOIN ue c ON c.u = a.u AND c.v = b.v),
-pern AS (
-  SELECT node, count(*) AS n_tri FROM (
-    SELECT x AS node FROM tri UNION ALL SELECT y FROM tri
-    UNION ALL SELECT z FROM tri) GROUP BY 1)
-SELECT n_tri, count(*) AS n_nodes,
-       CAST(sum(node) AS BIGINT) AS node_checksum
-FROM pern GROUP BY 1
-""")
-def triangle_histogram(sf_dir: str):
-    """Triangle counting over the extracted web link graph
-    (degree-oriented compact-forward): edges orient from the
-    (degree, id)-smaller endpoint so out-adjacencies stay O(sqrt(m))
-    and each triangle is generated once as a wedge at its smallest
-    vertex, closed by ONE bucketed semi-join of wedge keys against
-    oriented-edge keys. Output: the per-node triangle-count histogram
-    (its weighted sum is 3x the global count). The oracle is the
-    textbook ordered 3-way self-join over the same edge CTE — a
-    different algorithm, so the hash match checks the orientation
-    logic (geoflow.stages.graph.triangle_node_counts)."""
-    from ..functions.agg import grouped_count_sum
-    from ..stages.graph import triangle_node_counts
-
-    pairs, _docs = _link_pairs(sf_dir)
-    counts = triangle_node_counts(pairs)
-
-    def _h(b: pa.Table) -> pa.Table:
-        return pa.table({"n_tri": pc.cast(b.column("n_tri"), pa.int64()),
-                         "node": pc.cast(b.column("node"), pa.int64())})
-
-    out = grouped_count_sum(
-        counts.map_batches(_h, batch_format="pyarrow"),
-        ["n_tri"], ["node"], count_alias="n_nodes").to_pandas()
-    out = out.rename(columns={"node_sum": "node_checksum"})
-    return out[["n_tri", "n_nodes", "node_checksum"]].astype(np.int64)
 
 
 def _route_match_sql():
@@ -6880,85 +6669,6 @@ def d8_flow_accumulation(sf_dir: str):
     return out[["cell", "gy", "gx", "acc"]]
 
 
-def _bfs_hops_sql(rounds: int = 6, inf: int = 1_000_000) -> str:
-    parts = [f"d0 AS MATERIALIZED (SELECT doc_id, CASE WHEN doc_id < 3 "
-             f"THEN 0 ELSE {inf} END AS d FROM documents)"]
-    for k in range(1, rounds + 1):
-        parts.append(f"""d{k} AS MATERIALIZED (
-  SELECT doc.doc_id, LEAST(p.d, coalesce(m.md, {inf})) AS d
-  FROM documents doc
-  JOIN d{k - 1} p ON p.doc_id = doc.doc_id
-  LEFT JOIN (SELECT e.dst AS doc_id, min(p2.d + 1) AS md
-             FROM e JOIN d{k - 1} p2 ON e.src = p2.doc_id
-             WHERE p2.d < {inf} GROUP BY 1) m
-    ON m.doc_id = doc.doc_id)""")
-    return (_LINKS_SQL_CTE + ",\n" + ",\n".join(parts)
-            + f"\nSELECT doc_id, CAST(d AS BIGINT) AS hops"
-              f" FROM d{rounds} WHERE d < {inf}\n")
-
-
-@register("bfs_hops_pages", lazy_sql=_bfs_hops_sql)
-def bfs_hops_pages(sf_dir: str):
-    """Multi-seed BFS hop distance (single-source shortest paths, unit
-    weights) over the extracted web link graph: synchronous
-    Bellman-Ford rounds — per round ONE bucketed hash join of the
-    frontier (reached nodes only) onto the materialized edge table +
-    ONE groupby-min over old-distances union candidates, the same
-    iterative-BSP plan shape as pagerank_pages. 6 rounds cover the
-    fixture graph's reach from seeds doc_id < 3 (web graphs: effective
-    diameter ~6); all-integer, so the chained-materialized-CTE
-    DuckDB replay hash-matches exactly
-    (geoflow.stages.graph.bfs_hops)."""
-    from ..stages.graph import bfs_hops
-
-    pairs, docs = _link_pairs(sf_dir)
-    return bfs_hops(pairs, docs.select_columns(["doc_id"]),
-                    seed_pred=lambda ids: ids < 3, rounds=6)
-
-
-@register("anchor_text_stats_docs", sql=_LINKS_SQL_CTE + """,
-aj AS MATERIALIZED (
-  SELECT doc_id AS src, j,
-         (doc_id * 31 + j * 977 + 7) % (SELECT c FROM nn) AS dst
-  FROM js),
-a2 AS MATERIALIZED (
-  SELECT src, dst,
-         'go ' || CAST(dst AS VARCHAR) || ' ref' || CAST(j AS VARCHAR)
-           AS anchor
-  FROM aj WHERE dst <> src)
-SELECT dst AS doc_id, CAST(count(*) AS BIGINT) AS n_anchors,
-       CAST(count(DISTINCT anchor) AS BIGINT) AS n_texts,
-       min(anchor) AS top_text
-FROM a2 GROUP BY 1
-""")
-def anchor_text_stats_docs(sf_dir: str):
-    """Anchor-text corpus construction: every <a> tag's inner text is
-    attributed to its TARGET page (classic web relevance / label
-    signal), then profiled per target — anchor count, distinct anchor
-    strings, lexicographic-min representative. Extraction is the same
-    whole-column Arrow split_pattern + flat extract_regex chain as the
-    link extractor (duplicate (src,dst) anchors KEPT, each with its own
-    text); the oracle re-derives every anchor string from doc_id
-    arithmetic alone, so a hash match proves byte-exact text recovery
-    (geoflow.stages.graph.extract_anchor_texts / anchor_text_stats)."""
-    from ..stages.graph import (anchor_text_stats, extract_anchor_texts,
-                                synth_page_html)
-
-    ds = _read(sf_dir, "documents", ["doc_id"])
-    n = ds.count()
-
-    def _synth(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy().astype(np.int64)
-        return pa.table({
-            "doc_id": pa.array(ids, pa.int64()),
-            "html": pa.array(synth_page_html(ids, n), pa.string())})
-
-    anchors = (ds.map_batches(_synth, batch_format="pyarrow")
-                 .map_batches(extract_anchor_texts,
-                              batch_format="pyarrow"))
-    return anchor_text_stats(anchors)
-
-
 def _profile_sql() -> str:
     from ..stages.hydrology import hydro_dem_sql
 
@@ -7360,347 +7070,6 @@ def daily_distinct_users(sf_dir: str):
     return exact.sort_values("day").reset_index(drop=True)
 
 
-@register("mutual_link_communities", sql="WITH RECURSIVE "
-          + _LINKS_SQL_CTE.strip().removeprefix("WITH ") + """,
-m AS (SELECT e1.src AS a, e1.dst AS b
-      FROM e e1 JOIN e e2 ON e1.dst = e2.src AND e1.src = e2.dst
-      WHERE e1.src < e1.dst),
-medges AS (SELECT a AS s, b AS d FROM m UNION ALL SELECT b, a FROM m),
-reach(a, b) AS (
-  SELECT s, d FROM medges
-  UNION
-  SELECT r.a, e2.d FROM reach r JOIN medges e2 ON r.b = e2.s
-),
-comp AS (SELECT a AS doc_id, least(a, min(b)) AS component
-         FROM reach GROUP BY a),
-full_c AS (SELECT d.doc_id, coalesce(c.component, d.doc_id) AS component
-           FROM documents d LEFT JOIN comp c USING (doc_id))
-SELECT component AS representative_id,
-       CAST(count(*) AS BIGINT) AS cluster_size
-FROM full_c GROUP BY component
-""")
-def mutual_link_communities(sf_dir: str):
-    """Communities of mutually-linked pages — a PARTITION of the whole
-    corpus: reciprocated edges (one bucketed packed-key self-join of
-    the link table) -> distributed min-label connected components;
-    pages with no mutual link are their own singleton community (so
-    the result is non-degenerate even when reciprocation is rare).
-    The mutual subgraph is the spam-resistant community substrate; the
-    oracle replays reciprocation + a recursive-CTE transitive closure
-    (geoflow.stages.graph.mutual_edges + stages.dedup.dup_components)."""
-    from ray.data.aggregate import Count, Min
-
-    from ..stages.dedup import dup_components
-    from ..stages.graph import mutual_edges
-
-    pairs, docs = _link_pairs(sf_dir)
-    comp = dup_components(mutual_edges(pairs))
-    selfc = docs.select_columns(["doc_id"]).map_batches(
-        lambda b: pa.table({
-            "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
-            "component": pc.cast(b.column("doc_id"), pa.int64())}),
-        batch_format="pyarrow")
-    # component label <= own id always, so min over the union assigns
-    # the propagated label where one exists, self otherwise
-    full_c = comp.union(selfc).groupby("doc_id").aggregate(
-        Min("component", alias_name="component"))
-    agg = full_c.groupby("component").aggregate(
-        Count(alias_name="cluster_size"))
-    return agg.map_batches(
-        lambda b: pa.table({
-            "representative_id": pc.cast(b.column("component"), pa.int64()),
-            "cluster_size": pc.cast(b.column("cluster_size"), pa.int64()),
-        }), batch_format="pyarrow")
-
-
-@register("degree_assortativity_pages", sql=_LINKS_SQL_CTE + """,
-o AS (SELECT src, count(*) AS c FROM e GROUP BY 1),
-i AS (SELECT dst, count(*) AS c FROM e GROUP BY 1),
-j AS (SELECT o.c AS du, i.c AS dv
-      FROM e JOIN o ON o.src = e.src JOIN i ON i.dst = e.dst),
-red AS (SELECT count(*) AS m, sum(du) AS sdu, sum(dv) AS sdv,
-               sum(du * dv) AS sdudv, sum(du * du) AS sdu2,
-               sum(dv * dv) AS sdv2 FROM j)
-SELECT CAST(m AS BIGINT) AS n_edges,
-       CAST(sdu AS BIGINT) AS s_du, CAST(sdv AS BIGINT) AS s_dv,
-       CAST(sdudv AS BIGINT) AS s_dudv,
-       round(CAST(m * sdudv - sdu * sdv AS DOUBLE)
-             / sqrt(CAST(m * sdu2 - sdu * sdu AS DOUBLE)
-                    * CAST(m * sdv2 - sdv * sdv AS DOUBLE)), 6)
-           AS assortativity
-FROM red
-""")
-def degree_assortativity_pages(sf_dir: str):
-    """Directed out-in degree assortativity of the link graph: the
-    Pearson correlation over edges between source out-degree and
-    target in-degree (do hubs link to hubs? — a structural spam/
-    quality signal). Degrees attach to each edge endpoint via two
-    chained bucketed hash joins; the five moment sums are EXACT int64
-    (headroom: sum(du*dv) needs m * dmax^2 < 2^63 — beyond that emit
-    residues, the moran idiom) and only the closing Pearson division
-    is float, mirrored operand-for-operand in SQL."""
-    import math
-
-    from ray.data.aggregate import Count, Sum
-
-    from ..functions.joins import bucketed_hash_join
-    from ..stages.graph import link_degrees
-
-    pairs, docs = _link_pairs(sf_dir)
-    pairs = pairs.materialize()
-    deg = link_degrees(pairs, docs.select_columns(["doc_id"])) \
-        .materialize()
-    du_side = deg.map_batches(
-        lambda b: pa.table({"_du_id": pc.cast(b.column("doc_id"),
-                                              pa.int64()),
-                            "du": pc.cast(b.column("out_deg"),
-                                          pa.int64())}),
-        batch_format="pyarrow")
-    dv_side = deg.map_batches(
-        lambda b: pa.table({"_dv_id": pc.cast(b.column("doc_id"),
-                                              pa.int64()),
-                            "dv": pc.cast(b.column("in_deg"),
-                                          pa.int64())}),
-        batch_format="pyarrow")
-    j1 = bucketed_hash_join(pairs, du_side, "src", "_du_id")
-    j2 = bucketed_hash_join(j1.drop_columns(["_key"]), dv_side,
-                            "dst", "_dv_id")
-
-    def _moments(b: pa.Table) -> pa.Table:
-        du = b.column("du").to_numpy().astype(np.int64)
-        dv = b.column("dv").to_numpy().astype(np.int64)
-        return pa.table({
-            "_du": pa.array(du), "_dv": pa.array(dv),
-            "_dudv": pa.array(du * dv), "_du2": pa.array(du * du),
-            "_dv2": pa.array(dv * dv)})
-
-    agg = j2.map_batches(_moments, batch_format="pyarrow").aggregate(
-        Count(), Sum("_du"), Sum("_dv"), Sum("_dudv"),
-        Sum("_du2"), Sum("_dv2"))
-    m = int(agg["count()"])
-    sdu, sdv = int(agg["sum(_du)"]), int(agg["sum(_dv)"])
-    sdudv = int(agg["sum(_dudv)"])
-    sdu2, sdv2 = int(agg["sum(_du2)"]), int(agg["sum(_dv2)"])
-    r = round(float(m * sdudv - sdu * sdv)
-              / math.sqrt(float(m * sdu2 - sdu * sdu)
-                          * float(m * sdv2 - sdv * sdv)), 6)
-    return pd.DataFrame([{
-        "n_edges": np.int64(m), "s_du": np.int64(sdu),
-        "s_dv": np.int64(sdv), "s_dudv": np.int64(sdudv),
-        "assortativity": r}])
-
-
-@register("link_reciprocity_pages", sql=_LINKS_SQL_CTE + """,
-m AS (SELECT e1.src FROM e e1
-      JOIN e e2 ON e1.dst = e2.src AND e1.src = e2.dst)
-SELECT d.doc_id, CAST(coalesce(o.c, 0) AS BIGINT) AS out_deg,
-       CAST(coalesce(r.c, 0) AS BIGINT) AS n_recip
-FROM documents d
-LEFT JOIN (SELECT src AS doc_id, count(*) AS c FROM e GROUP BY 1) o
-  USING (doc_id)
-LEFT JOIN (SELECT src AS doc_id, count(*) AS c FROM m GROUP BY 1) r
-  USING (doc_id)
-""")
-def link_reciprocity_pages(sf_dir: str):
-    """Per-page link reciprocity: out-degree and the number of
-    out-links that are linked BACK (the mutual fraction is a standard
-    link-farm / community signal). Reciprocated directed edges come
-    from ONE bucketed packed-key self-join (edge (s,d) probes key
-    (d,s)); then the union-of-slim-emissions idiom (the link_degrees
-    shape) folds edge counters, reciprocation counters and node zero
-    seeds in ONE groupby-sum — robust to an EMPTY mutual set (no
-    left-join against a possibly schemaless empty side)."""
-    from ray.data.aggregate import Sum
-
-    from ..functions.joins import bucketed_hash_join
-    from ..stages.graph import _pack
-
-    pairs, docs = _link_pairs(sf_dir)
-    pairs = pairs.materialize()
-
-    def _fwd(b: pa.Table) -> pa.Table:
-        s = b.column("src").to_numpy().astype(np.int64)
-        d = b.column("dst").to_numpy().astype(np.int64)
-        return pa.table({"_k": pa.array(_pack(s, d)),
-                         "rsrc": pa.array(s)})
-
-    def _rev(b: pa.Table) -> pa.Table:
-        s = b.column("src").to_numpy().astype(np.int64)
-        d = b.column("dst").to_numpy().astype(np.int64)
-        return pa.table({"_rk": pa.array(_pack(d, s))})
-
-    matched = bucketed_hash_join(
-        pairs.map_batches(_fwd, batch_format="pyarrow"),
-        pairs.map_batches(_rev, batch_format="pyarrow"),
-        "_k", "_rk")
-
-    def _emit_recip(b: pa.Table) -> pa.Table:
-        s = b.column("rsrc").to_numpy().astype(np.int64)
-        return pa.table({"doc_id": pa.array(s),
-                         "_o": pa.array(np.zeros(len(s), np.int64)),
-                         "_r": pa.array(np.ones(len(s), np.int64))})
-
-    def _emit_out(b: pa.Table) -> pa.Table:
-        s = b.column("src").to_numpy().astype(np.int64)
-        return pa.table({"doc_id": pa.array(s),
-                         "_o": pa.array(np.ones(len(s), np.int64)),
-                         "_r": pa.array(np.zeros(len(s), np.int64))})
-
-    def _seed(b: pa.Table) -> pa.Table:
-        z = pa.array(np.zeros(len(b), np.int64))
-        return pa.table({"doc_id": pc.cast(b.column("doc_id"), pa.int64()),
-                         "_o": z, "_r": z})
-
-    emitted = (pairs.map_batches(_emit_out, batch_format="pyarrow")
-               .union(matched.map_batches(_emit_recip,
-                                          batch_format="pyarrow"))
-               .union(docs.select_columns(["doc_id"]).map_batches(
-                   _seed, batch_format="pyarrow")))
-    agg = emitted.groupby("doc_id").aggregate(
-        Sum("_o", alias_name="out_deg"), Sum("_r", alias_name="n_recip"))
-    return agg.map_batches(
-        lambda b: pa.table({
-            "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
-            "out_deg": pc.cast(b.column("out_deg"), pa.int64()),
-            "n_recip": pc.cast(b.column("n_recip"), pa.int64())}),
-        batch_format="pyarrow")
-
-
-def _ppr_sql(iters: int = 4) -> str:
-    seed_r0 = ("CASE WHEN doc_id < 3 THEN 1000000000000 ELSE 0 END")
-    seed_base = ("CASE WHEN d.doc_id < 3 THEN 150000000000 ELSE 0 END")
-    parts = ["od AS MATERIALIZED (SELECT src, count(*) AS od "
-             "FROM e GROUP BY 1)",
-             f"p0 AS MATERIALIZED (SELECT doc_id, "
-             f"CAST({seed_r0} AS BIGINT) AS r FROM documents)"]
-    for k in range(1, iters + 1):
-        parts.append(f"""p{k} AS MATERIALIZED (
-  SELECT d.doc_id, CAST({seed_base} + coalesce(s.m, 0) AS BIGINT) AS r
-  FROM documents d LEFT JOIN (
-    SELECT e.dst AS doc_id, sum((85 * r.r) // (100 * od.od)) AS m
-    FROM e JOIN p{k - 1} r ON e.src = r.doc_id JOIN od ON od.src = e.src
-    GROUP BY 1) s USING (doc_id))""")
-    return (_LINKS_SQL_CTE + ",\n" + ",\n".join(parts)
-            + f"\nSELECT doc_id, r AS ppr FROM p{iters}\n")
-
-
-@register("ppr_pages", lazy_sql=_ppr_sql)
-def ppr_pages(sf_dir: str):
-    """Personalized PageRank / random-walk-with-restart from seed set
-    doc_id < 3: teleport base and initial mass go ONLY to seeds, so
-    ranks measure graph proximity to the seeds (relevance-biased
-    sampling weights for curation). Same exact-int64 iterative plan
-    as pagerank_pages; the oracle's base term becomes a CASE on the
-    seed predicate (geoflow.stages.graph.pagerank_int seed_pred)."""
-    from ..stages.graph import pagerank_int
-
-    pairs, docs = _link_pairs(sf_dir)
-    out = pagerank_int(pairs, docs.select_columns(["doc_id"]), iters=4,
-                       seed_pred=lambda ids: ids < 3)
-    return out.map_batches(
-        lambda b: pa.table({"doc_id": b.column("doc_id"),
-                            "ppr": b.column("pr")}),
-        batch_format="pyarrow")
-
-
-@register("two_hop_reach_pages", sql=_LINKS_SQL_CTE + """
-SELECT src AS doc_id, CAST(count(DISTINCT w) AS BIGINT) AS n_reach2
-FROM (SELECT src, dst AS w FROM e
-      UNION ALL
-      SELECT e1.src, e2.dst AS w FROM e e1 JOIN e e2 ON e1.dst = e2.src)
-WHERE w <> src GROUP BY 1
-""")
-def two_hop_reach_pages(sf_dir: str):
-    """Friends-of-friends audience size: DISTINCT pages reachable in
-    <= 2 hops per page (self excluded). One bucketed self-join of the
-    edge table on the mid node, batch-local (src, w) dedup, ONE
-    bucketed shuffle + per-bucket exact distinct count
-    (geoflow.stages.graph.two_hop_reach)."""
-    from ..stages.graph import two_hop_reach
-
-    pairs, _docs = _link_pairs(sf_dir)
-    return two_hop_reach(pairs)
-
-
-def _hits_sql(iters: int = 2, scale: int = 10**6) -> str:
-    parts = [f"h0 AS MATERIALIZED (SELECT doc_id, "
-             f"CAST({scale} AS BIGINT) AS s FROM documents)"]
-    for k in range(1, iters + 1):
-        parts.append(f"""a{k}r AS MATERIALIZED (
-  SELECT e.dst AS doc_id, CAST(sum(h.s) AS BIGINT) AS s
-  FROM e JOIN h{k - 1} h ON e.src = h.doc_id GROUP BY 1)""")
-        parts.append(f"""a{k} AS MATERIALIZED (
-  SELECT doc_id, CAST(s * {scale}
-    // greatest((SELECT max(s) FROM a{k}r), 1) AS BIGINT) AS s
-  FROM a{k}r)""")
-        parts.append(f"""h{k}r AS MATERIALIZED (
-  SELECT e.src AS doc_id, CAST(sum(a.s) AS BIGINT) AS s
-  FROM e JOIN a{k} a ON e.dst = a.doc_id GROUP BY 1)""")
-        parts.append(f"""h{k} AS MATERIALIZED (
-  SELECT doc_id, CAST(s * {scale}
-    // greatest((SELECT max(s) FROM h{k}r), 1) AS BIGINT) AS s
-  FROM h{k}r)""")
-    return (_LINKS_SQL_CTE + ",\n" + ",\n".join(parts) + f"""
-SELECT d.doc_id, CAST(coalesce(h.s, 0) AS BIGINT) AS hub,
-       CAST(coalesce(a.s, 0) AS BIGINT) AS auth
-FROM documents d
-LEFT JOIN h{iters} h ON h.doc_id = d.doc_id
-LEFT JOIN a{iters} a ON a.doc_id = d.doc_id
-""")
-
-
-@register("hits_scores_pages", lazy_sql=_hits_sql)
-def hits_scores_pages(sf_dir: str):
-    """HITS hub/authority scores over the extracted web link graph in
-    EXACT int64 (max-normalized per half-round so a chained-CTE DuckDB
-    replay with `//` floor division hash-matches bit for bit). Per
-    half-round: ONE bucketed hash join of the score table onto the
-    materialized edge table + ONE bucketed grouped sum + a scalar max
-    (geoflow.stages.graph.hits_int)."""
-    from ..stages.graph import hits_int
-
-    pairs, docs = _link_pairs(sf_dir)
-    return hits_int(pairs, docs.select_columns(["doc_id"]), iters=2)
-
-
-def _sssp_sql(rounds: int = 8, inf: int = 1_000_000) -> str:
-    parts = [f"s0 AS MATERIALIZED (SELECT doc_id, CASE WHEN doc_id < 3 "
-             f"THEN 0 ELSE {inf} END AS d FROM documents)"]
-    for k in range(1, rounds + 1):
-        parts.append(f"""s{k} AS MATERIALIZED (
-  SELECT doc.doc_id, LEAST(p.d, coalesce(m.md, {inf})) AS d
-  FROM documents doc
-  JOIN s{k - 1} p ON p.doc_id = doc.doc_id
-  LEFT JOIN (SELECT e.dst AS doc_id,
-                    min(p2.d + 1 + (e.src + e.dst) % 5) AS md
-             FROM e JOIN s{k - 1} p2 ON e.src = p2.doc_id
-             WHERE p2.d < {inf} GROUP BY 1) m
-    ON m.doc_id = doc.doc_id)""")
-    return (_LINKS_SQL_CTE + ",\n" + ",\n".join(parts)
-            + f"\nSELECT doc_id, CAST(d AS BIGINT) AS dist"
-              f" FROM s{rounds} WHERE d < {inf}\n")
-
-
-@register("sssp_weighted_pages", lazy_sql=_sssp_sql)
-def sssp_weighted_pages(sf_dir: str):
-    """Weighted multi-seed shortest paths over the link graph —
-    bounded Bellman-Ford: after 8 rounds each distance is EXACTLY the
-    cheapest path using <= 8 edges (deterministic integer weights
-    w = 1 + (src + dst) % 5, replayed verbatim in the chained-CTE
-    oracle). Unlike BFS the frontier is every reached node (cheaper
-    longer-hop paths can still improve a settled node), so per round:
-    ONE bucketed join of reached distances onto the weighted edge
-    table + ONE bucketed groupby-min
-    (geoflow.stages.graph.sssp_rounds)."""
-    from ..stages.graph import sssp_rounds
-
-    pairs, docs = _link_pairs(sf_dir)
-    return sssp_rounds(pairs, docs.select_columns(["doc_id"]),
-                       seed_pred=lambda ids: ids < 3,
-                       weight_fn=lambda s, d: 1 + (s + d) % 5,
-                       rounds=8)
-
-
 @register("retention_cohorts", sql="""
 WITH ud AS (
   SELECT DISTINCT user_id,
@@ -7999,15 +7368,14 @@ _PAST_WINDOW = [
     # decision-level by in-window corpus_curation.
     "domain_stats", "line_dedup_docs", "nearest_site_docs",
     "doc_quality_scores",
-    # two twin-covered demotions freeing slots for the link-graph
-    # family: CASE-band aggregation is the q1_pricing_summary shape on
-    # the events table (whose hourly rollup stays in-window via
-    # events_hourly_streaming); the order->lineitem join rollup is the
-    # same join+agg plan as in-window revenue_by_region AND
-    # bloom_semi_revenue over the same tables.
+    # two twin-covered demotions: CASE-band aggregation is the
+    # q1_pricing_summary shape on the events table (whose hourly rollup
+    # stays in-window via events_hourly_streaming); the order->lineitem
+    # join rollup is the same join+agg plan as in-window
+    # revenue_by_region AND bloom_semi_revenue over the same tables.
     "events_value_bands", "order_lineitem_revenue",
-    # ...and two more for the same family: token-id ENCODE against a
-    # learned vocabulary is the apply-side of the in-window bpe_merges
+    # ...and two more: token-id ENCODE against a learned vocabulary
+    # is the apply-side of the in-window bpe_merges
     # training replay (the encode query was verified against that
     # replay's final type table); deterministic hash-split routing is
     # covered in-window by epoch_shuffled_docs (hash-rank positions
@@ -8084,10 +7452,6 @@ _PAST_WINDOW = [
     # quantiles stay locally validated at 3 scales, with the KLL
     # sketch's self-check covering the approximate path.
     "quantity_quantiles",
-    # demotion admitting cell_top_lang: the degree rollup is strictly
-    # contained in the in-window PageRank plan (extraction + outdegree
-    # feed the rank iterations its bit-exact oracle replays).
-    "link_graph_degrees",
     # demotion admitting corridor_docs: the quad-hierarchy machinery
     # compaction exercises keeps TWO in-window reps — bbox_cover_scan_
     # docs (quad-descent cover, Morton ranges, pruned scan + exact
@@ -8193,14 +7557,6 @@ _PAST_WINDOW = [
     # through bbox_cover_scan_docs); the merge-on-read fill is pinned
     # by test_timetravel + 3-scale local validation.
     "schema_evolution_reads",
-    # self-demotion (window at capacity): coreness shares its whole
-    # shuffle inventory with in-window queries — the edge CTE +
-    # extraction with pagerank_pages, bucket-grouped vectorized passes
-    # with the window/session family — and its iterate-to-fixpoint
-    # posture has an in-window rep in cost_distance_blocks; the
-    # h-index==peel equivalence is pinned by pytest + 3-scale local
-    # validation against the 16-round chained-CTE replay.
-    "coreness_histogram",
     # self-demotion (window at capacity): time travel's storage
     # mechanics extend a family with an in-window rep — snapshot zone
     # maps + pruned residual reads ARE bbox_cover_scan_docs' in-window
@@ -8220,14 +7576,6 @@ _PAST_WINDOW = [
     # code path), and the per-user ordered collect is the stay_points/
     # funnel bucket shape; validated locally at 3 scales.
     "behavior_near_dup_users",
-    # self-demotion (window at capacity): triangle counting's shuffle
-    # building blocks all keep in-window reps — bucketed hash joins
-    # via od_two_hop / revenue_by_region, counter groupbys everywhere,
-    # link extraction + the same edge CTE via pagerank_pages (which
-    # also pins the graph itself bit-exactly); the degree-orientation
-    # wedge logic is pinned by a brute-force pytest on adversarial
-    # graphs + 3-scale local validation against the 3-way-join oracle.
-    "triangle_histogram",
     # self-demotion (window at capacity): map matching's mechanisms
     # keep in-window reps — the exact integer point-to-segment cases
     # via corridor_docs (same endpoint/interior algebra, bit-replayed)

@@ -821,9 +821,9 @@ def _dup_window_stats_semijoin(ds, dup_ds, id_col: str, text_col: str,
                                window: int, num_buckets: int):
     """Scale path of ``dup_window_stats``: the duplicated-window set
     stays distributed. Two slim emissions union into ONE doc-keyed
-    grouped sum (the link_degrees idiom): (a) per-doc window totals
-    straight from the explode pass; (b) per-doc duplicated-position
-    counts from a bucketed semi-join — (doc, window, occurrence-count)
+    grouped sum: (a) per-doc window totals straight from the explode
+    pass; (b) per-doc duplicated-position counts from a bucketed
+    semi-join — (doc, window, occurrence-count)
     rows co-group with the duplicated windows in poly-hash(window)
     buckets and in-bucket string ``isin`` keeps exactness (the hash
     only routes). Nothing corpus-sized touches the driver."""

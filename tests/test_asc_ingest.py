@@ -73,7 +73,12 @@ def test_correct_cli_on_reference_degenerate_raster(ray_session, tmp_path):
     from geoflow.pipelines.correction import run_correction
     from geoflow.sources.tiles import asc_to_tile_table
 
-    tbl, _meta = asc_to_tile_table("/root/reference/test/tenbytenraster.asc")
+    # the reference grid as documented above, written locally
+    p = tmp_path / "tenbytenraster.asc"
+    p.write_text("NCOLS 10\nNROWS 10\nXLLCORNER 0\nYLLCORNER 0\n"
+                 "DX 10\nDY 10\nNODATA_VALUE -9999\n"
+                 + "0 1 2 3 4 5 6 7 8 9\n" * 10)
+    tbl, _meta = asc_to_tile_table(str(p))
     corrected, coeffs = run_correction(rd.from_arrow(tbl), "C-correction")
     out = corrected.to_pandas()
     assert len(out) >= 1
