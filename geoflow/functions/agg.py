@@ -266,26 +266,12 @@ def profile_columns(ds, cols: list[str]):
         _combine, batch_format="pandas")
 
 
-def nonempty_arrow_blocks(ds) -> list[pa.Table]:
-    """Materialized Arrow blocks of ``ds`` with zero-row blocks dropped.
-
-    Ray's sort-based shuffle (groupby / sort / repartition(shuffle))
-    can emit zero-row blocks whose schema is EMPTY (no columns at
-    all) — indexing a column on such a block raises KeyError
-    nondeterministically (depends on block-to-task placement, so it
-    appears only at some CPU counts). Every ``to_arrow_refs`` consumer
-    must go through this helper instead of fetching refs directly.
-    """
-    import ray
-
-    blocks = ray.get(list(ds.to_arrow_refs()))
-    return [b for b in blocks if b.num_rows > 0]
-
-
 def nonempty_batches(ds, **kwargs):
-    """``iter_batches(batch_format="pyarrow")`` with zero-row (possibly
-    empty-schema) batches skipped — same defense as
-    ``nonempty_arrow_blocks`` for streaming consumers."""
+    """``iter_batches(batch_format="pyarrow")`` with zero-row batches
+    skipped. Ray's sort-based shuffle (groupby / sort / repartition)
+    can emit zero-row blocks whose schema is EMPTY (no columns at
+    all); indexing a column on such a batch raises KeyError, and only
+    at some block-to-task placements (so only at some CPU counts)."""
     for b in ds.iter_batches(batch_format="pyarrow", **kwargs):
         if b.num_rows > 0:
             yield b

@@ -2492,144 +2492,6 @@ def sampled_docs(sf_dir: str):
     return ds.map_batches(_sample, batch_format="pyarrow")
 
 
-@register("tfidf_top_terms", sql=r"""
-WITH tok AS (
-  SELECT doc_id, unnest(regexp_extract_all(text, '\S+')) AS term
-  FROM documents
-),
-tf AS (SELECT doc_id, term, count(*) AS tf FROM tok GROUP BY 1, 2),
-df AS (SELECT term, count(*) AS df FROM tf GROUP BY 1),
-sc AS (SELECT t.doc_id, t.term,
-              CAST(t.tf * 1000000000000 // d.df AS BIGINT) AS score_e12,
-              row_number() OVER (PARTITION BY t.doc_id
-                                 ORDER BY t.tf * 1000000000000 // d.df DESC,
-                                          t.term ASC) AS rk
-       FROM tf t JOIN df d USING (term))
-SELECT doc_id, term, score_e12, CAST(rk AS BIGINT) AS rk
-FROM sc WHERE rk <= 3
-""")
-def tfidf_top_terms(sf_dir: str):
-    """Per-document top-3 salient terms by EXACT integer tf-idf
-    (tf * 10^12 // df, reciprocal-df idf — same ranking as tf/df with
-    no float-tie hazard). Distributed: Arrow-aggregated (doc, term, tf)
-    rows, combiner-pattern DF count, broadcast DF dictionary under the
-    vocab guard, per-doc top-k inside hash buckets
-    (geoflow.stages.curation.tfidf_top_terms)."""
-    from ..stages.curation import tfidf_top_terms as _tfidf
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = _tfidf(ds, "doc_id", "text", k=3)
-    return out.map_batches(
-        lambda b: pa.table({
-            "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
-            "term": b.column("term"),
-            "score_e12": pc.cast(b.column("score_e12"), pa.int64()),
-            "rk": pc.cast(b.column("rk"), pa.int64()),
-        }), batch_format="pyarrow")
-
-
-@register("decontaminated_docs", sql=r"""
-WITH tok AS (
-  SELECT doc_id, regexp_extract_all(text, '\S+') AS toks FROM documents
-),
-sh AS (
-  SELECT doc_id, unnest(CASE WHEN len(toks) < 5
-       THEN CASE WHEN len(toks) = 0 THEN CAST([] AS VARCHAR[])
-                 ELSE [array_to_string(toks, ' ')] END
-       ELSE list_transform(range(1, len(toks) - 3),
-            i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2] || ' '
-                 || toks[i+3] || ' ' || toks[i+4])
-       END) AS s
-  FROM tok
-),
-shd AS (SELECT DISTINCT doc_id, s FROM sh),
-bench AS (SELECT DISTINCT s FROM shd WHERE doc_id % 23 = 0)
-SELECT a.doc_id, count(*) AS n_contaminated
-FROM shd a JOIN bench b ON a.s = b.s
-WHERE a.doc_id % 23 <> 0
-GROUP BY a.doc_id
-""")
-def decontaminated_docs(sf_dir: str):
-    """Benchmark decontamination: every corpus doc sharing >= 1 distinct
-    word-5-shingle with the pseudo-benchmark slice (doc_id % 23 = 0) is
-    flagged with its contaminated-shingle count. The benchmark shingle
-    set broadcasts (eval sets are small by nature); the corpus streams
-    once with zero shuffles (geoflow.stages.curation.decontaminate)."""
-    from ..stages.curation import benchmark_shingle_set, decontaminate
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    bench = docs.map_batches(
-        lambda b: b.filter(pa.array(b.column("doc_id").to_numpy() % 23 == 0)),
-        batch_format="pyarrow")
-    shingles = benchmark_shingle_set(bench, "text", k=5)
-    corpus = docs.map_batches(
-        lambda b: b.filter(pa.array(b.column("doc_id").to_numpy() % 23 != 0)),
-        batch_format="pyarrow")
-    return decontaminate(corpus, shingles, "doc_id", "text", k=5)
-
-
-_PII_DOCS_CTE = """
-docs AS (
-  SELECT doc_id,
-    text || CASE WHEN doc_id % 5 = 0
-       THEN ' contact user' || CAST(doc_id AS VARCHAR)
-            || '@example.com now' ELSE '' END
-         || CASE WHEN doc_id % 7 = 0
-       THEN ' call +1 (555) 010-' || CAST(doc_id % 10000 AS VARCHAR)
-            || ' asap' ELSE '' END AS text
-  FROM documents
-)
-"""
-
-
-@register("pii_scrub_docs", sql="WITH " + _PII_DOCS_CTE + r"""
-SELECT doc_id,
-  CAST(len(regexp_extract_all(text,
-       '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z][A-Za-z]+'))
-       AS BIGINT) AS n_emails,
-  CAST(len(regexp_extract_all(regexp_replace(text,
-       '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z][A-Za-z]+',
-       '[EMAIL]', 'g'), '\+[0-9][0-9()\- ]{6,}[0-9]')) AS BIGINT)
-       AS n_phones,
-  CAST(length(regexp_replace(regexp_replace(text,
-       '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z][A-Za-z]+',
-       '[EMAIL]', 'g'), '\+[0-9][0-9()\- ]{6,}[0-9]', '[PHONE]', 'g'))
-       AS BIGINT) AS scrubbed_len
-FROM docs
-""")
-def pii_scrub_docs(sf_dir: str):
-    """PII scrub over a corpus with deterministically injected emails
-    (doc_id % 5) and phone numbers (doc_id % 7): redact emails then
-    phones, count each, report the scrubbed length. Patterns are
-    restricted to constructs where Python re and DuckDB RE2 match
-    identically (verified pairwise in tests), so the whole scrub chain
-    is SQL-replayed (geoflow.stages.curation.pii_scrub_batch)."""
-    from ..stages.curation import pii_scrub_batch
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def _inject(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy().astype(np.int64)
-        texts = b.column("text").to_pylist()
-        out = []
-        for i, t in zip(ids.tolist(), texts):
-            t = t or ""
-            if i % 5 == 0:
-                t += f" contact user{i}@example.com now"
-            if i % 7 == 0:
-                t += f" call +1 (555) 010-{i % 10000} asap"
-            out.append(t)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "text": pa.array(out, pa.string())})
-
-    scrubbed = ds.map_batches(_inject, batch_format="pyarrow") \
-        .map_batches(pii_scrub_batch, batch_format="pyarrow")
-    return scrubbed.map_batches(
-        lambda b: b.select(["doc_id", "n_emails", "n_phones",
-                            "scrubbed_len"]),
-        batch_format="pyarrow")
-
-
 @register("events_lag_delta", sql="""
 WITH t AS (
   SELECT event_id, user_id,
@@ -2721,290 +2583,6 @@ def video_frame_embeddings(sf_dir: str):
     assert set(out["media_id"]) == set(metas)
     return (out[["media_id", "frame_idx", "ts_s"]]
             .sort_values(["media_id", "frame_idx"]).reset_index(drop=True))
-
-
-# ---------------------------------------------------------------------------
-# Round-3 web-corpus quality / curation family (geoflow.stages.webquality)
-# ---------------------------------------------------------------------------
-
-_TOKS_CTE = r"""
-WITH toks AS (
-  SELECT doc_id, regexp_extract_all(text, '\S+') AS t FROM documents
-)"""
-
-
-@register("doc_repetition_stats", sql=_TOKS_CTE + """,
-big AS (
-  SELECT doc_id, unnest(list_transform(generate_series(1, len(t) - 1),
-                        i -> t[i] || ' ' || t[i + 1])) AS g
-  FROM toks
-),
-tri AS (
-  SELECT doc_id, unnest(list_transform(generate_series(1, len(t) - 2),
-                        i -> t[i] || ' ' || t[i + 1] || ' ' || t[i + 2])) AS g
-  FROM toks
-),
-bc AS (SELECT doc_id, g, count(*) AS c FROM big GROUP BY 1, 2),
-bstat AS (SELECT doc_id, max(c) AS top_bigram_n FROM bc GROUP BY 1),
-tc AS (SELECT doc_id, g, count(*) AS c FROM tri GROUP BY 1, 2),
-tstat AS (SELECT doc_id,
-                 sum(CASE WHEN c > 1 THEN c ELSE 0 END) AS dup_trigram_n
-          FROM tc GROUP BY 1),
-base AS (SELECT doc_id, len(t) AS n_tokens FROM toks)
-SELECT b.doc_id, CAST(b.n_tokens AS BIGINT) AS n_tokens,
-       CAST(greatest(b.n_tokens - 1, 0) AS BIGINT) AS n_bigrams,
-       CAST(coalesce(bs.top_bigram_n, 0) AS BIGINT) AS top_bigram_n,
-       CAST(greatest(b.n_tokens - 2, 0) AS BIGINT) AS n_trigrams,
-       CAST(coalesce(ts.dup_trigram_n, 0) AS BIGINT) AS dup_trigram_n
-FROM base b LEFT JOIN bstat bs USING (doc_id)
-            LEFT JOIN tstat ts USING (doc_id)
-""")
-def doc_repetition_stats(sf_dir: str):
-    """Gopher-style repetition quality signals per document: most-
-    frequent-bigram coverage and duplicated-trigram coverage, as EXACT
-    integer numerator/denominator pairs (the standard 'repetitive
-    document' filters before LLM training). Batch-local map_batches —
-    per-doc metrics never shuffle (geoflow.stages.webquality
-    .repetition_stats_batch)."""
-    from ..stages.webquality import repetition_stats_batch
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(repetition_stats_batch, batch_format="pyarrow")
-
-
-@register("gopher_quality_docs", sql="""
-WITH f AS (
-  SELECT doc_id,
-    length(text) AS text_len,
-    length(text) - length(replace(text, ' ', '')) + 1 AS n_words,
-    length(replace(text, ' ', '')) AS chars_nonspace,
-    length(regexp_replace(text, '[^a-zA-Z]', '', 'g')) AS alpha_chars,
-    (length(text) - length(replace(text, '#', '')))
-      + (length(text) - length(replace(text, '...', ''))) // 3 AS symbols,
-    length(text) - length(replace(text, chr(10), '')) + 1 AS n_lines,
-    (length(text) - length(replace(text, chr(10) || '- ', ''))) // 3
-      + (length(text) - length(replace(text, chr(10) || '* ', ''))) // 3
-      + CASE WHEN text LIKE '- %' THEN 1 ELSE 0 END
-      + CASE WHEN text LIKE '* %' THEN 1 ELSE 0 END AS bullet_lines,
-    (length(text) - length(replace(text, '...' || chr(10), ''))) // 4
-      + CASE WHEN text LIKE '%...' THEN 1 ELSE 0 END AS ellipsis_lines,
-    (CASE WHEN ' '||text||' ' LIKE '% the %' THEN 1 ELSE 0 END)
-      + (CASE WHEN ' '||text||' ' LIKE '% a %' THEN 1 ELSE 0 END)
-      + (CASE WHEN ' '||text||' ' LIKE '% be %' THEN 1 ELSE 0 END)
-      + (CASE WHEN ' '||text||' ' LIKE '% to %' THEN 1 ELSE 0 END)
-      + (CASE WHEN ' '||text||' ' LIKE '% of %' THEN 1 ELSE 0 END)
-      + (CASE WHEN ' '||text||' ' LIKE '% and %' THEN 1 ELSE 0 END)
-      + (CASE WHEN ' '||text||' ' LIKE '% that %' THEN 1 ELSE 0 END)
-      + (CASE WHEN ' '||text||' ' LIKE '% have %' THEN 1 ELSE 0 END)
-      + (CASE WHEN ' '||text||' ' LIKE '% with %' THEN 1 ELSE 0 END)
-      AS stop_hits
-  FROM documents)
-SELECT doc_id,
-       CAST(n_words AS BIGINT) AS n_words,
-       CAST(chars_nonspace AS BIGINT) AS chars_nonspace,
-       CAST(alpha_chars AS BIGINT) AS alpha_chars,
-       CAST(symbols AS BIGINT) AS symbols,
-       CAST(n_lines AS BIGINT) AS n_lines,
-       CAST(bullet_lines AS BIGINT) AS bullet_lines,
-       CAST(ellipsis_lines AS BIGINT) AS ellipsis_lines,
-       CAST(stop_hits AS BIGINT) AS stop_hits,
-       CAST(CASE WHEN n_words BETWEEN 50 AND 100000
-                  AND 3 * n_words <= chars_nonspace
-                  AND chars_nonspace <= 10 * n_words
-                  AND 10 * symbols < n_words
-                  AND 10 * bullet_lines < 9 * n_lines
-                  AND 10 * ellipsis_lines < 3 * n_lines
-                  AND 10 * alpha_chars > 6 * text_len
-                  AND stop_hits >= 2
-             THEN 1 ELSE 0 END AS BIGINT) AS keep
-FROM f
-""")
-def gopher_quality_docs(sf_dir: str):
-    """Gopher composite rule filter (Rae et al. 2021) per document:
-    exact integer counters for every rule (word count, mean word
-    length via cross-multiplication, symbol/'...' ratio, bullet +
-    ellipsis line fractions, alpha-char ratio, distinct-stopword
-    presence) plus the 0/1 keep verdict. Batch-local Arrow kernels —
-    one pass per counter, nothing shuffles
-    (geoflow.stages.webquality.gopher_filter_batch)."""
-    from ..stages.webquality import gopher_filter_batch
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(gopher_filter_batch, batch_format="pyarrow")
-
-
-@register("url_dedup_pages", sql="""
-WITH d AS (SELECT doc_id, doc_id - doc_id % 3 AS gid FROM documents)
-SELECT 'https://site' || (gid % 999) || '.example/s' || ((gid // 999) % 37)
-         || '/page' || gid AS canon_url,
-       min(doc_id) AS doc_id, count(*) AS n_variants
-FROM d GROUP BY gid
-""")
-def url_dedup_pages(sf_dir: str):
-    """URL canonicalization + keep-first URL-level dedup. Dirty crawl
-    URLs are derived deterministically per doc (three docs share one
-    canonical target; variants add uppercase scheme+host + #fragment,
-    or utm_* tracking params + trailing slash). The ENGINE canonicalizes
-    with its real pyarrow regex kernels (webquality
-    .canonicalize_urls_batch) and dedups via the bucket-keyed
-    one-shuffle plan; the oracle computes the expected canonical form
-    from doc_id arithmetic alone — so the hash match proves the
-    canonicalizer exactly undoes every injected variation."""
-    from ..stages.webquality import url_dedup
-
-    ds = _read(sf_dir, "documents", ["doc_id"])
-
-    def _dirty(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy().astype(np.int64)
-        urls = []
-        for i in ids.tolist():
-            gid = i - i % 3
-            base = (f"https://site{gid % 999}.example/"
-                    f"s{(gid // 999) % 37}/page{gid}")
-            m = i % 3
-            if m == 1:
-                sep = base.index("/s")
-                urls.append(base[:sep].upper() + base[sep:] + f"#sec{i}")
-            elif m == 2:
-                urls.append(base + f"/?utm_source=feed&utm_campaign=c{i}")
-            else:
-                urls.append(base)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "url": pa.array(urls, pa.string())})
-
-    dirty = ds.map_batches(_dirty, batch_format="pyarrow")
-    out = url_dedup(dirty, id_col="doc_id", url_col="url")
-    return out.map_batches(
-        lambda b: pa.table({
-            "canon_url": b.column("canon_url"),
-            "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
-            "n_variants": pc.cast(b.column("n_variants"), pa.int64()),
-        }), batch_format="pyarrow")
-
-
-@register("domain_stats", sql="""
-SELECT 'site' || (doc_id % 999) || '.example' AS host,
-       CAST(count(*) AS BIGINT) AS n_pages,
-       CAST(sum(n_chars) AS BIGINT) AS n_chars_sum,
-       CAST(count(DISTINCT lang) AS BIGINT) AS n_langs
-FROM documents GROUP BY 1
-""")
-def domain_stats(sf_dir: str):
-    """Per-host corpus rollup (pages, chars, distinct languages) — the
-    domain-level view curation pipelines use for blocklists and
-    per-site caps. Combiner pattern: Arrow hash-aggregate partials
-    keyed (host, lang) per batch, ONE groupby on host over the
-    vocabulary-sized partials (webquality.domain_stats)."""
-    from ..sources.pages import page_url
-    from ..stages.webquality import domain_stats as _dstats
-
-    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-
-    def _url(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy().astype(np.int64)
-        return pa.table({
-            "url": pa.array([page_url(int(i)) for i in ids.tolist()],
-                            pa.string()),
-            "lang": b.column("lang"),
-            "n_chars": b.column("n_chars"),
-        })
-
-    out = _dstats(ds.map_batches(_url, batch_format="pyarrow"))
-    return out.map_batches(
-        lambda b: pa.table({
-            "host": b.column("host"),
-            "n_pages": pc.cast(b.column("n_pages"), pa.int64()),
-            "n_chars_sum": pc.cast(b.column("n_chars_sum"), pa.int64()),
-            "n_langs": pc.cast(b.column("n_langs"), pa.int64()),
-        }), batch_format="pyarrow")
-
-
-@register("train_split_counts", sql="""
-WITH u AS (
-  SELECT doc_id, lang, n_chars,
-         'https://site' || (doc_id % 999) || '.example/s'
-           || ((doc_id // 999) % 37) || '/page' || doc_id AS url
-  FROM documents
-),
-h AS (
-  SELECT lang, n_chars,
-    list_reduce(list_prepend(CAST(0 AS BIGINT),
-        list_transform(string_split(url, ''),
-                       c -> CAST(unicode(c) AS BIGINT))),
-        (a, c) -> (a * 31 + c) % 2147483647) % 1000 AS pm
-  FROM u
-)
-SELECT CASE WHEN pm < 800 THEN 'train'
-            WHEN pm < 900 THEN 'val' ELSE 'test' END AS split,
-       lang, CAST(count(*) AS BIGINT) AS n_docs,
-       CAST(sum(n_chars) AS BIGINT) AS n_chars_sum
-FROM h GROUP BY 1, 2
-""")
-def train_split_counts(sf_dir: str):
-    """Deterministic train/val/test assignment by a SQL-replayable
-    polynomial hash of the URL (80/10/10 permille), rolled up per
-    (split, lang). The assignment is a pure function of the key — any
-    partitioning, any cluster size, any re-run lands every document in
-    the same split (webquality.split_assign_batch); the oracle replays
-    the char-fold hash exactly via list_reduce."""
-    from ray.data.aggregate import Sum
-
-    from ..sources.pages import page_url
-    from ..stages.webquality import split_assign_batch
-
-    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-
-    def _assign(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy().astype(np.int64)
-        t = pa.table({
-            "url": pa.array([page_url(int(i)) for i in ids.tolist()],
-                            pa.string()),
-            "lang": b.column("lang"),
-            "n_chars": pc.cast(b.column("n_chars"), pa.int64()),
-        })
-        t = split_assign_batch(t, key_col="url")
-        g = pa.TableGroupBy(t, ["split", "lang"]).aggregate(
-            [([], "count_all"), ("n_chars", "sum")])
-        return pa.table({"split": g.column("split"),
-                         "lang": g.column("lang"),
-                         "n_docs": pc.cast(g.column("count_all"), pa.int64()),
-                         "n_chars_sum": g.column("n_chars_sum")})
-
-    agg = (ds.map_batches(_assign, batch_format="pyarrow")
-           .groupby(["split", "lang"])
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Sum("n_chars_sum", alias_name="n_chars_sum")))
-    return agg.map_batches(
-        lambda b: b.select(["split", "lang", "n_docs", "n_chars_sum"]),
-        batch_format="pyarrow")
-
-
-@register("lm_bigram_scores", sql=_TOKS_CTE + """,
-big AS (
-  SELECT doc_id, unnest(list_transform(generate_series(1, len(t) - 1),
-                        i -> t[i] || ' ' || t[i + 1])) AS g
-  FROM toks
-),
-cnt AS (SELECT g, count(*) AS c FROM big GROUP BY 1),
-sc AS (SELECT b.doc_id, CAST(sum(c.c) AS BIGINT) AS lm_hits,
-              CAST(count(*) AS BIGINT) AS n_bigrams
-       FROM big b JOIN cnt c USING (g) GROUP BY 1)
-SELECT d.doc_id, coalesce(s.lm_hits, 0) AS lm_hits,
-       coalesce(s.n_bigrams, 0) AS n_bigrams
-FROM documents d LEFT JOIN sc s USING (doc_id)
-""")
-def lm_bigram_scores(sf_dir: str):
-    """Count-based bigram LM quality score: train corpus bigram counts
-    in one combiner-pattern pass (vocabulary-sized model), broadcast
-    via ray.put, score each document as the exact-integer sum of
-    corpus counts over its bigram positions — the canonical
-    train -> broadcast -> score shape for model-based quality filters
-    (webquality.bigram_counts / lm_score)."""
-    from ..stages.webquality import bigram_counts, lm_score
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    model = bigram_counts(ds)
-    return lm_score(ds, model)
 
 
 @register("image_ahash_dup_groups", sql="""
@@ -3187,6 +2765,10 @@ def media_decode_error_stats(sf_dir: str):
             data = encode_jpeg(img, quality=90)
             if m == 0:          # SOF0 -> SOF2: real progressive marker
                 at = data.find(b"\xff\xc0")
+                if at < 0:
+                    raise ValueError(
+                        "encode_jpeg output has no SOF0 marker to patch "
+                        "into SOF2")
                 data = data[:at] + b"\xff\xc2" + data[at + 2:]
             payloads.append(data)
         return pa.table({
@@ -3196,50 +2778,6 @@ def media_decode_error_stats(sf_dir: str):
 
     media = ds.map_batches(_render, batch_format="pyarrow")
     return media_decode_stats(media)
-
-
-@register("packed_sequences", sql="""
-WITH RECURSIVE r AS (
-  SELECT doc_id, lang, doc_id // 256 AS shard, n_chars,
-         row_number() OVER (PARTITION BY lang, doc_id // 256
-                            ORDER BY doc_id) AS rn
-  FROM documents
-),
-pack AS (
-  SELECT lang, shard, rn, doc_id, n_chars, 0 AS bin, n_chars AS fill
-  FROM r WHERE rn = 1
-  UNION ALL
-  SELECT r.lang, r.shard, r.rn, r.doc_id, r.n_chars,
-         CASE WHEN p.fill + r.n_chars <= 1500
-              THEN p.bin ELSE p.bin + 1 END,
-         CASE WHEN p.fill + r.n_chars <= 1500
-              THEN p.fill + r.n_chars ELSE r.n_chars END
-  FROM pack p JOIN r ON r.lang = p.lang AND r.shard = p.shard
-                    AND r.rn = p.rn + 1
-)
-SELECT doc_id, lang, CAST(shard AS BIGINT) AS shard,
-       CAST(bin AS BIGINT) AS bin
-FROM pack
-""")
-def packed_sequences(sf_dir: str):
-    """Training-batch construction: greedy first-fit-in-order packing
-    of documents into 1500-char bins per (lang, shard) group. The
-    shard key bounds every group at 256 docs by construction, so the
-    inherently sequential greedy scan never sees an unbounded group;
-    assignment is deterministic in the ids alone. The oracle replays
-    the greedy recurrence with a recursive CTE
-    (geoflow.stages.webquality.pack_sequences)."""
-    from ..stages.webquality import pack_sequences
-
-    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    out = pack_sequences(ds, budget=1500, shard_size=256)
-    return out.map_batches(
-        lambda b: pa.table({
-            "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
-            "lang": b.column("lang"),
-            "shard": pc.cast(b.column("shard"), pa.int64()),
-            "bin": pc.cast(b.column("bin"), pa.int64()),
-        }), batch_format="pyarrow")
 
 
 @register("image_ahash_near_dup", sql="""
@@ -3383,395 +2921,6 @@ def global_sorted_docs(sf_dir: str):
     return head[["rank", "doc_id", "n_chars"]]
 
 
-# Corpus-wide line-level boilerplate dedup (CCNet / RefinedWeb pass).
-# The synthetic documents are single-line, so the line decomposition is
-# DEFINED deterministically (consecutive 10-token chunks) and keyed
-# boilerplate lines are injected identically on both sides — the oracle
-# replays chunking (1-based inclusive list slices), injection, the
-# distinct-doc frequency threshold, and the chr(10) re-join.
-_LINE_BP = [(3, 0, "subscribe to our newsletter today now"),
-            (4, 1, "all rights reserved by this site owner")]
-
-_LINE_SQL = r"""
-WITH base AS (
-  SELECT doc_id, regexp_extract_all(text, '\S+') AS t FROM documents
-),
-nl AS (
-  SELECT doc_id, t,
-         CAST(ceil(len(t) / 10.0) AS BIGINT) AS nb
-  FROM base
-),
-baselines AS (
-  SELECT doc_id, i AS line_no,
-         array_to_string(t[(i - 1) * 10 + 1 : i * 10], ' ') AS line
-  FROM nl, unnest(generate_series(1, nb)) AS u(i)
-),
-lines AS (
-  SELECT * FROM baselines
-  UNION ALL
-  SELECT doc_id, nb + 1, 'subscribe to our newsletter today now'
-  FROM nl WHERE doc_id % 3 = 0
-  UNION ALL
-  SELECT doc_id, nb + 2, 'all rights reserved by this site owner'
-  FROM nl WHERE doc_id % 4 = 1
-),
-dl AS (SELECT DISTINCT doc_id, line FROM lines WHERE line <> ''),
-freq AS (SELECT line FROM dl GROUP BY line HAVING count(*) >= 5),
-kept AS (
-  SELECT l.doc_id, l.line_no, l.line
-  FROM lines l LEFT JOIN freq f USING (line)
-  WHERE f.line IS NULL
-),
-tot AS (SELECT doc_id, count(*) AS n_lines FROM lines GROUP BY doc_id),
-k AS (SELECT doc_id, count(*) AS n_kept,
-             string_agg(line, chr(10) ORDER BY line_no) AS clean_text
-      FROM kept GROUP BY doc_id)
-SELECT t.doc_id, t.n_lines,
-       t.n_lines - coalesce(k.n_kept, 0) AS n_removed,
-       coalesce(k.clean_text, '') AS clean_text
-FROM tot t LEFT JOIN k USING (doc_id)
-ORDER BY doc_id
-"""
-
-
-@register("line_dedup_docs", sql=_LINE_SQL)
-def line_dedup_docs(sf_dir: str):
-    """Corpus-wide line-level boilerplate removal (drop lines present
-    in >= 5 distinct docs): distinct-doc line counts via ONE
-    bucket-keyed shuffle of (bucket, line, nd) partials, frequent set
-    (heavy-hitter-bounded) broadcast once, second streaming pass drops
-    members and re-joins. DuckDB replays chunking + injection +
-    threshold + chr(10) re-join exactly (hash equality incl. the
-    cleaned text bytes)."""
-    from ..stages.webquality import line_dedup
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = line_dedup(ds, min_df=5, boilerplate=_LINE_BP)
-    return out.map_batches(
-        lambda b: pa.table({
-            "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
-            "n_lines": pc.cast(b.column("n_lines"), pa.int64()),
-            "n_removed": pc.cast(b.column("n_removed"), pa.int64()),
-            "clean_text": b.column("clean_text"),
-        }), batch_format="pyarrow")
-
-
-# Cross-document duplicated-window coverage (the exact-substring dedup
-# signal of Lee et al. 2022) over the near-dup-injected corpus: a doc's
-# 8-token windows that appear in >= 2 distinct docs. The twin docs
-# (doc_id % 7 == 0, "+ extra tail token") share every original window.
-_DUPWIN_SQL = ("WITH docs AS (\n"
-               "  SELECT doc_id, text FROM documents\n"
-               "  UNION ALL\n"
-               "  SELECT doc_id + 1000000, text || ' extra tail token'\n"
-               "  FROM documents WHERE doc_id % 7 = 0\n"
-               "),\n" + r"""
-toks AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS t FROM docs),
-win AS (
-  SELECT doc_id, i AS pos, array_to_string(t[i : i + 7], ' ') AS w
-  FROM toks, unnest(generate_series(1, len(t) - 7)) AS u(i)
-  WHERE len(t) >= 8
-),
-wd AS (SELECT DISTINCT doc_id, w FROM win),
-dup AS (SELECT w FROM wd GROUP BY w HAVING count(*) >= 2)
-SELECT v.doc_id, count(*) AS n_windows,
-       count(d.w) AS n_dup_windows
-FROM win v LEFT JOIN dup d USING (w)
-GROUP BY v.doc_id ORDER BY v.doc_id
-""")
-
-
-@register("dup_window_stats", sql=_DUPWIN_SQL)
-def dup_window_stats_docs(sf_dir: str):
-    """Duplicated 8-token-window coverage per doc over the injected
-    near-dup corpus — the per-document signal behind exact-substring
-    dedup. Same bucket-keyed count + broadcast-set shape as
-    line_dedup; the duplicated-window set is bounded by REAL
-    cross-doc duplication, not corpus size."""
-    from ..stages.webquality import dup_window_stats
-
-    out = dup_window_stats(_docs_with_near_dups(sf_dir), window=8)
-    return out.map_batches(
-        lambda b: pa.table({
-            "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
-            "n_windows": pc.cast(b.column("n_windows"), pa.int64()),
-            "n_dup_windows": pc.cast(b.column("n_dup_windows"),
-                                     pa.int64()),
-        }), batch_format="pyarrow")
-
-
-# Exact-substring dedup REWRITE (not just the signal): every token
-# covered by a cross-doc duplicated 8-token window is removed. The
-# oracle replays coverage as a (window x offset) explode -> distinct
-# covered positions -> anti-join on token rows -> ordered re-join.
-_DEDUPWIN_SQL = ("WITH docs AS (\n"
-                 "  SELECT doc_id, text FROM documents\n"
-                 "  UNION ALL\n"
-                 "  SELECT doc_id + 1000000, text || ' extra tail token'\n"
-                 "  FROM documents WHERE doc_id % 7 = 0\n"
-                 "),\n" + r"""
-toks AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS t FROM docs),
-win AS (
-  SELECT doc_id, i AS pos, array_to_string(t[i : i + 7], ' ') AS w
-  FROM toks, unnest(generate_series(1, len(t) - 7)) AS u(i)
-  WHERE len(t) >= 8
-),
-wd AS (SELECT DISTINCT doc_id, w FROM win),
-dup AS (SELECT w FROM wd GROUP BY w HAVING count(*) >= 2),
-cov AS (
-  SELECT DISTINCT v.doc_id, v.pos + k AS tp
-  FROM win v JOIN dup d USING (w), unnest(range(0, 8)) AS u(k)
-),
-tokrows AS (
-  SELECT doc_id, i AS tp, t[i] AS tok
-  FROM toks, unnest(generate_series(1, len(t))) AS u(i)
-)
-SELECT tr.doc_id,
-       count(*) AS n_tokens,
-       count(c.tp) AS n_removed,
-       coalesce(string_agg(CASE WHEN c.tp IS NULL THEN tr.tok END,
-                           ' ' ORDER BY tr.tp), '') AS clean_text
-FROM tokrows tr
-LEFT JOIN cov c ON c.doc_id = tr.doc_id AND c.tp = tr.tp
-GROUP BY tr.doc_id ORDER BY tr.doc_id
-""")
-
-
-@register("dedup_windows_docs", sql=_DEDUPWIN_SQL)
-def dedup_windows_docs(sf_dir: str):
-    """Exact-substring dedup rewrite over the injected near-dup corpus:
-    tokens under any duplicated 8-token window are excised (difference-
-    array coverage per doc), survivors re-joined — hash-matched against
-    the SQL coverage replay including the cleaned text bytes."""
-    from ..stages.webquality import dedup_windows
-
-    out = dedup_windows(_docs_with_near_dups(sf_dir), window=8)
-    return out.map_batches(
-        lambda b: pa.table({
-            "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
-            "n_tokens": pc.cast(b.column("n_tokens"), pa.int64()),
-            "n_removed": pc.cast(b.column("n_removed"), pa.int64()),
-            "clean_text": b.column("clean_text"),
-        }), batch_format="pyarrow")
-
-
-# Tokenizer-prep: top-k corpus vocabulary (count desc, token asc) and
-# (doc, pos, token_id) encoding; OOV tokens drop out. row_number over
-# the exact global counts replays the engine's deterministic ranking.
-_VOCAB_SQL = r"""
-WITH toks AS (
-  SELECT doc_id, regexp_extract_all(text, '\S+') AS t FROM documents
-),
-tokrows AS (
-  SELECT doc_id, i AS pos, t[i] AS tok
-  FROM toks, unnest(generate_series(1, len(t))) AS u(i)
-),
-cnt AS (SELECT tok, count(*) AS n FROM tokrows GROUP BY tok),
-vocab AS (
-  SELECT tok, CAST(row_number() OVER (ORDER BY n DESC, tok) AS BIGINT)
-           AS token_id
-  FROM cnt ORDER BY n DESC, tok LIMIT 20
-)
-SELECT tr.doc_id, tr.pos, v.token_id
-FROM tokrows tr JOIN vocab v USING (tok)
-ORDER BY tr.doc_id, tr.pos
-"""
-
-
-@register("vocab_encoded_docs", sql=_VOCAB_SQL)
-def vocab_encoded_docs(sf_dir: str):
-    """Top-20 vocabulary build (combiner-pattern exact counts) +
-    searchsorted token-id encoding; OOV dropped. DuckDB replays the
-    (count desc, token asc) ranking and the per-position join."""
-    from ..stages.webquality import build_vocab_encode
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return build_vocab_encode(ds, k=20)
-
-
-# Training-mixture target for documents: en is ~3x over-represented in
-# the corpus; the rebalance downsamples every language to the largest
-# total hitting 40/15/15/15/15 (integer weights, W = 100).
-_MIX_TARGET = {"en": 40, "zh": 15, "es": 15, "de": 15, "fr": 15}
-
-
-@register("mixture_rebalanced_counts", sql=r"""
-WITH tgt(lang, w) AS (
-  VALUES ('en', 40), ('zh', 15), ('es', 15), ('de', 15), ('fr', 15)
-),
-cnt AS (
-  SELECT lang, CAST(count(*) AS BIGINT) AS n FROM documents GROUP BY 1
-),
-j AS (
-  SELECT c.lang, c.n, t.w FROM cnt c JOIN tgt t ON c.lang = t.lang
-  WHERE t.w > 0 AND c.n > 0
-),
-tt AS (
-  SELECT min((CAST(n AS HUGEINT) * 100) // w) AS t_total FROM j
-),
-th AS (
-  SELECT lang, n,
-         CAST((CAST(w AS HUGEINT) * t_total * 1000000)
-              // (CAST(100 AS HUGEINT) * n) AS BIGINT) AS thresh
-  FROM j, tt
-),
-h AS (
-  SELECT d.lang,
-    list_reduce(list_prepend(CAST(0 AS BIGINT),
-        list_transform(string_split(
-          'https://site' || (d.doc_id % 999) || '.example/s'
-            || ((d.doc_id // 999) % 37) || '/page' || d.doc_id, ''),
-          c -> CAST(unicode(c) AS BIGINT))),
-        (a, c) -> (a * 31 + c) % 2147483647) % 1000000 AS pm
-  FROM documents d
-),
-acc AS (
-  SELECT h.lang,
-         CAST(count(*) FILTER (WHERE h.pm < th.thresh) AS BIGINT) AS n_after
-  FROM h JOIN th ON h.lang = th.lang GROUP BY 1
-)
-SELECT th.lang, th.n AS n_before, th.thresh AS thresh, acc.n_after
-FROM th JOIN acc ON th.lang = acc.lang
-ORDER BY th.lang
-""")
-def mixture_rebalanced_counts(sf_dir: str):
-    """Mixture rebalancing (the data-mixing step before training):
-    deterministically downsample each language so the surviving corpus
-    hits a 40/15/15/15/15 en/zh/es/de/fr target, keeping as many
-    documents as the observed counts allow. Acceptance is a pure
-    integer function of (url hash, lang, global counts) — curation.
-    mixture_rebalance — so the oracle replays the count pass, the
-    HUGEINT threshold derivation, the char-fold url hash, and the
-    filter bit-for-bit. Output: per-lang before/threshold/after."""
-    from ..sources.pages import page_url
-    from ..stages.curation import group_counts, mixture_rebalance
-
-    ds = _read(sf_dir, "documents", ["doc_id", "lang"])
-
-    def _url(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy().astype(np.int64)
-        return b.append_column("url", pa.array(
-            [page_url(int(i)) for i in ids.tolist()], pa.string()))
-
-    keyed = ds.map_batches(_url, batch_format="pyarrow")
-    accepted, counts, th = mixture_rebalance(
-        keyed, _MIX_TARGET, key_col="url", group_col="lang")
-    after = group_counts(accepted, "lang")
-
-    def _attach(b: pa.Table) -> pa.Table:
-        langs = b.column("lang").to_pylist()
-        return pa.table({
-            "lang": b.column("lang"),
-            "n_before": pa.array([counts[g] for g in langs], pa.int64()),
-            "thresh": pa.array([th[g] for g in langs], pa.int64()),
-            "n_after": pc.cast(b.column("n"), pa.int64()),
-        })
-
-    return after.map_batches(_attach, batch_format="pyarrow").sort("lang")
-
-
-def _bpe_sql(num_merges: int = 10, passes: int = 8,
-             encode_filter: str | None = None) -> str:
-    """DuckDB replay of BPE merge learning (stages/bpe.py): the word-
-    frequency pass, then per round the position-expanded pair count,
-    the (count desc, pair asc) selection, and the replace-to-fixpoint
-    merge application as ``passes`` chained ``replace`` calls (enough
-    for words truncated to 2*passes symbols, which both sides do).
-    Every CTE is MATERIALIZED — DuckDB otherwise inlines the chain and
-    the t{r} self-references expand exponentially. With
-    ``encode_filter`` (a WHERE predicate over documents) the query
-    instead emits the ENCODE result: (doc_id, pos, piece) subword rows
-    for the filtered docs under the learned merges."""
-    parts = [r"""WITH w AS MATERIALIZED (
-  SELECT unnest(regexp_extract_all(text, '\S+')) AS w FROM documents
-),
-t0 AS MATERIALIZED (
-  SELECT ' ' || array_to_string(string_split(substr(w, 1, 16), ''), ' ')
-             || ' ' AS s,
-         CAST(count(*) AS BIGINT) AS f
-  FROM w GROUP BY 1
-)"""]
-    for r in range(1, num_merges + 1):
-        rep = "s"
-        for _ in range(passes):
-            rep = ("replace({x}, (SELECT ' ' || pr || ' ' FROM b{r}), "
-                   "(SELECT ' ' || replace(pr, ' ', '') || ' ' FROM b{r}))"
-                   ).format(x=rep, r=r)
-        parts.append("""
-p{r} AS MATERIALIZED (
-  SELECT t[i] || ' ' || t[i + 1] AS pr, CAST(sum(f) AS BIGINT) AS n
-  FROM (SELECT string_split(trim(s), ' ') AS t, f FROM t{prev}) q,
-       unnest(generate_series(1, len(t) - 1)) AS u(i)
-  GROUP BY 1
-),
-b{r} AS MATERIALIZED (SELECT pr, n FROM p{r} ORDER BY n DESC, pr LIMIT 1),
-t{r} AS MATERIALIZED (SELECT {rep} AS s, f FROM t{prev})""".format(
-            r=r, prev=r - 1, rep=rep))
-    if encode_filter is None:
-        sel = "\nUNION ALL\n".join(
-            "SELECT CAST({r} AS BIGINT) AS merge_rank, pr AS pair, n "
-            "FROM b{r}".format(r=r) for r in range(1, num_merges + 1))
-        return ",".join(parts) + "\n" + sel + "\nORDER BY merge_rank"
-    # encode mode: t{R} maps every (truncated) word to its final
-    # segmentation — the word itself is the symbols re-joined. Doc
-    # words join that map; the doc-wide 1-based subword position is a
-    # running sum of per-word piece counts, computed BEFORE the piece
-    # explode so the window frame counts words, not pieces.
-    parts.append(r"""
-seg AS MATERIALIZED (
-  SELECT replace(trim(s), ' ', '') AS w, string_split(trim(s), ' ') AS ps
-  FROM t{R}
-),
-docw AS (
-  SELECT doc_id, wi, substr(t[wi], 1, 16) AS w
-  FROM (SELECT doc_id, regexp_extract_all(text, '\S+') AS t
-        FROM documents WHERE {flt}) d,
-       unnest(generate_series(1, len(t))) AS u(wi)
-),
-wpos AS (
-  SELECT doc_id, wi, ps,
-         COALESCE(sum(CAST(len(ps) AS BIGINT)) OVER (
-             PARTITION BY doc_id ORDER BY wi
-             ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS off
-  FROM docw JOIN seg USING (w)
-)""".format(R=num_merges, flt=encode_filter))
-    return ",".join(parts) + """
-SELECT doc_id, CAST(off + pi AS BIGINT) AS pos, ps[pi] AS piece
-FROM wpos, unnest(generate_series(1, len(ps))) AS u(pi)
-ORDER BY doc_id, pos"""
-
-
-@register("bpe_merges", sql=_bpe_sql())
-def bpe_merges(sf_dir: str):
-    """Distributed BPE tokenizer training (Sennrich et al. 2016) over
-    the document corpus: one combiner-pattern word-frequency pass
-    (corpus touched exactly once), then 10 merge rounds over the
-    vocab-sized word-TYPE table with (count desc, pair asc) selection.
-    The DuckDB oracle replays the entire training chain — frequency
-    pass, per-round pair statistics, tie-break, and left-to-right
-    merge application — bit-for-bit (see stages/bpe.py for why the
-    replace-to-fixpoint form equals BPE's canonical greedy scan).
-    Output: the learned merge table (merge_rank, pair, n)."""
-    from ..stages.bpe import train_bpe
-
-    ds = _read(sf_dir, "documents", ["text"])
-    return train_bpe(ds, num_merges=10)
-
-
-@register("bpe_merges_distributed", sql=_bpe_sql())
-def bpe_merges_distributed(sf_dir: str):
-    """Same BPE training as bpe_merges, but with ``driver_limit=0`` so
-    the DISTRIBUTED merge path runs at oracle scale: every round is one
-    map_batches pair-count partial pass (driver folds only the
-    vocab-sized pair table) plus a broadcast merge-application pass.
-    Must be bit-identical to the driver-local path — same chained-CTE
-    DuckDB replay verifies both."""
-    from ..stages.bpe import train_bpe
-
-    ds = _read(sf_dir, "documents", ["text"])
-    return train_bpe(ds, num_merges=10, driver_limit=0)
-
-
 _NEAR_INGEST_SQL = r"""
 WITH delta AS (
   SELECT doc_id + 1000000 AS did, text || ' extra tail token' AS text
@@ -3861,27 +3010,6 @@ def near_ingest_docs(sf_dir: str):
     return novel.map_batches(
         lambda b: b.select(["doc_id"]), batch_format="pyarrow").sort(
         "doc_id")
-
-
-@register("bpe_encoded_docs", sql=_bpe_sql(encode_filter="doc_id % 25 = 0"))
-def bpe_encoded_docs(sf_dir: str):
-    """BPE ENCODE stage under corpus-trained merges: every 25th doc is
-    segmented into (doc_id, pos, piece) subword rows by the memoised
-    actor-pool encoder (merge list broadcast once via ray.put). The
-    oracle re-derives the merges with the same chained-CTE replay as
-    bpe_merges, reads each word's final segmentation off the last
-    round's type table, and rebuilds doc-wide positions with a
-    word-level running sum — hash-matching proves training AND
-    inference agree end to end."""
-    from ..stages.bpe import encode_bpe, train_bpe
-
-    full = _read(sf_dir, "documents", ["text"])
-    merges = train_bpe(full, num_merges=10).column("pair").to_pylist()
-    docs = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        lambda b: b.filter(pa.array(
-            b.column("doc_id").to_numpy() % 25 == 0)),
-        batch_format="pyarrow")
-    return encode_bpe(docs, merges)
 
 
 @register("bloom_semi_revenue", sql="""
@@ -3987,147 +3115,6 @@ def pruned_events_scan(sf_dir: str):
             .aggregate(Sum("_n", alias_name="n"),
                        Sum("_s", alias_name="id_sum"))
             .sort("event_type"))
-
-
-@register("epoch_shuffled_docs", sql="""
-WITH k AS (
-  SELECT e.epoch, doc_id,
-         ((doc_id * 1103515245 + 12345 + e.epoch * 40503) % 2147483647
-          * 48271) % 2147483647 AS shuffle_rank
-  FROM documents, (VALUES (1), (2), (3)) e(epoch)
-),
-r AS (
-  SELECT epoch, doc_id, shuffle_rank,
-         row_number() OVER (PARTITION BY epoch
-                            ORDER BY shuffle_rank, doc_id) AS pos
-  FROM k
-)
-SELECT CAST(epoch AS BIGINT) AS epoch, CAST(pos AS BIGINT) AS pos,
-       doc_id, CAST(shuffle_rank AS BIGINT) AS shuffle_rank
-FROM r WHERE pos <= 10 ORDER BY epoch, pos
-""")
-def epoch_shuffled_docs(sf_dir: str):
-    """Deterministic per-epoch global shuffle (curation.epoch_shuffle):
-    three epochs' permutations of the corpus, checked by their first
-    10 positions each — including the explicit position column, so the
-    ORDER of the permutation (not just its membership) is what the
-    oracle hash-matches. The rank is a pure int64 function of
-    (doc_id, epoch), replayed verbatim in SQL."""
-    from ..stages.curation import epoch_shuffle
-
-    ds = _read(sf_dir, "documents", ["doc_id"])
-    outs = []
-    for epoch in (1, 2, 3):
-        head = epoch_shuffle(ds, epoch).limit(10).to_pandas()
-        head.insert(0, "pos", np.arange(1, len(head) + 1, dtype=np.int64))
-        head.insert(0, "epoch", np.int64(epoch))
-        outs.append(head)
-    out = pd.concat(outs, ignore_index=True)
-    return out[["epoch", "pos", "doc_id", "shuffle_rank"]]
-
-
-@register("token_budget_docs", sql="""
-WITH r AS (
-  SELECT doc_id, lang, n_chars,
-         ((doc_id * 1103515245 + 12345 + 40503) % 2147483647
-          * 48271) % 2147483647 AS rk
-  FROM documents
-),
-b AS (SELECT lang, CAST((sum(n_chars) * 2) // 5 AS BIGINT) AS budget
-      FROM documents GROUP BY 1),
-c AS (
-  SELECT r.*, sum(n_chars) OVER (PARTITION BY lang ORDER BY rk, doc_id
-                                 ROWS UNBOUNDED PRECEDING) AS cum
-  FROM r
-),
-sel AS (SELECT c.* FROM c JOIN b USING (lang) WHERE cum <= budget)
-SELECT lang, CAST(count(*) AS BIGINT) AS n_docs,
-       CAST(sum(n_chars) AS BIGINT) AS tok_sum,
-       CAST(sum(doc_id) AS BIGINT) AS id_sum
-FROM sel GROUP BY 1 ORDER BY 1
-""")
-def token_budget_docs(sf_dir: str):
-    """Token-budgeted corpus selection (curation.token_budget_select):
-    per language, keep the prefix of documents in deterministic
-    shuffled order until 40% of that language's characters are
-    spent — the data-budget step of a training mix. The engine runs a
-    two-pass distributed prefix sum (tiny (lang, rank-bucket) rollup,
-    then a stateless pre-boundary filter + exact boundary-bucket
-    scan); the oracle is one SQL window cumsum over the same integer
-    rank — hash equality proves the distributed prefix equals the
-    sequential definition doc for doc (id_sum pins membership)."""
-    from ray.data.aggregate import Sum
-
-    from ..stages.curation import token_budget_select
-
-    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    totals = (ds.groupby("lang").aggregate(Sum("n_chars", alias_name="t"))
-              .to_pandas())
-    budgets = {r.lang: (int(r.t) * 2) // 5 for r in totals.itertuples()}
-    sel = token_budget_select(ds, budgets, seed=1)
-
-    def _partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"lang": b.column("lang"),
-                      "_n": pa.array(np.ones(len(b), np.int64)),
-                      "_t": pc.cast(b.column("n_chars"), pa.int64()),
-                      "_i": pc.cast(b.column("doc_id"), pa.int64())})
-        g = pa.TableGroupBy(t, ["lang"]).aggregate(
-            [("_n", "sum"), ("_t", "sum"), ("_i", "sum")])
-        return pa.table({"lang": g.column("lang"),
-                         "_n": g.column("_n_sum"),
-                         "_t": g.column("_t_sum"),
-                         "_i": g.column("_i_sum")})
-
-    return (sel.map_batches(_partial, batch_format="pyarrow")
-            .groupby("lang")
-            .aggregate(Sum("_n", alias_name="n_docs"),
-                       Sum("_t", alias_name="tok_sum"),
-                       Sum("_i", alias_name="id_sum"))
-            .sort("lang"))
-
-
-@register("quota_sample_docs", sql="""
-WITH r AS (
-  SELECT doc_id, lang,
-         ((doc_id * 1103515245 + 12345 + 7 * 40503) % 2147483647
-          * 48271) % 2147483647 AS rk
-  FROM documents
-)
-SELECT lang, doc_id, CAST(rk AS BIGINT) AS rk
-FROM (SELECT r.*, row_number() OVER (PARTITION BY lang
-                                     ORDER BY rk, doc_id) AS rn FROM r)
-WHERE rn <= 20 ORDER BY lang, rk, doc_id
-""")
-def quota_sample_docs(sf_dir: str):
-    """Deterministic quota sampling: exactly min(20, group size) docs
-    per language, sampled WITHOUT replacement by taking the 20
-    smallest epoch-shuffle ranks — a uniform sample under the rank's
-    pseudo-randomness, reproducible at any cluster size. Same
-    combiner shape as top_parts_per_brand: each batch contributes at
-    most 20 rows per language to the shuffle. Oracle: SQL row_number
-    over the identical integer rank."""
-    from ..stages.curation import epoch_shuffle_key
-
-    ds = _read(sf_dir, "documents", ["doc_id", "lang"])
-
-    def _rank(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy().astype(np.int64)
-        return b.append_column("rk", pa.array(
-            epoch_shuffle_key(ids, 7)))
-
-    def _local(b: pa.Table) -> pa.Table:
-        df = (b.to_pandas().sort_values(["lang", "rk", "doc_id"])
-              .groupby("lang", sort=False).head(20))
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["rk", "doc_id"]).head(20)
-        return g[["lang", "doc_id", "rk"]]
-
-    return (ds.map_batches(_rank, batch_format="pyarrow")
-            .map_batches(_local, batch_format="pyarrow")
-            .groupby("lang").map_groups(_final, batch_format="pandas")
-            .sort(["lang", "rk", "doc_id"]))
 
 
 @register("warc_roundtrip_docs", sql="""
@@ -4415,43 +3402,10 @@ def polygon_metrics(sf_dir: str):
     return polygon_metrics(rd.from_pandas(edges).repartition(4))
 
 
-@register("pattern_scan_counts", sql="""
-WITH pats(pattern) AS (VALUES """ + ", ".join(
-    "('" + p + "')" for p in (
-        "merge", "join", "batch", "stream", "window",
-        "filter", "vector", "hash", "sort", "spark",
-        "batch merge", "slow join", "key order", "table scan",
-        "data line", "fast value", "row column", "group query",
-        "big merge", "stream spark")) + """),
-per AS (
-  SELECT pattern,
-         (length(text) - length(replace(text, pattern, '')))
-             // length(pattern) AS c
-  FROM documents CROSS JOIN pats)
-SELECT pattern,
-       CAST(count(*) FILTER (WHERE c > 0) AS BIGINT) AS n_docs,
-       CAST(sum(c) AS BIGINT) AS n_occ
-FROM per GROUP BY pattern
-""")
-def pattern_scan_counts(sf_dir: str):
-    """Multi-pattern literal dictionary scan (blocklist / keyword
-    matching): per pattern, containing-document count and total
-    non-overlapping occurrences. Each pattern is one vectorized Arrow
-    count_substring kernel per batch; only (pattern_id, partial)
-    triples shuffle (geoflow.stages.webquality.literal_scan_counts).
-    Patterns have no proper borders, so the SQL length/replace replay
-    counts identically."""
-    from ..stages.webquality import literal_scan_counts
-
-    return literal_scan_counts(_read(sf_dir, "documents",
-                                     ["doc_id", "text"]))
-
-
 def _compact_sql(res: int) -> str:
     """Chained per-level CTEs replaying compaction bottom-up: one
-    (p{f}, s{f-1}) pair per level, AS MATERIALIZED (the bpe_merges
-    idiom — default inlining would expand the self-references
-    exponentially)."""
+    (p{f}, s{f-1}) pair per level, AS MATERIALIZED (default inlining
+    would expand the self-references exponentially)."""
     nf = float(1 << res)
     parts = [_GEO_SQL_CTE.rstrip() + f""",
 s{res} AS MATERIALIZED (
@@ -4555,34 +3509,6 @@ def bbox_cover_scan_docs(sf_dir: str):
             "lon": pa.array(np.round(b.column("lon").to_numpy(), 6))})
 
     return ds.map_batches(_refine, batch_format="pyarrow")
-
-
-@register("crawl_frontier_docs", sql="""
-WITH d AS (SELECT doc_id, doc_id % 97 AS domain_key FROM documents),
-r AS (
-  SELECT doc_id, domain_key,
-         row_number() OVER (PARTITION BY domain_key ORDER BY doc_id) - 1
-             AS rnd
-  FROM d)
-SELECT doc_id, CAST(domain_key AS BIGINT) AS domain_key,
-       CAST(rnd AS BIGINT) AS rnd,
-       CAST(row_number() OVER (ORDER BY rnd, domain_key, doc_id)
-            AS BIGINT) AS pos
-FROM r
-""")
-def crawl_frontier_docs(sf_dir: str):
-    """Politeness-aware crawl-frontier schedule: breadth-across-domains
-    interleave (round r = each domain's r-th URL, domains in key order
-    within a round) with the EXACT global position per URL, so the
-    oracle hash-checks the order itself. Engine: per-domain rounds via
-    one bucket-keyed groupby + vectorized cumcount, then a distributed
-    dense rank (per-bucket count rollup -> driver bucket offsets ->
-    local sort + offset; the token_budget two-pass idiom applied to
-    ranking — geoflow.stages.webquality.frontier_order)."""
-    from ..stages.webquality import frontier_order
-
-    ds = _read(sf_dir, "documents", ["doc_id"])
-    return frontier_order(ds, num_domains=97)
 
 
 @register("cell_focal_density", sql=_GEO_SQL_CTE + """,
@@ -6395,46 +5321,6 @@ def hilbert_cells(sf_dir: str):
                 "n_chars_sum"]]
 
 
-@register("skyline_docs", sql=r"""
-WITH m AS (
-  SELECT doc_id, lang, n_chars,
-         len(regexp_extract_all(text, '\S+')) AS n_tokens
-  FROM documents
-)
-SELECT p.lang, p.doc_id, p.n_chars, p.n_tokens
-FROM m p
-WHERE NOT EXISTS (
-  SELECT 1 FROM m q
-  WHERE q.lang = p.lang AND q.n_chars >= p.n_chars
-    AND q.n_tokens >= p.n_tokens
-    AND (q.n_chars > p.n_chars OR q.n_tokens > p.n_tokens))
-""")
-def skyline_docs(sf_dir: str):
-    """Per-language Pareto skyline of documents over (n_chars,
-    n_tokens), maximizing both: two-phase dominance pruning — local
-    skylines per batch (the skyline of a union is the skyline of the
-    per-part skylines), then one pass over the tiny survivor set, so
-    the shuffle carries O(skyline) rows. Identical points co-survive;
-    the oracle is the textbook NOT EXISTS dominance query
-    (geoflow.stages.webquality.pareto_skyline)."""
-    from ..stages.webquality import pareto_skyline
-
-    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars", "text"])
-
-    def _m(b: pa.Table) -> pa.Table:
-        texts = b.column("text").to_pylist()
-        ntok = np.fromiter((len((t or "").split()) for t in texts),
-                           dtype=np.int64, count=len(texts))
-        return pa.table({
-            "lang": b.column("lang"),
-            "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
-            "n_chars": pc.cast(b.column("n_chars"), pa.int64()),
-            "n_tokens": pa.array(ntok)})
-
-    m = ds.map_batches(_m, batch_format="pyarrow")
-    return pareto_skyline(m, "lang", "n_chars", "n_tokens", "doc_id")
-
-
 @register("agg_view_hourly", sql="""
 SELECT event_type, CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hour_bucket,
        count(*) AS n_events, round(sum(value), 4) AS value_sum
@@ -6970,38 +5856,6 @@ def value_outliers_mad(sf_dir: str):
         "mad": res["mad"].round(6)})
 
 
-@register("pmi_collocations_docs", sql=r"""
-WITH tok AS (
-  SELECT regexp_extract_all(text, '\S+') AS ts FROM documents),
-big AS (
-  SELECT ts[i] AS w1, ts[i + 1] AS w2
-  FROM tok, unnest(generate_series(1, len(ts) - 1)) AS u(i)),
-uni AS (SELECT unnest(ts) AS w FROM tok),
-uc AS (SELECT w, count(*) AS c FROM uni GROUP BY 1),
-bc AS (SELECT w1, w2, count(*) AS c FROM big GROUP BY 1, 2),
-tot AS (SELECT (SELECT count(*) FROM uni) AS n,
-               (SELECT count(*) FROM big) AS nb)
-SELECT w1, w2, CAST(bc.c AS BIGINT) AS n_xy,
-       round(ln((CAST(bc.c AS DOUBLE) * n * n)
-                / (CAST(u1.c AS DOUBLE) * u2.c * nb)), 6) AS pmi
-FROM bc JOIN uc u1 ON u1.w = bc.w1
-        JOIN uc u2 ON u2.w = bc.w2, tot
-WHERE bc.c >= 3
-""")
-def pmi_collocations_docs(sf_dir: str):
-    """Corpus collocations: every adjacent-token bigram seen >= 3
-    times, scored by pointwise mutual information ln(c_xy*N^2 /
-    (c_x*c_y*Nb)) — phrase induction / tokenizer seeding over a web
-    corpus. Selection is integer-determined (no float top-k ties);
-    the double PMI expression is replayed operand-for-operand in SQL
-    and rounded identically (geoflow.stages.webquality.
-    pmi_collocations)."""
-    from ..stages.webquality import pmi_collocations
-
-    ds = _read(sf_dir, "documents", ["text"])
-    return pmi_collocations(ds, min_count=3)
-
-
 @register("daily_distinct_users", sql="""
 SELECT epoch_us(ts) // 86400000000 AS day,
        CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
@@ -7145,31 +5999,6 @@ def focal_terrain_stats(sf_dir: str):
     return focal_stats(tiles, H, W, tile=_HYDRO_TILE)
 
 
-@register("weighted_sample_docs", sql="""
-WITH keyed AS (
-  SELECT doc_id, lang, n_chars,
-         ln((CAST((doc_id * 2654435761 + 987654321) % 4294967296 AS DOUBLE)
-             + 0.5) / 4294967296.0) / n_chars AS k
-  FROM documents WHERE n_chars > 0
-)
-SELECT doc_id, lang, n_chars FROM keyed
-ORDER BY k DESC, doc_id LIMIT 100
-""")
-def weighted_sample_docs(sf_dir: str):
-    """Weighted sampling WITHOUT replacement (Efraimidis-Spirakis A-ES
-    top-k: key = u^(1/w), u from a Knuth hash of doc_id, weight =
-    n_chars so longer documents are proportionally likelier) — the
-    curation pattern for quality- or length-weighted subcorpus
-    selection. Deterministic across runs/cluster sizes/block layouts
-    and replayed in SQL via the monotone ln(u)/w ordering. Distributed:
-    per-block local top-k partials (k slim rows per block), one
-    coalesced reduce (geoflow.stages.curation.weighted_sample_aes)."""
-    from ..stages.curation import weighted_sample_aes
-
-    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    return weighted_sample_aes(ds, k=100)
-
-
 _WINDOW_ACTIVITY_SQL = """
 SELECT a.event_id,
        count(*) AS n_window,
@@ -7245,8 +6074,7 @@ def events_window_activity_grouped(sf_dir: str):
     """Scale-path twin of events_window_activity with the broadcast
     guard forced off: the one-shuffle bucketed plan (slim union,
     per-bucket searchsorted/prefix-sum core) must replay the SAME
-    oracle — the bpe_merges_distributed pattern of exercising the
-    big-data route at oracle scale."""
+    oracle, exercising the big-data route at oracle scale."""
     return _events_window_activity(sf_dir, force_grouped=True)
 
 
@@ -7308,8 +6136,7 @@ def cms_frequent_tokens(sf_dir: str):
 # vs quality scores + token stats; bbox join vs the polygon PIP join;
 # lang-source rollup vs langid + corpus curation) move past the window,
 # which frees slots for one hash-checked representative of EVERY
-# operator family (incl. the curation trio: tf-idf, decontamination,
-# PII scrub).
+# operator family.
 # tools/validate_queries.py still validates the full oracle-bearing set
 # at sf0.001/0.01/0.1 — see BASELINE.md.
 # ---------------------------------------------------------------------------
@@ -7322,123 +6149,59 @@ _PAST_WINDOW = [
     # revenue, order_lineitem_revenue, revenue_by_region, events_hourly)
     "orders_by_nation", "brand_part_stats", "supplier_by_nation",
     "customers_without_big_orders", "distinct_langs", "filtered_revenue",
-    # events_hourly_streaming stays in-window on the SAME oracle;
-    # tfidf_top_terms keeps a per-group top-k in-window
+    # events_hourly_streaming stays in-window on the SAME oracle
     "events_hourly", "top_parts_per_brand", "events_lag_delta",
     "label_centroids",
-    # token counting subsumed by repetition/tfidf/frequent-token
-    # family; per-cell top-k subsumed by geo_zonal + top_parts_per_
-    # brand — freeing slots for line_dedup_docs + dup_window_stats
+    # token counting subsumed by the frequent-token family; per-cell
+    # top-k subsumed by geo_zonal + top_parts_per_brand
     "doc_token_stats", "top_doc_cells",
-    # the dup-window SIGNAL is strictly contained in the in-window
-    # REWRITE twin (dedup_windows_docs); embedding components reuse
-    # the machinery of in-window embedding_close_pairs +
-    # minhash_dup_clusters — freeing slots for dedup_windows_docs +
-    # vocab_encoded_docs
-    "dup_window_stats", "embedding_dup_clusters",
+    # embedding components reuse the machinery of in-window
+    # embedding_close_pairs + minhash_dup_clusters
+    "embedding_dup_clusters",
     # zonal salting is proven invisible by the SAME oracle shape as the
     # in-window split-cell twin (zonal_split_docs) over the in-window
-    # base query (geo_zonal_docs) — freeing a slot for
-    # mixture_rebalanced_counts
+    # base query (geo_zonal_docs)
     "zonal_salted_docs",
-    # top-k vocab build + searchsorted encode is strictly weaker
-    # vocabulary learning than the in-window BPE training oracle
-    # (bpe_merges replays 10 full merge rounds); still validated
-    # locally — freeing a slot for bpe_merges
-    "vocab_encoded_docs",
     # exact-hash image dup groups are subsumed by the in-window
     # near-dup query (same pixel-exact aHash replay + Hamming LSH on
-    # top) — freeing a slot for bpe_encoded_docs
+    # top)
     "image_ahash_dup_groups",
-    # per-lang Bernoulli sampling is covered by the in-window
-    # mixture-rebalance oracle (per-group deterministic downsampling
-    # with integer thresholds) + hash-split counts — freeing a slot
-    # for near_ingest_docs
+    # per-lang Bernoulli sampling — freeing a slot for near_ingest_docs
     "stratified_sample_docs",
-    # four twin-covered demotions that admit one hash-checked
+    # two twin-covered demotions that admit one hash-checked
     # representative of EACH new operator family (bloom semi-join,
-    # zone-map layout, epoch shuffle, token-budget selection):
-    # domain rollup = the same canon+groupby shape as in-window
-    # url_dedup_pages + lang_source-style rollups; line-level
-    # boilerplate is the line-granular sibling of the in-window
-    # window-rewrite (dedup_windows_docs) over the same duplicated
-    # corpus; nearest-site top-1 haversine is contained in the
-    # in-window pinned-index top-k (knn_haversine_docs, same trig
+    # zone-map layout): nearest-site top-1 haversine is contained in
+    # the in-window pinned-index top-k (knn_haversine_docs, same trig
     # replayed in SQL); quality-score thresholds are APPLIED
     # decision-level by in-window corpus_curation.
-    "domain_stats", "line_dedup_docs", "nearest_site_docs",
-    "doc_quality_scores",
+    "nearest_site_docs", "doc_quality_scores",
     # two twin-covered demotions: CASE-band aggregation is the
     # q1_pricing_summary shape on the events table (whose hourly rollup
     # stays in-window via events_hourly_streaming); the order->lineitem
     # join rollup is the same join+agg plan as in-window
     # revenue_by_region AND bloom_semi_revenue over the same tables.
     "events_value_bands", "order_lineitem_revenue",
-    # ...and two more: token-id ENCODE against a learned vocabulary
-    # is the apply-side of the in-window bpe_merges
-    # training replay (the encode query was verified against that
-    # replay's final type table); deterministic hash-split routing is
-    # covered in-window by epoch_shuffled_docs (hash-rank positions
-    # replayed in SQL) + mixture_rebalanced_counts (deterministic
-    # per-group threshold routing).
-    "bpe_encoded_docs", "train_split_counts",
-    # quota sampling's two mechanisms are both in-window elsewhere:
-    # its per-doc shuffle rank is the SAME hash order epoch_shuffled_
-    # docs position-checks, and its per-group k-selection is the
-    # deterministic per-group routing mixture_rebalanced_counts
-    # replays — freeing a slot for grid_dbscan_docs.
-    "quota_sample_docs",
     # the plain zonal rollup is strictly contained in the in-window
     # split-cell twin (zonal_split_docs replays the SAME zonal oracle
     # shape over the SAME geocoded base and additionally proves the
     # rebalance invisible) — freeing a slot for user_travel_stats.
     "geo_zonal_docs",
-    # two more twin-covered demotions for the vector-geometry and
-    # dictionary-scan families: the hash-rank ORDER of epoch_shuffled_
-    # docs is a position-checked global ordering (global sort's range
-    # partition is additionally exercised by every in-window top-k);
-    # audio fingerprint dedup is the same perceptual-hash-through-a-
-    # real-codec plan as in-window image_ahash_near_dup, with the WAV
-    # codec separately pinned by round-trip pytest.
+    # two more demotions for the vector-geometry family: audio
+    # fingerprint dedup is the same perceptual-hash-through-a-real-codec
+    # plan as in-window image_ahash_near_dup, with the WAV codec
+    # separately pinned by round-trip pytest.
     "global_sorted_docs", "audio_fp_dup_groups",
     # the single-range zone-map scan is strictly contained in the new
     # in-window bbox_cover_scan_docs (same write_clustered layout +
     # manifest pruning, MULTI-range + spatial cover + exact refine on
-    # top, pruning asserted in-query); exact heavy hitters' final
-    # output is a GROUP BY / HAVING count shape whose token-stat
-    # machinery tfidf_top_terms keeps in-window, with the space-saving
-    # candidate superset guarantee pinned by its property test.
+    # top, pruning asserted in-query); exact heavy hitters'
+    # space-saving candidate superset guarantee is pinned by its
+    # property test.
     "pruned_events_scan", "frequent_tokens",
-    # data-mixing keeps token_budget_docs in-window (per-group budgeted
-    # selection with a doc-for-doc oracle; mixture's threshold routing
-    # is the same deterministic per-group acceptance mechanism), and
-    # token-statistics keeps tfidf_top_terms + doc_repetition_stats
-    # (the bigram-LM score is a global-bigram-count + per-doc fold of
-    # the same shape) — freeing slots for crawl_frontier_docs and
-    # cell_focal_density.
-    "mixture_rebalanced_counts", "lm_bigram_scores",
-    # n-gram statistics keep dedup_windows_docs (cross-doc 8-token
-    # windows incl. rewrite bytes) + tfidf_top_terms in-window; the
-    # intra-doc repetition pair (top-bigram / dup-trigram coverage)
-    # is the same per-doc vectorized n-gram counting — freeing a slot
-    # for getis_ord_hotspots.
-    "doc_repetition_stats",
-    # three webtext demotions whose FAMILIES keep in-window reps, to
-    # admit the movement/interpolation/labeling geo trio: benchmark
-    # decontamination = a shingle-set semi-join (shingle machinery
-    # in-window via ngram_jaccard_pairs + dedup_windows_docs, decision
-    # filtering via corpus_curation); PII scrubbing = SQL-replayable
-    # regex rewrite (regex extraction byte-parity in-window via
-    # flagship_zonal_verified); langid's decision replay is applied
-    # AND replayed inside in-window corpus_curation.
-    "decontaminated_docs", "pii_scrub_docs", "langid_docs",
-    # demotion admitting od_two_hop: the global-order POSITION check
-    # epoch shuffle pins stays in-window via crawl_frontier_docs
-    # (distributed dense rank with exact global positions — a strictly
-    # harder ordering contract) and deterministic hash-rank selection
-    # via token_budget_docs; epoch_shuffled_docs stays locally
-    # validated at 3 scales.
-    "epoch_shuffled_docs",
+    # a webtext demotion whose family keeps an in-window rep, to admit
+    # the movement/interpolation/labeling geo trio: langid's decision
+    # replay is applied AND replayed inside in-window corpus_curation.
+    "langid_docs",
     # demotion admitting colocation_pairs: the per-user movement rollup
     # keeps its full chain in-window via stay_points_events (same
     # geocode + LAG + same-operation-order haversine, PLUS the island
@@ -7462,9 +6225,7 @@ _PAST_WINDOW = [
     # demotion admitting fuzzy_token_pairs: the winnowing fingerprint's
     # char-polynomial fold is replayed in-window by cdc_chunk_dups
     # (same list_reduce fold idiom, dual sub-2^31 primes) and its
-    # window-hash machinery by dedup_windows_docs (8-token windows
-    # with power-table folds); doc_fingerprints stays locally
-    # validated at 3 scales.
+    # doc_fingerprints stays locally validated at 3 scales.
     "doc_fingerprints",
     # demotion admitting geohash_cells: IDW's two mechanisms each keep
     # an in-window rep — the same-operation-order haversine trig is
@@ -7472,19 +6233,13 @@ _PAST_WINDOW = [
     # the broadcast-small-side + vectorized (batch x refs) matrix
     # kernel is the plan shape the kNN/ANN family pins.
     "idw_interpolation_docs",
-    # demotion admitting skyline_docs: brute cosine top-k's machinery
+    # demotion: brute cosine top-k's machinery
     # stays in-window — the SAME normalized-matmul batch kernel runs
     # inside embedding_close_pairs (threshold instead of ranked cut),
     # ranked per-entity cuts via bm25_top_docs / top_parts_per_brand,
     # and the ANN queries' recall floors recompute the brute top-k
     # in-query as their own reference.
     "knn_cosine_top5",
-    # demotion admitting agg_view_hourly: tf-idf's two mechanisms stay
-    # in-window through STRONGER twins — combiner-pattern DF counting
-    # inside bm25_top_docs (which additionally replays ln-idf scoring
-    # on the same tokenization), per-entity top-k via
-    # top_parts_per_brand and bm25's per-query ranked cut.
-    "tfidf_top_terms",
     # demotion admitting raster_pyramid_cells: the raster zonal table
     # stays hash-checked in-window VERBATIM — raster_pages_cell_join_
     # verified embeds the SAME zonal rows as its golden VALUES side
@@ -7520,10 +6275,9 @@ _PAST_WINDOW = [
     # PAIR generation stays in-window via minhash_near_dup itself.
     "minhash_dup_clusters",
     # demotion admitting bm25_top_docs: exact-dedup's bucket-keyed
-    # shuffle plan stays hash-verified in-window TWICE — inside the
-    # flagship twin (flagship_zonal_verified runs the same dedup stage
-    # before its verified zonal rollup) and as url_dedup_pages (the
-    # same exact-dedup mechanism keyed on the canonicalized url).
+    # shuffle plan stays hash-verified in-window inside the flagship
+    # twin (flagship_zonal_verified runs the same dedup stage before
+    # its verified zonal rollup).
     "dedup_exact_docs",
     # two demotions admitting the D8 hydrology pair: the sparse focal-
     # density neighborhood machinery stays in-window via getis_ord_
@@ -7655,13 +6409,11 @@ _PAST_WINDOW = [
     # vectors. The Hilbert rotation chain is machinery no other query
     # exercises.
     "geohash_cells",
-    # demotion admitting tfidf_top_terms back into the window: the
-    # grouped window-join twin forces the SAME bucketed
+    # demotion: the grouped window-join twin forces the SAME bucketed
     # searchsorted/prefix-sum core its in-window sibling
     # events_window_activity runs behind the broadcast guard, and the
     # path-equality pytest (broadcast == grouped) already pins the two
-    # routes together; tf-idf's integer-score ranking has no other
-    # window rep.
+    # routes together.
     "events_window_activity_grouped",
     # self-checking no-oracle entries
     "video_frame_embeddings", "ann_ivf_top5", "ann_lsh_top5",

@@ -116,9 +116,9 @@ def _doubling_chain_sql(rounds: int = 9) -> str:
     ``p{k}``: the (saturating) 2^k-step ancestor of every cell.
     ``v{k}``: all (origin, visited) pairs within distance <= 2^k.
     ``AS MATERIALIZED`` is load-bearing: DuckDB's default inlining would
-    expand the self-references exponentially (same lesson as the BPE
-    training replay). ``rounds`` must satisfy 2^rounds >= max path
-    visits — 138 on the 192^2 fixture (pinned by pytest), so 9 is ample.
+    expand the self-references exponentially. ``rounds`` must satisfy
+    2^rounds >= max path visits — 138 on the 192^2 fixture (pinned by
+    pytest), so 9 is ample.
     """
     s = ["p0 AS MATERIALIZED (SELECT cell, CASE WHEN next < 0 THEN cell "
          "ELSE next END AS ptr FROM fdir)",

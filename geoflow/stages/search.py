@@ -5,9 +5,8 @@ Data plan:
 
 1. one streaming pass explodes documents into slim (doc, term, tf, dl)
    posting rows (Arrow hash aggregate per batch — no Python counting);
-2. document frequencies come from the combiner-pattern groupby the
-   tf-idf stage already uses (shuffle is vocab x batches rows, never
-   corpus-sized);
+2. document frequencies come from a combiner-pattern groupby (shuffle
+   is vocab x batches rows, never corpus-sized);
 3. the query-term dictionary (term -> (q_id, df)) broadcasts via
    ``ray.put`` — query sets are tiny by nature; postings for NON-query
    terms are filtered out batch-side, so the scoring shuffle carries
@@ -36,7 +35,7 @@ B = 0.75
 
 def tf_dl_rows(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
     """(doc, term, tf, dl) posting rows for one batch (whitespace
-    tokens, same '\\S+' semantics as curation.tf_rows)."""
+    tokens, same '\\S+' semantics as textstats.tf_rows)."""
     ids = batch.column(id_col).to_numpy().astype(np.int64)
     texts = batch.column(text_col).to_pylist()
     toks_per_doc = [(t or "").split() for t in texts]

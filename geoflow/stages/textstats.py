@@ -225,6 +225,28 @@ def _edit1(a: str, b: str) -> bool:
     return True
 
 
+def tf_rows(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
+    """(doc, term, tf) rows for one batch — exact term frequencies via
+    token explode + Arrow hash aggregate (no per-doc Python counting)."""
+    ids = batch.column(id_col).to_numpy().astype(np.int64)
+    texts = batch.column(text_col).to_pylist()
+    toks_per_doc = [(t or "").split() for t in texts]
+    lens = np.fromiter((len(t) for t in toks_per_doc), dtype=np.int64,
+                       count=len(toks_per_doc))
+    if lens.sum() == 0:
+        return pa.table({id_col: pa.array([], pa.int64()),
+                         "term": pa.array([], pa.string()),
+                         "tf": pa.array([], pa.int64())})
+    flat_terms = [w for toks in toks_per_doc for w in toks]
+    doc = np.repeat(ids, lens)
+    t = pa.table({id_col: pa.array(doc, pa.int64()),
+                  "term": pa.array(flat_terms, pa.string())})
+    out = pa.TableGroupBy(t, [id_col, "term"]).aggregate([([], "count_all")])
+    return pa.table({id_col: out.column(id_col),
+                     "term": out.column("term"),
+                     "tf": out.column("count_all")})
+
+
 def fuzzy_token_pairs(ds, text_col: str = "text",
                       min_df: int = FUZZY_MIN_DF,
                       max_len: int = FUZZY_MAX_LEN):
@@ -242,7 +264,6 @@ def fuzzy_token_pairs(ds, text_col: str = "text",
     import pandas as pd
 
     from ..functions.agg import grouped_count_sum
-    from ..stages.curation import tf_rows
 
     tf = ds.map_batches(lambda b: tf_rows(b, "doc_id", text_col),
                         batch_format="pyarrow")

@@ -75,6 +75,21 @@ def test_progressive_rejected():
         decode_jpeg(bytes(data))
 
 
+def test_encoder_emits_sof0_before_any_other_ffc0():
+    """media_decode_error_stats turns its fixture JPEGs progressive by
+    splicing SOF2 over the first ``FF C0`` in encode_jpeg's output, so
+    that first match must be the SOF0 marker for every fixture image."""
+    for i in range(31):
+        img = ((np.arange(64, dtype=np.int64) * (i + 7)) % 256) \
+            .astype(np.uint8).reshape(8, 8)[..., None].repeat(3, axis=2)
+        data = encode_jpeg(img, quality=90)
+        at = 2                                  # walk segments after SOI
+        while data[at + 1] != 0xC0:
+            assert data[at] == 0xFF and data[at + 1] != 0xDA, i
+            at += 2 + int.from_bytes(data[at + 2:at + 4], "big")
+        assert data.find(b"\xff\xc0") == at, i
+
+
 def test_codec_sniffs_jpeg():
     img = _gradient_rgb(24, 24)
     dec = Codec().decode_image(encode_jpeg(img, quality=95))

@@ -264,3 +264,24 @@ def test_grouped_count_sum_bucketed_parity(ray_session):
     bucketed = _norm(grouped_count_sum_bucketed(ds, ["a", "b", "c"],
                                                 ["v"], num_buckets=5))
     pd.testing.assert_frame_equal(native, bucketed)
+
+
+def test_nonempty_block_helpers(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+    from ray.data.aggregate import Sum
+
+    from geoflow.functions.agg import nonempty_batches, skip_empty
+
+    # groupby over heavily over-partitioned tiny data produces zero-row
+    # (often empty-schema) blocks; the helpers must drop them
+    ds = (rd.from_items([{"k": i % 2, "v": i} for i in range(6)])
+          .repartition(32).groupby("k").aggregate(Sum("v", alias_name="s")))
+    assert sum(b.num_rows for b in nonempty_batches(ds)) == 2
+
+    # skip_empty: empty-schema input short-circuits to the typed table
+    schema = pa.schema([("x", pa.int64())])
+    fn = skip_empty(lambda b: pa.table({"x": b.column("k")}), schema)
+    out = fn(pa.table({}))
+    assert out.schema == schema and out.num_rows == 0
+    assert fn(pa.table({"k": [1, 2]})).num_rows == 2
