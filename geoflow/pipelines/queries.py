@@ -2585,6 +2585,55 @@ def video_frame_embeddings(sf_dir: str):
             .sort_values(["media_id", "frame_idx"]).reset_index(drop=True))
 
 
+@register("url_dedup_pages", sql="""
+WITH d AS (SELECT doc_id, doc_id - doc_id % 3 AS gid FROM documents)
+SELECT 'https://site' || (gid % 999) || '.example/s' || ((gid // 999) % 37)
+         || '/page' || gid AS canon_url,
+       min(doc_id) AS doc_id, count(*) AS n_variants
+FROM d GROUP BY gid
+""")
+def url_dedup_pages(sf_dir: str):
+    """URL canonicalization + keep-first URL-level dedup. Dirty crawl
+    URLs are derived deterministically per doc (three docs share one
+    canonical target; variants add uppercase scheme+host + #fragment,
+    or utm_* tracking params + trailing slash). The ENGINE canonicalizes
+    with its real pyarrow regex kernels (crawl
+    .canonicalize_urls_batch) and dedups via the bucket-keyed
+    one-shuffle plan; the oracle computes the expected canonical form
+    from doc_id arithmetic alone — so the hash match proves the
+    canonicalizer exactly undoes every injected variation."""
+    from ..stages.crawl import url_dedup
+
+    ds = _read(sf_dir, "documents", ["doc_id"])
+
+    def _dirty(b: pa.Table) -> pa.Table:
+        ids = b.column("doc_id").to_numpy().astype(np.int64)
+        urls = []
+        for i in ids.tolist():
+            gid = i - i % 3
+            base = (f"https://site{gid % 999}.example/"
+                    f"s{(gid // 999) % 37}/page{gid}")
+            m = i % 3
+            if m == 1:
+                sep = base.index("/s")
+                urls.append(base[:sep].upper() + base[sep:] + f"#sec{i}")
+            elif m == 2:
+                urls.append(base + f"/?utm_source=feed&utm_campaign=c{i}")
+            else:
+                urls.append(base)
+        return pa.table({"doc_id": pa.array(ids, pa.int64()),
+                         "url": pa.array(urls, pa.string())})
+
+    dirty = ds.map_batches(_dirty, batch_format="pyarrow")
+    out = url_dedup(dirty, id_col="doc_id", url_col="url")
+    return out.map_batches(
+        lambda b: pa.table({
+            "canon_url": b.column("canon_url"),
+            "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
+            "n_variants": pc.cast(b.column("n_variants"), pa.int64()),
+        }), batch_format="pyarrow")
+
+
 @register("image_ahash_dup_groups", sql="""
 WITH e AS (
   SELECT vec_id,
@@ -3509,6 +3558,33 @@ def bbox_cover_scan_docs(sf_dir: str):
             "lon": pa.array(np.round(b.column("lon").to_numpy(), 6))})
 
     return ds.map_batches(_refine, batch_format="pyarrow")
+
+
+@register("crawl_frontier_docs", sql="""
+WITH d AS (SELECT doc_id, doc_id % 97 AS domain_key FROM documents),
+r AS (
+  SELECT doc_id, domain_key,
+         row_number() OVER (PARTITION BY domain_key ORDER BY doc_id) - 1
+             AS rnd
+  FROM d)
+SELECT doc_id, CAST(domain_key AS BIGINT) AS domain_key,
+       CAST(rnd AS BIGINT) AS rnd,
+       CAST(row_number() OVER (ORDER BY rnd, domain_key, doc_id)
+            AS BIGINT) AS pos
+FROM r
+""")
+def crawl_frontier_docs(sf_dir: str):
+    """Politeness-aware crawl-frontier schedule: breadth-across-domains
+    interleave (round r = each domain's r-th URL, domains in key order
+    within a round) with the EXACT global position per URL, so the
+    oracle hash-checks the order itself. Engine: per-domain rounds via
+    one bucket-keyed groupby + vectorized cumcount, then a distributed
+    dense rank (per-bucket count rollup -> driver bucket offsets ->
+    local sort + offset — geoflow.stages.crawl.frontier_order)."""
+    from ..stages.crawl import frontier_order
+
+    ds = _read(sf_dir, "documents", ["doc_id"])
+    return frontier_order(ds, num_domains=97)
 
 
 @register("cell_focal_density", sql=_GEO_SQL_CTE + """,
@@ -5321,6 +5397,46 @@ def hilbert_cells(sf_dir: str):
                 "n_chars_sum"]]
 
 
+@register("skyline_docs", sql=r"""
+WITH m AS (
+  SELECT doc_id, lang, n_chars,
+         len(regexp_extract_all(text, '\S+')) AS n_tokens
+  FROM documents
+)
+SELECT p.lang, p.doc_id, p.n_chars, p.n_tokens
+FROM m p
+WHERE NOT EXISTS (
+  SELECT 1 FROM m q
+  WHERE q.lang = p.lang AND q.n_chars >= p.n_chars
+    AND q.n_tokens >= p.n_tokens
+    AND (q.n_chars > p.n_chars OR q.n_tokens > p.n_tokens))
+""")
+def skyline_docs(sf_dir: str):
+    """Per-language Pareto skyline of documents over (n_chars,
+    n_tokens), maximizing both: two-phase dominance pruning — local
+    skylines per batch (the skyline of a union is the skyline of the
+    per-part skylines), then one pass over the tiny survivor set, so
+    the shuffle carries O(skyline) rows. Identical points co-survive;
+    the oracle is the textbook NOT EXISTS dominance query
+    (geoflow.stages.skyline.pareto_skyline)."""
+    from ..stages.skyline import pareto_skyline
+
+    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars", "text"])
+
+    def _m(b: pa.Table) -> pa.Table:
+        texts = b.column("text").to_pylist()
+        ntok = np.fromiter((len((t or "").split()) for t in texts),
+                           dtype=np.int64, count=len(texts))
+        return pa.table({
+            "lang": b.column("lang"),
+            "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
+            "n_chars": pc.cast(b.column("n_chars"), pa.int64()),
+            "n_tokens": pa.array(ntok)})
+
+    m = ds.map_batches(_m, batch_format="pyarrow")
+    return pareto_skyline(m, "lang", "n_chars", "n_tokens", "doc_id")
+
+
 @register("agg_view_hourly", sql="""
 SELECT event_type, CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hour_bucket,
        count(*) AS n_events, round(sum(value), 4) AS value_sum
@@ -6233,7 +6349,7 @@ _PAST_WINDOW = [
     # the broadcast-small-side + vectorized (batch x refs) matrix
     # kernel is the plan shape the kNN/ANN family pins.
     "idw_interpolation_docs",
-    # demotion: brute cosine top-k's machinery
+    # demotion admitting skyline_docs: brute cosine top-k's machinery
     # stays in-window — the SAME normalized-matmul batch kernel runs
     # inside embedding_close_pairs (threshold instead of ranked cut),
     # ranked per-entity cuts via bm25_top_docs / top_parts_per_brand,
@@ -6275,9 +6391,10 @@ _PAST_WINDOW = [
     # PAIR generation stays in-window via minhash_near_dup itself.
     "minhash_dup_clusters",
     # demotion admitting bm25_top_docs: exact-dedup's bucket-keyed
-    # shuffle plan stays hash-verified in-window inside the flagship
-    # twin (flagship_zonal_verified runs the same dedup stage before
-    # its verified zonal rollup).
+    # shuffle plan stays hash-verified in-window TWICE — inside the
+    # flagship twin (flagship_zonal_verified runs the same dedup stage
+    # before its verified zonal rollup) and as url_dedup_pages (the
+    # same exact-dedup mechanism keyed on the canonicalized url).
     "dedup_exact_docs",
     # two demotions admitting the D8 hydrology pair: the sparse focal-
     # density neighborhood machinery stays in-window via getis_ord_

@@ -107,6 +107,29 @@ def test_focal_density_matches_dense_convolution():
     assert len(got) == len(xs)   # occupied cells only, no phantom fringe
 
 
+def test_frontier_order_fair_interleave():
+    import pandas as pd
+
+    from geoflow.stages.crawl import frontier_order
+
+    ids = np.arange(137, dtype=np.int64)
+    ds = rd.from_arrow(pa.table({"doc_id": pa.array(ids)})).repartition(4)
+    got = (frontier_order(ds, num_domains=7).to_pandas()
+           .sort_values("pos").reset_index(drop=True))
+    assert got["pos"].tolist() == list(range(1, 138))
+    # schedule order == lexicographic (round, domain, doc_id)
+    key = list(zip(got["rnd"], got["domain_key"], got["doc_id"]))
+    assert key == sorted(key)
+    # per-domain: rounds are 0..k-1 in doc_id order
+    for dom, g in got.groupby("domain_key"):
+        g = g.sort_values("doc_id")
+        assert g["rnd"].tolist() == list(range(len(g)))
+        assert (g["doc_id"] % 7 == dom).all()
+    # fairness: round r is only scheduled once every domain with >= r
+    # urls has had its r-1 round (positions of round r all after r-1)
+    assert (got.groupby("rnd")["pos"].min().diff().dropna() > 0).all()
+
+
 def test_getis_ord_hotspot_ranks_dense_cells_highest():
     from geoflow.stages.compaction import cell_counts, getis_ord_hotspots
     from geoflow.stages.geocode import geocode_doc_ids

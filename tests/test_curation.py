@@ -1,66 +1,9 @@
-"""Curation operators: tf-idf, decontamination, PII scrub."""
+"""Curation-side checks that outlive the curation stages: per-document
+term counts (textstats.tf_rows) and the data-constraint audit query."""
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from geoflow.stages import curation
-
-
-def test_word_shingles_conventions():
-    assert curation.word_shingles("", 5) == []
-    assert curation.word_shingles("a b c", 5) == ["a b c"]   # short: whole
-    got = set(curation.word_shingles("a b c d e f", 5))
-    assert got == {"a b c d e", "b c d e f"}
-    # distinct: repeated shingles collapse
-    assert len(curation.word_shingles("x x x x x x x", 5)) == 1
-
-
-def test_pii_patterns_match_duckdb_re2():
-    """The engine's scrub chain must be replayable in DuckDB RE2 —
-    pairwise-identical counts AND replacement strings on adversarial
-    inputs (nested classes, boundary repeats, adjacent spans)."""
-    import duckdb
-
-    tests = [
-        "contact user123@example.com now",
-        "a.b-c_d%e+f@sub.domain.co.uk trailing",
-        "call +1 (555) 010-1234 ok",
-        "multi +44 20-7946 0958 and user@x.io and +1 5550102 end",
-        "edge@x.y, @nope, no@tld., x@y.zz",
-        "++12345678, +1234567890123456789012345",
-        "paren +1 ((55)) -- 22 done",
-        "email-in-phone +1 555 a@b.cc 0102",
-        "", "no pii here at all 123",
-        "a@b.cc+1 5550102 glued",
-    ]
-    con = duckdb.connect()
-    for t in tests:
-        t1, ne = curation._RE_EMAIL.subn("[EMAIL]", t)
-        t2, npn = curation._RE_PHONE.subn("[PHONE]", t1)
-        sne, st1 = con.execute(
-            "SELECT len(regexp_extract_all(?, ?)),"
-            " regexp_replace(?, ?, '[EMAIL]', 'g')",
-            [t, curation.PII_EMAIL, t, curation.PII_EMAIL]).fetchone()
-        snp, st2 = con.execute(
-            "SELECT len(regexp_extract_all(?, ?)),"
-            " regexp_replace(?, ?, '[PHONE]', 'g')",
-            [st1, curation.PII_PHONE, st1, curation.PII_PHONE]).fetchone()
-        assert (ne, t1, npn, t2) == (sne, st1, snp, st2), t
-
-
-def test_pii_scrub_batch():
-    b = pa.table({
-        "doc_id": pa.array([1, 2], pa.int64()),
-        "text": pa.array(["mail a@b.cc and c@d.ee end", "call +1 5550102 x"]),
-    })
-    out = curation.pii_scrub_batch(b)
-    assert out.column("n_emails").to_pylist() == [2, 0]
-    assert out.column("n_phones").to_pylist() == [0, 1]
-    assert out.column("scrubbed_text").to_pylist() == [
-        "mail [EMAIL] and [EMAIL] end", "call [PHONE] x"]
-    assert out.column("scrubbed_len").to_pylist() == [
-        len("mail [EMAIL] and [EMAIL] end"), len("call [PHONE] x")]
+from geoflow.stages.textstats import tf_rows
 
 
 def test_tf_rows_exact_counts():
@@ -68,241 +11,13 @@ def test_tf_rows_exact_counts():
         "doc_id": pa.array([7, 8], pa.int64()),
         "text": pa.array(["a b a a c", ""]),
     })
-    out = curation.tf_rows(b, "doc_id", "text").to_pandas()
+    out = tf_rows(b, "doc_id", "text").to_pandas()
     got = {(r.doc_id, r.term): r.tf for r in out.itertuples()}
     assert got == {(7, "a"): 3, (7, "b"): 1, (7, "c"): 1}
 
 
-def test_tfidf_top_terms_matches_bruteforce(ray_session):
-    import collections
-
-    import ray.data as rd
-
-    rng = np.random.default_rng(13)
-    vocab = [f"w{i:02d}" for i in range(12)]
-    docs = [" ".join(rng.choice(vocab, 20)) for _ in range(40)]
-    df_in = pd.DataFrame({"doc_id": np.arange(40, dtype=np.int64),
-                          "text": docs})
-    out = curation.tfidf_top_terms(
-        rd.from_pandas(df_in).repartition(4), k=3).to_pandas()
-
-    # brute force
-    tf = collections.Counter()
-    dfc = collections.Counter()
-    for i, t in enumerate(docs):
-        toks = t.split()
-        for w, c in collections.Counter(toks).items():
-            tf[(i, w)] = c
-        for w in set(toks):
-            dfc[w] += 1
-    exp = {}
-    for i in range(40):
-        scored = sorted(
-            ((-(tf[(i, w)] * 10**12 // dfc[w]), w)
-             for w in {x for x in docs[i].split()}))[:3]
-        exp[i] = [(w, -s, r + 1) for r, (s, w) in enumerate(scored)]
-    got = {}
-    for r in out.itertuples():
-        got.setdefault(r.doc_id, []).append((r.term, r.score_e12, r.rk))
-    for i in range(40):
-        assert sorted(got[i], key=lambda x: x[2]) == exp[i], i
-
-
-def test_decontaminate_matches_bruteforce(ray_session):
-    import ray.data as rd
-
-    docs = {
-        0: "alpha beta gamma delta epsilon zeta",       # benchmark
-        1: "alpha beta gamma delta epsilon other",      # shares 1 shingle
-        2: "totally different words here now end",      # clean
-        3: "x beta gamma delta epsilon zeta y alpha beta gamma delta epsilon q",  # shares both benchmark shingles
-        4: "short one",                                  # short, clean
-    }
-    ds = rd.from_items([{"doc_id": k, "text": v} for k, v in docs.items()])
-    bench = ds.filter(lambda r: r["doc_id"] == 0)
-    shingles = curation.benchmark_shingle_set(bench, k=5)
-    assert len(shingles) == 2
-    flagged = curation.decontaminate(
-        ds.filter(lambda r: r["doc_id"] != 0), shingles, k=5).to_pandas()
-    got = dict(zip(flagged["doc_id"], flagged["n_contaminated"]))
-    assert got == {1: 1, 3: 2}
-
-
-def test_mixture_thresholds_exact_math():
-    # counts 218/75: target 40/15 (W=55). T = min(218*55//40, 75*55//15)
-    # = min(299, 275) = 275; thresh = w*T*denom // (W*n).
-    counts = {"en": 218, "zh": 75, "xx": 9}
-    target = {"en": 40, "zh": 15}
-    th = curation.mixture_thresholds(counts, target, denom=1_000_000)
-    assert set(th) == {"en", "zh"}  # untargeted lang drops
-    assert th["en"] == 40 * 275 * 1_000_000 // (55 * 218)
-    assert th["zh"] == 15 * 275 * 1_000_000 // (55 * 75)
-    # the limiting group accepts (nearly) everything
-    assert th["zh"] == 1_000_000
-    # zero-weight / zero-count / empty edge cases
-    assert curation.mixture_thresholds({"en": 5}, {"en": 0}) == {}
-    assert curation.mixture_thresholds({}, {"en": 1}) == {}
-    assert curation.mixture_thresholds({"en": 0}, {"en": 1}) == {}
-    # bigint safety: web-scale counts never overflow (Python ints)
-    big = curation.mixture_thresholds(
-        {"en": 3 * 10 ** 11, "zh": 10 ** 11}, {"en": 40, "zh": 15})
-    # binding group keeps (nearly) everything — floor of T can shave
-    # one permillion when n*W is not divisible by w
-    assert big["zh"] >= 999_999 and 0 < big["en"] < 1_000_000
-
-
-def test_mixture_rebalance_deterministic_and_on_target(ray_session):
-    import ray.data as rd
-
-    rng = np.random.default_rng(7)
-    langs = np.array(["en", "zh", "es"])[
-        rng.choice(3, size=3000, p=[0.7, 0.2, 0.1])]
-    # realistic url-shaped keys: the char-fold hash needs a few folds
-    # to mix (very short keys stay in the low hash range) — same reason
-    # split_assign_batch keys on urls
-    from geoflow.sources.pages import page_url
-    df = pd.DataFrame({"key": [page_url(i * 37) for i in range(3000)],
-                       "lang": langs})
-    target = {"en": 50, "zh": 30, "es": 20}
-
-    out1, counts, th = curation.mixture_rebalance(
-        rd.from_pandas(df), target, key_col="key", group_col="lang")
-    got1 = out1.to_pandas().sort_values("key").reset_index(drop=True)
-    # determinism under a different partitioning
-    out2, _, _ = curation.mixture_rebalance(
-        rd.from_pandas(df).repartition(13), target,
-        key_col="key", group_col="lang")
-    got2 = out2.to_pandas().sort_values("key").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got1, got2)
-
-    # local replay of the acceptance rule == distributed result
-    from geoflow.stages.webquality import poly_string_hash_vec
-    pm = poly_string_hash_vec(df["key"].tolist()) % curation.MIX_DENOM
-    thr = np.array([th[g] for g in df["lang"]])
-    assert set(got1["key"]) == set(df["key"][pm < thr])
-
-    # achieved mixture is within sampling noise of the target
-    after = got1["lang"].value_counts()
-    total = after.sum()
-    for g, w in target.items():
-        assert abs(after[g] / total - w / 100) < 0.03
-    # the binding group is kept (nearly) whole
-    binding = max(th, key=th.get)
-    assert th[binding] >= curation.MIX_DENOM - 1
-
-
-def test_epoch_shuffle_deterministic_permutation(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from geoflow.stages.curation import epoch_shuffle, epoch_shuffle_key
-
-    ids = np.arange(500, dtype=np.int64)
-    ds = rd.from_arrow(pa.table({"doc_id": ids}))
-    e1 = epoch_shuffle(ds, 1).to_pandas()
-    # a permutation of the input, in globally sorted rank order
-    assert sorted(e1.doc_id) == ids.tolist()
-    k = e1[["shuffle_rank", "doc_id"]].to_numpy()
-    assert all(tuple(k[i]) < tuple(k[i + 1]) for i in range(len(k) - 1))
-    # re-run identical; different epoch differs
-    e1b = epoch_shuffle(rd.from_arrow(pa.table({"doc_id": ids})), 1
-                        ).to_pandas()
-    assert e1.doc_id.tolist() == e1b.doc_id.tolist()
-    assert (epoch_shuffle_key(ids, 2) != epoch_shuffle_key(ids, 1)).any()
-
-
-def test_token_budget_select_matches_sequential(ray_session):
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
-
-    from geoflow.stages.curation import (epoch_shuffle_key,
-                                         token_budget_select)
-
-    rng = np.random.default_rng(9)
-    n = 3000
-    df = pd.DataFrame({
-        "doc_id": np.arange(n, dtype=np.int64),
-        "lang": np.array(["en", "de", "fr"])[rng.integers(0, 3, n)],
-        "n_chars": rng.integers(50, 500, n).astype(np.int64),
-    })
-    budgets = {g: int(s * 0.37) for g, s in
-               df.groupby("lang")["n_chars"].sum().items()}
-    budgets["fr"] = 10 ** 12          # over-budget group keeps everything
-
-    # brute-force sequential definition
-    df["rk"] = epoch_shuffle_key(df["doc_id"].to_numpy(), 3)
-    want = set()
-    for g, sub in df.sort_values(["rk", "doc_id"]).groupby("lang"):
-        cum = sub["n_chars"].cumsum()
-        want |= set(sub["doc_id"][cum <= budgets[g]])
-
-    # few buckets => boundary logic is exercised for every group
-    for buckets in (1, 4, 64):
-        sel = token_budget_select(
-            rd.from_arrow(pa.Table.from_pandas(
-                df[["doc_id", "lang", "n_chars"]], preserve_index=False)),
-            budgets, seed=3, num_rank_buckets=buckets).to_pandas()
-        assert set(sel.doc_id) == want, buckets
-
-
-def test_bigram_rows_matches_python_split():
-    import numpy as np
-    import pyarrow as pa
-
-    from geoflow.stages.webquality import bigram_rows
-
-    texts = ["a b c", "  x   y ", "", "single", None, "p q p q"]
-    t = pa.table({"text": pa.array(texts, pa.string())})
-    out = bigram_rows(t)
-    got = list(zip(out.column("w1").to_pylist(),
-                   out.column("w2").to_pylist()))
-    exp = []
-    for s in texts:
-        toks = (s or "").split()
-        exp.extend(zip(toks, toks[1:]))
-    assert got == exp
-
-
-def test_pmi_broadcast_and_hashjoin_paths_agree(ray_session, monkeypatch):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    import geoflow.stages.webquality as wq
-
-    rng = np.random.default_rng(3)
-    vocab = [f"w{i}" for i in range(30)]
-    texts = [" ".join(rng.choice(vocab, size=20)) for _ in range(60)]
-    ds = rd.from_arrow(pa.table({"text": pa.array(texts)})).repartition(5)
-
-    a = wq.pmi_collocations(ds, min_count=3).to_pandas() \
-        .sort_values(["w1", "w2"]).reset_index(drop=True)
-    monkeypatch.setattr(wq, "PMI_VOCAB_BROADCAST_LIMIT", 0)
-    b = wq.pmi_collocations(ds, min_count=3).to_pandas() \
-        .sort_values(["w1", "w2"]).reset_index(drop=True)
-    assert len(a) > 0
-    assert a.equals(b)
-    # spot-check one PMI value against the direct formula
-    toks = [t.split() for t in texts]
-    unis = [w for ts in toks for w in ts]
-    bigs = [(ts[i], ts[i + 1]) for ts in toks for i in range(len(ts) - 1)]
-    r = a.iloc[0]
-    cxy = bigs.count((r["w1"], r["w2"]))
-    n, nb = len(unis), len(bigs)
-    exp = np.round(np.log((cxy * float(n) * n)
-                          / (unis.count(r["w1"]) * float(unis.count(r["w2"]))
-                             * nb)), 6)
-    assert r["n_xy"] == cxy and abs(r["pmi"] - exp) < 1e-9
-
-
 def test_constraint_audit_detects_injected_violations(ray_session,
                                                       tmp_path):
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
     from geoflow.pipelines.queries import QUERIES
@@ -332,79 +47,3 @@ def test_constraint_audit_detects_injected_violations(ray_session,
     assert got["documents_lang_domain"] == (4, 2)    # 'xx' and NULL
     assert got["events_value_nonnegative"] == (4, 2)  # -2.0 and NULL
     assert got["lineitem_quantity_range"] == (5, 2)  # 0.0 and 51.0
-
-
-def test_weighted_sample_aes_matches_bruteforce(ray_session):
-    """Distributed A-ES top-k equals a driver-side brute force over the
-    same keys, regardless of block layout."""
-    import ray.data as rd
-
-    from geoflow.stages.curation import weighted_sample_aes
-
-    n = 500
-    ids = np.arange(1, n + 1, dtype=np.int64)
-    rng = np.random.default_rng(7)
-    w = rng.integers(0, 2000, n).astype(np.int64)  # include zero weights
-    langs = np.array(["en", "de", "fr"], dtype=object)[ids % 3]
-    df = pd.DataFrame({"doc_id": ids, "lang": langs, "n_chars": w})
-
-    # brute force: same hash -> key, exclude w <= 0
-    h = (ids.astype(np.uint64) * np.uint64(2654435761)
-         + np.uint64(987654321)) % np.uint64(4294967296)
-    u = (h.astype(np.float64) + 0.5) / 4294967296.0
-    with np.errstate(divide="ignore"):
-        key = np.log(u) / w
-    ok = w > 0
-    order = np.lexsort((ids[ok], -key[ok]))[:50]
-    expect = set(ids[ok][order].tolist())
-
-    for nblocks in (1, 7, 64):
-        ds = rd.from_pandas(df).repartition(nblocks)
-        out = weighted_sample_aes(ds, k=50).to_pandas()
-        assert set(out["doc_id"]) == expect
-        assert len(out) == 50
-        assert list(out.columns) == ["doc_id", "lang", "n_chars"]
-
-
-def test_weighted_sample_aes_inclusion_tracks_weight(ray_session):
-    """Items with 10x the weight should be sampled far more often —
-    sanity that the keys implement weighted (not uniform) sampling."""
-    import ray.data as rd
-
-    from geoflow.stages.curation import weighted_sample_aes
-
-    n = 2000
-    ids = np.arange(1, n + 1, dtype=np.int64)
-    w = np.where(ids % 10 == 0, 1000, 100).astype(np.int64)  # 200 heavy
-    df = pd.DataFrame({"doc_id": ids, "lang": "en", "n_chars": w})
-    out = weighted_sample_aes(rd.from_pandas(df), k=200).to_pandas()
-    heavy = (out["doc_id"] % 10 == 0).sum()
-    # heavy items are 10% of the corpus but ~52% of the total weight;
-    # a uniform sampler would pick ~20 of 200
-    assert heavy > 60, heavy
-
-
-def test_weighted_sample_aes_tree_merge_identical(ray_session):
-    """Forcing intermediate tree-merge levels (fanin 2 over a 32-block
-    hint -> 4 levels) returns the IDENTICAL sample: every level applies
-    the same deterministic (key DESC, id ASC) top-k, and the A-ES key
-    is a pure function of the id."""
-    import ray.data as rd
-
-    from geoflow.stages.curation import weighted_sample_aes
-
-    n = 800
-    ids = np.arange(1, n + 1, dtype=np.int64)
-    rng = np.random.default_rng(11)
-    w = rng.integers(0, 3000, n).astype(np.int64)
-    df = pd.DataFrame({"doc_id": ids, "lang": "en", "n_chars": w})
-    ds = rd.from_pandas(df).repartition(32)
-
-    single = weighted_sample_aes(ds, k=64, num_blocks_hint=1).to_pandas()
-    tree = weighted_sample_aes(ds, k=64, tree_fanin=2,
-                               num_blocks_hint=32).to_pandas()
-    key = ["doc_id", "lang", "n_chars"]
-    pd.testing.assert_frame_equal(
-        single.sort_values("doc_id").reset_index(drop=True)[key],
-        tree.sort_values("doc_id").reset_index(drop=True)[key])
-    assert len(tree) == 64

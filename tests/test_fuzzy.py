@@ -5,10 +5,9 @@ import itertools
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import ray.data as rd
 
-from geoflow.stages.textstats import _edit1, fuzzy_token_pairs, tf_rows
+from geoflow.stages.textstats import _edit1, fuzzy_token_pairs
 
 
 def lev(a, b):
@@ -62,13 +61,3 @@ def test_min_df_and_max_len_filters():
     pairs = set(map(tuple, got[["t1", "t2"]].values))
     assert ("commn", "common") in pairs
     assert ("rare", "raree") not in pairs   # df 1 < min_df
-
-
-def test_tf_rows_exact_counts():
-    b = pa.table({
-        "doc_id": pa.array([7, 8], pa.int64()),
-        "text": pa.array(["a b a a c", ""]),
-    })
-    out = tf_rows(b, "doc_id", "text").to_pandas()
-    got = {(r.doc_id, r.term): r.tf for r in out.itertuples()}
-    assert got == {(7, "a"): 3, (7, "b"): 1, (7, "c"): 1}

@@ -261,37 +261,3 @@ def test_window_sum_broadcast_equals_grouped(ray_session):
     b["n"] = b["n"].astype(np.int64)
     b["v_sum"] = b["v_sum"].astype(np.int64)
     pd.testing.assert_frame_equal(a, b)
-
-
-def test_constraint_audit_detects_injected_violations(ray_session,
-                                                      tmp_path):
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from geoflow.pipelines.queries import QUERIES
-
-    d = tmp_path
-    # duplicate PK 7; lineitem orphans -> orderkeys 99 (x2 rows)
-    pq.write_table(pa.table({"o_orderkey": pa.array(
-        [1, 2, 3, 7, 7], pa.int64())}), d / "orders.parquet")
-    pq.write_table(pa.table({
-        "l_orderkey": pa.array([1, 2, 99, 99, 3], pa.int64()),
-        "l_quantity": pa.array([5.0, 0.0, 51.0, 10.0, 10.0])}),
-        d / "lineitem.parquet")
-    pq.write_table(pa.table({
-        "lang": pa.array(["en", "xx", None, "de"], pa.string())}),
-        d / "documents.parquet")
-    pq.write_table(pa.table({
-        "value": pa.array([1.0, -2.0, None, 4.0])}),
-        d / "events.parquet")
-
-    out = QUERIES["constraint_audit"](str(d))
-    if hasattr(out, "to_pandas"):
-        out = out.to_pandas()
-    got = dict(zip(out["constraint_name"],
-                   zip(out["n_checked"], out["n_violations"])))
-    assert got["orders_pk_unique"] == (5, 1)
-    assert got["lineitem_fk_orders"] == (5, 2)       # both 99-rows orphan
-    assert got["documents_lang_domain"] == (4, 2)    # 'xx' and NULL
-    assert got["events_value_nonnegative"] == (4, 2)  # -2.0 and NULL
-    assert got["lineitem_quantity_range"] == (5, 2)  # 0.0 and 51.0

@@ -5,7 +5,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from geoflow.stages.webquality import _local_skyline, pareto_skyline
+from geoflow.stages.skyline import _local_skyline, pareto_skyline
 
 
 def brute(df):

@@ -1,60 +1,18 @@
-"""Web-corpus quality operators: repetition signals, URL
-canonicalization + dedup, domain rollup, hash split, bigram-LM score."""
-
-import collections
+"""URL canonicalization, URL-level dedup and the string hash that
+keys its shuffle buckets (geoflow.stages.crawl)."""
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
-from geoflow.stages.webquality import (
-    bigram_counts,
+from geoflow.stages.crawl import (
     canonicalize_urls_batch,
-    domain_stats,
-    lm_score,
     poly_string_hash_vec,
-    repetition_stats_batch,
-    split_assign_batch,
     url_dedup,
 )
 
 
 def _tbl(**cols):
     return pa.table({k: pa.array(v) for k, v in cols.items()})
-
-
-# --- repetition -----------------------------------------------------------
-
-def test_repetition_stats_handwritten():
-    b = _tbl(doc_id=np.array([1, 2, 3, 4], np.int64),
-             text=["a b a b c",      # top bigram 'a b' x2 of 4; tris unique
-                   "x x x x",        # bigrams all 'x x' (3); tris dup (2)
-                   "w",              # too short for any gram
-                   ""])
-    out = repetition_stats_batch(b).to_pandas().set_index("doc_id")
-    assert out.loc[1].tolist() == [5, 4, 2, 3, 0]
-    assert out.loc[2].tolist() == [4, 3, 3, 2, 2]
-    assert out.loc[3].tolist() == [1, 0, 0, 0, 0]
-    assert out.loc[4].tolist() == [0, 0, 0, 0, 0]
-
-
-def test_repetition_stats_matches_bruteforce():
-    rng = np.random.default_rng(7)
-    words = list("abcdefgh")
-    texts = [" ".join(rng.choice(words, size=rng.integers(0, 30)))
-             for _ in range(50)]
-    b = _tbl(doc_id=np.arange(50, dtype=np.int64), text=texts)
-    out = repetition_stats_batch(b).to_pandas().set_index("doc_id")
-    for i, t in enumerate(texts):
-        toks = t.split()
-        bigs = [" ".join(toks[j:j + 2]) for j in range(len(toks) - 1)]
-        tris = [" ".join(toks[j:j + 3]) for j in range(len(toks) - 2)]
-        bc = collections.Counter(bigs)
-        tc = collections.Counter(tris)
-        r = out.loc[i]
-        assert r["top_bigram_n"] == (max(bc.values()) if bc else 0)
-        assert r["dup_trigram_n"] == sum(c for c in tc.values() if c > 1)
-        assert r["n_bigrams"] == len(bigs) and r["n_trigrams"] == len(tris)
 
 
 # --- URL canonicalization + dedup ----------------------------------------
@@ -93,20 +51,7 @@ def test_url_dedup_winners(ray_session):
     assert out.loc["https://b.ex/q", "n_variants"] == 2
 
 
-# --- hash split -----------------------------------------------------------
-
-def test_split_deterministic_and_balanced():
-    urls = [f"https://site{i % 97}.ex/p{i}" for i in range(5000)]
-    a = split_assign_batch(_tbl(url=urls)).column("split").to_pylist()
-    # same keys in a different batch partitioning -> identical assignment
-    b1 = split_assign_batch(_tbl(url=urls[:2000])).column("split").to_pylist()
-    b2 = split_assign_batch(_tbl(url=urls[2000:])).column("split").to_pylist()
-    assert a == b1 + b2
-    frac = collections.Counter(a)
-    assert 0.75 < frac["train"] / 5000 < 0.85
-    assert 0.07 < frac["val"] / 5000 < 0.13
-    assert 0.07 < frac["test"] / 5000 < 0.13
-
+# --- bucket hash ---------------------------------------------------------
 
 def test_poly_hash_matches_scalar_fold():
     from geoflow.stages.textstats import _FP_B_CHAR, _FP_P
@@ -117,173 +62,3 @@ def test_poly_hash_matches_scalar_fold():
         for byte in s.encode("utf-8"):
             acc = (acc * _FP_B_CHAR + byte) % _FP_P
         assert acc == v
-
-
-# --- domain stats ---------------------------------------------------------
-
-def test_domain_stats_bruteforce(ray_session):
-    import pandas as pd
-    import ray.data as rd
-    rng = np.random.default_rng(3)
-    hosts = [f"h{i % 7}.ex" for i in range(200)]
-    df = pd.DataFrame({
-        "url": [f"https://{h}/p{i}" for i, h in enumerate(hosts)],
-        "lang": rng.choice(["en", "de", "fr"], size=200),
-        "n_chars": rng.integers(1, 100, size=200),
-    })
-    out = (domain_stats(rd.from_pandas(df)).to_pandas()
-           .set_index("host").sort_index())
-    exp = (df.assign(host=[h for h in hosts])
-           .groupby("host")
-           .agg(n_pages=("url", "size"), n_chars_sum=("n_chars", "sum"),
-                n_langs=("lang", "nunique")).sort_index())
-    assert (out["n_pages"] == exp["n_pages"]).all()
-    assert (out["n_chars_sum"] == exp["n_chars_sum"]).all()
-    assert (out["n_langs"] == exp["n_langs"]).all()
-
-
-# --- bigram LM ------------------------------------------------------------
-
-def test_lm_score_bruteforce(ray_session):
-    import ray.data as rd
-    rng = np.random.default_rng(11)
-    words = list("pqrs")
-    texts = [" ".join(rng.choice(words, size=rng.integers(0, 12)))
-             for _ in range(60)]
-    ds = rd.from_arrow(_tbl(doc_id=np.arange(60, dtype=np.int64),
-                            text=texts))
-    model = bigram_counts(ds)
-    out = lm_score(ds, model).to_pandas().set_index("doc_id")
-
-    corpus = collections.Counter()
-    for t in texts:
-        toks = t.split()
-        corpus.update(" ".join(toks[j:j + 2]) for j in range(len(toks) - 1))
-    for i, t in enumerate(texts):
-        toks = t.split()
-        bigs = [" ".join(toks[j:j + 2]) for j in range(len(toks) - 1)]
-        assert out.loc[i, "lm_hits"] == sum(corpus[g] for g in bigs)
-        assert out.loc[i, "n_bigrams"] == len(bigs)
-
-
-# --- sequence packing -----------------------------------------------------
-
-def test_pack_sequences_greedy(ray_session):
-    import pandas as pd
-    import ray.data as rd
-    from geoflow.stages.webquality import pack_sequences
-    rng = np.random.default_rng(5)
-    n = 400
-    df = pd.DataFrame({
-        "doc_id": np.arange(n, dtype=np.int64),
-        "lang": rng.choice(["en", "de"], size=n),
-        "n_chars": rng.integers(50, 900, size=n).astype(np.int64),
-    })
-    # an oversized doc must land in a bin of its own
-    df.loc[7, "n_chars"] = 5000
-    out = (pack_sequences(rd.from_pandas(df), budget=1500, shard_size=64)
-           .to_pandas().set_index("doc_id").sort_index())
-
-    for (lang, shard), g in df.assign(shard=df.doc_id // 64).groupby(
-            ["lang", "shard"]):
-        g = g.sort_values("doc_id")
-        bin_id, fill = 0, 0
-        for j, (i, ln) in enumerate(zip(g.doc_id, g.n_chars)):
-            if j > 0 and fill + ln > 1500:
-                bin_id, fill = bin_id + 1, 0
-            fill += ln
-            assert out.loc[i, "bin"] == bin_id, i
-            assert out.loc[i, "shard"] == shard
-    # bins (except oversized singletons) respect the budget
-    tot = (df.assign(shard=df.doc_id // 64)
-           .join(out[["bin"]], on="doc_id")
-           .groupby(["lang", "shard", "bin"])["n_chars"].agg(["sum", "size"]))
-    over = tot[tot["sum"] > 1500]
-    assert (over["size"] == 1).all()
-
-
-def test_literal_scan_counts_matches_python_reference():
-    import pyarrow as pa
-    import ray.data as rd
-
-    from geoflow.stages.webquality import literal_scan_counts
-
-    texts = ["batch merge batch merge slow join",
-             "no keywords here at all",
-             "spark spark spark", "", "stream spark and key order"]
-    ds = rd.from_arrow(pa.table({
-        "doc_id": pa.array(range(len(texts)), pa.int64()),
-        "text": pa.array(texts)})).repartition(3)
-    pats = ("batch", "spark", "batch merge", "stream spark")
-    got = (literal_scan_counts(ds, patterns=pats).to_pandas()
-           .set_index("pattern"))
-    for p in pats:
-        assert got.loc[p, "n_occ"] == sum(t.count(p) for t in texts)
-        assert got.loc[p, "n_docs"] == sum(p in t for t in texts)
-    assert len(got) == 4
-
-
-# --- Gopher composite filter ------------------------------------------------
-
-def _gopher_slow(text: str, min_words=50, max_words=100_000,
-                 min_stop_hits=2):
-    """Independent per-string reimplementation (str.count is also
-    non-overlapping, matching Arrow count_substring and the DuckDB
-    replace-count replay)."""
-    from geoflow.stages.webquality import GOPHER_STOPWORDS
-    text_len = len(text)
-    n_space = text.count(" ")
-    n_words = n_space + 1
-    chars_nonspace = text_len - n_space
-    alpha_chars = sum(c.isascii() and c.isalpha() for c in text)
-    symbols = text.count("#") + text.count("...")
-    n_lines = text.count("\n") + 1
-    bullet = (text.count("\n- ") + text.count("\n* ")
-              + text.startswith("- ") + text.startswith("* "))
-    ellipsis = text.count("...\n") + text.endswith("...")
-    padded = f" {text} "
-    stop_hits = sum(f" {w} " in padded for w in GOPHER_STOPWORDS)
-    keep = int(min_words <= n_words <= max_words
-               and 3 * n_words <= chars_nonspace <= 10 * n_words
-               and 10 * symbols < n_words
-               and 10 * bullet < 9 * n_lines
-               and 10 * ellipsis < 3 * n_lines
-               and 10 * alpha_chars > 6 * text_len
-               and stop_hits >= min_stop_hits)
-    return dict(n_words=n_words, chars_nonspace=chars_nonspace,
-                alpha_chars=alpha_chars, symbols=symbols, n_lines=n_lines,
-                bullet_lines=bullet, ellipsis_lines=ellipsis,
-                stop_hits=stop_hits, keep=keep)
-
-
-def test_gopher_filter_adversarial_parity():
-    from geoflow.stages.webquality import gopher_filter_batch
-
-    texts = [
-        "",
-        "- bullet one\n- bullet two\nplain line",
-        "* starred\ntrailing dots...\nmore...\nend...",
-        "the a to of and that have with be",      # all stopwords
-        "#### # # .......",                        # symbols, overlap runs
-        "héllo wörld the a café",  # multibyte chars
-        "athe thea the\na the",                    # boundary stopword probes
-        ("the quick brown fox jumps over a lazy dog and then keeps "
-         "running with steady pace that nobody doubts to have seen " * 3),
-        "word " * 60 + "the a end",                # long, double-space tail
-        "...\n...\n...",
-        None,                                      # null -> ""
-    ]
-    b = pa.table({
-        "doc_id": pa.array(range(len(texts)), pa.int64()),
-        "text": pa.array(texts, pa.string()),
-    })
-    out = gopher_filter_batch(b).to_pandas().set_index("doc_id")
-    for i, t in enumerate(texts):
-        exp = _gopher_slow(t or "")
-        got = {k: int(out.loc[i, k]) for k in exp}
-        assert got == exp, f"row {i}: {got} != {exp} ({t!r})"
-    # the long prose doc passes every rule
-    assert out.loc[7, "keep"] == 1
-    # bullets/ellipses/symbols rows are filtered
-    assert out.loc[1, "keep"] == 0 and out.loc[2, "keep"] == 0
-    assert out.loc[4, "keep"] == 0 and out.loc[9, "keep"] == 0
