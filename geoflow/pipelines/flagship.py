@@ -222,8 +222,7 @@ def zonal_page_stats(enriched_ds, zone_res: int = ZONE_CELL_RES):
 
 
 def run_flagship_checkpointed(pages_dir: str, work_dir: str,
-                              shards: int = 8,
-                              zone_res: int = ZONE_CELL_RES) -> dict:
+                              shards: int = 8) -> dict:
     """Flagship with per-stage checkpoint resume (north rule: "resumable
     from checkpoint with per-partition lineage + metrics").
 
@@ -266,13 +265,13 @@ def run_flagship_checkpointed(pages_dir: str, work_dir: str,
     r3 = run_partitioned_stage(
         "zonal", f"{work_dir}/zonal",
         {"all": _files_under(f"{work_dir}/dedup")},
-        lambda ds: zonal_page_stats(ds, zone_res))
+        zonal_page_stats)
 
     return {"enrich": r1, "dedup": r2, "zonal": r3,
             "zonal_dir": f"{work_dir}/zonal/part=all"}
 
 
-def run_flagship(pages_ds, zone_res: int = ZONE_CELL_RES):
+def run_flagship(pages_ds):
     """pages -> enriched/deduped -> zonal stats Dataset (small result).
 
     Returns the zonal stats Dataset sorted by page count (descending).
@@ -281,5 +280,5 @@ def run_flagship(pages_ds, zone_res: int = ZONE_CELL_RES):
     """
     enriched = enrich_pages(pages_ds, strict=True, slim=True)
     deduped = dedup_exact(enriched)
-    zonal = zonal_page_stats(deduped, zone_res)
+    zonal = zonal_page_stats(deduped)
     return zonal.sort("n_pages", descending=True)

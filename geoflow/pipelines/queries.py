@@ -2557,34 +2557,6 @@ def label_centroids(sf_dir: str):
     return agg.map_batches(_final, batch_format="pyarrow")
 
 
-@register("video_frame_embeddings")
-def video_frame_embeddings(sf_dir: str):
-    """Video frame-sampling through the actor-pool stage (the brief's
-    multimodal frame-sample op): deterministic synthetic videos (real
-    PNG frames in a length-prefixed container), every 3rd frame decoded
-    FROM ITS BYTE SPAN ONLY and embedded. Rows-only (binary media has
-    no SQL form); SELF-CHECKING: per-video sampled frame indices must
-    equal the header metadata's expectation exactly."""
-    import json as _json
-
-    import ray.data as rd
-
-    from ..stages.multimodal import make_video_table, video_frame_samples
-
-    tbl = make_video_table(n_videos=8, seed=11)
-    out = video_frame_samples(rd.from_arrow(tbl), stride=3,
-                              max_frames=4).to_pandas()
-    metas = {int(m): _json.loads(s) for m, s in
-             zip(tbl.column("media_id").to_pylist(),
-                 tbl.column("meta").to_pylist())}
-    for mid, g in out.groupby("media_id"):
-        exp = list(range(0, metas[mid]["n_frames"], 3))[:4]
-        assert sorted(g["frame_idx"].tolist()) == exp, mid
-    assert set(out["media_id"]) == set(metas)
-    return (out[["media_id", "frame_idx", "ts_s"]]
-            .sort_values(["media_id", "frame_idx"]).reset_index(drop=True))
-
-
 @register("url_dedup_pages", sql="""
 WITH d AS (SELECT doc_id, doc_id - doc_id % 3 AS gid FROM documents)
 SELECT 'https://site' || (gid % 999) || '.example/s' || ((gid // 999) % 37)
@@ -2631,323 +2603,6 @@ def url_dedup_pages(sf_dir: str):
             "canon_url": b.column("canon_url"),
             "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
             "n_variants": pc.cast(b.column("n_variants"), pa.int64()),
-        }), batch_format="pyarrow")
-
-
-@register("image_ahash_dup_groups", sql="""
-WITH e AS (
-  SELECT vec_id,
-         CASE WHEN vec_id % 7 = 3 THEN vec_id - 3 ELSE vec_id END AS seed
-  FROM embeddings
-),
-px AS (
-  SELECT vec_id, k,
-         (x * x) % 4294967296 // 16777216 AS p
-  FROM (
-    SELECT vec_id, k,
-           (seed * 2654435761 + k * 40503 + 97) % 2147483647 AS x
-    FROM e, unnest(generate_series(0, 63)) AS u(k)
-  )
-),
-tot AS (SELECT vec_id, sum(p) AS s, count(*) AS n FROM px GROUP BY 1),
-bits AS (
-  SELECT px.vec_id,
-         string_agg(CASE WHEN px.p * t.n > t.s THEN '1' ELSE '0' END,
-                    '' ORDER BY px.k) AS ah
-  FROM px JOIN tot t USING (vec_id) GROUP BY px.vec_id
-)
-SELECT min(vec_id) AS rep_id, CAST(count(*) AS BIGINT) AS n_images
-FROM bits GROUP BY ah HAVING count(*) > 1
-""")
-def image_ahash_dup_groups(sf_dir: str):
-    """Perceptual image dedup through the REAL PNG codec: deterministic
-    8x8 grayscale images (integer LCG pixels; every 7th image clones an
-    earlier one) are PNG-ENCODED, shipped as binary payloads, decoded
-    in an actor-pool stage, average-hashed (bit = pixel > mean,
-    integer-exact), and grouped by the 8-byte hash — image bytes never
-    cross the shuffle. The oracle re-derives every pixel and the
-    threshold in SQL, so the hash match proves the full
-    encode -> decode -> hash -> group chain
-    (geoflow.stages.multimodal.image_ahash_dup_groups)."""
-    from ..stages.multimodal import encode_png, render_lcg_image
-    from ..stages.multimodal import image_ahash_dup_groups as _groups
-
-    ds = _read(sf_dir, "embeddings", ["vec_id"])
-
-    def _render(b: pa.Table) -> pa.Table:
-        ids = b.column("vec_id").to_numpy().astype(np.int64)
-        payloads = []
-        for i in ids.tolist():
-            seed = i - 3 if i % 7 == 3 else i
-            payloads.append(encode_png(render_lcg_image(seed)))
-        return pa.table({"media_id": pa.array(ids, pa.int64()),
-                         "payload": pa.array(payloads, pa.binary())})
-
-    media = ds.map_batches(_render, batch_format="pyarrow")
-    out = _groups(media)
-    return out.map_batches(
-        lambda b: pa.table({
-            "rep_id": pc.cast(b.column("rep_id"), pa.int64()),
-            "n_images": pc.cast(b.column("n_images"), pa.int64()),
-        }), batch_format="pyarrow")
-
-
-@register("jpeg_ahash_dup_groups", sql="""
-WITH e AS (
-  SELECT vec_id,
-         CASE WHEN vec_id % 7 = 3 THEN vec_id - 3 ELSE vec_id END AS seed
-  FROM embeddings
-),
-px AS (
-  SELECT vec_id, k,
-         (x * x) % 4294967296 // 16777216 AS p
-  FROM (
-    SELECT vec_id, k,
-           (seed * 2654435761 + k * 40503 + 97) % 2147483647 AS x
-    FROM e, unnest(generate_series(0, 63)) AS u(k)
-  )
-),
-tot AS (SELECT vec_id, sum(p) AS s, count(*) AS n FROM px GROUP BY 1),
-bits AS (
-  SELECT px.vec_id,
-         string_agg(CASE WHEN px.p * t.n > t.s THEN '1' ELSE '0' END,
-                    '' ORDER BY px.k) AS ah
-  FROM px JOIN tot t USING (vec_id) GROUP BY px.vec_id
-)
-SELECT min(vec_id) AS rep_id, CAST(count(*) AS BIGINT) AS n_images
-FROM bits GROUP BY ah HAVING count(*) > 1
-""")
-def jpeg_ahash_dup_groups(sf_dir: str):
-    """Perceptual image dedup through the REAL baseline JPEG codec
-    (stages/jpeg.py, pure numpy against the public T.81 spec).
-
-    Payloads are BINARY 8x8 images: pixel k is 255 where the LCG
-    twin's threshold bit (p*64 > sum, the exact expression the SQL
-    replays) is 1, else 0. JPEG at q98 perturbs pixels by only a few
-    levels, far inside the 0/255-vs-mean margin, so the decoded
-    average-hash reproduces the source bit pattern exactly — making
-    the lossy encode -> decode -> hash -> group chain hash-checkable:
-    the oracle groups by the replayed bit string itself (clones AND
-    any cross-seed bit-pattern coincidences are both captured), so any
-    decoder drift, entropy-coding bug, or bit flip breaks the match."""
-    from ..stages.jpeg import encode_jpeg
-    from ..stages.multimodal import image_ahash_dup_groups as _groups
-    from ..stages.multimodal import render_lcg_image
-
-    ds = _read(sf_dir, "embeddings", ["vec_id"])
-
-    def _binimg(seed: int) -> np.ndarray:
-        p = render_lcg_image(seed).astype(np.int64)
-        bits = p * p.size > p.sum()
-        return np.where(bits, 255, 0).astype(np.uint8)
-
-    def _render(b: pa.Table) -> pa.Table:
-        ids = b.column("vec_id").to_numpy().astype(np.int64)
-        payloads = []
-        for i in ids.tolist():
-            seed = i - 3 if i % 7 == 3 else i
-            payloads.append(encode_jpeg(_binimg(seed), quality=98))
-        return pa.table({"media_id": pa.array(ids, pa.int64()),
-                         "payload": pa.array(payloads, pa.binary())})
-
-    media = ds.map_batches(_render, batch_format="pyarrow")
-    out = _groups(media)
-    return out.map_batches(
-        lambda b: pa.table({
-            "rep_id": pc.cast(b.column("rep_id"), pa.int64()),
-            "n_images": pc.cast(b.column("n_images"), pa.int64()),
-        }), batch_format="pyarrow")
-
-
-@register("media_decode_error_stats", sql="""
-SELECT kind, decode_status, CAST(count(*) AS BIGINT) AS n_media
-FROM (
-  SELECT CASE WHEN vec_id % 7 IN (4, 5) THEN 'audio' ELSE 'image' END
-           AS kind,
-         CASE WHEN vec_id % 7 IN (0, 5) THEN 'unsupported'
-              WHEN vec_id % 7 = 1 THEN 'corrupt'
-              ELSE 'ok' END AS decode_status
-  FROM embeddings)
-GROUP BY kind, decode_status
-""")
-def media_decode_error_stats(sf_dir: str):
-    """Crawl-scale decode-error accounting (graceful degradation):
-    every media row is decode-AUDITED per row — unsupported formats
-    (progressive JPEG, non-PCM16 WAV: the codec's loud
-    NotImplementedError boundaries) and corrupt byte strings become
-    counted (kind, decode_status) rows instead of task failures.
-
-    Fixture: deterministic per vec_id — valid baseline JPEGs, the SAME
-    JPEG with its SOF0 marker rewritten to SOF2 (progressive: real
-    boundary, real sniffing), a fixed corrupt JPEG prefix, valid PCM16
-    WAVs, and the same WAV with its fmt chunk patched to 8-bit. The
-    oracle replays the classification by vec_id residue — any decoder
-    drift (a 'valid' fixture failing, a boundary not raising, a
-    corrupt payload 'succeeding') breaks the count match."""
-    import struct
-
-    from ..stages.jpeg import encode_jpeg
-    from ..stages.multimodal import encode_wav, media_decode_stats
-
-    ds = _read(sf_dir, "embeddings", ["vec_id"])
-    _CORRUPT = b"\xff\xd8\xff\xdb\x00\x03\x01"   # truncated DQT segment
-
-    def _render(b: pa.Table) -> pa.Table:
-        ids = b.column("vec_id").to_numpy().astype(np.int64)
-        kinds, payloads = [], []
-        for i in ids.tolist():
-            m = i % 7
-            if m in (4, 5):
-                kinds.append("audio")
-                sam = ((np.arange(64) * (i % 13 + 1)) % 97).astype(np.int16)
-                wav = encode_wav(16000, sam)
-                if m == 5:      # patch fmt to 8-bit: non-PCM16 boundary
-                    wav = wav[:32] + struct.pack("<HH", 1, 8) + wav[36:]
-                payloads.append(wav)
-                continue
-            kinds.append("image")
-            if m == 1:
-                payloads.append(_CORRUPT)
-                continue
-            img = ((np.arange(64, dtype=np.int64) * (i % 31 + 7)) % 256) \
-                .astype(np.uint8).reshape(8, 8)[..., None].repeat(3, axis=2)
-            data = encode_jpeg(img, quality=90)
-            if m == 0:          # SOF0 -> SOF2: real progressive marker
-                at = data.find(b"\xff\xc0")
-                if at < 0:
-                    raise ValueError(
-                        "encode_jpeg output has no SOF0 marker to patch "
-                        "into SOF2")
-                data = data[:at] + b"\xff\xc2" + data[at + 2:]
-            payloads.append(data)
-        return pa.table({
-            "kind": pa.array(kinds, pa.string()),
-            "payload": pa.array(payloads, pa.binary()),
-        })
-
-    media = ds.map_batches(_render, batch_format="pyarrow")
-    return media_decode_stats(media)
-
-
-@register("image_ahash_near_dup", sql="""
-WITH e AS (
-  SELECT vec_id,
-         CASE WHEN vec_id % 7 = 3 THEN vec_id - 3 ELSE vec_id END AS seed
-  FROM embeddings
-),
-px AS (
-  SELECT vec_id, k,
-         (x * x) % 4294967296 // 16777216 AS p
-  FROM (
-    SELECT vec_id, k,
-           (seed * 2654435761 + k * 40503 + 97) % 2147483647 AS x
-    FROM e, unnest(generate_series(0, 63)) AS u(k)
-  )
-),
-tot AS (SELECT vec_id, sum(p) AS s, count(*) AS n FROM px GROUP BY 1),
-bits AS (
-  SELECT px.vec_id, px.k,
-         CASE WHEN px.p * t.n > t.s THEN 1 ELSE 0 END AS b
-  FROM px JOIN tot t USING (vec_id)
-)
-SELECT a.vec_id AS id_a, b.vec_id AS id_b,
-       CAST(sum(CASE WHEN a.b != b.b THEN 1 ELSE 0 END) AS BIGINT)
-         AS hamming
-FROM bits a JOIN bits b ON a.k = b.k AND a.vec_id < b.vec_id
-GROUP BY 1, 2 HAVING hamming <= 3
-""")
-def image_ahash_near_dup(sf_dir: str):
-    """Near-duplicate image pairs at Hamming distance <= 3 over the
-    PNG-decoded average-hash, found by simhash-style banding of the 64
-    bits into 4 bands — EXACT by pigeonhole (3 differing bits cannot
-    touch all 4 bands), verified in-group with a vectorized popcount.
-    The oracle replays pixels, threshold bits and pairwise Hamming
-    entirely in SQL (multimodal.image_ahash_near_dup)."""
-    from ..stages.multimodal import encode_png, render_lcg_image
-    from ..stages.multimodal import image_ahash_near_dup as _pairs
-
-    ds = _read(sf_dir, "embeddings", ["vec_id"])
-
-    def _render(b: pa.Table) -> pa.Table:
-        ids = b.column("vec_id").to_numpy().astype(np.int64)
-        payloads = []
-        for i in ids.tolist():
-            seed = i - 3 if i % 7 == 3 else i
-            payloads.append(encode_png(render_lcg_image(seed)))
-        return pa.table({"media_id": pa.array(ids, pa.int64()),
-                         "payload": pa.array(payloads, pa.binary())})
-
-    media = ds.map_batches(_render, batch_format="pyarrow")
-    out = _pairs(media, max_hamming=3, num_bands=4)
-    return out.map_batches(
-        lambda b: pa.table({
-            "id_a": pc.cast(b.column("id_a"), pa.int64()),
-            "id_b": pc.cast(b.column("id_b"), pa.int64()),
-            "hamming": pc.cast(b.column("hamming"), pa.int64()),
-        }), batch_format="pyarrow")
-
-
-@register("audio_fp_dup_groups", sql="""
-WITH e AS (
-  SELECT vec_id,
-         CASE WHEN vec_id % 9 = 4 THEN vec_id - 4 ELSE vec_id END AS seed
-  FROM embeddings
-),
-p AS (
-  SELECT vec_id, k, (x * x) % 4294967296 // 65536 - 32768 AS v
-  FROM (
-    SELECT vec_id, k,
-           (seed * 2654435761 + k * 40503 + 97) % 2147483647 AS x
-    FROM e, unnest(generate_series(0, 255)) AS u(k)
-  )
-),
-en AS (SELECT vec_id, k // 16 AS f, sum(v * v) AS en FROM p GROUP BY 1, 2),
-b AS (
-  SELECT vec_id, f, en,
-         lag(en, 1) OVER (PARTITION BY vec_id ORDER BY f) AS pe,
-         last_value(en) OVER (PARTITION BY vec_id ORDER BY f
-                              ROWS BETWEEN UNBOUNDED PRECEDING
-                                       AND UNBOUNDED FOLLOWING) AS le
-  FROM en
-),
-fp AS (
-  SELECT vec_id,
-         string_agg(CASE WHEN en > coalesce(pe, le) THEN '1' ELSE '0' END,
-                    '' ORDER BY f) AS sig
-  FROM b GROUP BY 1
-)
-SELECT min(vec_id) AS rep_id, CAST(count(*) AS BIGINT) AS n_clips
-FROM fp GROUP BY sig HAVING count(*) > 1
-""")
-def audio_fp_dup_groups(sf_dir: str):
-    """Audio dedup through the REAL WAV codec: deterministic int16 PCM
-    clips (square-mix LCG; every 9th clip clones an earlier one) are
-    WAV-ENCODED, decoded in an actor-pool stage (the /32768 float path
-    round-trips every int16 losslessly), fingerprinted by the
-    energy-contour sign bits (frame energy vs previous frame, circular)
-    and grouped on the 8-byte fingerprint. The oracle replays samples,
-    frame energies and the lag comparison in SQL
-    (geoflow.stages.multimodal.audio_fingerprint_dup_groups)."""
-    from ..stages.multimodal import encode_wav, render_lcg_pcm
-    from ..stages.multimodal import audio_fingerprint_dup_groups as _groups
-
-    ds = _read(sf_dir, "embeddings", ["vec_id"])
-
-    def _render(b: pa.Table) -> pa.Table:
-        ids = b.column("vec_id").to_numpy().astype(np.int64)
-        payloads = []
-        for i in ids.tolist():
-            seed = i - 4 if i % 9 == 4 else i
-            payloads.append(encode_wav(8000, render_lcg_pcm(seed)))
-        return pa.table({"media_id": pa.array(ids, pa.int64()),
-                         "payload": pa.array(payloads, pa.binary())})
-
-    media = ds.map_batches(_render, batch_format="pyarrow")
-    out = _groups(media)
-    return out.map_batches(
-        lambda b: pa.table({
-            "rep_id": pc.cast(b.column("rep_id"), pa.int64()),
-            "n_clips": pc.cast(b.column("n_clips"), pa.int64()),
         }), batch_format="pyarrow")
 
 
@@ -6244,10 +5899,10 @@ def cms_frequent_tokens(sf_dir: str):
 # ---------------------------------------------------------------------------
 # Registration order = driver check order. The correctness driver hash-
 # verifies the FIRST 50 registered queries, so every window slot should
-# carry a DuckDB oracle: the 5 self-checking no-oracle entries (ANN
-# recall floors, HLL error bound, twins of *_verified queries) and the
-# oracle-bearing queries whose semantics a STRONGER in-window twin
-# already covers (streaming sessions vs batch sessions + streaming
+# carry a DuckDB oracle: the 6 self-checking no-oracle entries (ANN
+# recall floors, HLL and KLL error bounds, twins of *_verified queries)
+# and the oracle-bearing queries whose semantics a STRONGER in-window
+# twin already covers (streaming sessions vs batch sessions + streaming
 # hourly; plain Bernoulli sample vs the stratified sampler; char ratios
 # vs quality scores + token stats; bbox join vs the polygon PIP join;
 # lang-source rollup vs langid + corpus curation) move past the window,
@@ -6278,10 +5933,6 @@ _PAST_WINDOW = [
     # in-window split-cell twin (zonal_split_docs) over the in-window
     # base query (geo_zonal_docs)
     "zonal_salted_docs",
-    # exact-hash image dup groups are subsumed by the in-window
-    # near-dup query (same pixel-exact aHash replay + Hamming LSH on
-    # top)
-    "image_ahash_dup_groups",
     # per-lang Bernoulli sampling — freeing a slot for near_ingest_docs
     "stratified_sample_docs",
     # two twin-covered demotions that admit one hash-checked
@@ -6302,11 +5953,9 @@ _PAST_WINDOW = [
     # shape over the SAME geocoded base and additionally proves the
     # rebalance invisible) — freeing a slot for user_travel_stats.
     "geo_zonal_docs",
-    # two more demotions for the vector-geometry family: audio
-    # fingerprint dedup is the same perceptual-hash-through-a-real-codec
-    # plan as in-window image_ahash_near_dup, with the WAV codec
-    # separately pinned by round-trip pytest.
-    "global_sorted_docs", "audio_fp_dup_groups",
+    # demotion admitting the vector-geometry family: the global sort has
+    # no stated in-window twin and stays locally validated at 3 scales.
+    "global_sorted_docs",
     # the single-range zone-map scan is strictly contained in the new
     # in-window bbox_cover_scan_docs (same write_clustered layout +
     # manifest pruning, MULTI-range + spatial cover + exact refine on
@@ -6533,7 +6182,7 @@ _PAST_WINDOW = [
     # routes together.
     "events_window_activity_grouped",
     # self-checking no-oracle entries
-    "video_frame_embeddings", "ann_ivf_top5", "ann_lsh_top5",
+    "ann_ivf_top5", "ann_lsh_top5",
     "flagship_zonal", "raster_pages_cell_join",
     "approx_distinct_orderkeys", "approx_quantiles_price",
 ]

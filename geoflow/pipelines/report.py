@@ -10,8 +10,8 @@ uncovered SURVEY.md §2 sinks:
 
 All sinks are DRIVER-SIDE over aggregate-sized inputs (the distributed
 pipelines reduce first; rendering never touches row-scale data) and
-dependency-free: SVG is emitted as text, PNG goes through the engine's
-own encoder (geoflow.stages.multimodal.encode_png), and xlsx is the
+dependency-free: SVG is emitted as text, PNG is one grayscale image
+written with stdlib zlib (``_encode_gray_png``), and xlsx is the
 minimal OOXML package written with stdlib zipfile — no matplotlib /
 openpyxl in this environment.
 """
@@ -19,7 +19,9 @@ openpyxl in this environment.
 from __future__ import annotations
 
 import math
+import struct
 import zipfile
+import zlib
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -68,12 +70,25 @@ def render_rose_svg(rose_df: pd.DataFrame, band: int, path: str,
     return path
 
 
-def render_correlation_png(hist: np.ndarray, path: str) -> str:
-    """2-D histogram -> log-scaled grayscale PNG via the engine codec
-    (ref writes the transposed histogram as a GeoTIFF rotated 180°,
-    correlation_eval.py:56-70; the rotation is reproduced)."""
-    from ..stages.multimodal import encode_png
+def _encode_gray_png(gray: np.ndarray) -> bytes:
+    """(H, W) uint8 -> 8-bit grayscale PNG bytes (IHDR colour type 0,
+    filter-0 scanlines, one zlib IDAT chunk)."""
+    h, w = gray.shape
 
+    def chunk(typ: bytes, payload: bytes) -> bytes:
+        return (len(payload).to_bytes(4, "big") + typ + payload
+                + zlib.crc32(typ + payload).to_bytes(4, "big"))
+
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)
+    raw = b"".join(b"\x00" + gray[y].tobytes() for y in range(h))
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", zlib.compress(raw, 6)) + chunk(b"IEND", b""))
+
+
+def render_correlation_png(hist: np.ndarray, path: str) -> str:
+    """2-D histogram -> log-scaled grayscale PNG (ref writes the
+    transposed histogram as a GeoTIFF rotated 180°,
+    correlation_eval.py:56-70; the rotation is reproduced)."""
     h = np.asarray(hist, dtype=np.float64)
     if h.ndim == 1:
         n = int(round(math.sqrt(h.size)))
@@ -83,7 +98,7 @@ def render_correlation_png(hist: np.ndarray, path: str) -> str:
     gray = (255 * (1.0 - img / mx)).astype(np.uint8)   # dark = dense
     gray = gray[::-1, ::-1]                            # the 180° rotation
     with open(path, "wb") as f:
-        f.write(encode_png(np.ascontiguousarray(gray)))
+        f.write(_encode_gray_png(np.ascontiguousarray(gray)))
     return path
 
 

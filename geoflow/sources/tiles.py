@@ -238,17 +238,3 @@ def asc_to_tile_table(path: str, tile: int = DEFAULT_TILE,
                                  tile=tile, nodata=nodata)
     return table, meta
 
-
-def synthetic_tile_dataset(height: int = 320, width: int = 320,
-                           n_bands: int = 4, tile: int = DEFAULT_TILE,
-                           seed: int = 42, with_nodata: bool = True,
-                           ctx: CorrectionContext = DEFAULT_CONTEXT):
-    """Full synthetic fixture as (ray Dataset, dict of full arrays)."""
-    import ray.data as rd
-
-    dem = synth_dem(height, width, seed)
-    bands = synth_bands(dem, n_bands, seed, ctx)
-    nodata = synth_nodata(dem.shape, seed) if with_nodata else None
-    table = raster_to_tile_table(bands, dem, tile=tile, nodata=nodata)
-    full = {"dem": dem, "bands": bands, "nodata": nodata}
-    return rd.from_arrow(table), full

@@ -27,19 +27,17 @@ def test_rose_svg(tmp_path):
     assert "band 0 rose diagram" in svg
 
 
-def test_correlation_png(tmp_path):
-    from geoflow.stages.multimodal import decode_png
-
+def test_correlation_png(tmp_path, read_gray_png):
     rng = np.random.default_rng(5)
     hist = rng.integers(0, 500, size=(100, 100)).astype(np.int64)
     p = report.render_correlation_png(hist.ravel(),
                                       str(tmp_path / "corr.png"))
-    img = decode_png(open(p, "rb").read())
-    assert img.shape == (100, 100, 1)
+    img = read_gray_png(open(p, "rb").read())
+    assert img.shape == (100, 100)
     # densest cell renders darkest, after the 180-degree rotation
     dens = np.unravel_index(np.argmax(hist), hist.shape)
     rot = (99 - dens[0], 99 - dens[1])
-    assert img[rot[0], rot[1], 0] == img.min()
+    assert img[rot[0], rot[1]] == img.min()
 
 
 def test_xlsx_roundtrip(tmp_path):
