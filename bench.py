@@ -175,7 +175,6 @@ def bench_queries(sf_dir: str) -> dict[str, float]:
 
     names = ["q1_pricing_summary", "filtered_revenue", "orders_by_nation",
              "events_hourly", "dedup_exact_docs", "geo_zonal_docs",
-             "knn_cosine_top5", "embedding_close_pairs",
              "revenue_by_region", "events_asof_orders",
              "quantity_quantiles", "nearest_site_docs"]
     times = {}

@@ -42,6 +42,18 @@ def _mix64(keys: np.ndarray) -> np.ndarray:
     return h
 
 
+def _mix_cols(*cols) -> np.ndarray:
+    """Combine int columns into one well-mixed uint64 (splitmix-style)."""
+    h = np.zeros(len(cols[0]), dtype=np.uint64)
+    for c in cols:
+        h ^= np.asarray(c).astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15) \
+            + (h << np.uint64(6)) + (h >> np.uint64(2))
+    h ^= h >> np.uint64(30)
+    h *= np.uint64(0xBF58476D1CE4E5B9)
+    h ^= h >> np.uint64(27)
+    return h
+
+
 def estimate_size_bytes(ds) -> int | None:
     """Cheap size estimate from the logical plan's metadata — walks the
     DAG down to the datasource if needed and NEVER triggers execution

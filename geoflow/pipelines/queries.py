@@ -21,9 +21,8 @@ robust (see SURVEY.md section 7.4 "Ordering"):
   lat/lon are bit-identical between numpy and DuckDB.
 
 Rows-only entries (no SQL: distributed-stateful or non-SQL semantics)
-cover the raster corrections, rose/histogram/rank evaluation, MinHash/
-SimHash near-dup, language ID, fingerprints, haversine kNN and the
-polygon PIP join.
+cover the raster corrections, rose/histogram/rank evaluation, language
+ID, fingerprints, haversine kNN and the polygon PIP join.
 """
 
 from __future__ import annotations
@@ -781,172 +780,6 @@ def bbox_join_docs(sf_dir: str):
     return ds.map_batches(_join, batch_format="pyarrow")
 
 
-# ---------------------------------------------------------------------------
-# Embeddings: similarity search + near-dup pairs
-# ---------------------------------------------------------------------------
-
-@register("knn_cosine_top5", sql="""
-WITH q AS (SELECT vec_id AS qid, embedding AS qe FROM embeddings WHERE vec_id < 10),
-s AS (SELECT q.qid, e.vec_id,
-             list_cosine_similarity(q.qe, e.embedding) AS sim
-      FROM q, embeddings e WHERE e.vec_id <> q.qid)
-SELECT qid AS query_id, vec_id AS neighbor_id,
-       row_number() OVER (PARTITION BY qid ORDER BY sim DESC, vec_id) AS rank
-FROM s QUALIFY rank <= 5
-""")
-def knn_cosine_top5(sf_dir: str):
-    import ray.data as rd
-    from ..stages.knn import cosine_topk
-
-    corpus = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    queries = _read(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
-        lambda b: b.filter(pc.less(b.column("vec_id"), pa.scalar(10))),
-        batch_format="pyarrow")
-    # the filter keeps ~10 rows, leaving most blocks EMPTY (untyped
-    # zero-row bundles + one wasted actor task each): collapse to one
-    # block before fanning out to the top-k actors
-    from ..functions.agg import coalesce_blocks
-    queries = coalesce_blocks(queries, 1)
-    out = cosine_topk(queries, corpus, k=5)
-    return out.map_batches(
-        lambda b: pa.table({
-            "query_id": b.column("query_id"),
-            "neighbor_id": b.column("neighbor_id"),
-            "rank": pc.cast(b.column("rank"), pa.int64()),
-        }), batch_format="pyarrow")
-
-
-@register("embedding_close_pairs", sql="""
-SELECT a.vec_id AS id_a, b.vec_id AS id_b
-FROM embeddings a, embeddings b
-WHERE a.vec_id < b.vec_id
-  AND list_cosine_similarity(a.embedding, b.embedding) >= 0.4
-""")
-def embedding_close_pairs(sf_dir: str):
-    from ..stages.dedup import embedding_dup_pairs
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    pairs = embedding_dup_pairs(ds, threshold=0.4)
-    # scoring tasks with no above-threshold pair emit 0-row blocks; a
-    # 0-row block yields no batches, so a downstream map_batches UDF
-    # never runs and the block degrades to an UNTYPED empty. Merging
-    # blocks first keeps the projection's input non-empty (pair output
-    # is small here: the exact route is guarded to <= 1M corpus rows).
-    from ..functions.agg import coalesce_blocks
-    pairs = coalesce_blocks(pairs, 32)
-    return pairs.map_batches(
-        lambda b: b.select(["id_a", "id_b"]), batch_format="pyarrow",
-        batch_size=None)
-
-
-# ---------------------------------------------------------------------------
-# Rows-only entries (non-SQL-expressible; driver records row counts,
-# pytest holds the real oracles)
-# ---------------------------------------------------------------------------
-
-def _ann_recall_check(name: str, out_df, corpus, k: int = 5,
-                      floor: float = 0.8, query_ids=None):
-    """In-query self-check for approximate NN: recall@k vs a brute-force
-    exact top-k over the same corpus (verification scale only).
-
-    Iterates the FULL intended query set (``query_ids``), counting a
-    query absent from the output as 0/k hits — a pipeline bug that drops
-    a query entirely must fail the floor, not inflate the recall."""
-    if len(corpus) > 100_000:
-        return
-    from ..stages.knn import normalized_matrix
-
-    ids, mat = normalized_matrix(corpus, "vec_id", "embedding")
-    by_q = {qid: g for qid, g in out_df.groupby("query_id")}
-    if query_ids is None:
-        query_ids = list(by_q)
-    hits = tot = 0
-    for qid in query_ids:
-        qi = np.nonzero(ids == qid)[0]
-        if not len(qi):
-            continue
-        tot += k
-        g = by_q.get(qid)
-        if g is None:
-            continue
-        sims = mat @ mat[qi[0]]
-        sims[qi[0]] = -np.inf
-        top = np.argpartition(-sims, k - 1)[:k]
-        exact = set(ids[top].tolist())
-        hits += len(exact & set(g["neighbor_id"].tolist()))
-    recall = hits / max(tot, 1)
-    assert recall >= floor, f"{name}: recall@{k} {recall:.3f} < {floor}"
-
-
-@register("ann_ivf_top5")
-def ann_ivf_top5(sf_dir: str):
-    """IVF-bucketed approximate nearest neighbors (the scale path for
-    similarity search; brute-force twin is knn_cosine_top5). The index
-    is built DISTRIBUTED (map_batches k-means partials, driver holds
-    nlist x dim centroids; corpus blocks stay in the object store —
-    see geoflow.stages.knn.cosine_topk_ivf). SELF-CHECKING: recall@5 vs an
-    exact in-query brute force must be >= 0.8 (approximate results
-    have no SQL oracle by nature)."""
-    import ray.data as rd
-    from ..stages.knn import cosine_topk_ivf
-
-    corpus_ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    n = corpus_ds.count()                      # parquet metadata only
-    qdf = corpus_ds.limit(10).to_pandas()      # 10 query rows, not corpus
-    # near-uniform synthetic embeddings have no cluster structure, so
-    # recall needs a wide probe fraction (real embedding corpora cluster,
-    # letting nprobe/nlist shrink); 5/8 buckets -> recall ~0.88 here.
-    # Small corpora (sf0.001 smoke: 500 vectors over 8 buckets) spread
-    # each query's true neighbors across most buckets, so partial
-    # probing can't hold the recall floor — IVF legitimately
-    # degenerates to probing every bucket below ~10^3 vectors
-    nprobe = 8 if n < 1000 else 5
-    out = cosine_topk_ivf(rd.from_pandas(qdf), corpus_ds, k=5, nlist=8,
-                          nprobe=nprobe, concurrency=2)
-    res = out.map_batches(
-        lambda b: pa.table({
-            "query_id": b.column("query_id"),
-            "neighbor_id": b.column("neighbor_id"),
-            "rank": pc.cast(b.column("rank"), pa.int64()),
-            "cosine": pa.array(np.round(b.column("cosine").to_numpy(), 6)),
-        }), batch_format="pyarrow").to_pandas()
-    if n <= 100_000:                           # verification scale only
-        _ann_recall_check("ann_ivf_top5", res,
-                          corpus_ds.to_pandas(),
-                          query_ids=qdf["vec_id"].tolist())
-    return res
-
-
-@register("ann_lsh_top5")
-def ann_lsh_top5(sf_dir: str):
-    """LSH-bucketed ANN: the no-broadcast scale path (random-hyperplane
-    buckets, one groupby shuffle co-locates queries with candidates) —
-    geoflow.stages.knn.cosine_topk_lsh. Rows-only: approximate; recall
-    vs brute force asserted in tests/test_knn_pip.py."""
-    from ..stages.knn import cosine_topk_lsh
-
-    corpus = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    queries = _read(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
-        lambda b: b.filter(pc.less(b.column("vec_id"), pa.scalar(10))),
-        batch_format="pyarrow")
-    # coarse buckets (4 bits): the sf embeddings are near-uniform
-    # (top-1 cosine ~0.2), so finer buckets would shed all recall
-    out = cosine_topk_lsh(queries, corpus, k=5, num_bits=4,
-                          num_tables=16)
-    res = out.map_batches(
-        lambda b: pa.table({
-            "query_id": b.column("query_id"),
-            "neighbor_id": b.column("neighbor_id"),
-            "rank": pc.cast(b.column("rank"), pa.int64()),
-            "cosine": pa.array(np.round(b.column("cosine").to_numpy(), 6)),
-        }), batch_format="pyarrow").to_pandas()
-    corpus_df = _read(sf_dir, "embeddings", ["vec_id", "embedding"]).to_pandas()
-    _ann_recall_check("ann_lsh_top5", res, corpus_df,
-                      query_ids=corpus_df.loc[corpus_df["vec_id"] < 10,
-                                              "vec_id"].tolist())
-    return res
-
-
 @register("flagship_zonal_verified", sql="""
 WITH win AS (
   SELECT min(doc_id) AS doc_id, count(*) AS n_copies,
@@ -1061,236 +894,6 @@ def flagship_zonal(sf_dir: str):
         lambda b: b.set_column(b.column_names.index("zone"), "zone",
                                pc.cast(b.column("zone"), pa.int64())),
         batch_format="pyarrow")
-
-
-def _docs_with_near_dups(sf_dir: str):
-    """documents plus deterministic perturbed copies (dedup exercise)."""
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def _inject(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy()
-        texts = b.column("text").to_pylist()
-        sel = ids % 7 == 0
-        extra_ids = (ids[sel] + 1_000_000).tolist()
-        extra_texts = [texts[i] + " extra tail token"
-                       for i in np.nonzero(sel)[0]]
-        return pa.table({
-            "doc_id": pa.array(ids.tolist() + extra_ids, pa.int64()),
-            "text": pa.array(texts + extra_texts, pa.string()),
-        })
-
-    return ds.map_batches(_inject, batch_format="pyarrow")
-
-
-# Brute-force word-3-shingle Jaccard over the injected corpus — the
-# DuckDB oracle for the MinHash-LSH family. Shingle construction and
-# the i/(|A|+|B|-i) ratio replay geoflow.stages.dedup exactly (distinct
-# shingles per doc; docs with < 3 tokens form one whole-text shingle).
-_MINHASH_PAIRS_CTE = r"""
-docs AS (
-  SELECT doc_id, text FROM documents
-  UNION ALL
-  SELECT doc_id + 1000000, text || ' extra tail token' FROM documents
-  WHERE doc_id % 7 = 0
-),
-tok AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS toks FROM docs),
-sh AS (
-  SELECT doc_id, unnest(CASE WHEN len(toks) < 3
-       THEN CASE WHEN len(toks) = 0 THEN CAST([] AS VARCHAR[])
-                 ELSE [array_to_string(toks, ' ')] END
-       ELSE list_transform(range(1, len(toks) - 1),
-                           i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2])
-       END) AS s
-  FROM tok
-),
-shd AS (SELECT DISTINCT doc_id, s FROM sh),
-cnt AS (SELECT doc_id, count(*) AS n FROM shd GROUP BY doc_id),
-inter AS (SELECT a.doc_id AS id_a, b.doc_id AS id_b, count(*) AS i
-          FROM shd a JOIN shd b ON a.s = b.s AND a.doc_id < b.doc_id
-          GROUP BY 1, 2),
-pairs AS (
-  SELECT id_a, id_b, i * 1.0 / (ca.n + cb.n - i) AS jaccard
-  FROM inter JOIN cnt ca ON ca.doc_id = id_a
-             JOIN cnt cb ON cb.doc_id = id_b
-  WHERE i * 1.0 / (ca.n + cb.n - i) >= 0.5
-)
-"""
-
-
-@register("ngram_jaccard_pairs", sql="WITH " + _MINHASH_PAIRS_CTE + """
-SELECT id_a, id_b, round(jaccard, 6) AS jaccard FROM pairs
-""")
-def ngram_jaccard_pairs(sf_dir: str):
-    """EXACT n-gram (word-3-shingle) Jaccard near-dup pairs via the
-    distributed inverted-index plan — no LSH, no approximation. Shares
-    the brute-force CTE oracle with minhash_near_dup: both hash-matching
-    it proves the LSH path's candidate recall is exactly 1 here."""
-    from ..stages.dedup import jaccard_pairs_exact
-
-    pairs = jaccard_pairs_exact(_docs_with_near_dups(sf_dir), "doc_id",
-                                threshold=0.5)
-    return pairs.map_batches(
-        lambda b: pa.table({
-            "id_a": pc.cast(b.column("id_a"), pa.int64()),
-            "id_b": pc.cast(b.column("id_b"), pa.int64()),
-            "jaccard": pa.array(np.round(b.column("jaccard").to_numpy(), 6)),
-        }), batch_format="pyarrow")
-
-
-@register("minhash_near_dup", sql="WITH " + _MINHASH_PAIRS_CTE + """
-SELECT id_a, id_b, round(jaccard, 6) AS jaccard FROM pairs
-""")
-def minhash_near_dup(sf_dir: str):
-    """MinHash-LSH near-dup pairs, DuckDB-verified against a brute-force
-    shingle-Jaccard CTE (hash match => the LSH candidate generation has
-    recall 1.0 on every pair above the threshold AND the exact-verify
-    stage removed every false positive)."""
-    from ..stages.dedup import minhash_lsh_pairs
-
-    pairs = minhash_lsh_pairs(_docs_with_near_dups(sf_dir), "doc_id",
-                              jaccard_threshold=0.5)
-    return pairs.map_batches(
-        lambda b: pa.table({
-            "id_a": pc.cast(b.column("id_a"), pa.int64()),
-            "id_b": pc.cast(b.column("id_b"), pa.int64()),
-            "jaccard": pa.array(np.round(b.column("jaccard").to_numpy(), 6)),
-        }), batch_format="pyarrow")
-
-
-@register("minhash_dup_clusters", sql="WITH RECURSIVE " + _MINHASH_PAIRS_CTE
-          + """,
-edges AS (SELECT id_a AS s, id_b AS d FROM pairs
-          UNION ALL SELECT id_b, id_a FROM pairs),
-reach(a, b) AS (
-  SELECT s, d FROM edges
-  UNION
-  SELECT r.a, e.d FROM reach r JOIN edges e ON r.b = e.s
-),
-comp AS (SELECT a AS doc_id, least(a, min(b)) AS component
-         FROM reach GROUP BY a)
-SELECT component AS representative_id, count(*) AS cluster_size
-FROM comp GROUP BY component
-""")
-def minhash_dup_clusters(sf_dir: str):
-    """Near-dup clusters: MinHash-LSH pairs -> DISTRIBUTED connected
-    components (min-label propagation over bucketed joins — the 10^12
-    path; the driver union-find is gone) -> (representative, size).
-    Oracle: recursive-CTE transitive closure over the brute-force pair
-    set."""
-    from ray.data.aggregate import Count
-
-    from ..stages.dedup import dup_components, minhash_lsh_pairs
-
-    pairs = minhash_lsh_pairs(_docs_with_near_dups(sf_dir), "doc_id",
-                              jaccard_threshold=0.5)
-    comp = dup_components(pairs)
-    agg = comp.groupby("component").aggregate(
-        Count(alias_name="cluster_size"))
-    return agg.map_batches(
-        lambda b: pa.table({
-            "representative_id": pc.cast(b.column("component"), pa.int64()),
-            "cluster_size": pc.cast(b.column("cluster_size"), pa.int64()),
-        }), batch_format="pyarrow")
-
-
-# Exact DuckDB replay of the SimHash chain: per-token dual polynomial
-# hash (list_reduce char folds mod two primes < 2^32, matching
-# geoflow.stages.dedup.dual_poly_token_hashes), per-bit +/-1 sums over
-# token occurrences, sign -> signature bits summed via a 2^j power
-# table in HUGEINT, two's-complement wrap to BIGINT, then brute-force
-# all-pairs bit_count(xor) <= 3. The banding pipeline must hash-match
-# this EXACTLY (pigeonhole: hamming <= 3 over 4x16-bit bands leaves at
-# least one clean band, so LSH recall is 1 by construction).
-_SIMHASH_SQL = ("WITH docs AS (\n"
-                "  SELECT doc_id, text FROM documents\n"
-                "  UNION ALL\n"
-                "  SELECT doc_id + 1000000, text || ' extra tail token'\n"
-                "  FROM documents WHERE doc_id % 7 = 0\n"
-                "),\n" + r"""
-tok AS (
-  SELECT doc_id, regexp_extract_all(text, '\S+') AS toks FROM docs
-),
-th AS (
-  SELECT doc_id,
-    list_reduce(list_prepend(CAST(0 AS BIGINT),
-        list_transform(string_split(toks[i], ''),
-                       c -> CAST(unicode(c) AS BIGINT))),
-        (a, c) -> (a * 31 + c) % 4294967291) AS h1,
-    list_reduce(list_prepend(CAST(0 AS BIGINT),
-        list_transform(string_split(toks[i], ''),
-                       c -> CAST(unicode(c) AS BIGINT))),
-        (a, c) -> (a * 37 + c) % 4294967279) AS h2
-  FROM tok, unnest(range(1, len(toks) + 1)) AS u(i)
-),
-bits AS (SELECT unnest(range(0, 32)) AS j),
-bs AS (
-  SELECT doc_id, j,
-     sum(CASE WHEN ((h1 >> j) & 1) = 1 THEN 1 ELSE -1 END) AS s1,
-     sum(CASE WHEN ((h2 >> j) & 1) = 1 THEN 1 ELSE -1 END) AS s2
-  FROM th CROSS JOIN bits GROUP BY doc_id, j
-),
-pw2(j, lo, hi) AS (VALUES """ + ", ".join(
-                    f"({j}, {1 << j}::HUGEINT, {1 << (j + 32)}::HUGEINT)"
-                    for j in range(32)) + r"""),
-sigu AS (
-  SELECT doc_id,
-     sum(CASE WHEN s1 > 0 THEN pw2.lo ELSE 0::HUGEINT END
-       + CASE WHEN s2 > 0 THEN pw2.hi ELSE 0::HUGEINT END) AS s
-  FROM bs JOIN pw2 ON pw2.j = bs.j GROUP BY doc_id
-),
-sigs AS (
-  SELECT doc_id, CAST(CASE WHEN s >= 9223372036854775808::HUGEINT
-                 THEN s - 18446744073709551616::HUGEINT ELSE s END
-                 AS BIGINT) AS sig
-  FROM sigu
-  UNION ALL
-  SELECT doc_id, CAST(0 AS BIGINT) FROM docs
-  WHERE len(regexp_extract_all(text, '\S+')) = 0
-)
-SELECT a.doc_id AS id_a, b.doc_id AS id_b,
-       CAST(bit_count(xor(a.sig, b.sig)) AS BIGINT) AS hamming
-FROM sigs a JOIN sigs b ON a.doc_id < b.doc_id
-WHERE bit_count(xor(a.sig, b.sig)) <= 3
-""")
-
-
-@register("simhash_near_dup", sql=_SIMHASH_SQL)
-def simhash_near_dup(sf_dir: str):
-    """SimHash near-dup pairs (4x16-bit pigeonhole banding), DuckDB-
-    verified END TO END: the dual-polynomial token hash is replayed
-    fold-by-fold in SQL (see _SIMHASH_SQL) and the oracle brute-forces
-    all-pairs popcount over the replayed signatures — the pigeonhole
-    guarantee (hamming <= 3 => >= 1 clean band) makes the banding path
-    EXACT, so the hash comparison is a hard equality, not a recall
-    floor. The in-query brute-force assert below is kept as a second,
-    SQL-independent check of the distributed banding."""
-    from ..stages.dedup import popcount64, simhash_batch, simhash_pairs
-
-    ds = _docs_with_near_dups(sf_dir)
-    pairs = simhash_pairs(ds, "doc_id", max_hamming=3)
-    out = pairs.map_batches(
-        lambda b: pa.table({
-            "id_a": pc.cast(b.column("id_a"), pa.int64()),
-            "id_b": pc.cast(b.column("id_b"), pa.int64()),
-            "hamming": pc.cast(b.column("hamming"), pa.int64()),
-        }), batch_format="pyarrow").to_pandas()
-
-    sigs = ds.map_batches(lambda b: simhash_batch(b, "doc_id"),
-                          batch_format="pyarrow").to_pandas()
-    if len(sigs) <= 100_000:               # brute force is O(n^2)
-        ids = sigs["doc_id"].to_numpy().astype(np.int64)
-        sh = sigs["simhash"].to_numpy().astype(np.uint64)
-        order = np.argsort(ids)
-        ids, sh = ids[order], sh[order]
-        ia, ib = np.triu_indices(len(ids), k=1)
-        ham = popcount64(sh[ia] ^ sh[ib])
-        keep = ham <= 3
-        brute = set(zip(ids[ia[keep]].tolist(), ids[ib[keep]].tolist()))
-        got = set(zip(out["id_a"], out["id_b"]))
-        assert got == brute, (
-            f"simhash banding diverged from brute force: "
-            f"missing={len(brute - got)} extra={len(got - brute)}")
-    return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
 _STOPLIST_SQL = {
@@ -2166,9 +1769,8 @@ def nearest_site_docs(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# Round-2 additions: embedding dup clusters, corpus curation, stratified
-# sampling, salted zonal aggregation, exact heavy hitters — each
-# DuckDB-verified
+# Round-2 additions: corpus curation, stratified sampling, salted zonal
+# aggregation, exact heavy hitters — each DuckDB-verified
 # ---------------------------------------------------------------------------
 
 @register("frequent_tokens", sql=r"""
@@ -2196,43 +1798,6 @@ def frequent_tokens(sf_dir: str):
 
     out, _n = frequent_items_exact(ds, _tokens, phi=0.005)
     return out[["item", "n_occurrences"]]
-
-@register("embedding_dup_clusters", sql="""
-WITH RECURSIVE pairs AS (
-  SELECT a.vec_id AS id_a, b.vec_id AS id_b
-  FROM embeddings a, embeddings b
-  WHERE a.vec_id < b.vec_id
-    AND list_cosine_similarity(a.embedding, b.embedding) >= 0.4
-),
-edges AS (SELECT id_a AS s, id_b AS d FROM pairs
-          UNION ALL SELECT id_b, id_a FROM pairs),
-reach(a, b) AS (
-  SELECT s, d FROM edges
-  UNION
-  SELECT r.a, e.d FROM reach r JOIN edges e ON r.b = e.s
-),
-comp AS (SELECT a AS doc_id, least(a, min(b)) AS component
-         FROM reach GROUP BY a)
-SELECT component AS representative_id, count(*) AS cluster_size
-FROM comp GROUP BY component
-""")
-def embedding_dup_clusters(sf_dir: str):
-    """Embedding-cosine near-dup clusters: blocked exact pair emission
-    -> distributed min-label connected components -> (representative,
-    size); recursive-CTE transitive closure as the oracle."""
-    from ray.data.aggregate import Count
-
-    from ..stages.dedup import dup_components, embedding_dup_pairs
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    pairs = embedding_dup_pairs(ds, threshold=0.4)
-    comp = dup_components(pairs)
-    agg = comp.groupby("component").aggregate(Count(alias_name="cluster_size"))
-    return agg.map_batches(
-        lambda b: pa.table({
-            "representative_id": pc.cast(b.column("component"), pa.int64()),
-            "cluster_size": pc.cast(b.column("cluster_size"), pa.int64()),
-        }), batch_format="pyarrow")
 
 
 @register("corpus_curation", sql=r"""
@@ -2514,6 +2079,27 @@ def events_lag_delta(sf_dir: str):
     return lag_delta(ds)
 
 
+def _vec_column_matrix(col) -> np.ndarray:
+    """Arrow list/tensor column -> (n, d) float64 matrix (zero-copy from
+    the flattened list buffer where the layout allows)."""
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    mats = []
+    for c in chunks:
+        if len(c) == 0:
+            continue
+        if hasattr(c, "flatten"):                      # list<float>
+            # offset-aware (sliced chunks): .values would ignore the
+            # ListArray slice offset and misalign rows to vectors
+            flat = c.flatten().to_numpy(zero_copy_only=False)
+            mats.append(flat.reshape(len(c), -1).astype(np.float64))
+        else:                                          # tensor extension
+            arr = c.to_numpy(zero_copy_only=False)
+            if arr.dtype == object:
+                arr = np.stack([np.asarray(v) for v in arr])
+            mats.append(np.asarray(arr, dtype=np.float64))
+    return np.vstack(mats) if mats else np.empty((0, 0))
+
+
 @register("label_centroids", sql="""
 SELECT CAST(label AS BIGINT) AS label, count(*) AS n_vecs,
        round(avg(embedding[1]), 6) AS c0,
@@ -2533,8 +2119,7 @@ def label_centroids(sf_dir: str):
     ds = _read(sf_dir, "embeddings", ["label", "embedding"])
 
     def _dims(b: pa.Table) -> pa.Table:
-        from ..stages.dedup import vec_column_matrix
-        mat = vec_column_matrix(b.column("embedding"))
+        mat = _vec_column_matrix(b.column("embedding"))
         return pa.table({
             "label": pc.cast(b.column("label"), pa.int64()),
             "c0": pa.array(mat[:, 0]), "c1": pa.array(mat[:, 1]),
@@ -2623,97 +2208,6 @@ def global_sorted_docs(sf_dir: str):
             .limit(100).to_pandas())
     head.insert(0, "rank", np.arange(1, len(head) + 1, dtype=np.int64))
     return head[["rank", "doc_id", "n_chars"]]
-
-
-_NEAR_INGEST_SQL = r"""
-WITH delta AS (
-  SELECT doc_id + 1000000 AS did, text || ' extra tail token' AS text
-  FROM documents WHERE doc_id % 7 = 0
-  UNION ALL
-  SELECT doc_id + 2000000, 'novel ' || doc_id || ' token'
-  FROM documents WHERE doc_id % 7 = 1
-),
-tok_o AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS toks
-          FROM documents),
-tok_n AS (SELECT did, regexp_extract_all(text, '\S+') AS toks FROM delta),
-shd_o AS (
-  SELECT DISTINCT doc_id, s FROM (
-    SELECT doc_id, unnest(CASE WHEN len(toks) < 3
-         THEN CASE WHEN len(toks) = 0 THEN CAST([] AS VARCHAR[])
-                   ELSE [array_to_string(toks, ' ')] END
-         ELSE list_transform(range(1, len(toks) - 1),
-                 i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2])
-         END) AS s
-    FROM tok_o)
-),
-shd_n AS (
-  SELECT DISTINCT did, s FROM (
-    SELECT did, unnest(CASE WHEN len(toks) < 3
-         THEN CASE WHEN len(toks) = 0 THEN CAST([] AS VARCHAR[])
-                   ELSE [array_to_string(toks, ' ')] END
-         ELSE list_transform(range(1, len(toks) - 1),
-                 i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2])
-         END) AS s
-    FROM tok_n)
-),
-cnt_o AS (SELECT doc_id, count(*) AS n FROM shd_o GROUP BY 1),
-cnt_n AS (SELECT did, count(*) AS n FROM shd_n GROUP BY 1),
-inter AS (
-  SELECT n.did, o.doc_id AS oid, count(*) AS i
-  FROM shd_n n JOIN shd_o o ON n.s = o.s GROUP BY 1, 2
-),
-dropped AS (
-  SELECT DISTINCT inter.did
-  FROM inter JOIN cnt_n ON cnt_n.did = inter.did
-             JOIN cnt_o ON cnt_o.doc_id = inter.oid
-  WHERE i * 1.0 / (cnt_n.n + cnt_o.n - i) >= 0.5
-)
-SELECT did AS doc_id FROM delta
-WHERE did NOT IN (SELECT did FROM dropped)
-ORDER BY doc_id
-"""
-
-
-@register("near_ingest_docs", sql=_NEAR_INGEST_SQL)
-def near_ingest_docs(sf_dir: str):
-    """Cross-run NEAR-dup novelty (state.near_ingest): the corpus is
-    committed as run one into a fresh persisted LSH band + shingle
-    index; a delta run (tail-appended near-dups of every 7th doc plus
-    genuinely novel docs) then ingests against the index — each bucket
-    task reads only its committed partition, verification is exact
-    shingle-set Jaccard on band collisions. Output: the delta doc_ids
-    that survive. The oracle replays the decision with brute-force
-    string-shingle Jaccard over all cross-run pairs — hash equality
-    proves LSH candidate recall AND the hashed-shingle verification
-    agree with the exact definition end to end."""
-    import tempfile
-
-    from ..state.near_ingest import incremental_near_ingest
-
-    base = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def _delta(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy()
-        texts = b.column("text").to_pylist()
-        out_i, out_t = [], []
-        for i, t in zip(ids, texts):
-            if i % 7 == 0:
-                out_i.append(int(i) + 1000000)
-                out_t.append((t or "") + " extra tail token")
-            elif i % 7 == 1:
-                out_i.append(int(i) + 2000000)
-                out_t.append(f"novel {i} token")
-        return pa.table({"doc_id": pa.array(out_i, pa.int64()),
-                         "text": pa.array(out_t, pa.string())})
-
-    delta = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        _delta, batch_format="pyarrow")
-    wd = tempfile.mkdtemp(prefix="nearidx_", dir="/tmp")
-    incremental_near_ingest(base, wd, "base").materialize()
-    novel = incremental_near_ingest(delta, wd, "delta")
-    return novel.map_batches(
-        lambda b: b.select(["doc_id"]), batch_format="pyarrow").sort(
-        "doc_id")
 
 
 @register("bloom_semi_revenue", sql="""
@@ -4258,85 +3752,6 @@ def geary_autocorrelation(sf_dir: str):
         "geary_c": round(r["geary_c"], 6)}])
 
 
-@register("behavior_near_dup_users", sql=r"""
-WITH base AS (
-  SELECT user_id, string_agg(event_type, ' ' ORDER BY ts, event_id)
-         AS text
-  FROM events GROUP BY user_id
-),
-docs AS (
-  SELECT user_id AS doc_id, text FROM base
-  UNION ALL
-  SELECT user_id + 1000000, text || ' click' FROM base
-  WHERE user_id % 5 = 0
-),
-tok AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS toks FROM docs),
-sh AS (
-  SELECT doc_id, unnest(CASE WHEN len(toks) < 3
-       THEN CASE WHEN len(toks) = 0 THEN CAST([] AS VARCHAR[])
-                 ELSE [array_to_string(toks, ' ')] END
-       ELSE list_transform(range(1, len(toks) - 1),
-                           i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2])
-       END) AS s
-  FROM tok
-),
-shd AS (SELECT DISTINCT doc_id, s FROM sh),
-cnt AS (SELECT doc_id, count(*) AS n FROM shd GROUP BY doc_id),
-inter AS (SELECT a.doc_id AS id_a, b.doc_id AS id_b, count(*) AS i
-          FROM shd a JOIN shd b ON a.s = b.s AND a.doc_id < b.doc_id
-          GROUP BY 1, 2)
-SELECT id_a, id_b,
-       round(i * 1.0 / (ca.n + cb.n - i), 6) AS jaccard
-FROM inter JOIN cnt ca ON ca.doc_id = id_a
-           JOIN cnt cb ON cb.doc_id = id_b
-WHERE i * 1.0 / (ca.n + cb.n - i) >= 0.5
-""")
-def behavior_near_dup_users(sf_dir: str):
-    """Behavioral near-dup detection: users whose ORDERED event-type
-    sequences are near-identical under trigram-shingle Jaccard — the
-    cross-domain reuse of the text dedup machinery on movement/click
-    logs (bot-farm and replay detection). Per-user behavior strings
-    come from one user-bucket shuffle with an ordered in-bucket join
-    (replayed by the oracle's ORDER BY string_agg); twin users with
-    one appended action are injected deterministically so true pairs
-    exist at every scale; pair discovery is the exact inverted-index
-    Jaccard plan (geoflow.stages.dedup.jaccard_pairs_exact)."""
-    from ..functions.joins import _mix64
-    from ..stages.dedup import jaccard_pairs_exact
-
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts",
-                                  "event_type"])
-
-    def _bucket(b: pa.Table) -> pa.Table:
-        u = b.column("user_id").to_numpy().astype(np.int64)
-        return b.append_column(
-            "_b", pa.array((_mix64(u) % np.uint64(32)).astype(np.int32)))
-
-    def _collect(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
-        base = g.groupby("user_id", sort=False)["event_type"] \
-            .agg(" ".join).reset_index()
-        base = base.rename(columns={"user_id": "doc_id",
-                                    "event_type": "text"})
-        twins = base[base["doc_id"] % 5 == 0].copy()
-        twins["doc_id"] += 1000000
-        twins["text"] += " click"
-        out = pd.concat([base, twins], ignore_index=True)
-        out["doc_id"] = out["doc_id"].astype(np.int64)
-        return out
-
-    docs = (ev.map_batches(_bucket, batch_format="pyarrow")
-            .groupby("_b").map_groups(_collect, batch_format="pandas"))
-    pairs = jaccard_pairs_exact(docs, "doc_id", threshold=0.5)
-    return pairs.map_batches(
-        lambda b: pa.table({
-            "id_a": pc.cast(b.column("id_a"), pa.int64()),
-            "id_b": pc.cast(b.column("id_b"), pa.int64()),
-            "jaccard": pa.array(
-                np.round(b.column("jaccard").to_numpy(), 6)),
-        }), batch_format="pyarrow")
-
-
 def _route_match_sql():
     from ..stages.geocode import snap_route_sql
     return """
@@ -4747,7 +4162,7 @@ def colocation_pairs(sf_dir: str):
                                  "user_b": pd.Series([], dtype=np.int64)})
         return pd.concat(out, ignore_index=True)
 
-    from ..stages.dedup import _mix_cols
+    from ..functions.joins import _mix_cols
 
     def _tag(b: pa.Table) -> pa.Table:
         key = (b.column("cx").to_numpy() * 131072
@@ -4825,7 +4240,7 @@ def cell_top_lang(sf_dir: str):
     argmax inside hash(cell) buckets (geoflow pattern: footprint-sized
     wide steps only)."""
     from ..functions.agg import grouped_count_sum
-    from ..stages.dedup import _mix_cols
+    from ..functions.joins import _mix_cols
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
 
@@ -5899,10 +5314,10 @@ def cms_frequent_tokens(sf_dir: str):
 # ---------------------------------------------------------------------------
 # Registration order = driver check order. The correctness driver hash-
 # verifies the FIRST 50 registered queries, so every window slot should
-# carry a DuckDB oracle: the 6 self-checking no-oracle entries (ANN
-# recall floors, HLL and KLL error bounds, twins of *_verified queries)
-# and the oracle-bearing queries whose semantics a STRONGER in-window
-# twin already covers (streaming sessions vs batch sessions + streaming
+# carry a DuckDB oracle: the 4 self-checking no-oracle entries (HLL
+# and KLL error bounds, twins of *_verified queries) and the
+# oracle-bearing queries whose semantics a STRONGER in-window twin
+# already covers (streaming sessions vs batch sessions + streaming
 # hourly; plain Bernoulli sample vs the stratified sampler; char ratios
 # vs quality scores + token stats; bbox join vs the polygon PIP join;
 # lang-source rollup vs langid + corpus curation) move past the window,
@@ -5926,14 +5341,12 @@ _PAST_WINDOW = [
     # token counting subsumed by the frequent-token family; per-cell
     # top-k subsumed by geo_zonal + top_parts_per_brand
     "doc_token_stats", "top_doc_cells",
-    # embedding components reuse the machinery of in-window
-    # embedding_close_pairs + minhash_dup_clusters
-    "embedding_dup_clusters",
     # zonal salting is proven invisible by the SAME oracle shape as the
     # in-window split-cell twin (zonal_split_docs) over the in-window
     # base query (geo_zonal_docs)
     "zonal_salted_docs",
-    # per-lang Bernoulli sampling — freeing a slot for near_ingest_docs
+    # per-lang Bernoulli sampling: demoted for a query since retired, so
+    # it has no stated in-window cover; validated locally at 3 scales.
     "stratified_sample_docs",
     # two twin-covered demotions that admit one hash-checked
     # representative of EACH new operator family (bloom semi-join,
@@ -5996,15 +5409,8 @@ _PAST_WINDOW = [
     # an in-window rep — the same-operation-order haversine trig is
     # replayed by knn_haversine_docs AND stay_points_events;
     # the broadcast-small-side + vectorized (batch x refs) matrix
-    # kernel is the plan shape the kNN/ANN family pins.
+    # kernel is the plan shape the pinned-index kNN pins.
     "idw_interpolation_docs",
-    # demotion admitting skyline_docs: brute cosine top-k's machinery
-    # stays in-window — the SAME normalized-matmul batch kernel runs
-    # inside embedding_close_pairs (threshold instead of ranked cut),
-    # ranked per-entity cuts via bm25_top_docs / top_parts_per_brand,
-    # and the ANN queries' recall floors recompute the brute top-k
-    # in-query as their own reference.
-    "knn_cosine_top5",
     # demotion admitting raster_pyramid_cells: the raster zonal table
     # stays hash-checked in-window VERBATIM — raster_pages_cell_join_
     # verified embeds the SAME zonal rows as its golden VALUES side
@@ -6020,25 +5426,12 @@ _PAST_WINDOW = [
     # streaming, validated locally on the SAME oracle output) and by
     # in-window events_hourly_streaming.
     "user_sessions",
-    # demotion admitting viewshed_visible: cross-run near-dup ingest's
-    # decision chain (band LSH + exact-Jaccard verify) is the SAME
-    # hash-verified plan as in-window minhash_near_dup over the same
-    # corpus; the persistence half (idempotent atomic commits, novelty
-    # against the persisted index) is pinned by test_near_ingest and
-    # mirrors the exact-ingest twin already outside the window.
-    "near_ingest_docs",
     # demotion admitting cell_convex_hulls: the shoelace/centroid
     # measures ride the SAME full-precision polygon edge tables the
     # in-window PIP join (pip_polygon_docs) replays VALUES-for-VALUES;
     # per-edge partial-sum machinery is the standard combiner shape a
     # dozen in-window queries already pin.
     "polygon_metrics",
-    # demotion admitting cdc_chunk_dups: min-label component machinery
-    # (dup_components) stays hash-verified in-window TWICE — grid_
-    # dbscan_docs builds its core components with it and cell_blob_
-    # labels replays the same recursive-CTE closure shape; candidate
-    # PAIR generation stays in-window via minhash_near_dup itself.
-    "minhash_dup_clusters",
     # demotion admitting bm25_top_docs: exact-dedup's bucket-keyed
     # shuffle plan stays hash-verified in-window TWICE — inside the
     # flagship twin (flagship_zonal_verified runs the same dedup stage
@@ -6090,12 +5483,6 @@ _PAST_WINDOW = [
     # is the shared geo CTE shape; its exact-moment algebra is itself
     # hash-checked locally at 3 scales via the 2^61-1 residues.
     "moran_autocorrelation",
-    # self-demotion (window at capacity): the behavioral near-dup is
-    # the text dedup machinery applied cross-domain — its inverted-
-    # index exact-Jaccard plan IS in-window (ngram_jaccard_pairs, same
-    # code path), and the per-user ordered collect is the stay_points/
-    # funnel bucket shape; validated locally at 3 scales.
-    "behavior_near_dup_users",
     # self-demotion (window at capacity): map matching's mechanisms
     # keep in-window reps — the exact integer point-to-segment cases
     # via corridor_docs (same endpoint/interior algebra, bit-replayed)
@@ -6182,7 +5569,6 @@ _PAST_WINDOW = [
     # routes together.
     "events_window_activity_grouped",
     # self-checking no-oracle entries
-    "ann_ivf_top5", "ann_lsh_top5",
     "flagship_zonal", "raster_pages_cell_join",
     "approx_distinct_orderkeys", "approx_quantiles_price",
 ]

@@ -16,7 +16,7 @@ Everything is a pure function of the row index, so generation is
 embarrassingly parallel: ``pages_dataset`` builds the table as a Ray Data
 pipeline (``ray.data.range -> map_batches``) and never materializes it on
 the driver. A duplicate fraction re-emits earlier rows' content under new
-urls so near-dup/exact-dup operators have real work to do.
+urls so the exact-dedup operators have real work to do.
 """
 
 from __future__ import annotations

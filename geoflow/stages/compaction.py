@@ -276,7 +276,7 @@ def cell_blob_labels(cells_ds, res: int, num_buckets: int = 16):
     from ray.data.aggregate import Min
 
     from ..functions.joins import bucketed_hash_join
-    from .dedup import dup_components
+    from ..functions.components import dup_components
 
     side = np.int64(1 << res)
 

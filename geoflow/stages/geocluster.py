@@ -1,15 +1,14 @@
 """Grid-partitioned DBSCAN over geocoded document points.
 
-Density clustering is the geospatial companion to near-dup clustering:
-"which documents come from the same physical hotspot" (data-center
-crawls, geo-tagged spam farms, city-level corpus slices). This is a
-DETERMINISTIC DBSCAN variant — every tie is broken by min-id — so a
-brute-force DuckDB replay hash-matches exactly:
+Density clustering answers "which documents come from the same physical
+hotspot" (data-center crawls, geo-tagged spam farms, city-level corpus
+slices). This is a DETERMINISTIC DBSCAN variant — every tie is broken
+by min-id — so a brute-force DuckDB replay hash-matches exactly:
 
 - core point:   |{q : d2(p, q) <= eps^2}| >= min_pts   (self included)
 - clusters:     connected components of core points under
                 eps-adjacency, labeled by min doc_id (the same
-                min-label semantics as stages.dedup.dup_components)
+                min-label semantics as functions.components.dup_components)
 - border point: non-core with >= 1 core neighbor, labeled by the MIN
                 cluster label among its core neighbors
 - noise:        dropped from the output
@@ -125,7 +124,7 @@ def grid_dbscan(points_ds, eps: float, min_pts: int,
     from ray.data.aggregate import Count, Max, Min
 
     from ..functions.joins import bucketed_hash_join
-    from .dedup import dup_components
+    from ..functions.components import dup_components
 
     pairs = dbscan_pairs(points_ds, eps, num_buckets=num_buckets,
                          id_col=id_col).materialize()

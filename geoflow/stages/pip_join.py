@@ -184,10 +184,9 @@ class PIPJoiner:
         self.rings = [np.asarray(r, dtype=np.float64)
                       for r in polygons["ring"]]
         self.region_ids = polygons["region_id"].to_numpy()
-        self.bboxes = np.array([
+        self.tree = STRtree(np.array([
             [r[:, 0].min(), r[:, 1].min(), r[:, 0].max(), r[:, 1].max()]
-            for r in self.rings])
-        self.tree = STRtree(self.bboxes)
+            for r in self.rings]))
         self.names = polygons["name"].to_numpy()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -195,17 +194,11 @@ class PIPJoiner:
         lon = batch.column("lon").to_numpy()
         ids = batch.column("id").to_numpy()
         out_id, out_region, out_name = [], [], []
-        # bbox x=lon, y=lat
+        # bbox x=lon, y=lat; the tree returns only points inside each
+        # polygon's closed bbox, and never an empty point set
         for poly_idx, pt_idx in self.tree.query_points(lon, lat).items():
-            ring = self.rings[poly_idx]
-            bb = self.bboxes[poly_idx]
-            la, lo = lat[pt_idx], lon[pt_idx]
-            near = (lo >= bb[0]) & (lo <= bb[2]) & (la >= bb[1]) & (la <= bb[3])
-            pt_near = pt_idx[near]
-            if not len(pt_near):
-                continue
-            hit = point_in_ring(lat[pt_near], lon[pt_near], ring)
-            matched = pt_near[hit]
+            hit = point_in_ring(lat[pt_idx], lon[pt_idx], self.rings[poly_idx])
+            matched = pt_idx[hit]
             out_id.extend(ids[matched].tolist())
             out_region.extend([self.region_ids[poly_idx]] * len(matched))
             out_name.extend([self.names[poly_idx]] * len(matched))

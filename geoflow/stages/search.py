@@ -85,7 +85,7 @@ def bm25_topk(ds, id_col: str = "doc_id", text_col: str = "text",
     import ray
 
     from ..functions.agg import grouped_count_sum
-    from .dedup import _mix_cols
+    from ..functions.joins import _mix_cols
 
     assert terms_per_query <= 2, \
         "score sums must stay 2-addend for order-free float aggregation"

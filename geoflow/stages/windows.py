@@ -92,7 +92,7 @@ def lag_delta(events_ds, key_col: str = "user_id", ts_col: str = "ts",
 
     Output: (event_id, user_id/key, delta_e2:int64).
     """
-    from ..stages.dedup import _mix_cols
+    from ..functions.joins import _mix_cols
 
     def _prep(b: pa.Table) -> pa.Table:
         v = np.round(b.column(value_col).to_numpy() * 100).astype(np.int64)

@@ -2,7 +2,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from geoflow.stages.dedup import dup_components, dup_components_driver
+from geoflow.functions.components import dup_components, dup_components_driver
 
 
 def _pairs():

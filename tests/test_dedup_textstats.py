@@ -1,95 +1,4 @@
-import numpy as np
-import pandas as pd
-import pytest
-
-from geoflow.stages import dedup, textstats
-
-
-def _docs_ds(ray_session=None, n=120, dup_every=10):
-    """Docs with injected exact + near duplicates."""
-    import ray.data as rd
-    rng = np.random.default_rng(3)
-    words = ("alpha beta gamma delta epsilon zeta eta theta iota kappa "
-             "lambda mu nu xi omicron pi rho sigma tau upsilon").split()
-    rows = []
-    for i in range(n):
-        if i % dup_every == 1 and i > dup_every:
-            base = rows[i - dup_every]["text"]
-            if i % (2 * dup_every) == 1:
-                text = base                              # exact dup
-            else:
-                text = base + " tailword"                # near dup
-        else:
-            text = " ".join(rng.choice(words, size=30))
-        rows.append({"doc_id": i, "text": text})
-    return rd.from_items(rows), pd.DataFrame(rows)
-
-
-def test_minhash_finds_near_dups(ray_session):
-    ds, df = _docs_ds()
-    pairs = dedup.minhash_lsh_pairs(ds, "doc_id",
-                                    jaccard_threshold=0.5).to_pandas()
-    # every injected pair must be found (exact dups have jaccard 1.0)
-    expected_pairs = set()
-    for i in range(len(df)):
-        for j in range(i + 1, len(df)):
-            if dedup.ngram_jaccard(df["text"][i], df["text"][j]) >= 0.5:
-                expected_pairs.add((i, j))
-    got_pairs = set(zip(pairs["id_a"], pairs["id_b"]))
-    assert expected_pairs, "fixture must contain near-dups"
-    assert expected_pairs <= got_pairs
-    # verified jaccard column is the exact value
-    for r in pairs.itertuples(index=False):
-        assert r.jaccard == pytest.approx(
-            dedup.ngram_jaccard(df["text"][int(r.id_a)], df["text"][int(r.id_b)]))
-
-
-def test_minhash_no_candidates(ray_session):
-    """A corpus with no near-dups returns an empty typed pair table
-    (exercises the empty-candidate early-return path)."""
-    import ray.data as rd
-    rng = np.random.default_rng(9)
-    rows = [{"doc_id": i,
-             "text": " ".join(rng.choice([f"w{k}" for k in range(5000)], 40))}
-            for i in range(40)]
-    pairs = dedup.minhash_lsh_pairs(rd.from_items(rows), "doc_id",
-                                    jaccard_threshold=0.5).to_pandas()
-    assert len(pairs) == 0
-    # also exercise the zero-candidate early return directly (two docs
-    # sharing no shingles cannot collide in any band)
-    tiny = rd.from_items([{"doc_id": 0, "text": "a b c d e f"},
-                          {"doc_id": 1, "text": "q r s t u v"}])
-    out2 = dedup.minhash_lsh_pairs(tiny, "doc_id")
-    assert out2.schema().names == ["id_a", "id_b", "jaccard"]
-    assert len(out2.to_pandas()) == 0
-
-
-def test_simhash_pairs(ray_session):
-    ds, df = _docs_ds()
-    pairs = dedup.simhash_pairs(ds, "doc_id", max_hamming=3).to_pandas()
-    got = set(zip(pairs["id_a"], pairs["id_b"]))
-    # exact duplicates have identical simhash -> hamming 0, must be found
-    texts = df["text"].tolist()
-    for i in range(len(texts)):
-        for j in range(i + 1, len(texts)):
-            if texts[i] == texts[j]:
-                assert (i, j) in got
-    assert (pairs["hamming"] <= 3).all()
-
-
-def test_embedding_dup_pairs(ray_session):
-    import ray.data as rd
-    rng = np.random.default_rng(5)
-    base = rng.normal(size=(40, 16))
-    vecs = list(base) + [base[3] + rng.normal(0, 0.01, 16),
-                         base[7] * 2.0]          # near-dup + colinear dup
-    rows = [{"vec_id": i, "embedding": v.astype(np.float32)}
-            for i, v in enumerate(vecs)]
-    ds = rd.from_items(rows)
-    pairs = dedup.embedding_dup_pairs(ds, threshold=0.99).to_pandas()
-    got = set(zip(pairs["id_a"], pairs["id_b"]))
-    assert (3, 40) in got
-    assert (7, 41) in got
+from geoflow.stages import textstats
 
 
 def test_textstats_vectorized_matches_python(ray_session):
@@ -130,54 +39,3 @@ def test_fingerprint_poly_properties():
     assert fp[0] == fp[1] != fp[2]     # identical docs share fingerprints
     assert fp[4] == 0                  # empty -> 0
     assert all(0 <= v < 2**31 for v in fp)
-
-
-def test_dual_poly_token_hashes_match_naive_fold():
-    """Vectorized reduceat formulation == the naive per-char fold that the
-    DuckDB oracle replays with list_reduce (geoflow/pipelines/queries.py
-    _SIMHASH_SQL)."""
-    from geoflow.stages.dedup import (_SH_B1, _SH_B2, _SH_P1, _SH_P2,
-                                      dual_poly_token_hashes)
-
-    toks = ["a", "héllo", "xyz" * 50, "1", "é中文", "zz"]
-    got = dual_poly_token_hashes(toks)
-    for w, h in zip(toks, got):
-        h1 = h2 = 0
-        for c in w:
-            h1 = (h1 * _SH_B1 + ord(c)) % _SH_P1
-            h2 = (h2 * _SH_B2 + ord(c)) % _SH_P2
-        assert int(h) == h1 | (h2 << 32), w
-
-
-def test_embedding_dup_pairs_lsh_guard_matches_exact(ray_session):
-    """Size-guarded routing: forcing the corpus over the exact-plan limit
-    (exact_limit=0) must route through the hyperplane-LSH plan and — on a
-    corpus of tight near-dup pairs (cosine ~0.999, per-table bit-match
-    ~0.92, 8 tables => miss prob ~1e-9) — return the SAME pair set with
-    the same cosines as the exact blocked cross-join."""
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-    from geoflow.stages.dedup import embedding_dup_pairs
-
-    rng = np.random.default_rng(41)
-    base = rng.standard_normal((60, 32))
-    base /= np.linalg.norm(base, axis=1, keepdims=True)
-    rows, vid = [], 0
-    for i in range(60):
-        rows.append({"vec_id": vid, "embedding": base[i].tolist()})
-        vid += 1
-        if i % 3 == 0:                      # tight near-dup copy
-            v = base[i] + 0.02 * rng.standard_normal(32)
-            rows.append({"vec_id": vid, "embedding": v.tolist()})
-            vid += 1
-    ds = rd.from_items(rows).repartition(4)
-
-    exact = embedding_dup_pairs(ds, threshold=0.95).to_pandas()
-    guarded = embedding_dup_pairs(ds, threshold=0.95,
-                                  exact_limit=0).to_pandas()
-    assert len(exact) >= 20                 # the injected near-dups
-    key = ["id_a", "id_b"]
-    e = exact.sort_values(key).reset_index(drop=True)
-    g = guarded.sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(e, g[e.columns], check_dtype=False)

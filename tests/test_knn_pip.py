@@ -6,65 +6,6 @@ from geoflow.stages import knn, pip_join
 from geoflow.stages.geocode import geocode_doc_ids
 
 
-def _embeddings(n=200, dim=16, seed=9):
-    rng = np.random.default_rng(seed)
-    return pd.DataFrame({
-        "vec_id": np.arange(n, dtype=np.int64),
-        "embedding": list(rng.normal(size=(n, dim)).astype(np.float32)),
-    })
-
-
-def test_cosine_topk_matches_bruteforce(ray_session):
-    import ray.data as rd
-    df = _embeddings()
-    ds = rd.from_pandas(df)
-    queries = rd.from_pandas(df.head(10))
-    out = knn.cosine_topk(queries, ds, k=5).to_pandas()
-    ids, mat = knn.normalized_matrix(df, "vec_id", "embedding")
-    for qid in range(10):
-        sims = mat @ mat[qid]
-        sims[qid] = -np.inf
-        top = np.argsort(-sims)[:5]
-        got = out[out["query_id"] == qid].sort_values("rank")
-        assert got["neighbor_id"].tolist() == ids[top].tolist()
-
-
-def test_cosine_topk_size_guard_routes_to_ivf(ray_session, monkeypatch):
-    """A zero row limit forces the auto-route: the distributed-IVF
-    full-probe path must return EXACTLY the brute-force broadcast
-    result (neighbor sets, ranks, and cosines)."""
-    import ray.data as rd
-    df = _embeddings(250)
-    brute = knn.cosine_topk(rd.from_pandas(df.head(12)),
-                            rd.from_pandas(df), k=5).to_pandas()
-    monkeypatch.setattr(knn, "CORPUS_BROADCAST_ROW_LIMIT", 0)
-    routed = knn.cosine_topk(rd.from_pandas(df.head(12)),
-                             rd.from_pandas(df).repartition(4), k=5,
-                             nlist=6).to_pandas()
-    a = brute.sort_values(["query_id", "rank"]).reset_index(drop=True)
-    b = routed.sort_values(["query_id", "rank"]).reset_index(drop=True)
-    assert a["neighbor_id"].tolist() == b["neighbor_id"].tolist()
-    assert np.allclose(a["cosine"], b["cosine"], atol=1e-12)
-
-
-def test_cosine_topk_ivf_recall(ray_session):
-    import ray.data as rd
-    df = _embeddings(400)
-    out = knn.cosine_topk_ivf(rd.from_pandas(df.head(20)),
-                              rd.from_pandas(df), k=5, nlist=8, nprobe=4,
-                              concurrency=2).to_pandas()
-    ids, mat = knn.normalized_matrix(df, "vec_id", "embedding")
-    hits = total = 0
-    for qid in range(20):
-        sims = mat @ mat[qid]
-        sims[qid] = -np.inf          # engine excludes self-matches
-        top = set(ids[np.argsort(-sims)[:5]].tolist())
-        got = set(out[out["query_id"] == qid]["neighbor_id"].tolist())
-        hits += len(top & got)
-        total += 5
-    assert hits / total >= 0.7  # nprobe=4 of 8 buckets: decent recall
-
-
 def test_knn_haversine_matches_bruteforce(ray_session):
     import ray.data as rd
     ids = np.arange(2000, dtype=np.int64)
@@ -181,48 +122,6 @@ def test_point_in_ring_concave():
     assert inside.tolist() == [False, True, True]
 
 
-def test_lsh_ann_recall_on_near_duplicates(ray_session):
-    """LSH's operating regime is NEAR neighbors (hyperplane agreement
-    p = 1 - angle/pi per bit): plant 3 near-dups (cosine ~0.95) for each
-    of 20 queries among 400 distractors and require recall@3 >= 0.8.
-    On near-uniform vectors (sf embeddings, top-1 cosine ~0.19) LSH
-    degrades to random by design — that regime belongs to IVF/brute."""
-    import ray.data as rd
-    from geoflow.stages.knn import cosine_topk, cosine_topk_lsh
-
-    rng = np.random.default_rng(5)
-    dim, n_q, n_dup = 64, 20, 3
-    base = rng.normal(size=(400, dim))
-    rows = [(i, base[i]) for i in range(400)]
-    nxt = 400
-    for q in range(n_q):
-        for _ in range(n_dup):
-            rows.append((nxt, base[q] + 0.18 * rng.normal(size=dim)))
-            nxt += 1
-    corpus_df = pd.DataFrame({
-        "vec_id": [r[0] for r in rows],
-        "embedding": [r[1].astype(np.float64) for r in rows],
-    })
-    corpus = rd.from_pandas(corpus_df)
-    queries = rd.from_pandas(corpus_df.head(n_q))
-
-    exact = cosine_topk(queries, corpus, k=n_dup).to_pandas()
-    approx = cosine_topk_lsh(queries, corpus, k=n_dup, dim=dim,
-                             num_tables=8, num_bits=10).to_pandas()
-    hits = total = 0
-    for qid, g in exact.groupby("query_id"):
-        truth = set(g["neighbor_id"])
-        got = set(approx[approx["query_id"] == qid]["neighbor_id"])
-        hits += len(truth & got)
-        total += len(truth)
-    recall = hits / total
-    assert recall >= 0.8, recall
-    # reported cosines are exact for the pairs both returned
-    m = approx.merge(exact, on=["query_id", "neighbor_id"],
-                     suffixes=("_lsh", "_exact"))
-    assert np.allclose(m["cosine_lsh"], m["cosine_exact"], atol=1e-12)
-
-
 def test_strtree_query_matches_bbox_scan():
     """STRtree batch point query == brute-force bbox containment scan,
     over random rect sets of many sizes (incl. the 1-rect edge)."""
@@ -261,35 +160,6 @@ def test_pip_strtree_equals_brute(ray_session):
     assert len(got) == len(exp)
     assert (got["id"].to_numpy() == exp["id"].to_numpy()).all()
     assert (got["region_id"].to_numpy() == exp["region_id"].to_numpy()).all()
-
-
-def test_ivf_distributed_build_full_probe_is_exact(ray_session):
-    """Distributed IVF build (map_batches k-means partials + object-store
-    block refs, no driver corpus materialization): probing ALL buckets
-    must reproduce the exact brute-force top-k — bucketing is then a
-    pure partition of the corpus, so any divergence is an
-    assembly/assignment bug, not an approximation."""
-    import ray
-    import ray.data as rd
-    df = _embeddings(300)
-    ds = rd.from_pandas(df).repartition(4)
-    index = knn.build_ivf_index_distributed(ds, "vec_id", "embedding",
-                                            nlist=6)
-    cent, refs = index
-    assert cent.shape == (6, len(df["embedding"].iloc[0]))
-    ref = ray.put(index)
-    q = rd.from_pandas(df.head(15).rename(columns={"vec_id": "query_id"}))
-    out = q.map_batches(
-        knn.CosineTopKIVF, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(index_ref=ref, k=5, nprobe=6),
-        concurrency=2).to_pandas()
-    ids, mat = knn.normalized_matrix(df, "vec_id", "embedding")
-    for qid in range(15):
-        sims = mat @ mat[qid]
-        sims[qid] = -np.inf
-        exact = set(ids[np.argsort(-sims)[:5]].tolist())
-        got = set(out[out["query_id"] == qid]["neighbor_id"].tolist())
-        assert got == exact, qid
 
 
 # ---------------------------------------------------------------------------

@@ -105,26 +105,6 @@ def test_range_probe_matches_scan(seed):
             assert idx[j] == hit[0]
 
 
-@given(st.lists(st.integers(0, (1 << 62) - 1), min_size=1, max_size=50))
-@settings(max_examples=200, deadline=None)
-def test_mersenne_folding_equals_modulo(xs):
-    """_mod_p31 (shift/add folding) == hardware % for all x < 2^62."""
-    from geoflow.stages.dedup import _P31, _mod_p31
-
-    x = np.array(xs, dtype=np.uint64)
-    assert (_mod_p31(x) == x % _P31).all()
-
-
-@given(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=50))
-@settings(max_examples=200, deadline=None)
-def test_popcount64_matches_python(xs):
-    from geoflow.stages.dedup import popcount64
-
-    x = np.array(xs, dtype=np.uint64)
-    got = popcount64(x)
-    assert got.tolist() == [bin(v).count("1") for v in xs]
-
-
 @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_png_roundtrip_random_shapes(read_gray_png, h, w, seed):
@@ -133,91 +113,6 @@ def test_png_roundtrip_random_shapes(read_gray_png, h, w, seed):
     rng = np.random.default_rng(seed)
     img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
     assert (read_gray_png(_encode_gray_png(img)) == img).all()
-
-
-def test_jaccard_df_cap_bounds_bucket_pairs():
-    """Adversarial common-shingle bucket: one boilerplate shingle shared
-    by ALL n docs. Uncapped, the self-merge emits O(n^2) pair partials;
-    with max_df the bucket's output is bounded by max_df * postings and
-    the boilerplate shingle contributes nothing."""
-    import pandas as pd
-    from geoflow.stages.dedup import bucket_pair_partials
-
-    n = 400
-    # boilerplate shingle 999 in every doc + one private shingle per doc
-    # + shingle shared by doc pairs (2i, 2i+1) so some pairs survive
-    rows = []
-    for d in range(n):
-        rows.append((999, d, 3))
-        rows.append((10_000 + d, d, 3))
-        rows.append((20_000 + d // 2, d, 3))
-    g = pd.DataFrame(rows, columns=["sh", "doc", "nsh"])
-    g["nsh_a"] = g["nsh"]
-
-    full = bucket_pair_partials(
-        g.rename(columns={"nsh": "nsh_"}).assign(nsh=3)[["sh", "doc", "nsh"]])
-    capped = bucket_pair_partials(
-        g[["sh", "doc", "nsh"]], max_df=10)
-    # uncapped: boilerplate alone emits n*(n-1)/2 partials
-    assert len(full) >= n * (n - 1) // 2
-    # capped: only the pair-shared shingles survive (df=2 <= 10) ->
-    # exactly n/2 partials, each with intersection count 1
-    assert len(capped) == n // 2
-    assert (capped["i"] == 1).all()
-    assert set(zip(capped["doc_a"], capped["doc_b"])) == {
-        (2 * i, 2 * i + 1) for i in range(n // 2)}
-    # bound: emitted partials <= max_df * kept postings (trivially holds)
-    assert len(capped) <= 10 * len(g)
-
-
-def test_jaccard_pairs_exact_df_cap_end_to_end(ray_session):
-    """Capped distributed run == uncapped with the boilerplate shingle's
-    intersection contribution removed (set sizes untouched: capped
-    Jaccard is a lower bound)."""
-    import pyarrow as pa
-    import ray.data as rd
-    from geoflow.stages.dedup import jaccard_pairs_exact
-
-    boiler = "the same old boilerplate"
-    docs = []
-    for i in range(30):
-        # pairs (2i, 2i+1) share a long unique body -> high Jaccard
-        body = f"unique body {i // 2} with shared words alpha beta gamma"
-        docs.append({"doc_id": i, "text": f"{boiler} {body} tail{i % 2}"})
-    ds = rd.from_items(docs).repartition(4)
-    # threshold 0.1: capped Jaccard is a LOWER bound (dropped boilerplate
-    # shingles leave the union size untouched), so the true pairs land at
-    # 3/19 ~ 0.158 under the cap vs 0.85 exact
-    full = jaccard_pairs_exact(ds, "doc_id", threshold=0.1).to_pandas()
-    capped = jaccard_pairs_exact(ds, "doc_id", threshold=0.1,
-                                 max_df=8).to_pandas()
-    fk = {(a, b): j for a, b, j in
-          zip(full["id_a"], full["id_b"], full["jaccard"])}
-    ck = {(a, b): j for a, b, j in
-          zip(capped["id_a"], capped["id_b"], capped["jaccard"])}
-    # capped pair set is a subset, and every capped Jaccard <= exact
-    assert set(ck) <= set(fk)
-    for p, j in ck.items():
-        assert j <= fk[p] + 1e-12
-    # the true near-dup pairs (2i, 2i+1) still survive the cap
-    assert {(2 * i, 2 * i + 1) for i in range(15)} <= set(ck)
-
-
-def test_jaccard_df_cap_empty_result_schema(ray_session):
-    """An aggressive cap that drops EVERY posting must still yield a
-    typed (id_a, id_b, jaccard) result, not a schemaless empty set."""
-    import ray.data as rd
-    from geoflow.stages.dedup import jaccard_pairs_exact
-
-    docs = [{"doc_id": i, "text": "same boilerplate everywhere forever"}
-            for i in range(20)]
-    ds = jaccard_pairs_exact(rd.from_items(docs), "doc_id",
-                             threshold=0.1, max_df=1)
-    # Ray's to_pandas() drops columns entirely on fully-empty datasets;
-    # the operator's contract is the DATASET schema, which the typed
-    # seed block guarantees even when every pair is capped away
-    assert ds.schema().names == ["id_a", "id_b", "jaccard"]
-    assert ds.count() == 0
 
 
 def test_grouped_count_sum_bucketed_parity(ray_session):
