@@ -73,16 +73,24 @@ def apply_all_wide_batch(batch: pa.Table, fns: list,
 def compute_metrics_table(tiles_ds, names: list[str] | None = None,
                           ctx: CorrectionContext = DEFAULT_CONTEXT) -> pd.DataFrame:
     """-> DataFrame indexed (correction, band) with the metric columns;
-    tiles that carry ``zone_ids`` add a trailing ``zone`` level."""
+    tiles that carry ``zone_ids`` add a trailing ``zone`` level. The tiles
+    must come from one raster (``ValueError`` otherwise)."""
     from ..registry import CORRECTIONS
 
     names = names or list(ok.CORRECTION_NAMES)
     fns = [(n, CORRECTIONS[n]) for n in names]   # driver-side resolve
     terrain = prepare_terrain(tiles_ds, ctx)
     coeffs = fit_corrections(terrain, ctx)
-    wide = terrain.map_batches(
-        lambda b: apply_all_wide_batch(b, fns, coeffs, ctx),
-        batch_format="pyarrow")
+    if len(coeffs) > 1:
+        # metric groups are per band: two rasters would pool their pixels
+        # and min/max into one group, in shuffle-dependent order
+        raise ValueError("rank input must hold one raster, got raster ids "
+                         f"{sorted(coeffs)}")
+
+    def apply_all_corrections(b):
+        return apply_all_wide_batch(b, fns, coeffs, ctx)
+
+    wide = terrain.map_batches(apply_all_corrections, batch_format="pyarrow")
     mt = evaluate_corrections_ds(wide, [_col(n) for n in names]).to_pandas()
     inv = {_col(n): n for n in names}
     mt["correction"] = mt["correction"].map(lambda c: inv.get(c, c))

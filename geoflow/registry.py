@@ -14,6 +14,7 @@ pure functions.
   registered with ``@register_metric(id, is_reduction=..., weight=...)``;
   registered metrics flow through the distributed evaluation and the
   normalize/rank stages automatically (they iterate the registry).
+  Re-registering a built-in id replaces it everywhere.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .oracle import kernels as ok
+from .stages import metrics as sm
 
 # ---------------------------------------------------------------------------
 # Corrections
@@ -72,44 +72,18 @@ def register_metric(metric_id: str, is_reduction: bool = True,
     return deco
 
 
-def _std(values, orig_min, orig_max, luminance):
-    return float(np.std(values))                      # metrics.py:81-91
+def _builtin_metric(metric_id: str):
+    def fn(values, orig_min, orig_max, luminance):
+        return sm.FROM_SUMMARY[metric_id](sm.SourceSummary(
+            values, orig_min, orig_max, sm.ZoneLuminance(luminance)))
+    fn.__name__ = metric_id
+    return fn
 
 
-def _cv(values, orig_min, orig_max, luminance):
-    return float(np.std(values) / np.mean(values))    # metrics.py:94-104
-
-
-def _iqr(values, orig_min, orig_max, luminance):
-    q1, q3 = np.percentile(values, [25, 75])          # metrics.py:107-123
-    return float(q3 - q1)
-
-
-def _median(values, orig_min, orig_max, luminance):
-    return float(np.median(values))                   # metrics.py:126-140
-
-
-def _out_thr(values, orig_min, orig_max, luminance):  # metrics.py:151-165
-    return float(np.count_nonzero(
-        np.logical_or(orig_min > values, values > orig_max)))
-
-
-def _out_iqr(values, orig_min, orig_max, luminance):  # metrics.py:168-181
-    q1, q3 = np.percentile(values, [25, 75])
-    lo, hi = q1 - (q3 - q1), q3 + (q3 - q1)
-    return float(np.count_nonzero(np.logical_or(lo > values, values > hi)))
-
-
-def _r2(values, orig_min, orig_max, luminance):       # metrics.py:184-195
-    from .stages.metrics import pearson_r2
-    return pearson_r2(luminance, values)
-
-
-# registry order == reference DEFAULT_METRICS order (metrics.py:198-206)
-METRICS["std_reduction"] = MetricSpec(_std)
-METRICS["cv_reduction"] = MetricSpec(_cv)
-METRICS["iqr_reduction"] = MetricSpec(_iqr)
-METRICS["relative_median_difference"] = MetricSpec(_median)
-METRICS["outliers_threshold"] = MetricSpec(_out_thr)
-METRICS["outliers_iqr"] = MetricSpec(_out_iqr)
-METRICS["determination_coefficient"] = MetricSpec(_r2)
+# registry order == reference DEFAULT_METRICS order (metrics.py:198-206);
+# the evaluator derives these from one shared summary per (zone, source)
+# while METRICS still holds them (stages/metrics.py::_metric_snapshot)
+BUILTIN_METRICS: dict[str, Callable] = {
+    mid: _builtin_metric(mid) for mid in sm.METRIC_IDS}
+for _mid, _fn in BUILTIN_METRICS.items():
+    METRICS[_mid] = MetricSpec(_fn)

@@ -97,8 +97,10 @@ def _closed_form_ols(n, sx, sy, sxx, sxy) -> tuple[float, float]:
 
 def fit_corrections(terrain_ds, ctx: CorrectionContext = DEFAULT_CONTEXT) -> dict:
     """Streaming fit pass -> {raster_id: coeffs} (oracle-shaped dicts)."""
-    partials = terrain_ds.map_batches(
-        lambda b: fit_moments_batch(b, ctx), batch_format="pyarrow")
+    def fit_moments(b):
+        return fit_moments_batch(b, ctx)
+
+    partials = terrain_ds.map_batches(fit_moments, batch_format="pyarrow")
     # few (raster, band) keys over many tile blocks: coalesce=1 so the
     # sort shuffle doesn't make one (mostly empty) reduce partition per
     # tile block

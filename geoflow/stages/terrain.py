@@ -72,10 +72,11 @@ def derive_terrain_batch(batch: pa.Table,
 
 def derive_terrain(tiles_ds, ctx: CorrectionContext = DEFAULT_CONTEXT,
                    ewres: float = 1.0, nsres: float = -1.0):
-    return tiles_ds.map_batches(
-        lambda b: derive_terrain_batch(b, ctx, ewres, nsres),
-        batch_format="pyarrow",
-    )
+    def derive_slope_aspect_luminance(b):
+        return derive_terrain_batch(b, ctx, ewres, nsres)
+
+    return tiles_ds.map_batches(derive_slope_aspect_luminance,
+                                batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for the pure kernels."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -114,6 +116,108 @@ def test_png_roundtrip_random_shapes(read_gray_png, h, w, seed):
     img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
     assert (read_gray_png(_encode_gray_png(img)) == img).all()
 
+
+
+def _metric_values(rng, n, kind, special):
+    """float32 test values: ``kind`` shapes the distribution, ``special``
+    plants a NaN or infinities at random positions."""
+    if kind == "random":
+        v = rng.normal(100.0, 30.0, n)
+    elif kind == "constant":
+        v = np.full(n, rng.normal(100.0, 30.0))
+    elif kind == "tied":
+        v = rng.choice(rng.normal(100.0, 30.0, 3), n)
+    else:
+        v = np.round(rng.normal(100.0, 30.0, n))
+    v = v.astype(np.float32)
+    pos = rng.permutation(n)
+    if special == "nan":
+        v[pos[0]] = np.nan
+    elif special == "+inf":
+        v[pos[0]] = np.inf
+    elif special == "-inf":
+        v[pos[0]] = -np.inf
+    elif special == "both_inf":
+        v[pos[0]] = -np.inf
+        v[pos[-1]] = np.inf
+    return v
+
+
+_METRIC_INPUTS = dict(
+    n=st.sampled_from([1, 2, 3, 4, 9, 10, 257, 1000]),
+    kind=st.sampled_from(["random", "constant", "tied", "rounded"]),
+    special=st.sampled_from([None, "nan", "+inf", "-inf", "both_inf"]),
+    seed=st.integers(0, 10_000))
+
+
+def _same(a, b) -> bool:
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+@given(**_METRIC_INPUTS)
+@settings(max_examples=300, deadline=None)
+def test_order_statistics_match_numpy(n, kind, special, seed):
+    """Quartiles and median read off the sorted values equal numpy's
+    partition-based percentile and median, value and dtype."""
+    from geoflow.stages.metrics import _median, _quartiles
+
+    v = _metric_values(np.random.default_rng(seed), n, kind, special)
+    s = np.sort(v)
+    with np.errstate(all="ignore"):
+        got_q, exp_q = _quartiles(s), np.percentile(v, [25, 75])
+        got_m, exp_m = _median(s), np.median(v)
+    assert got_q.dtype == exp_q.dtype
+    np.testing.assert_array_equal(got_q, exp_q)
+    assert type(got_m) is type(exp_m)
+    assert _same(got_m, exp_m)
+
+
+@given(zoned=st.booleans(), **_METRIC_INPUTS)
+@settings(max_examples=200, deadline=None)
+def test_shared_summary_row_equals_registry_calls(zoned, n, kind, special,
+                                                  seed):
+    """Every metric the evaluator derives from the shared per-source
+    summary equals a direct call of the registry function on the same
+    slice, and the numpy-defined ones equal the oracle's formulas."""
+    import pandas as pd
+
+    import geoflow.registry as reg
+    from geoflow.oracle.eval import _reference_metrics
+    from geoflow.stages.metrics import (METRIC_IDS, ORIG_KEY, _zone_slices,
+                                        metrics_for_band_group)
+
+    rng = np.random.default_rng(seed)
+    cols = {"pixels": _metric_values(rng, n, kind, special),
+            "luminance": rng.random(n).astype(np.float32),
+            "corr_x": _metric_values(rng, n, kind, special)}
+    if zoned:
+        cols["zone_ids"] = rng.integers(0, 3, n).astype(np.int32)
+    cuts = np.sort(rng.integers(0, n + 1, 2))
+    tiles = [{"band": 0, "tile_y": i // 2, "tile_x": i % 2,
+              **{c: a[lo:hi] for c, a in cols.items()}}
+             for i, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, n]))]
+    g = pd.DataFrame([tiles[i] for i in rng.permutation(len(tiles))])
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # oracle's corrcoef
+        got = metrics_for_band_group(["corr_x"])(g)
+        order, slices = _zone_slices(pd.DataFrame(tiles))
+        flat = {c: a if order is None else a[order] for c, a in cols.items()}
+        assert len(got) == 2 * len(slices)
+        rows = iter(got.to_dict("records"))
+        for zone, lo, hi in slices:
+            zorig = flat["pixels"][lo:hi]
+            omin, omax = float(zorig.min()), float(zorig.max())
+            zlum = flat["luminance"][lo:hi]
+            for name, col in ((ORIG_KEY, "pixels"), ("corr_x", "corr_x")):
+                row = next(rows)
+                assert (row["correction"], row.get("zone")) == (name, zone)
+                vals = flat[col][lo:hi]
+                ref = _reference_metrics(vals, omin, omax, zlum)
+                for mid in METRIC_IDS:
+                    direct = reg.METRICS[mid].fn(vals, omin, omax, zlum)
+                    assert _same(row[mid], direct), mid
+                    if mid != "determination_coefficient":
+                        assert _same(direct, ref[mid]), mid
 
 def test_grouped_count_sum_bucketed_parity(ray_session):
     """The hash-bucketed combine must agree exactly with the Ray-native

@@ -62,3 +62,43 @@ def test_unknown_correction_message(tile_ds):
     from geoflow.stages.corrections import apply_correction_ds
     with pytest.raises(KeyError, match="registry"):
         apply_correction_ds(tile_ds, "NOPE", {})
+
+
+def test_replaced_builtin_metric_is_honoured(tile_ds):
+    """A re-registered built-in id is evaluated with the new function,
+    not the shared-summary path; restoring the built-in restores it."""
+    from geoflow.pipelines.rank import compute_metrics_table
+
+    before = compute_metrics_table(tile_ds, ["SCS"], CTX)
+    builtin = reg.METRICS["std_reduction"]
+
+    @reg.register_metric("std_reduction")
+    def _size(values, orig_min, orig_max, luminance):
+        return values.size + 0.25
+
+    try:
+        replaced = compute_metrics_table(tile_ds, ["SCS"], CTX)
+    finally:
+        reg.METRICS["std_reduction"] = builtin
+    assert list(replaced.columns) == list(before.columns)
+    assert (replaced["std_reduction"] == 64 * 64 + 0.25).all()
+    others = before.columns.drop("std_reduction")
+    assert replaced[others].equals(before[others])
+    assert compute_metrics_table(tile_ds, ["SCS"], CTX).equals(before)
+
+
+def test_rank_rejects_multi_raster_input(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from geoflow.pipelines.rank import compute_metrics_table
+
+    parts = []
+    for rid, seed in (("north", 3), ("south", 4)):
+        dem = tsrc.synth_dem(32, 32, seed=seed)
+        bands = tsrc.synth_bands(dem, 1, seed=seed, ctx=CTX)
+        parts.append(tsrc.raster_to_tile_table(bands, dem, raster_id=rid,
+                                               tile=16))
+    ds = rd.from_arrow(pa.concat_tables(parts))
+    with pytest.raises(ValueError, match=r"\['north', 'south'\]"):
+        compute_metrics_table(ds, ["SCS"], CTX)
