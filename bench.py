@@ -174,8 +174,7 @@ def bench_queries(sf_dir: str) -> dict[str, float]:
     from geoflow.pipelines.queries import QUERIES
 
     names = ["q1_pricing_summary", "filtered_revenue", "orders_by_nation",
-             "events_hourly", "dedup_exact_docs", "geo_zonal_docs",
-             "revenue_by_region", "events_asof_orders",
+             "dedup_exact_docs", "geo_zonal_docs", "revenue_by_region",
              "quantity_quantiles", "nearest_site_docs"]
     times = {}
     for name in names:

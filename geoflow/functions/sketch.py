@@ -12,7 +12,6 @@ moves O(batches x 4 KB), never rows. Standard HLL per Flajolet et al.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 
@@ -296,75 +295,6 @@ def approx_quantiles(ds, col: str, qs, k: int = 200):
             ds.map_batches(_partial, batch_format="pyarrow")):
         merged.merge(QuantileSketch.from_rows(part, k))
     return merged.quantiles(qs), merged.n()
-
-
-def grouped_approx_distinct(ds, key_col: str, hash_fn,
-                            p: int = 8, num_buckets: int = 64):
-    """Per-key approximate distinct counts via SPARSE HyperLogLog.
-
-    Each row contributes (key, register_idx, rank); a batch-local
-    Arrow groupby-max collapses that to at most one row per (key,
-    register) pair — the sparse HLL representation, bounded by
-    min(rows, keys * 2^p) and typically ~distinct-values-sized, far
-    smaller than dense 2^p-byte registers per key. ONE bucketed
-    shuffle on the key co-locates partials; per bucket a vectorized
-    (key, idx) max + per-key fold computes the HLL estimate (with the
-    small-range linear-counting correction) from the sparse rows:
-    sum(2^-reg) over all m registers = (m - nnz) + sum over nonzero.
-
-    Relative error ~1.04/sqrt(2^p) (~6.5% at p=8). ``hash_fn(batch)
-    -> uint64 ndarray``. Returns (key_col, approx_distinct: float64).
-    """
-    from .joins import _mix64
-
-    m = 1 << p
-    nb = np.uint64(num_buckets)
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        keys = batch.column(key_col).to_numpy().astype(np.int64)
-        h = hash_fn(batch).astype(np.uint64)
-        idx = (h >> np.uint64(64 - p)).astype(np.int64)
-        rest = (h << np.uint64(p)) | np.uint64((1 << p) - 1)
-        nbits = 64 - p
-        zeros = np.zeros(len(h), dtype=np.uint8)
-        live = np.ones(len(h), dtype=bool)
-        probe = np.uint64(1) << np.uint64(63)
-        for _ in range(nbits):
-            bit = (rest & probe) != 0
-            zeros[live & ~bit] += 1
-            live &= ~bit
-            if not live.any():
-                break
-            probe >>= np.uint64(1)
-        t = pa.table({"_k": pa.array(keys),
-                      "_i": pa.array(idx),
-                      "_r": pa.array((zeros + 1).astype(np.int64))})
-        g = pa.TableGroupBy(t, ["_k", "_i"]).aggregate([("_r", "max")])
-        k2 = g.column("_k").to_numpy().astype(np.int64)
-        return pa.table({
-            "_k": pa.array(k2), "_i": g.column("_i"),
-            "_r": g.column("_r_max"),
-            "_b": pa.array((_mix64(k2) % nb).astype(np.int32))})
-
-    def _estimate(g: pd.DataFrame) -> pd.DataFrame:
-        gg = g.groupby(["_k", "_i"])["_r"].max().reset_index()
-        alpha = _alpha(m)
-        out_k, out_e = [], []
-        for k, sub in gg.groupby("_k"):
-            r = sub["_r"].to_numpy()
-            nnz = len(r)
-            denom = (m - nnz) + np.sum(np.power(2.0, -r.astype(np.float64)))
-            est = alpha * m * m / denom
-            if est <= 2.5 * m and nnz < m:
-                est = m * np.log(m / (m - nnz))
-            out_k.append(k)
-            out_e.append(float(est))
-        return pd.DataFrame({key_col: np.array(out_k, np.int64),
-                             "approx_distinct": np.array(out_e,
-                                                         np.float64)})
-
-    return (ds.map_batches(_partial, batch_format="pyarrow")
-            .groupby("_b").map_groups(_estimate, batch_format="pandas"))
 
 
 # ---------------------------------------------------------------------------

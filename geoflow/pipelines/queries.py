@@ -20,9 +20,11 @@ robust (see SURVEY.md section 7.4 "Ordering"):
   double-precision expressions written in the same operation order so
   lat/lon are bit-identical between numpy and DuckDB.
 
-Rows-only entries (no SQL: distributed-stateful or non-SQL semantics)
-cover the raster corrections, rose/histogram/rank evaluation, language
-ID, fingerprints, haversine kNN and the polygon PIP join.
+Four self-checking entries carry no SQL: ``flagship_zonal`` and
+``raster_pages_cell_join`` are the plain twins of the oracle-bearing
+``*_verified`` queries, and ``approx_distinct_orderkeys`` and
+``approx_quantiles_price`` assert their HLL and KLL error bounds against
+an exact pass in-query.
 """
 
 from __future__ import annotations
@@ -318,7 +320,7 @@ def supplier_by_nation(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# Events: top-k + tumbling window
+# Events: top-k
 # ---------------------------------------------------------------------------
 
 @register("top_users_by_value", sql="""
@@ -338,39 +340,6 @@ def top_users_by_value(sf_dir: str):
         })
 
     return top.map_batches(_final, batch_format="pyarrow")
-
-
-@register("events_hourly", sql="""
-SELECT event_type, CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hour_bucket,
-       count(*) AS n_events, round(sum(value), 4) AS value_sum
-FROM events GROUP BY event_type, hour_bucket
-""")
-def events_hourly(sf_dir: str):
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def _bucket(b: pa.Table) -> pa.Table:
-        us = b.column("ts").to_numpy(zero_copy_only=False).astype(
-            "datetime64[us]").view("int64")
-        hour = us // 3_600_000_000
-        return pa.table({
-            "event_type": b.column("event_type"),
-            "hour_bucket": pa.array(hour, pa.int64()),
-            "value": b.column("value"),
-        })
-
-    agg = grouped_count_sum(ds.map_batches(_bucket, batch_format="pyarrow"),
-                            ["event_type", "hour_bucket"], ["value"],
-                            count_alias="n_events", coalesce=1)
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": b.column("event_type"),
-            "hour_bucket": b.column("hour_bucket"),
-            "n_events": b.column("n_events"),
-            "value_sum": np.round(b.column("value_sum").to_numpy(), 4),
-        })
-
-    return agg.map_batches(_final, batch_format="pyarrow")
 
 
 @register("customers_without_big_orders", sql="""
@@ -442,94 +411,6 @@ def order_lineitem_revenue(sf_dir: str):
         })
 
     return agg.map_batches(_final, batch_format="pyarrow")
-
-
-@register("events_sliding_window", sql="""
-SELECT event_type,
-       CAST(floor(epoch(ts) / 900) AS BIGINT) - j AS window_id,
-       count(*) AS n_events
-FROM events CROSS JOIN (VALUES (0), (1), (2), (3)) AS k(j)
-GROUP BY event_type, window_id
-""")
-def events_sliding_window(sf_dir: str):
-    """1-hour windows sliding by 15 min: each event explodes into the 4
-    windows containing it, then a plain grouped count."""
-    from ..stages.windows import sliding_window_explode
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-    exploded = ds.map_batches(
-        lambda b: sliding_window_explode(b, width_s=3600, step_s=900),
-        batch_format="pyarrow")
-    agg = grouped_count_sum(exploded, ["event_type", "window_id"], [],
-                            count_alias="n_events")
-    return agg
-
-
-@register("user_sessions", sql="""
-WITH o AS (
-  SELECT user_id, event_id, ts, value,
-         lag(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS prev_ts
-  FROM events
-), m AS (
-  SELECT *, CASE WHEN prev_ts IS NULL
-                  OR CAST(epoch_us(ts) AS BIGINT)
-                     - CAST(epoch_us(prev_ts) AS BIGINT) > 1800000000
-            THEN 1 ELSE 0 END AS new_s
-  FROM o
-), s AS (
-  SELECT *, CAST(sum(new_s) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                                  ROWS UNBOUNDED PRECEDING) AS BIGINT)
-            AS session_id
-  FROM m
-)
-SELECT user_id, session_id, count(*) AS n_events,
-       CAST(epoch_us(min(ts)) AS BIGINT) AS session_start_us,
-       CAST(epoch_us(max(ts)) AS BIGINT) AS session_end_us,
-       round(sum(value), 4) AS value_sum
-FROM s GROUP BY user_id, session_id
-""")
-def user_sessions(sf_dir: str):
-    """Session windows (30-min gap) via per-user map_groups over
-    ts-sorted events (geoflow.stages.windows.session_windows)."""
-    from ..stages.windows import session_windows
-
-    ds = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    out = session_windows(ds, gap_s=1800)
-
-    def _final(b: pa.Table) -> pa.Table:
-        start = b.column("session_start").to_numpy(
-            zero_copy_only=False).astype("datetime64[us]").view("int64")
-        end = b.column("session_end").to_numpy(
-            zero_copy_only=False).astype("datetime64[us]").view("int64")
-        return pa.table({
-            "user_id": b.column("user_id"),
-            "session_id": pc.cast(b.column("session_id"), pa.int64()),
-            "n_events": pc.cast(b.column("n_events"), pa.int64()),
-            "session_start_us": pa.array(start, pa.int64()),
-            "session_end_us": pa.array(end, pa.int64()),
-            "value_sum": pa.array(
-                np.round(b.column("value_sum").to_numpy(), 4)),
-        })
-
-    return out.map_batches(_final, batch_format="pyarrow")
-
-
-ORACLE_SQL["user_sessions_streaming"] = ORACLE_SQL["user_sessions"]
-
-
-@register("user_sessions_streaming")
-def user_sessions_streaming(sf_dir: str):
-    """Same sessions as user_sessions, computed by the INCREMENTAL
-    stateful-actor path (geoflow.stages.streaming) — per-bucket actors
-    consuming the ts-ordered log; verified against the identical DuckDB
-    gaps-and-islands oracle."""
-    from ..stages.streaming import streaming_sessionize
-
-    ds = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    out = streaming_sessionize(ds, gap_s=1800, n_buckets=4)
-    out = out.copy()
-    out["value_sum"] = out["value_sum"].round(4)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1407,7 +1288,7 @@ def multi_criteria_scores(sf_dir: str):
 
 # ---------------------------------------------------------------------------
 # Round-1 additions: multi-way join, exact grouped quantiles, per-group
-# top-k, as-of join — each DuckDB-verified
+# top-k — each DuckDB-verified
 # ---------------------------------------------------------------------------
 
 @register("revenue_by_region", sql="""
@@ -1572,104 +1453,6 @@ def top_parts_per_brand(sf_dir: str):
 
     return (ds.map_batches(_local_topk, batch_format="pyarrow")
               .groupby("p_brand").map_groups(_topk, batch_format="pandas"))
-
-
-@register("events_asof_orders", sql="""
-SELECT event_id, o_orderkey, order_cents
-FROM (
-  SELECT e.event_id, o.o_orderkey,
-         CAST(round(o.o_totalprice * 100) AS BIGINT) AS order_cents,
-         row_number() OVER (PARTITION BY e.event_id
-                            ORDER BY o.o_orderdate DESC, o.o_orderkey DESC)
-             AS rn
-  FROM events e JOIN orders o
-       ON o.o_custkey = e.user_id AND o.o_orderdate <= e.ts
-)
-WHERE rn = 1
-""")
-def events_asof_orders(sf_dir: str):
-    """Backward as-of join (Ray Data lacks one): for each event, the
-    latest order of that user at event time. SIZE-GUARDED like every
-    build side in this suite: under BROADCAST_ROW_LIMIT orders rows
-    (parquet metadata) the join is a zero-shuffle broadcast probe
-    (joins.broadcast_asof_lookup — one encoded searchsorted per batch);
-    above it, the one-shuffle grouped_asof_join (bucketed
-    pandas.merge_asof)."""
-    from ..functions.joins import broadcast_asof_lookup, grouped_asof_join
-
-    events = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    orders = _read(sf_dir, "orders",
-                   ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
-    n_orders = orders.count()                   # parquet metadata only
-
-    def _cents(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderkey": b.column("o_orderkey"),
-            "o_custkey": b.column("o_custkey"),
-            "o_orderdate": b.column("o_orderdate"),
-            "order_cents": np.round(
-                b.column("o_totalprice").to_numpy() * 100).astype(np.int64),
-        })
-
-    cents = orders.map_batches(_cents, batch_format="pyarrow")
-    if n_orders <= BROADCAST_ROW_LIMIT:
-        joined = broadcast_asof_lookup(
-            events, cents.to_pandas(),
-            key=("user_id", "o_custkey"), on=("ts", "o_orderdate"),
-            right_cols=["o_orderkey", "order_cents"],
-            tiebreak="o_orderkey")
-    else:
-        joined = grouped_asof_join(
-            events, cents,
-            key=("user_id", "o_custkey"), on=("ts", "o_orderdate"),
-            left_cols=["event_id", "ts"],
-            right_cols=["o_orderkey", "o_orderdate", "order_cents"],
-            tiebreak="o_orderkey")
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_id": pc.cast(b.column("event_id"), pa.int64()),
-            "o_orderkey": pc.cast(b.column("o_orderkey"), pa.int64()),
-            "order_cents": pc.cast(b.column("order_cents"), pa.int64()),
-        })
-
-    return joined.map_batches(_final, batch_format="pyarrow")
-
-
-@register("events_value_bands", sql="""
-SELECT band, count(*) AS n_events, round(sum(value), 4) AS value_sum
-FROM events
-JOIN (VALUES ('tiny', 0.0, 25.0), ('small', 25.0, 60.0),
-             ('mid', 60.0, 110.0), ('large', 110.0, 200.0),
-             ('huge', 200.0, 320.0)) AS bands(band, lo, hi)
-  ON value >= lo AND value < hi
-GROUP BY band
-""")
-def events_value_bands(sf_dir: str):
-    """Non-equi RANGE join (irregular interval table, gaps above 320):
-    geoflow.functions.joins.broadcast_range_join — the band table is a
-    broadcast interval index probed per batch with searchsorted; the
-    event stream never shuffles for the join itself."""
-    from ..functions.joins import broadcast_range_join
-
-    bands = pd.DataFrame({
-        "band": ["tiny", "small", "mid", "large", "huge"],
-        "lo": [0.0, 25.0, 60.0, 110.0, 200.0],
-        "hi": [25.0, 60.0, 110.0, 200.0, 320.0],
-    })
-    ds = _read(sf_dir, "events", ["value"])
-    joined = broadcast_range_join(ds, "value", bands)
-    agg = grouped_count_sum(joined, ["band"], ["value"],
-                            count_alias="n_events")
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "band": b.column("band"),
-            "n_events": b.column("n_events"),
-            "value_sum": np.round(b.column("value_sum").to_numpy(), 4),
-        })
-
-    return agg.map_batches(_final, batch_format="pyarrow")
 
 
 @register("approx_distinct_orderkeys")
@@ -2012,30 +1795,6 @@ def zonal_split_docs(sf_dir: str):
     return rolled
 
 
-ORACLE_SQL["events_hourly_streaming"] = ORACLE_SQL["events_hourly"]
-
-
-@register("events_hourly_streaming")
-def events_hourly_streaming(sf_dir: str):
-    """Same result as events_hourly, produced by the WATERMARKED
-    incremental window actors (geoflow.stages.streaming
-    .streaming_window_aggregate) — verified against the identical
-    DuckDB tumbling-window oracle; watermark/late-drop semantics are
-    unit-tested with disordered feeds."""
-    from ..stages.streaming import streaming_window_aggregate
-
-    ds = _read(sf_dir, "events", ["event_id", "event_type", "ts", "value"])
-    df, dropped = streaming_window_aggregate(
-        ds, width_s=3600, key_col="event_type", allowed_lateness_s=3600)
-    assert dropped == 0            # in-order feed: nothing may drop
-    return pd.DataFrame({
-        "event_type": df["event_type"],
-        "hour_bucket": df["window_id"],
-        "n_events": df["n_events"],
-        "value_sum": df["value_sum"].round(4),
-    })
-
-
 @register("sampled_docs", sql="""
 SELECT doc_id, lang, n_chars
 FROM documents
@@ -2055,28 +1814,6 @@ def sampled_docs(sf_dir: str):
         return b.filter(pa.array(h < 10))
 
     return ds.map_batches(_sample, batch_format="pyarrow")
-
-
-@register("events_lag_delta", sql="""
-WITH t AS (
-  SELECT event_id, user_id,
-         CAST(round(value * 100) AS BIGINT) AS v_e2,
-         lag(CAST(round(value * 100) AS BIGINT))
-             OVER (PARTITION BY user_id ORDER BY ts, event_id) AS prev
-  FROM events
-)
-SELECT event_id, user_id, v_e2 - prev AS delta_e2
-FROM t WHERE prev IS NOT NULL
-""")
-def events_lag_delta(sf_dir: str):
-    """Analytic window function (LAG) distributed via the one-shuffle
-    bucket pattern: per user, ordered by (ts, event_id), the exact
-    integer delta of value*100 vs the previous event
-    (geoflow.stages.windows.lag_delta)."""
-    from ..stages.windows import lag_delta
-
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    return lag_delta(ds)
 
 
 def _vec_column_matrix(col) -> np.ndarray:
@@ -2263,56 +2000,6 @@ def bloom_semi_revenue(sf_dir: str):
            .aggregate(Sum("_n", alias_name="n"),
                       Sum("_c", alias_name="revenue_e4")))
     return out.sort("l_returnflag")
-
-
-@register("pruned_events_scan", sql="""
-WITH b AS (SELECT (max(user_id) + 1) // 5 AS lo,
-                  (2 * (max(user_id) + 1)) // 5 - 1 AS hi FROM events)
-SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(event_id) AS BIGINT) AS id_sum
-FROM events, b WHERE user_id BETWEEN b.lo AND b.hi
-GROUP BY 1 ORDER BY 1
-""")
-def pruned_events_scan(sf_dir: str):
-    """Clustered layout + zone-map pruning (state/layout.py): events
-    are range-partitioned by user_id into per-bucket parquet files
-    with a min/max manifest; a range scan then opens ONLY the
-    overlapping files (asserted in-query) and applies the residual
-    filter in-stream. The oracle runs the same range over the
-    ORIGINAL table — hash equality proves the layout round-trip and
-    the pruning are invisible to results. The queried range is the
-    second quintile of the user span, derived identically on both
-    sides in integer arithmetic."""
-    import tempfile
-
-    from ray.data.aggregate import Max, Sum
-
-    from ..state.layout import read_pruned, write_clustered
-
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type"])
-    span = int(ev.aggregate(Max("user_id"))["max(user_id)"]) + 1
-    lo, hi = span // 5, (2 * span) // 5 - 1
-    out = tempfile.mkdtemp(prefix="layout_", dir="/tmp")
-    write_clustered(ev, "user_id", out, num_partitions=16)
-    ds, stats = read_pruned(out, lo, hi)
-    assert ds is not None and stats["files_read"] < stats["files_total"], \
-        f"zone maps failed to prune: {stats}"
-
-    def _partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"event_type": b.column("event_type"),
-                      "_n": pa.array(np.ones(len(b), np.int64)),
-                      "_s": pc.cast(b.column("event_id"), pa.int64())})
-        g = pa.TableGroupBy(t, ["event_type"]).aggregate(
-            [("_n", "sum"), ("_s", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "_n": g.column("_n_sum"),
-                         "_s": g.column("_s_sum")})
-
-    return (ds.map_batches(_partial, batch_format="pyarrow")
-            .groupby("event_type")
-            .aggregate(Sum("_n", alias_name="n"),
-                       Sum("_s", alias_name="id_sum"))
-            .sort("event_type"))
 
 
 @register("warc_roundtrip_docs", sql="""
@@ -3139,73 +2826,6 @@ def phrase_search_docs(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
     return phrase_search(ds, _PHRASES)
-
-
-@register("resampled_user_values", sql="""
-WITH b AS (
-  SELECT user_id, epoch_us(min(ts)) // 86400000000 + 1 AS d0,
-         epoch_us(max(ts)) // 86400000000 AS dn
-  FROM events GROUP BY 1),
-grid AS (
-  SELECT user_id, unnest(generate_series(d0, dn)) AS step FROM b),
-ranked AS (
-  SELECT g.user_id, g.step, e.value,
-         row_number() OVER (PARTITION BY g.user_id, g.step
-                            ORDER BY e.ts DESC, e.event_id DESC) AS rn
-  FROM grid g JOIN events e ON e.user_id = g.user_id
-   AND epoch_us(e.ts) <= g.step * 86400000000)
-SELECT user_id, step, value AS last_value
-FROM ranked WHERE rn = 1
-""")
-def resampled_user_values(sf_dir: str):
-    """Regular-grid resampling with forward fill (the time-series
-    normalization step gap-ridden logs need before any per-step
-    comparison): one daily grid point per user between their first
-    and last event, carrying the latest value at-or-before each
-    midnight. Grid rows are materialized arithmetically (cumsum-offset
-    arange, no per-key loop) and filled by ONE backward merge_asof per
-    bucket; the oracle replays the fill as a window rank over
-    grid x earlier-events (geoflow.stages.windows.resample_ffill)."""
-    from ..stages.windows import resample_ffill
-
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    return resample_ffill(ev)
-
-
-@register("funnel_conversions", sql="""
-WITH v AS (
-  SELECT user_id, min(ts) AS t0 FROM events
-  WHERE event_type = 'view' GROUP BY 1),
-c AS (
-  SELECT v.user_id, t0, min(e.ts) AS t1 FROM v
-  JOIN events e ON e.user_id = v.user_id
-   AND e.event_type = 'click' AND e.ts > v.t0
-  GROUP BY 1, 2),
-p AS (
-  SELECT c.user_id, t0, t1, min(e.ts) AS t2 FROM c
-  JOIN events e ON e.user_id = c.user_id
-   AND e.event_type = 'purchase' AND e.ts > c.t1
-  GROUP BY 1, 2, 3)
-SELECT user_id, CAST(epoch_us(t0) AS BIGINT) AS step0_ts,
-       CAST(epoch_us(t1) AS BIGINT) AS step1_ts,
-       CAST(epoch_us(t2) AS BIGINT) AS step2_ts
-FROM p
-WHERE epoch_us(t2) - epoch_us(t0) <= CAST(72 * 3600 AS BIGINT) * 1000000
-""")
-def funnel_conversions(sf_dir: str):
-    """Ordered-sequence funnel (MATCH_RECOGNIZE-lite): first-touch
-    view -> click -> purchase chains per user, each step the first
-    event of its type STRICTLY after the previous step, completing
-    within 72 h of the anchor. One hash-bucket shuffle on user, then
-    each step is one vectorized forward merge_asof inside the bucket
-    (allow_exact_matches=False == the oracle's ts > predicate); the
-    oracle replays the greedy chain as min-over-later-events
-    aggregates (geoflow.stages.funnel)."""
-    from ..stages.funnel import funnel_first_completion
-
-    ev = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-    return funnel_first_completion(
-        ev, ["view", "click", "purchase"], window_s=72 * 3600)
 
 
 def _rasterize_sql():
@@ -4507,50 +4127,6 @@ def skyline_docs(sf_dir: str):
     return pareto_skyline(m, "lang", "n_chars", "n_tokens", "doc_id")
 
 
-@register("agg_view_hourly", sql="""
-SELECT event_type, CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hour_bucket,
-       count(*) AS n_events, round(sum(value), 4) AS value_sum
-FROM events GROUP BY event_type, hour_bucket
-""")
-def agg_view_hourly(sf_dir: str):
-    """Incrementally maintained hourly rollup (state.aggview): shard A
-    refreshed, shard B refreshed TWICE (idempotence exercised live),
-    one partition compacted (crash-safe base + manifest), then merge-
-    on-read. The oracle recomputes from ALL events — equality proves
-    delta application, exactly-once re-runs and compaction change
-    nothing. Deltas are hour-level pre-aggregates; the merge never
-    touches event rows."""
-    import tempfile
-
-    from ..state.aggview import compact_partition, read_view, refresh
-
-    work = tempfile.mkdtemp(prefix="aggview_", dir="/tmp")
-    ev = _read(sf_dir, "events", ["event_id", "event_type", "ts", "value"])
-
-    def _split(keep_mod0: bool):
-        def _f(b: pa.Table) -> pa.Table:
-            m = b.column("event_id").to_numpy() % 3 == 0
-            return b.filter(pa.array(m if keep_mod0 else ~m)) \
-                .drop_columns(["event_id"])
-        return _f
-
-    refresh(ev.map_batches(_split(False), batch_format="pyarrow"),
-            work, "shardA")
-    refresh(ev.map_batches(_split(True), batch_format="pyarrow"),
-            work, "shardB")
-    # idempotent re-run of shard B must not double-count
-    refresh(ev.map_batches(_split(True), batch_format="pyarrow"),
-            work, "shardB")
-    import os as _os
-    parts = sorted(int(d.split("=")[1])
-                   for d in _os.listdir(f"{work}/agg"))
-    compact_partition(work, parts[0])
-    out = read_view(work)
-    out["value_sum"] = out["value_sum"].round(4)
-    out["n_events"] = out["n_events"].astype(np.int64)
-    return out
-
-
 def _pyramid_sql():
     from ..stages.hydrology import hydro_dem_sql
     return ("WITH " + hydro_dem_sql(*_HYDRO_HW).strip() + """
@@ -5042,101 +4618,6 @@ def value_outliers_mad(sf_dir: str):
         "mad": res["mad"].round(6)})
 
 
-@register("daily_distinct_users", sql="""
-SELECT epoch_us(ts) // 86400000000 AS day,
-       CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
-FROM events GROUP BY 1
-""")
-def daily_distinct_users(sf_dir: str):
-    """Per-day distinct active users, computed EXACTLY (batch-local
-    (day, user) dedup + ONE bucketed shuffle + per-bucket distinct
-    count — the hash-matched output) and IN PARALLEL approximately via
-    the sparse grouped HyperLogLog (functions.sketch.
-    grouped_approx_distinct, p=8): every per-day estimate is asserted
-    within 5 sigma (~33%) of exact and the mean relative error under
-    10%, so the sketch path carries hard in-query signal while the
-    exact path carries the oracle hash. At web scale the sketch is the
-    plan (O(distinct) sparse partials, no exact distinct state); the
-    exact twin is the verification harness."""
-    from ..functions.joins import _mix64
-    from ..functions.sketch import grouped_approx_distinct
-
-    US_PER_DAY = 86_400_000_000
-
-    def _days(b: pa.Table) -> pa.Table:
-        us = b.column("ts").cast(pa.int64()).to_numpy()
-        return pa.table({
-            "day": pa.array(us // US_PER_DAY, pa.int64()),
-            "user_id": pc.cast(b.column("user_id"), pa.int64())})
-
-    ev = _read(sf_dir, "events", ["ts", "user_id"]).map_batches(
-        _days, batch_format="pyarrow")
-
-    nb = np.uint64(64)
-
-    def _local(b: pa.Table) -> pa.Table:
-        t = pa.TableGroupBy(b, ["day", "user_id"]).aggregate([])
-        d = t.column("day").to_numpy().astype(np.int64)
-        return pa.table({
-            "day": pa.array(d), "user_id": t.column("user_id"),
-            "_b": pa.array((_mix64(d) % nb).astype(np.int32))})
-
-    def _count(g: pd.DataFrame) -> pd.DataFrame:
-        agg = (g.drop_duplicates(["day", "user_id"])
-               .groupby("day").size())
-        return pd.DataFrame({"day": agg.index.to_numpy(np.int64),
-                             "n_users": agg.to_numpy(np.int64)})
-
-    exact = ev.map_batches(_local, batch_format="pyarrow") \
-        .groupby("_b").map_groups(_count, batch_format="pandas") \
-        .to_pandas()
-
-    approx = grouped_approx_distinct(
-        ev, "day",
-        hash_fn=lambda b: _mix64(b.column("user_id").to_numpy()
-                                 .astype(np.int64)),
-        p=8).to_pandas()
-    merged = exact.merge(approx, on="day", how="outer")
-    # explicit raises, not asserts: the in-query hard signal must
-    # survive `python -O` (ADVICE r3)
-    if merged.isna().any().any():
-        raise ValueError("sketch lost or invented days")
-    rel = (merged["approx_distinct"] - merged["n_users"]).abs() \
-        / merged["n_users"]
-    if float(rel.max()) > 0.33:
-        raise ValueError(f"HLL off by {rel.max():.2%}")
-    if float(rel.mean()) > 0.10:
-        raise ValueError(f"HLL mean err {rel.mean():.2%}")
-    return exact.sort_values("day").reset_index(drop=True)
-
-
-@register("retention_cohorts", sql="""
-WITH ud AS (
-  SELECT DISTINCT user_id,
-         CAST(floor(epoch(ts) / 86400) AS BIGINT) AS day
-  FROM events
-), coh AS (
-  SELECT user_id, day,
-         min(day) OVER (PARTITION BY user_id) AS cohort_day
-  FROM ud
-)
-SELECT cohort_day, day - cohort_day AS offset_days,
-       CAST(count(*) AS BIGINT) AS n_users
-FROM coh GROUP BY 1, 2
-""")
-def retention_cohorts(sf_dir: str):
-    """Cohort retention matrix over events (first-active-day cohorts x
-    day offsets, exact distinct users): batch-local (user, day) dedup
-    -> ONE user-keyed bucket shuffle -> per-bucket vectorized cohort
-    derivation + local counts -> tiny grouped sum (users are disjoint
-    across buckets, so summed counts ARE the distinct counts). See
-    geoflow.stages.windows.retention_cohorts."""
-    from ..stages.windows import retention_cohorts as rc
-
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-    return rc(ds)
-
-
 def _focal_stats_sql():
     from ..stages.hydrology import hydro_dem_sql
 
@@ -5185,85 +4666,6 @@ def focal_terrain_stats(sf_dir: str):
     return focal_stats(tiles, H, W, tile=_HYDRO_TILE)
 
 
-_WINDOW_ACTIVITY_SQL = """
-SELECT a.event_id,
-       count(*) AS n_window,
-       CAST(sum(CAST(round(b.value * 10000) AS BIGINT)) AS BIGINT)
-           AS value_e4_sum
-FROM events a JOIN events b
-  ON b.user_id = a.user_id
- AND b.ts <= a.ts
- AND b.ts > a.ts - INTERVAL 1 HOUR
-GROUP BY a.event_id
-"""
-
-
-def _events_window_activity(sf_dir: str, force_grouped: bool = False):
-    from ..functions.joins import broadcast_window_sum, grouped_window_sum
-
-    events = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    right = _read(sf_dir, "events", ["user_id", "ts", "value"])
-
-    def _e4(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": b.column("user_id"),
-            "ts": b.column("ts"),
-            "value_e4": np.round(
-                b.column("value").to_numpy() * 10000).astype(np.int64),
-        })
-
-    r = right.map_batches(_e4, batch_format="pyarrow")
-    window_us = 3_600 * 1_000_000
-    if not force_grouped and right.count() <= BROADCAST_ROW_LIMIT:
-        joined = broadcast_window_sum(
-            events, r.to_pandas(), key=("user_id", "user_id"),
-            on=("ts", "ts"), window_us=window_us,
-            sum_cols=["value_e4"], count_alias="n_window")
-        return joined.map_batches(
-            lambda b: pa.table({
-                "event_id": pc.cast(b.column("event_id"), pa.int64()),
-                "n_window": b.column("n_window"),
-                "value_e4_sum": b.column("value_e4_sum"),
-            }), batch_format="pyarrow")
-    out = grouped_window_sum(
-        events, r, key=("user_id", "user_id"),
-        on=("ts", "ts"), window_us=window_us,
-        left_id_col="event_id", sum_cols=["value_e4"],
-        count_alias="n_window")
-    return out.map_batches(
-        lambda b: pa.table({
-            "event_id": b.column("event_id"),
-            "n_window": b.column("n_window"),
-            "value_e4_sum": b.column("value_e4_sum"),
-        }), batch_format="pyarrow")
-
-
-@register("events_window_activity", sql=_WINDOW_ACTIVITY_SQL)
-def events_window_activity(sf_dir: str):
-    """Sliding-window interval self-join with the aggregate pushed INTO
-    the join: per event, count + exact e4-integer value-sum of the SAME
-    user's events in (ts - 1 hour, ts] — the trailing-activity feature
-    every abuse/engagement pipeline derives. The joined pairs are NEVER
-    materialized: the right side is sorted + prefix-summed once and
-    each event resolves to two vectorized searchsorted probes (a user
-    with 1000 in-window events costs two binary searches, not 1000
-    intermediate rows), so the plan is immune to the quadratic pair
-    blow-up a generic non-equi join hits on hot keys at web scale.
-    Size-guarded: broadcast probe under BROADCAST_ROW_LIMIT right rows,
-    one-shuffle bucketed twin above
-    (functions.joins.broadcast_window_sum / grouped_window_sum)."""
-    return _events_window_activity(sf_dir)
-
-
-@register("events_window_activity_grouped", sql=_WINDOW_ACTIVITY_SQL)
-def events_window_activity_grouped(sf_dir: str):
-    """Scale-path twin of events_window_activity with the broadcast
-    guard forced off: the one-shuffle bucketed plan (slim union,
-    per-bucket searchsorted/prefix-sum core) must replay the SAME
-    oracle, exercising the big-data route at oracle scale."""
-    return _events_window_activity(sf_dir, force_grouped=True)
-
-
 @register("cms_frequent_tokens", sql=r"""
 WITH tok AS (
   SELECT unnest(regexp_extract_all(text, '\S+')) AS item FROM documents
@@ -5282,8 +4684,7 @@ def cms_frequent_tokens(sf_dir: str):
     classic CMS guarantee (overestimate <= eN/width, failing with
     probability e^-depth per item; deterministic for fixed data and
     seeds, verified at all three sf scales). Violation raises
-    ValueError in-query (same hard-signal pattern as
-    daily_distinct_users)."""
+    ValueError in-query, so the check survives ``python -O``."""
     from ..functions.sketch import cms_build, cms_estimate, frequent_items_exact
 
     ds = _read(sf_dir, "documents", ["text"])
@@ -5317,27 +4718,23 @@ def cms_frequent_tokens(sf_dir: str):
 # carry a DuckDB oracle: the 4 self-checking no-oracle entries (HLL
 # and KLL error bounds, twins of *_verified queries) and the
 # oracle-bearing queries whose semantics a STRONGER in-window twin
-# already covers (streaming sessions vs batch sessions + streaming
-# hourly; plain Bernoulli sample vs the stratified sampler; char ratios
-# vs quality scores + token stats; bbox join vs the polygon PIP join;
-# lang-source rollup vs langid + corpus curation) move past the window,
-# which frees slots for one hash-checked representative of EVERY
-# operator family.
+# already covers (plain Bernoulli sample vs the stratified sampler;
+# char ratios vs quality scores + token stats; bbox join vs the polygon
+# PIP join; lang-source rollup vs langid + corpus curation) move past
+# the window, which frees slots for one hash-checked representative of
+# EVERY operator family.
 # tools/validate_queries.py still validates the full oracle-bearing set
 # at sf0.001/0.01/0.1 — see BASELINE.md.
 # ---------------------------------------------------------------------------
 _PAST_WINDOW = [
     # oracle-bearing, locally validated, covered by in-window twins
-    "user_sessions_streaming", "sampled_docs",
-    "doc_char_ratios", "bbox_join_docs", "lang_source_stats",
-    "events_sliding_window", "top_users_by_value",
+    "sampled_docs", "doc_char_ratios", "bbox_join_docs",
+    "lang_source_stats", "top_users_by_value",
     # relational shapes with in-window representatives (q1, filtered_
-    # revenue, order_lineitem_revenue, revenue_by_region, events_hourly)
+    # revenue, order_lineitem_revenue, revenue_by_region)
     "orders_by_nation", "brand_part_stats", "supplier_by_nation",
     "customers_without_big_orders", "distinct_langs", "filtered_revenue",
-    # events_hourly_streaming stays in-window on the SAME oracle
-    "events_hourly", "top_parts_per_brand", "events_lag_delta",
-    "label_centroids",
+    "top_parts_per_brand", "label_centroids",
     # token counting subsumed by the frequent-token family; per-cell
     # top-k subsumed by geo_zonal + top_parts_per_brand
     "doc_token_stats", "top_doc_cells",
@@ -5355,12 +4752,10 @@ _PAST_WINDOW = [
     # replayed in SQL); quality-score thresholds are APPLIED
     # decision-level by in-window corpus_curation.
     "nearest_site_docs", "doc_quality_scores",
-    # two twin-covered demotions: CASE-band aggregation is the
-    # q1_pricing_summary shape on the events table (whose hourly rollup
-    # stays in-window via events_hourly_streaming); the order->lineitem
-    # join rollup is the same join+agg plan as in-window
-    # revenue_by_region AND bloom_semi_revenue over the same tables.
-    "events_value_bands", "order_lineitem_revenue",
+    # a twin-covered demotion: the order->lineitem join rollup is the
+    # same join+agg plan as in-window revenue_by_region AND
+    # bloom_semi_revenue over the same tables.
+    "order_lineitem_revenue",
     # the plain zonal rollup is strictly contained in the in-window
     # split-cell twin (zonal_split_docs replays the SAME zonal oracle
     # shape over the SAME geocoded base and additionally proves the
@@ -5369,13 +4764,9 @@ _PAST_WINDOW = [
     # demotion admitting the vector-geometry family: the global sort has
     # no stated in-window twin and stays locally validated at 3 scales.
     "global_sorted_docs",
-    # the single-range zone-map scan is strictly contained in the new
-    # in-window bbox_cover_scan_docs (same write_clustered layout +
-    # manifest pruning, MULTI-range + spatial cover + exact refine on
-    # top, pruning asserted in-query); exact heavy hitters'
-    # space-saving candidate superset guarantee is pinned by its
-    # property test.
-    "pruned_events_scan", "frequent_tokens",
+    # exact heavy hitters' space-saving candidate superset guarantee is
+    # pinned by its property test.
+    "frequent_tokens",
     # a webtext demotion whose family keeps an in-window rep, to admit
     # the movement/interpolation/labeling geo trio: langid's decision
     # replay is applied AND replayed inside in-window corpus_curation.
@@ -5418,14 +4809,6 @@ _PAST_WINDOW = [
     # replays the cell join on top; the standalone query also keeps
     # its pytest brute-force parity.
     "raster_zonal_cells",
-    # demotion admitting stay_points_events: batch sessionization's
-    # LAG-gap + islands machinery is the same shape stay_points
-    # replays (spatial instead of temporal break predicate, PLUS the
-    # island prefix-sum the session query never exercised); session
-    # semantics remain pinned by the streaming twin (user_sessions_
-    # streaming, validated locally on the SAME oracle output) and by
-    # in-window events_hourly_streaming.
-    "user_sessions",
     # demotion admitting cell_convex_hulls: the shoelace/centroid
     # measures ride the SAME full-precision polygon edge tables the
     # in-window PIP join (pip_polygon_docs) replays VALUES-for-VALUES;
@@ -5490,15 +4873,6 @@ _PAST_WINDOW = [
     # the common-denominator cross-segment compare is pinned by a
     # brute-force pytest + 3-scale local validation.
     "route_matched_events",
-    # demotion admitting cost_distance_blocks: the hourly-rollup
-    # CONTRACT of the incremental view stays in-window verbatim via
-    # events_hourly_streaming (same oracle shape over the same
-    # events); the view's state mechanics (idempotent deltas,
-    # crash-safe compaction, merge-on-read) keep their dedicated
-    # pytest suite (test_aggview) and 3-scale local validation.
-    # Iterative label-correcting relaxation is a distributed-algorithm
-    # family nothing else in the window exercises.
-    "agg_view_hourly",
     # self-demotion (window at capacity): the 2x upsample's mechanisms
     # keep in-window reps — halo-fed stateless stencil maps via
     # contour_segments_dem and the correction/terrain golden family,
@@ -5513,19 +4887,6 @@ _PAST_WINDOW = [
     # od_two_hop / revenue_by_region; the start-position adjacency
     # KEY is pinned by unit tests + 3-scale local validation.
     "phrase_search_docs",
-    # self-demotion (window at capacity, no weaker slot): the LOCF
-    # resample's two mechanisms keep in-window reps — the bucketed
-    # backward/forward as-of fill via funnel_conversions (chained
-    # strict as-ofs in the same bucket plan) and grid/time bucketing
-    # via events_hourly_streaming; validated locally at 3 scales.
-    "resampled_user_values",
-    # demotion admitting funnel_conversions: the as-of join mechanism
-    # keeps an in-window rep through the funnel itself — two CHAINED
-    # forward strict merge_asofs inside the same bucketed-by-key plan
-    # (a strictly harder multi-step ordered-match contract than the
-    # single backward as-of); the orders as-of variant keeps its
-    # pytest suite (test_asof_quantiles) and local 3-scale validation.
-    "events_asof_orders",
     # demotion admitting rasterized_polygons: the WARC round-trip's
     # CONTRACT (byte-faithful write -> distributed read -> hash match
     # against the original table) stays in-window verbatim via
@@ -5562,12 +4923,6 @@ _PAST_WINDOW = [
     # vectors. The Hilbert rotation chain is machinery no other query
     # exercises.
     "geohash_cells",
-    # demotion: the grouped window-join twin forces the SAME bucketed
-    # searchsorted/prefix-sum core its in-window sibling
-    # events_window_activity runs behind the broadcast guard, and the
-    # path-equality pytest (broadcast == grouped) already pins the two
-    # routes together.
-    "events_window_activity_grouped",
     # self-checking no-oracle entries
     "flagship_zonal", "raster_pages_cell_join",
     "approx_distinct_orderkeys", "approx_quantiles_price",

@@ -95,11 +95,10 @@ def travel_stats(events_ds, num_buckets: int = 32):
     Python loop; the trig runs once over the whole bucket.
 
     SCALE: leg computation is inherently per-user-sequential, so the
-    partitioning key IS user_id — the same key the sessionization
-    stages shuffle on, so a pipeline computing sessions + travel reuses
-    one co-location. Hot users (bounded by events-per-user, not corpus
-    size) stay within a worker's batch; a pathological single-user
-    stream would be split by ts range with per-boundary stitch legs.
+    partitioning key IS user_id. Hot users (bounded by events-per-user,
+    not corpus size) stay within a worker's batch; a pathological
+    single-user stream would be split by ts range with per-boundary
+    stitch legs.
     """
     import pandas as pd
     import pyarrow as pa

@@ -55,8 +55,11 @@ class StageRun:
     def __post_init__(self):
         os.makedirs(self.out_dir, exist_ok=True)
         self.manifest_path = os.path.join(self.out_dir, MANIFEST)
+        # read once: a resume over P partitions asks is_done P times
+        self._done = self.completed()
 
     def completed(self) -> dict[str, dict]:
+        """Parse the manifest file; the last line per partition wins."""
         done: dict[str, dict] = {}
         if os.path.exists(self.manifest_path):
             with open(self.manifest_path) as f:
@@ -70,7 +73,7 @@ class StageRun:
         return os.path.join(self.out_dir, f"part={partition}")
 
     def is_done(self, partition: str, digest: str) -> bool:
-        rec = self.completed().get(partition)
+        rec = self._done.get(partition)
         return (rec is not None and rec.get("input_digest") == digest
                 and os.path.isdir(self.partition_dir(partition)))
 
@@ -85,6 +88,7 @@ class StageRun:
             rec["metrics"] = metrics
         with open(self.manifest_path, "a") as f:
             f.write(json.dumps(rec) + "\n")
+        self._done[partition] = rec
 
 
 def run_partitioned_stage(stage_name: str, out_dir: str,

@@ -1,124 +1,9 @@
-"""As-of join and exact grouped quantiles vs brute-force oracles."""
+"""Exact grouped quantiles vs brute-force oracles."""
 
 import numpy as np
 import pandas as pd
 
 from geoflow.functions.agg import grouped_exact_quantiles, quantile_from_counts
-from geoflow.functions.joins import grouped_asof_join
-
-
-def _brute_asof(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-    """Per left row: right row with max (rts, rid) s.t. key matches, rts<=ts."""
-    rows = []
-    for _, e in left.iterrows():
-        cand = right[(right["rk"] == e["k"]) & (right["rts"] <= e["ts"])]
-        if cand.empty:
-            continue
-        best = cand.sort_values(["rts", "rid"]).iloc[-1]
-        rows.append((e["lid"], best["rid"], best["payload"]))
-    return pd.DataFrame(rows, columns=["lid", "rid", "payload"])
-
-
-def test_grouped_asof_join_matches_brute_force(ray_session):
-    import ray.data as rd
-    rng = np.random.default_rng(11)
-    n_l, n_r = 300, 200
-    base = np.datetime64("2024-01-01", "us")
-    left = pd.DataFrame({
-        "k": rng.integers(0, 20, n_l),
-        "lid": np.arange(n_l),
-        "ts": base + rng.integers(0, 10**9, n_l).astype("timedelta64[us]"),
-    })
-    right = pd.DataFrame({
-        "rk": rng.integers(0, 25, n_r),
-        "rid": np.arange(n_r),
-        # coarse grid forces (key, rts) ties -> exercises the tiebreak
-        "rts": base + (rng.integers(0, 10, n_r) * 10**8
-                       ).astype("timedelta64[us]"),
-        "payload": rng.integers(0, 1000, n_r),
-    })
-    got = grouped_asof_join(
-        rd.from_pandas(left).repartition(4),
-        rd.from_pandas(right).repartition(3),
-        key=("k", "rk"), on=("ts", "rts"),
-        left_cols=["lid", "ts"], right_cols=["rid", "rts", "payload"],
-        tiebreak="rid", num_buckets=8).to_pandas()
-    exp = _brute_asof(left, right)
-    assert len(got) == len(exp)
-    gs = got.sort_values("lid").reset_index(drop=True)
-    es = exp.sort_values("lid").reset_index(drop=True)
-    assert (gs["lid"].to_numpy().astype(np.int64)
-            == es["lid"].to_numpy()).all()
-    assert (gs["rid"].to_numpy().astype(np.int64)
-            == es["rid"].to_numpy()).all()
-    assert (gs["payload"].to_numpy().astype(np.int64)
-            == es["payload"].to_numpy()).all()
-    # right_on is preserved in the output (carried around merge_asof's
-    # on-column consumption); int carry columns come back as integer
-    # (nullable Int64 uniformly, so per-bucket nulls can't fork the
-    # block schema) with no nulls in this fully-matched fixture
-    assert "rts" in got.columns
-    assert pd.api.types.is_integer_dtype(gs["rid"].dtype)
-    assert pd.api.types.is_integer_dtype(gs["payload"].dtype)
-    assert gs["rid"].notna().all() and gs["payload"].notna().all()
-
-
-def test_grouped_asof_join_sparse_buckets_schema(ray_session):
-    """Many buckets force empty bucket groups: the empty-case branch must
-    emit the exact post-merge schema (columns and dtypes)."""
-    import ray.data as rd
-    base = np.datetime64("2024-01-01", "us")
-    left = pd.DataFrame({"k": [1, 1, 2], "lid": [0, 1, 2],
-                         "ts": base + np.array([5, 9, 7]).astype(
-                             "timedelta64[us]")})
-    right = pd.DataFrame({"rk": [1, 2], "rid": [10, 11],
-                          "rts": base + np.array([4, 8]).astype(
-                              "timedelta64[us]"),
-                          "payload": [100, 200]})
-    got = grouped_asof_join(
-        rd.from_pandas(left), rd.from_pandas(right),
-        key=("k", "rk"), on=("ts", "rts"),
-        left_cols=["lid", "ts"], right_cols=["rid", "rts", "payload"],
-        tiebreak="rid", num_buckets=64).to_pandas()
-    got = got.sort_values("lid").reset_index(drop=True)
-    assert got["lid"].tolist() == [0, 1]   # lid=2: rts 8 > ts 7? no — 8>7 drops
-    assert got["rid"].tolist() == [10, 10]
-    assert pd.api.types.is_integer_dtype(got["rid"].dtype)
-    assert list(got.columns) == ["_key", "lid", "ts", "rid", "rts", "payload"]
-
-
-def test_grouped_asof_join_null_int_carry_schema(ray_session):
-    """A matched right row carrying a legitimately-NULL integer column
-    must not fork the block dtype across buckets (float64 in one bucket,
-    int64 in another): int carry columns are nullable Int64 uniformly."""
-    import pyarrow as pa
-    import ray.data as rd
-    base = np.datetime64("2024-01-01", "us")
-    left = pd.DataFrame({"k": [1, 2], "lid": [0, 1],
-                         "ts": base + np.array([5, 5]).astype(
-                             "timedelta64[us]")})
-    right = pd.DataFrame({"rk": [1, 2], "rid": [10, 11],
-                          "rts": base + np.array([4, 4]).astype(
-                              "timedelta64[us]"),
-                          "payload": pd.array([None, 200], dtype="Int64")})
-    ds = grouped_asof_join(
-        rd.from_pandas(left), rd.from_pandas(right),
-        key=("k", "rk"), on=("ts", "rts"),
-        left_cols=["lid", "ts"], right_cols=["rid", "rts", "payload"],
-        tiebreak="rid", num_buckets=8)
-    # schema must be a single integer type across all buckets: observe
-    # the Arrow-converted per-block type AS DATA (closures don't ship
-    # state back from workers) — a float64/int64 fork across buckets
-    # would surface as two distinct types here
-    types = (ds.map_batches(
-        lambda b: pa.table(
-            {"t": [str(b.schema.field("payload").type)] * max(len(b), 1)}),
-        batch_format="pyarrow").to_pandas()["t"].unique().tolist())
-    assert types == ["int64"], types
-    got = ds.to_pandas().sort_values("lid").reset_index(drop=True)
-    assert got["lid"].tolist() == [0, 1]
-    assert got["payload"].isna().tolist() == [True, False]
-    assert int(got["payload"].iloc[1]) == 200
 
 
 def test_quantile_from_counts_matches_numpy():
@@ -147,39 +32,3 @@ def test_grouped_exact_quantiles_matches_numpy(ray_session):
         assert abs(row["median"] - np.percentile(sub, 50)) < 1e-12
         assert abs(row["q25"] - np.percentile(sub, 25)) < 1e-12
         assert abs(row["p99"] - np.percentile(sub, 99)) < 1e-12
-
-
-def test_broadcast_asof_lookup_matches_grouped(ray_session):
-    """The zero-shuffle broadcast as-of (encoded searchsorted probe) must
-    equal grouped_asof_join (itself brute-force-verified above) row for
-    row, including (key, ts) ties resolved by max tiebreak."""
-    import ray.data as rd
-    from geoflow.functions.joins import broadcast_asof_lookup
-
-    rng = np.random.default_rng(17)
-    n_l, n_r = 400, 250
-    base = np.datetime64("2024-01-01", "us")
-    left = pd.DataFrame({
-        "k": rng.integers(0, 15, n_l),
-        "lid": np.arange(n_l),
-        "ts": base + rng.integers(0, 10**9, n_l).astype("timedelta64[us]"),
-    })
-    right = pd.DataFrame({
-        "rk": rng.integers(0, 20, n_r),
-        "rid": np.arange(n_r),
-        # coarse ts grid forces (key, rts) ties -> tiebreak exercised
-        "rts": base + (rng.integers(0, 12, n_r) * 10**8
-                       ).astype("timedelta64[us]"),
-        "payload": rng.integers(0, 1000, n_r),
-    })
-    exp = _brute_asof(left, right)
-    got = broadcast_asof_lookup(
-        rd.from_pandas(left).repartition(4), right,
-        key=("k", "rk"), on=("ts", "rts"),
-        right_cols=["rid", "payload"], tiebreak="rid").to_pandas()
-    assert len(got) == len(exp)
-    gs = got.sort_values("lid").reset_index(drop=True)
-    es = exp.sort_values("lid").reset_index(drop=True)
-    assert gs["lid"].tolist() == es["lid"].tolist()
-    assert gs["rid"].tolist() == es["rid"].tolist()
-    assert gs["payload"].tolist() == es["payload"].tolist()

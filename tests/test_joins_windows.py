@@ -3,8 +3,6 @@ import pandas as pd
 import pytest
 
 from geoflow.functions.joins import bucketed_hash_join
-from geoflow.stages.windows import (session_windows, sliding_window_explode,
-                                    tumbling_window_key)
 
 
 def test_bucketed_hash_join_matches_pandas(ray_session):
@@ -78,44 +76,6 @@ def test_join_column_collision_raises(ray_session):
         bucketed_hash_join(l, r, "k", "kk")
 
 
-def _events():
-    ts = pd.to_datetime([
-        "2024-01-01 00:00:00", "2024-01-01 00:10:00", "2024-01-01 01:05:00",
-        "2024-01-01 03:00:00", "2024-01-01 03:20:00",
-    ])
-    return pd.DataFrame({
-        "user_id": [1, 1, 1, 1, 2],
-        "event_id": range(5),
-        "ts": ts,
-        "value": [1.0, 2.0, 3.0, 4.0, 5.0],
-    })
-
-
-def test_session_windows_semantics(ray_session):
-    import ray.data as rd
-    out = session_windows(rd.from_pandas(_events()), gap_s=1800).to_pandas()
-    u1 = out[out["user_id"] == 1].sort_values("session_id")
-    # sessions: (00:00,00:10) then (01:05) then (03:00) -> 3 sessions
-    assert u1["session_id"].tolist() == [1, 2, 3]
-    assert u1["n_events"].tolist() == [2, 1, 1]
-    assert u1["value_sum"].tolist() == [3.0, 3.0, 4.0]
-    u2 = out[out["user_id"] == 2]
-    assert len(u2) == 1 and u2["n_events"].iloc[0] == 1
-
-
-def test_sliding_explode_covers_windows():
-    import pyarrow as pa
-    t = pa.table({"ts": pd.to_datetime(["2024-01-01 02:07:00"]),
-                  "event_type": ["x"]})
-    out = sliding_window_explode(t, width_s=3600, step_s=900)
-    ids = sorted(out.column("window_id").to_pylist())
-    base = int(pd.Timestamp("2024-01-01 02:07:00").value // 10**9 // 900)
-    assert ids == [base - 3, base - 2, base - 1, base]
-    t2 = tumbling_window_key(t, width_s=3600)
-    assert t2.column("window_start").to_pylist() == [
-        int(pd.Timestamp("2024-01-01 02:00:00").value // 10**9 // 3600)]
-
-
 def test_attach_customer_dim_dataset_path(ray_session, monkeypatch):
     """Above the broadcast limit the customer dim rides as a DATASET
     through the bucketed join — results must match the broadcast path."""
@@ -129,135 +89,3 @@ def test_attach_customer_dim_dataset_path(ray_session, monkeypatch):
     assert b["n_name"].tolist() == s["n_name"].tolist()
     assert (b["n_orders"].to_numpy() == s["n_orders"].to_numpy()).all()
     assert (b["total_cents"].to_numpy() == s["total_cents"].to_numpy()).all()
-
-
-def test_funnel_strictness_and_window(ray_session):
-    """Strict 'after' (equal ts does NOT match) and the completion
-    window boundary (== window passes, +1us fails)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from geoflow.stages.funnel import funnel_first_completion
-
-    W = 3600
-    base = pd.Timestamp("2024-01-01")
-    us = pd.Timedelta(microseconds=1)
-
-    def ev(uid, t, typ):
-        return {"user_id": uid, "ts": t, "event_type": typ}
-
-    rows = [
-        # u1: clean chain, completes exactly AT the window bound
-        ev(1, base, "view"), ev(1, base + us, "click"),
-        ev(1, base + pd.Timedelta(seconds=W), "purchase"),
-        # u2: click at SAME ts as view -> not after -> no chain
-        ev(2, base, "view"), ev(2, base, "click"),
-        # u3: completes one microsecond past the window -> rejected
-        ev(3, base, "view"), ev(3, base + us, "click"),
-        ev(3, base + pd.Timedelta(seconds=W) + us, "purchase"),
-        # u4: steps out of order (purchase before click) -> no chain
-        ev(4, base, "view"), ev(4, base + 2 * us, "purchase"),
-        ev(4, base + 3 * us, "click"),
-        # u5: anchor is the FIRST view; a later view that would
-        # complete must not be used
-        ev(5, base, "view"),
-        ev(5, base + pd.Timedelta(days=30), "view"),
-        ev(5, base + pd.Timedelta(days=30) + us, "click"),
-        ev(5, base + pd.Timedelta(days=30) + 2 * us, "purchase"),
-    ]
-    ds = rd.from_pandas(pd.DataFrame(rows))
-    out = funnel_first_completion(ds, ["view", "click", "purchase"],
-                                  window_s=W).to_pandas()
-    assert out["user_id"].tolist() == [1]
-    t0 = out["step0_ts"].iloc[0]
-    assert out["step2_ts"].iloc[0] - t0 == W * 1_000_000
-
-
-def test_resample_ffill_ties_and_bounds(ray_session):
-    """Grid covers midnights strictly after the first event and at or
-    before the last; a grid point exactly at an event takes it; equal
-    timestamps resolve to the highest event_id."""
-    import pandas as pd
-    import ray.data as rd
-
-    from geoflow.stages.windows import resample_ffill
-
-    day = 86_400_000_000
-    mk = pd.Timestamp
-    rows = [
-        # u1: events on day 0 and an exact-midnight event on day 2
-        {"event_id": 1, "user_id": 1,
-         "ts": mk("2024-01-01 05:00"), "value": 10.0},
-        {"event_id": 2, "user_id": 1,
-         "ts": mk("2024-01-03 00:00"), "value": 20.0},
-        # tie at the same microsecond: higher event_id wins
-        {"event_id": 4, "user_id": 1,
-         "ts": mk("2024-01-03 00:00"), "value": 30.0},
-        {"event_id": 3, "user_id": 1,
-         "ts": mk("2024-01-04 12:00"), "value": 40.0},
-        # u2: single event -> empty grid (no midnight in (mn, mx])
-        {"event_id": 5, "user_id": 2,
-         "ts": mk("2024-01-02 09:00"), "value": 7.0},
-    ]
-    out = resample_ffill(rd.from_pandas(pd.DataFrame(rows))) \
-        .to_pandas().sort_values(["user_id", "step"])
-    d0 = mk("2024-01-02").value // 1000 // day
-    assert out["user_id"].tolist() == [1, 1, 1]
-    assert out["step"].tolist() == [d0, d0 + 1, d0 + 2]
-    # day 2 midnight: the exact-match tie resolves to event_id 4
-    assert out["last_value"].tolist() == [10.0, 30.0, 30.0]
-
-
-def test_window_sum_core_matches_bruteforce():
-    from geoflow.functions.joins import _window_sum_core
-
-    rng = np.random.default_rng(11)
-    n_r, n_l, W = 400, 200, 50
-    kr = rng.integers(0, 12, n_r).astype(np.int64)
-    tr = rng.integers(0, 500, n_r).astype(np.int64)
-    vals = rng.integers(-100, 100, n_r).astype(np.int64)
-    kl = rng.integers(0, 14, n_l).astype(np.int64)  # some keys unseen
-    tl = rng.integers(0, 500, n_l).astype(np.int64)
-    count, sums = _window_sum_core(kl, tl, kr, tr, {"v": vals}, W)
-    for i in range(n_l):
-        m = (kr == kl[i]) & (tr <= tl[i]) & (tr > tl[i] - W)
-        assert count[i] == m.sum()
-        assert sums["v"][i] == vals[m].sum()
-
-
-def test_window_sum_broadcast_equals_grouped(ray_session):
-    import pandas as pd
-    import ray.data as rd
-
-    from geoflow.functions.joins import (broadcast_window_sum,
-                                         grouped_window_sum)
-
-    rng = np.random.default_rng(5)
-    n = 500
-    base = np.datetime64("2024-01-01", "us")
-    right = pd.DataFrame({
-        "k": rng.integers(0, 20, n).astype(np.int64),
-        "t": base + rng.integers(0, 10**7, n).astype("timedelta64[us]"),
-        "v": rng.integers(0, 1000, n).astype(np.int64),
-    })
-    left = pd.DataFrame({
-        "k": rng.integers(0, 22, n).astype(np.int64),
-        "t": base + rng.integers(0, 10**7, n).astype("timedelta64[us]"),
-        "lid": np.arange(n, dtype=np.int64),
-    })
-    W = 2 * 10**6
-    bc = broadcast_window_sum(
-        rd.from_pandas(left).repartition(7), right, key=("k", "k"),
-        on=("t", "t"), window_us=W, sum_cols=["v"],
-        count_alias="n").to_pandas()
-    gp = grouped_window_sum(
-        rd.from_pandas(left).repartition(7),
-        rd.from_pandas(right).repartition(5), key=("k", "k"),
-        on=("t", "t"), window_us=W, left_id_col="lid",
-        sum_cols=["v"], count_alias="n").to_pandas()
-    a = bc[["lid", "n", "v_sum"]].sort_values("lid").reset_index(drop=True)
-    b = gp[["lid", "n", "v_sum"]].sort_values("lid").reset_index(drop=True)
-    b["lid"] = b["lid"].astype(np.int64)
-    b["n"] = b["n"].astype(np.int64)
-    b["v_sum"] = b["v_sum"].astype(np.int64)
-    pd.testing.assert_frame_equal(a, b)

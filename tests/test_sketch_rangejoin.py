@@ -1,4 +1,4 @@
-"""HLL sketch accuracy and broadcast range join vs oracles."""
+"""HLL, quantile and space-saving sketches vs exact oracles."""
 
 import numpy as np
 import pandas as pd
@@ -6,7 +6,6 @@ import pyarrow as pa
 import pytest
 
 from geoflow.functions.sketch import hll_estimate, hll_registers
-from geoflow.functions.joins import broadcast_range_join
 
 
 def _mix(k: np.ndarray) -> np.ndarray:
@@ -49,40 +48,6 @@ def test_hll_distributed_matches_exact(ray_session):
     ds = rd.from_pandas(pd.DataFrame({"k": vals})).repartition(6)
     est = approx_distinct(ds, _hash, p=12)
     assert abs(est - 8000) / 8000 < 0.05
-
-
-def test_broadcast_range_join_matches_pandas(ray_session):
-    import ray.data as rd
-
-    rng = np.random.default_rng(8)
-    vals = rng.uniform(-10, 120, 2000)
-    bands = pd.DataFrame({"band": ["a", "b", "c"],
-                          "lo": [0.0, 30.0, 75.0],
-                          "hi": [20.0, 60.0, 110.0]})  # gaps between
-    got = broadcast_range_join(
-        rd.from_pandas(pd.DataFrame({"value": vals})).repartition(4),
-        "value", bands).to_pandas()
-    # brute-force oracle
-    exp = []
-    for v in vals:
-        for _, r in bands.iterrows():
-            if r["lo"] <= v < r["hi"]:
-                exp.append((v, r["band"]))
-    exp = pd.DataFrame(exp, columns=["value", "band"])
-    gs = got.sort_values("value").reset_index(drop=True)
-    es = exp.sort_values("value").reset_index(drop=True)
-    assert len(gs) == len(es)
-    assert np.allclose(gs["value"], es["value"])
-    assert (gs["band"] == es["band"]).all()
-
-
-def test_range_join_overlap_rejected(ray_session):
-    import ray.data as rd
-    bands = pd.DataFrame({"band": ["a", "b"], "lo": [0.0, 5.0],
-                          "hi": [10.0, 15.0]})
-    with pytest.raises(ValueError, match="overlap"):
-        broadcast_range_join(
-            rd.from_pandas(pd.DataFrame({"value": [1.0]})), "value", bands)
 
 
 def test_space_saving_superset_guarantee():
@@ -200,33 +165,3 @@ def test_quantile_sketch_bound_and_merge_paths(ray_session):
         hi = np.searchsorted(xs, est, "right") / len(xs)
         err = 0.0 if lo <= q <= hi else min(abs(q - lo), abs(q - hi))
         assert err <= 3.0 / 200, (q, err)
-
-
-def test_grouped_approx_distinct_error_bound(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from geoflow.functions.joins import _mix64
-    from geoflow.functions.sketch import grouped_approx_distinct
-
-    rng = np.random.default_rng(21)
-    # keys with very different true cardinalities, values repeated
-    keys, vals = [], []
-    true = {0: 10, 1: 300, 2: 4000, 3: 1}
-    for k, card in true.items():
-        v = rng.choice(card * 10, size=card, replace=False)
-        v = np.concatenate([v, rng.choice(v, size=card)])  # duplicates
-        keys.append(np.full(len(v), k, np.int64))
-        vals.append(v.astype(np.int64) * 10 + k)  # disjoint value spaces
-    ds = rd.from_arrow(pa.table({
-        "k": pa.array(np.concatenate(keys)),
-        "v": pa.array(np.concatenate(vals))})).repartition(7)
-    out = grouped_approx_distinct(
-        ds, "k",
-        hash_fn=lambda b: _mix64(b.column("v").to_numpy().astype(np.int64)),
-        p=8).to_pandas().set_index("k")["approx_distinct"]
-    assert set(out.index) == set(true)
-    for k, card in true.items():
-        rel = abs(out[k] - card) / card
-        assert rel <= 0.35, (k, card, out[k])

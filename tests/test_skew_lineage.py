@@ -130,6 +130,37 @@ def test_lineage_resume(ray_session, tmp_path):
                 "wall_ms"} <= set(r) for r in recs)
 
 
+def test_resume_reads_manifest_once(tmp_path, monkeypatch):
+    """A StageRun parses its manifest once: recorded partitions are done
+    without a re-read, and resuming N finished partitions is one parse,
+    not one per partition."""
+    reads = []
+    real = lineage.StageRun.completed
+    monkeypatch.setattr(lineage.StageRun, "completed",
+                        lambda self: reads.append(1) or real(self))
+
+    parts = {}
+    run = lineage.StageRun("stage1", str(tmp_path / "out"))
+    for i in range(12):
+        f = tmp_path / f"f{i}.parquet"
+        f.write_bytes(b"x" * i)
+        pid = f"{i:04d}"
+        parts[pid] = [str(f)]
+        os.makedirs(run.partition_dir(pid))
+        run.record(pid, lineage.partition_digest([str(f)]), i, 1.0)
+    assert all(run.is_done(pid, lineage.partition_digest(paths))
+               for pid, paths in parts.items())
+    assert len(reads) == 1
+
+    def pipeline(ds):
+        raise AssertionError("a finished partition was re-run")
+
+    r = lineage.run_partitioned_stage("stage1", str(tmp_path / "out"),
+                                      parts, pipeline)
+    assert sorted(r["skipped"]) == sorted(parts) and not r["processed"]
+    assert len(reads) == 2
+
+
 def test_partition_digest_sees_same_second_rewrite(tmp_path):
     """A same-size rewrite of an input inside one wall-clock second must
     change the digest; otherwise resume skips it and keeps stale output."""
