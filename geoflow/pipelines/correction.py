@@ -6,15 +6,9 @@ write/collect. Control stays on the Ray driver; coefficients move
 through closures instead of the reference's temp-GeoTIFF + re-opened
 file paths (``processing_alg/execution_context.py:325-346``).
 
-The terrain dataset is computed ONCE and shared by the fit pass and
-every apply pass. Two sharing modes:
-
-- ``materialize`` (default): pin the terrain blocks in the object store;
-  right for datasets that fit in aggregate cluster memory (lets the
-  apply stages read zero-copy, spills transparently if needed).
-- ``checkpoint_dir``: stream terrain to partitioned Parquet once and
-  re-read per pass; right at 100 TB scale (object-store pinning would
-  evict) and doubles as the resume point (geoflow.state.lineage).
+The terrain dataset is computed ONCE, materialized (its blocks pinned
+in the object store, spilled transparently if needed) and shared by the
+fit pass and every apply pass, which read it zero-copy.
 """
 
 from __future__ import annotations
@@ -25,30 +19,22 @@ from ..stages.corrections import (CORRECTION_NAMES, apply_correction_ds,
 from ..stages.terrain import derive_terrain
 
 
-def prepare_terrain(tiles_ds, ctx: CorrectionContext = DEFAULT_CONTEXT,
-                    checkpoint_dir: str | None = None):
-    terrain = derive_terrain(tiles_ds, ctx)
-    if checkpoint_dir is not None:
-        import ray.data as rd
-        terrain.write_parquet(checkpoint_dir)
-        return rd.read_parquet(checkpoint_dir)
-    return terrain.materialize()
+def prepare_terrain(tiles_ds, ctx: CorrectionContext = DEFAULT_CONTEXT):
+    return derive_terrain(tiles_ds, ctx).materialize()
 
 
 def run_correction(tiles_ds, name: str,
                    ctx: CorrectionContext = DEFAULT_CONTEXT,
-                   checkpoint_dir: str | None = None,
                    coeffs: dict | None = None):
     """One correction end-to-end. Returns (corrected_ds, coeffs_by_raster)."""
-    terrain = prepare_terrain(tiles_ds, ctx, checkpoint_dir)
+    terrain = prepare_terrain(tiles_ds, ctx)
     if coeffs is None:
         coeffs = fit_corrections(terrain, ctx)
     return apply_correction_ds(terrain, name, coeffs, ctx), coeffs
 
 
 def run_all_corrections(tiles_ds, names: list[str] | None = None,
-                        ctx: CorrectionContext = DEFAULT_CONTEXT,
-                        checkpoint_dir: str | None = None):
+                        ctx: CorrectionContext = DEFAULT_CONTEXT):
     """All (or selected) corrections off one terrain pass + one fit pass.
 
     Returns ({name: corrected_ds}, coeffs_by_raster). The reference runs
@@ -57,6 +43,6 @@ def run_all_corrections(tiles_ds, names: list[str] | None = None,
     shares both the terrain dataset and the single fit pass.
     """
     names = names or CORRECTION_NAMES
-    terrain = prepare_terrain(tiles_ds, ctx, checkpoint_dir)
+    terrain = prepare_terrain(tiles_ds, ctx)
     coeffs = fit_corrections(terrain, ctx)
     return {n: apply_correction_ds(terrain, n, coeffs, ctx) for n in names}, coeffs

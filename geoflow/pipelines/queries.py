@@ -70,14 +70,6 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
-def _round_cols(batch: pa.Table, spec: dict[str, int]) -> pa.Table:
-    for col, nd in spec.items():
-        i = batch.column_names.index(col)
-        batch = batch.set_column(
-            i, col, pa.array(np.round(batch.column(col).to_numpy(), nd)))
-    return batch
-
-
 # Build sides up to this many rows are attached via the vectorized
 # broadcast lookup (ray.put'd sorted arrays, searchsorted probe); larger
 # build sides route through the one-shuffle bucketed hash join. Tests

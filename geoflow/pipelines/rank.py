@@ -1,14 +1,15 @@
 """Multi-criteria ranking of corrections (reference entry point #5).
 
 Engine shape (SURVEY.md section 3.2): a single terrain + fit pass feeds
-ONE wide ``map_batches`` that applies every correction (adding one
-column per correction per tile row — the reference spawns a process per
-correction and round-trips GeoTIFFs, ``multi_criteria_rank.py:199-239``),
-then per-band metric groups compute all metrics for the original and
-every correction in one task, and the tiny (corrections x bands) table
-is normalized/weighted/ranked on the driver. Tiles that carry
-``zone_ids`` (the reference's classification map) are evaluated and
-ranked per zone by the same code; tiles without it are one zone.
+ONE band ``groupby`` that moves only the terrain columns the corrections
+read. Each band task applies every correction to its own tiles (one
+column per correction; the reference spawns a process per correction
+and round-trips GeoTIFFs, ``multi_criteria_rank.py:199-239``) and
+computes all metrics for the original and every correction; the tiny
+(corrections x bands) table is normalized/weighted/ranked on the driver.
+Tiles that carry ``zone_ids`` (the reference's classification map) are
+evaluated and ranked per zone by the same code; tiles without it are
+one zone.
 
 Normalization semantics transcribed from ``multi_criteria_rank.py:169-197``:
 - reductions combine with sign flip (metrics.py:64,77-78);
@@ -36,7 +37,7 @@ import pyarrow as pa
 from ..context import CorrectionContext, DEFAULT_CONTEXT
 from ..oracle import kernels as ok
 from ..stages.corrections import fit_corrections
-from ..stages.metrics import ORIG_KEY, evaluate_corrections_ds, metric_ids
+from ..stages.metrics import ORIG_KEY, metric_ids, metrics_for_band_group
 from ..stages.terrain import _rows_as_arrays
 from .correction import prepare_terrain
 
@@ -70,6 +71,24 @@ def apply_all_wide_batch(batch: pa.Table, fns: list,
     return keep
 
 
+def evaluate_corrections_ds(terrain, fns: list, coeffs_by_raster: dict,
+                            ctx: CorrectionContext):
+    """Terrain Dataset -> (correction, band[, zone], metrics) Dataset; each
+    band task builds and evaluates the wide table of its own tiles."""
+    cols = ["raster_id", "band", "tile_y", "tile_x", "pixels", "luminance",
+            "slope"]
+    if "zone_ids" in terrain.schema().names:
+        cols.append("zone_ids")
+    evaluate = metrics_for_band_group([_col(n) for n, _ in fns])
+
+    def apply_and_evaluate(group: pa.Table) -> pd.DataFrame:
+        return evaluate(
+            apply_all_wide_batch(group, fns, coeffs_by_raster, ctx))
+
+    return terrain.select_columns(cols).groupby("band").map_groups(
+        apply_and_evaluate, batch_format="pyarrow")
+
+
 def compute_metrics_table(tiles_ds, names: list[str] | None = None,
                           ctx: CorrectionContext = DEFAULT_CONTEXT) -> pd.DataFrame:
     """-> DataFrame indexed (correction, band) with the metric columns;
@@ -86,12 +105,7 @@ def compute_metrics_table(tiles_ds, names: list[str] | None = None,
         # and min/max into one group, in shuffle-dependent order
         raise ValueError("rank input must hold one raster, got raster ids "
                          f"{sorted(coeffs)}")
-
-    def apply_all_corrections(b):
-        return apply_all_wide_batch(b, fns, coeffs, ctx)
-
-    wide = terrain.map_batches(apply_all_corrections, batch_format="pyarrow")
-    mt = evaluate_corrections_ds(wide, [_col(n) for n in names]).to_pandas()
+    mt = evaluate_corrections_ds(terrain, fns, coeffs, ctx).to_pandas()
     inv = {_col(n): n for n in names}
     mt["correction"] = mt["correction"].map(lambda c: inv.get(c, c))
     keys = ["correction", "band"] + (["zone"] if "zone" in mt.columns else [])

@@ -17,14 +17,15 @@ Transcribed metric semantics (reference
 standard formula behind scipy.stats.linregress, metrics.py:193-195;
 scipy is not available in this environment -- SURVEY.md section 7.0).
 
-Evaluation shape: corrections are applied in ONE wide ``map_batches``
-pass (one column per correction + the original), then
-``groupby("band").map_groups`` computes every registered metric for all
-corrections of a band in one task. Exact medians/percentiles come from
-the gathered per-band group (the reference holds full bands in the
-driver, multi_criteria_eval.py:128). Group rows are sorted by
-(tile_y, tile_x) before concatenation so floating reductions are
-deterministic.
+Evaluation shape: one ``groupby("band").map_groups`` over the terrain
+columns (``geoflow.pipelines.rank.evaluate_corrections_ds``); each band
+task applies every correction to its own tiles and computes every
+registered metric for the original and all corrections of that band.
+Exact medians/percentiles come from the gathered per-band group (the
+reference holds full bands in the driver, multi_criteria_eval.py:128).
+The evaluator reads an Arrow group: tiles are ordered by (tile_y,
+tile_x) and each column is flattened straight from its list buffers, so
+floating reductions are deterministic and no pandas copy is made.
 
 One summary per (zone, source) serves all seven built-ins
 (``SourceSummary``): one ``np.sort`` of the values gives the quartiles
@@ -52,6 +53,10 @@ from functools import cached_property
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from .terrain import _rows_as_arrays
 
 METRIC_IDS = [
     "std_reduction", "cv_reduction", "iqr_reduction",
@@ -221,16 +226,15 @@ def _metric_snapshot():
             for mid, spec in METRICS.items()]
 
 
-def _zone_slices(g: pd.DataFrame):
+def _zone_slices(zones: np.ndarray | None):
     """Pixel order and [(zone, start, stop)] slices of one band group.
 
-    Tiles with ``zone_ids`` are grouped by one stable argsort, so each
-    zone's pixels keep their boolean-mask order; tiles without it are one
-    zone (``None``) covering the band, evaluated on views.
+    With per-pixel ``zones`` the pixels are grouped by one stable
+    argsort, so each zone's pixels keep their boolean-mask order; without
+    them the band is one zone (``None``), evaluated on views.
     """
-    if "zone_ids" not in g.columns:
+    if zones is None:
         return None, [(None, 0, None)]
-    zones = np.concatenate([np.asarray(v, np.int32) for v in g["zone_ids"]])
     order = np.argsort(zones, kind="stable")
     ids, starts = np.unique(zones[order], return_index=True)
     stops = np.append(starts[1:], zones.size)
@@ -242,22 +246,30 @@ def metrics_for_band_group(correction_cols: list[str]):
 
     Expects columns: band, tile_y, tile_x, pixels (original), luminance,
     one column per correction name in ``correction_cols`` and optionally
-    ``zone_ids``. Emits one row per (correction, zone), ``__orig__``
-    included, with every registered metric; the ``zone`` column appears
-    only for zoned input. Each zone's min, max and luminance come from
-    that zone (reference ``eval.py:173-179``,
-    ``multi_criteria_eval.py:123-133``).
+    ``zone_ids``, as an Arrow table (a pandas group is converted once).
+    Emits one row per (correction, zone), ``__orig__`` included, with
+    every registered metric; the ``zone`` column appears only for zoned
+    input. Each zone's min, max and luminance come from that zone
+    (reference ``eval.py:173-179``, ``multi_criteria_eval.py:123-133``).
     """
     specs = _metric_snapshot()
     ids = [mid for mid, _, _ in specs]
 
-    def _eval(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["tile_y", "tile_x"])
-        band = int(g["band"].iloc[0])
-        order, slices = _zone_slices(g)
-        lum, *arrays = [
-            np.concatenate([np.asarray(v, np.float32) for v in g[c]])
-            for c in ["luminance", "pixels"] + list(correction_cols)]
+    def _eval(g: pa.Table | pd.DataFrame) -> pd.DataFrame:
+        if isinstance(g, pd.DataFrame):
+            g = pa.Table.from_pandas(g, preserve_index=False)
+        tiles = pc.sort_indices(g, [("tile_y", "ascending"),
+                                    ("tile_x", "ascending")]).to_numpy()
+
+        def flat(col):
+            rows = _rows_as_arrays(g.column(col))
+            return np.concatenate([rows[i] for i in tiles])
+
+        band = int(g.column("band")[0].as_py())
+        order, slices = _zone_slices(
+            flat("zone_ids") if "zone_ids" in g.column_names else None)
+        lum, *arrays = [flat(c) for c in
+                        ["luminance", "pixels"] + list(correction_cols)]
         if order is not None:
             lum, arrays = lum[order], [a[order] for a in arrays]
         orig = arrays[0]
@@ -277,9 +289,3 @@ def metrics_for_band_group(correction_cols: list[str]):
         keys = ["correction", "band"] + (["zone"] if order is not None else [])
         return pd.DataFrame(rows)[keys + ids]
     return _eval
-
-
-def evaluate_corrections_ds(wide_ds, correction_cols: list[str]):
-    """wide per-tile dataset -> (correction, band[, zone], metrics) Dataset."""
-    return wide_ds.groupby("band").map_groups(
-        metrics_for_band_group(correction_cols), batch_format="pandas")

@@ -200,7 +200,7 @@ def test_shared_summary_row_equals_registry_calls(zoned, n, kind, special,
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)   # oracle's corrcoef
         got = metrics_for_band_group(["corr_x"])(g)
-        order, slices = _zone_slices(pd.DataFrame(tiles))
+        order, slices = _zone_slices(cols.get("zone_ids"))
         flat = {c: a if order is None else a[order] for c, a in cols.items()}
         assert len(got) == 2 * len(slices)
         rows = iter(got.to_dict("records"))

@@ -1,6 +1,7 @@
 """Zone-aware (classification-map) evaluation parity."""
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from geoflow.context import CorrectionContext
@@ -37,6 +38,42 @@ def test_zonal_metrics_match_oracle(zoned_fixture):
         atol = 1e-5 if m == "determination_coefficient" else 1e-9
         np.testing.assert_allclose(got[m], exp[m], rtol=1e-5, atol=atol,
                                    err_msg=m)
+
+
+@pytest.mark.parametrize("zoned", [False, True])
+def test_metrics_table_block_count_and_probe_form(zoned_fixture, zoned):
+    """The engine's band tasks give the same table at 1, 4 and 8 blocks
+    with the tile rows shuffled, whole-band and zoned, and the same table
+    as the driver-side evaluator on pandas band groups of the wide table
+    (the kernel probe's form)."""
+    import pyarrow as pa
+    import ray
+
+    from geoflow.pipelines.correction import prepare_terrain
+    from geoflow.pipelines.rank import _col, apply_all_wide_batch
+    from geoflow.registry import CORRECTIONS
+    from geoflow.stages.corrections import fit_corrections
+    from geoflow.stages.metrics import metrics_for_band_group
+
+    ds = zoned_fixture[0]
+    if not zoned:
+        ds = ds.drop_columns(["zone_ids"])
+    tables = [compute_metrics_table(ds, NAMES, CTX)] + [
+        compute_metrics_table(ds.random_shuffle(seed=n).repartition(n),
+                              NAMES, CTX) for n in (4, 8)]
+    assert all(t.equals(tables[0]) for t in tables[1:])
+
+    terrain = prepare_terrain(ds, CTX)
+    coeffs = fit_corrections(terrain, CTX)
+    fns = [(n, CORRECTIONS[n]) for n in NAMES]
+    table = pa.concat_tables(ray.get(terrain.to_arrow_refs()))
+    wide = apply_all_wide_batch(table, fns, coeffs, CTX).to_pandas()
+    evaluate = metrics_for_band_group([_col(n) for n in NAMES])
+    probe = pd.concat([evaluate(g) for _, g in wide.groupby("band")])
+    probe["correction"] = probe["correction"].replace(
+        {_col(n): n for n in NAMES})
+    keys = ["correction", "band"] + (["zone"] if zoned else [])
+    assert probe.set_index(keys).sort_index().equals(tables[0])
 
 
 def test_zonal_rank_per_zone(zoned_fixture):
