@@ -3,38 +3,67 @@
 Pattern (SURVEY.md section 7.3, ray_guide "Aggregation at scale"): a bare
 ``groupby(key).aggregate(...)`` shuffles every row. For algebraic
 aggregates (count/sum/min/max/mean) we first collapse each *batch* to one
-row per key inside ``map_batches`` (a local combine, no shuffle), then run
-the small ``groupby`` over the partials. With B batches and K distinct
-keys per batch the shuffle moves O(B*K) rows instead of O(N); hot keys
-are safe because partials for the same key combine associatively.
+row per key inside ``map_batches`` (a local combine, no shuffle), then
+merge the partials per key. With B batches and K distinct keys per batch
+the exchange moves O(B*K) rows instead of O(N); hot keys are safe because
+partials for the same key combine associatively.
 
-One path serves every such reduction, pages and rasters alike:
+One plan serves every such reduction, pages and rasters alike:
 
 - ``combine_partials`` is the per-table Arrow combine. Stages whose rows
   are not yet flat (raster tiles) call it from their own tile kernel
   after laying out per-pixel or per-tile key/value columns;
 - ``partial_group_sums`` wraps it as a ``map_batches`` fn for flat rows;
-- ``merge_partials`` is the one final merge over partials that already
-  exist (``grouped_count_sum`` = the two composed).
+- ``merge_partials`` is the one exchange and final merge over partials
+  that already exist (``grouped_count_sum`` = the two composed).
 
-Partials have the layout ``key_cols, {c}_sum, _n, {c}_min, {c}_max``.
+Partials have the layout ``key_cols, {c}_sum, _n, {c}_min, {c}_max``,
+plus the bucket column ``_b`` when the merge runs over more than one
+bucket. The combine appends ``_b`` itself, so the exchange adds no map
+operator of its own and the combine keeps its operator name.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ray.data.aggregate import Max, Min, Sum
+from .joins import _mix64, estimate_size_bytes
+
+BUCKETS = 64    # default exchange width of merge_partials
+
+
+def bucket_of(t: pa.Table, key_cols: list[str], buckets: int) -> pa.Array:
+    """Bucket per row: a ``_mix64`` fold of ``pd.util.hash_array`` over
+    the key columns, mod ``buckets``. ``hash_array`` hashes strings with
+    a fixed key, so a key lands in the same bucket in every worker
+    process (Python's ``hash()`` is salted per process). Null keys hash
+    to 0, so a block's nulls cannot change the numpy dtype a key column
+    hashes as."""
+    h = np.zeros(t.num_rows, np.uint64)
+    for c in key_cols:
+        col = t.column(c)
+        if col.null_count:
+            valid = col.is_valid().to_numpy()
+            part = np.zeros(t.num_rows, np.uint64)
+            part[valid] = pd.util.hash_array(col.filter(valid).to_numpy())
+        else:
+            part = pd.util.hash_array(col.to_numpy())
+        h = _mix64(h ^ part)
+    return pa.array((h % np.uint64(buckets)).astype(np.int32))
 
 
 def combine_partials(t: pa.Table, key_cols: list[str], sum_cols: list[str],
                      min_cols: list[str] | None = None,
-                     max_cols: list[str] | None = None) -> pa.Table:
+                     max_cols: list[str] | None = None,
+                     buckets: int = 1) -> pa.Table:
     """One table -> one partial row per key (Arrow C++ hash aggregate:
     an order of magnitude faster than a pandas groupby-agg at typical
     block sizes, no pandas round-trip). Single-threaded, so float sums
-    run in row order and a reduction is reproducible bit for bit."""
+    run in row order and a reduction is reproducible bit for bit.
+    ``buckets`` > 1 appends the bucket column ``_b`` that
+    ``merge_partials(..., buckets=buckets)`` exchanges on."""
     min_cols = min_cols or []
     max_cols = max_cols or []
     specs = ([(c, "sum") for c in sum_cols]
@@ -51,17 +80,21 @@ def combine_partials(t: pa.Table, key_cols: list[str], sum_cols: list[str],
         cols[f"{c}_min"] = out.column(f"{c}_min")
     for c in max_cols:
         cols[f"{c}_max"] = out.column(f"{c}_max")
+    if buckets > 1:
+        cols["_b"] = bucket_of(out, key_cols, buckets)
     return pa.table(cols)
 
 
 def partial_group_sums(key_cols: list[str], sum_cols: list[str],
                        min_cols: list[str] | None = None,
-                       max_cols: list[str] | None = None):
+                       max_cols: list[str] | None = None,
+                       buckets: int = 1):
     """Return a map_batches fn collapsing a batch to per-key partial rows."""
     def _combine(batch: pa.Table):
         if batch.num_rows == 0:      # post-shuffle zero-row blocks can
             return                   # carry an EMPTY schema — emit nothing
-        yield combine_partials(batch, key_cols, sum_cols, min_cols, max_cols)
+        yield combine_partials(batch, key_cols, sum_cols, min_cols, max_cols,
+                               buckets)
 
     return _combine
 
@@ -70,98 +103,75 @@ def merge_partials(partials, key_cols: list[str], sum_cols: list[str],
                    count_alias: str = "n",
                    min_cols: list[str] | None = None,
                    max_cols: list[str] | None = None,
-                   coalesce: int | None = None):
+                   buckets: int = BUCKETS):
     """Final merge of a Dataset of partials -> key_cols, ``count_alias``,
     ``{c}_sum`` per sum col (plus ``{c}_min``/``{c}_max`` when requested).
 
-    ``coalesce``: when the key cardinality K is known-small (zones,
-    nations, sites, raster bands — tens to thousands), pass a small
-    block count to collapse the slim partials (O(B*K) rows for B input
-    blocks) before the groupby. Ray's sort shuffle makes one reduce
-    partition per input block, so K keys spread over B>>K partials
-    blocks leaves most reduce partitions EMPTY — each emits a zero-row
-    empty-schema block ("RefBundle with a different schema" warnings)
-    and pays a task launch. Coalescing to ~1 block makes the final
-    combine one small task. Leave None for high-cardinality keys (the
-    partials are no longer slim; use grouped_count_sum_bucketed there
-    instead).
+    ``buckets`` (B) sizes the one exchange:
+
+    - B = 1 coalesces the partials to one block (no shuffle) and merges
+      them in one task; the output is sorted by the keys. Right when the
+      key cardinality is bounded (zones, bands, sites): the partials are
+      O(blocks x keys) slim rows, and a sort shuffle would launch one
+      mostly-empty reduce partition per input block.
+    - B > 1 exchanges the partials on their bucket column ``_b``, which
+      the per-batch combine appended (``combine_partials(...,
+      buckets=B)`` with the same B), through ``groupby("_b").map_groups``
+      and merges each bucket in its own task. Right for keys that stay
+      many after the per-batch combine: the exchange sorts B small
+      integers instead of the keys, and each bucket is one vectorized
+      Arrow pass (measured ~25x faster than Ray's per-key
+      sort-aggregate at ~10^6 mostly-unique keys).
+
+    Every task runs the same merge: sort the rows on the keys and then
+    on every partial column, then one single-threaded Arrow group-by. A
+    float sum therefore adds its partials in an order fixed by their
+    values, not by which task finished first, so repeated runs over the
+    same blocks give equal sums bit for bit.
     """
-    if coalesce is not None:
-        partials = coalesce_blocks(partials, coalesce)
-    aggs = [Sum("_n", alias_name=count_alias)]
-    aggs += [Sum(f"{c}_sum", alias_name=f"{c}_sum") for c in sum_cols]
-    aggs += [Min(f"{c}_min", alias_name=f"{c}_min") for c in min_cols or []]
-    aggs += [Max(f"{c}_max", alias_name=f"{c}_max") for c in max_cols or []]
-    key = key_cols[0] if len(key_cols) == 1 else key_cols
-    return partials.groupby(key).aggregate(*aggs)
+    min_cols = min_cols or []
+    max_cols = max_cols or []
+    outs = ([(count_alias, "_n", "sum")]
+            + [(f"{c}_sum", f"{c}_sum", "sum") for c in sum_cols]
+            + [(f"{c}_min", f"{c}_min", "min") for c in min_cols]
+            + [(f"{c}_max", f"{c}_max", "max") for c in max_cols])
+    parts = [p for _, p, _ in outs]
+
+    def _merge(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0 and not t.num_columns:
+            return t                 # empty-schema block from a coalesce
+        t = t.select(key_cols + parts).sort_by(
+            [(c, "ascending") for c in key_cols + parts])
+        out = pa.TableGroupBy(t, key_cols, use_threads=False).aggregate(
+            [(p, op) for _, p, op in outs])
+        cols = {k: out.column(k) for k in key_cols}
+        for name, p, op in outs:
+            cols[name] = out.column(f"{p}_{op}")
+        return pa.table(cols)
+
+    if buckets == 1:
+        return partials.repartition(1, shuffle=False).map_batches(
+            _merge, batch_format="pyarrow", batch_size=None)
+    return partials.groupby("_b").map_groups(_merge, batch_format="pyarrow")
 
 
 def grouped_count_sum(ds, key_cols: list[str], sum_cols: list[str],
                       count_alias: str = "n",
                       min_cols: list[str] | None = None,
                       max_cols: list[str] | None = None,
-                      coalesce: int | None = None):
+                      buckets: int = BUCKETS):
     """count + sums (+ mins/maxes) per key: the per-batch combine of flat
     rows followed by ``merge_partials``."""
     partials = ds.map_batches(
-        partial_group_sums(key_cols, sum_cols, min_cols, max_cols),
+        partial_group_sums(key_cols, sum_cols, min_cols, max_cols, buckets),
         batch_format="pyarrow")
     return merge_partials(partials, key_cols, sum_cols, count_alias,
-                          min_cols, max_cols, coalesce)
-
-
-def grouped_count_sum_bucketed(ds, key_cols: list[str],
-                               sum_cols: list[str],
-                               count_alias: str = "n",
-                               num_buckets: int = 64):
-    """Same result as ``grouped_count_sum`` but the final combine is a
-    hash-bucket shuffle + ONE vectorized Arrow hash-aggregate per
-    bucket, instead of Ray's per-key sort-based ``groupby.aggregate``.
-
-    Right when the post-combine key cardinality is still large (most
-    keys appear in few batches, so batch-level pre-aggregation barely
-    shrinks the data): Ray's sort-aggregate over ~10^6 mostly-unique
-    composite keys measured ~25x slower than this plan on the two-hop
-    OD query; the bucketed form moves identical bytes but replaces the
-    global key sort + per-key reduce with nbuckets independent Arrow
-    group-bys. Same trick the flagship dedup shuffle uses. Key columns
-    must be integers (bucket = splitmix64 fold over the key columns).
-    """
-    import numpy as np
-
-    from .joins import _mix64
-
-    partial = partial_group_sums(key_cols, sum_cols)
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-
-    def _bucket(b: pa.Table) -> pa.Table:
-        h = _mix64(b.column(key_cols[0]).to_numpy().astype(np.int64))
-        for c in key_cols[1:]:
-            h = _mix64(h ^ b.column(c).to_numpy().astype(np.uint64))
-        return b.append_column(
-            "_b", pa.array((h % np.uint64(num_buckets)).astype(np.int32)))
-
-    sum_names = [f"{c}_sum" for c in sum_cols]
-
-    def _combine_bucket(t: pa.Table) -> pa.Table:
-        specs = [(n, "sum") for n in sum_names] + [("_n", "sum")]
-        out = pa.TableGroupBy(t, key_cols).aggregate(specs)
-        cols = {k: out.column(k) for k in key_cols}
-        for n in sum_names:
-            cols[n] = out.column(f"{n}_sum")
-        cols[count_alias] = out.column("_n_sum")
-        return pa.table(cols)
-
-    return (partials.map_batches(_bucket, batch_format="pyarrow")
-            .groupby("_b")
-            .map_groups(_combine_bucket, batch_format="pyarrow"))
+                          min_cols, max_cols, buckets)
 
 
 def quantile_from_counts(values, counts, q: float) -> float:
     """Linear-interpolated quantile (numpy/DuckDB ``quantile_cont``
     semantics) from a (value -> count) histogram, without expanding it."""
-    import numpy as np
-
     order = np.argsort(values)
     v = np.asarray(values, dtype=np.float64)[order]
     cum = np.cumsum(np.asarray(counts, dtype=np.int64)[order])
@@ -212,7 +222,6 @@ def profile_columns(ds, cols: list[str]):
     covers every column type; numeric columns stringify via repr of
     the Arrow scalar (deterministic).
     """
-    import numpy as np
     import pyarrow.compute as pc
 
     def _partial(b: pa.Table) -> pa.Table:
@@ -305,8 +314,6 @@ def estimate_num_blocks(ds) -> int | None:
     honest pre-execution signal; used to decide whether a reduce needs
     an intermediate tree-merge level, where approximate is fine."""
     from ray.data import DataContext
-
-    from .joins import estimate_size_bytes
 
     sz = estimate_size_bytes(ds)
     if sz is None:

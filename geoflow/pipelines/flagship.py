@@ -6,7 +6,7 @@
       -> geocode (deterministic) -> cell id (S2-style quadtree)
       -> exact dedup by content hash (hash-partitioned, first-wins by url)
       -> zonal aggregation per coarse cell (pre-aggregated combiner ->
-         small groupby)
+         one-bucket merge)
 
 Everything streams: the only materialized results are the tiny zonal
 table and scalar invariant counters. Reference anchors: the zonal
@@ -22,6 +22,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from ..functions.agg import combine_partials, grouped_count_sum, merge_partials
 from ..stages import cells
 from ..stages.extract import extract_text
 from ..stages.geocode import geocode_urls
@@ -44,18 +45,6 @@ def text_hash64(texts) -> np.ndarray:
          for t in texts),
         dtype=np.uint64, count=len(texts),
     ).view(np.int64)
-
-
-def hash_bucket(h: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Bucket id per 64-bit content hash (splitmix-style fold, then
-    ``% num_buckets``), as int64.
-
-    The single definition behind the ``dedup_exact`` shuffle key and
-    the ``state.ingest`` seen-index partitions, so the two bucketings
-    always agree."""
-    u = h.astype(np.uint64)
-    u = (u ^ (u >> np.uint64(31))) * np.uint64(0x9E3779B97F4A7C15)
-    return ((u >> np.uint64(40)) % np.uint64(num_buckets)).astype(np.int64)
 
 
 def enrich_pages_batch(batch: pa.Table, cell_res: int = PAGE_CELL_RES,
@@ -132,69 +121,46 @@ def enrich_pages(pages_ds, cell_res: int = PAGE_CELL_RES,
 def dedup_exact(enriched_ds, num_buckets: int = 64):
     """First-wins exact dedup on the content hash (deterministic: min url).
 
-    Shuffle-light shape: slim (text_hash, url, n_chars) rows get a
-    batch-local Arrow pre-dedup that fuses with the enrich map (cuts
-    shuffle rows when duplicates are block-local), then ONE shuffle
-    keyed on ``hash_bucket(text_hash, num_buckets)`` with an Arrow
-    hash-aggregate combine per bucket group. Keying the shuffle on a
-    small bucket id instead of the raw 64-bit hash measured 3x faster
-    end to end than ``groupby("text_hash").aggregate(Min, Min, Sum)``
-    at 10^6 rows (Ray's sort comparator and per-unique-key aggregate
-    paths are the cost; the bucket sort is nearly free and the
-    per-bucket combine is one vectorized C pass). ``num_buckets``
-    bounds reducer memory — scale it with input rows (rows/5M is a good
+    Shuffle-light shape: the batch-local Arrow combine over ``text_hash``
+    (minimum url and n_chars, copy count) fuses with the enrich map and
+    cuts shuffle rows when duplicates are block-local; then the one
+    bucketed merge (``functions.agg.merge_partials``) exchanges the
+    partials on a bucket of the hash and merges each bucket in one
+    Arrow pass. Keying the shuffle on a small bucket id instead of the
+    raw 64-bit hash measured 3x faster end to end than
+    ``groupby("text_hash").aggregate(Min, Min, Sum)`` at 10^6 rows
+    (Ray's sort comparator and per-unique-key aggregate paths are the
+    cost; the bucket sort is nearly free). ``num_buckets`` bounds
+    reducer memory — scale it with input rows (rows/5M is a good
     target).
     Winners' geocode/cell are re-derived from the url, which is cheaper
     than shuffling the full rows.
     """
+    mins = ["url", "n_chars"]
 
     def _local_combine(b: pa.Table) -> pa.Table:
-        # Arrow C++ hash aggregate: measured ~80x faster than the former
-        # pandas groupby-agg at 15k-row blocks (string min dominates the
-        # pandas path); this map-side combine was ~40% of the whole
-        # dedup operator's CPU
-        out = pa.TableGroupBy(b.select(["text_hash", "url", "n_chars"]),
-                              "text_hash").aggregate(
-            [("url", "min"), ("n_chars", "min"), ("url", "count")])
-        bk = hash_bucket(out.column("text_hash").to_numpy(),
-                         num_buckets).astype(np.int32)
-        return pa.table({
-            "text_hash": out.column("text_hash"),
-            "url": out.column("url_min"),
-            "n_chars": out.column("n_chars_min"),
-            "_copies": out.column("url_count"),
-            "_bk": pa.array(bk),
-        })
-
-    def _final_combine(g: pa.Table) -> pa.Table:
-        out = pa.TableGroupBy(g, "text_hash").aggregate(
-            [("url", "min"), ("n_chars", "min"), ("_copies", "sum")])
-        return pa.table({
-            "text_hash": out.column("text_hash"),
-            "url": out.column("url_min"),
-            "n_chars": out.column("n_chars_min"),
-            "n_copies": out.column("_copies_sum"),
-        })
+        return combine_partials(b, ["text_hash"], [], mins,
+                                buckets=num_buckets)
 
     slim = enriched_ds.map_batches(_local_combine, batch_format="pyarrow")
-    # NOTE: do NOT coalesce slim before this groupby. A
+    # NOTE: do NOT coalesce slim before the exchange. A
     # repartition(shuffle=False) here measured +30% flagship wall time
     # at 8 CPUs (52 -> 68 s interleaved A/B at sf0.1) for a mild 32-CPU
     # gain: the repartition is an AllToAll barrier whose fixed cost
     # dominates at low parallelism, while the empty reduce partitions
     # it would remove cost only idle microtasks here (the slim rows are
     # pre-combined; the groupby's sort moves ~24 B/row either way).
-    winners = slim.groupby("_bk").map_groups(
-        _final_combine, batch_format="pyarrow")
+    winners = merge_partials(slim, ["text_hash"], [], "n_copies", mins,
+                             buckets=num_buckets)
 
     def _rederive(batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
+        urls = batch.column("url_min").to_pylist()
         lat, lon = geocode_urls(urls)
         cell = cells.cell_id(lat, lon, PAGE_CELL_RES)
         return pa.table({
-            "url": batch.column("url"),
+            "url": batch.column("url_min"),
             "text_hash": batch.column("text_hash"),
-            "n_chars": batch.column("n_chars"),
+            "n_chars": batch.column("n_chars_min"),
             "n_copies": batch.column("n_copies"),
             "lat": pa.array(lat), "lon": pa.array(lon),
             "cell": pa.array(cell.astype(np.int64), pa.int64()),
@@ -205,8 +171,6 @@ def dedup_exact(enriched_ds, num_buckets: int = 64):
 
 def zonal_page_stats(enriched_ds, zone_res: int = ZONE_CELL_RES):
     """Pages per coarse cell + char-volume stats (combiner -> tiny shuffle)."""
-    from ..functions.agg import grouped_count_sum
-
     def _add_zone(batch: pa.Table) -> pa.Table:
         zone = cells.cell_parent(
             batch.column("cell").to_numpy().astype(np.uint64), zone_res)
@@ -214,11 +178,9 @@ def zonal_page_stats(enriched_ds, zone_res: int = ZONE_CELL_RES):
             "zone", pa.array(zone.astype(np.int64), pa.int64()))
 
     zoned = enriched_ds.map_batches(_add_zone, batch_format="pyarrow")
-    # coarse zones (<= 4^zone_res keys): coalesce the slim partials so
-    # the sort shuffle doesn't launch one mostly-empty reduce partition
-    # per input block
+    # coarse zones (<= 4^zone_res keys): one bucket
     return grouped_count_sum(zoned, ["zone"], ["n_chars"],
-                             count_alias="n_pages", coalesce=1)
+                             count_alias="n_pages", buckets=1)
 
 
 def run_flagship_checkpointed(pages_dir: str, work_dir: str,

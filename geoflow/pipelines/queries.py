@@ -173,7 +173,7 @@ def q1_pricing_summary(sf_dir: str):
         ds.map_batches(_prep, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"],
         ["l_quantity", "base_cents", "disc_e4"],
-        count_alias="n_rows", coalesce=1)
+        count_alias="n_rows", buckets=1)
 
     def _final(b: pa.Table) -> pa.Table:
         n = b.column("n_rows").to_numpy().astype(np.float64)
@@ -252,7 +252,7 @@ def orders_by_nation(sf_dir: str):
         ds.map_batches(_cents, batch_format="pyarrow"),
         "o_custkey", sf_dir, "n_name", nation_of)
     agg = grouped_count_sum(tagged, ["n_name"], ["cents"],
-                            count_alias="n_orders", coalesce=1)
+                            count_alias="n_orders", buckets=1)
 
     def _final(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -489,7 +489,6 @@ SELECT min(doc_id) AS doc_id, count(*) AS n_copies
 FROM documents GROUP BY text
 """)
 def dedup_exact_docs(sf_dir: str):
-    from ray.data.aggregate import Count, Min
     from .flagship import text_hash64
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -501,12 +500,12 @@ def dedup_exact_docs(sf_dir: str):
                 text_hash64(b.column("text").to_pylist()), pa.int64()),
         })
 
-    agg = (ds.map_batches(_hash, batch_format="pyarrow")
-           .groupby("text_hash")
-           .aggregate(Min("doc_id", alias_name="doc_id"),
-                      Count(alias_name="n_copies")))
+    agg = grouped_count_sum(ds.map_batches(_hash, batch_format="pyarrow"),
+                            ["text_hash"], [], "n_copies", ["doc_id"])
     return agg.map_batches(
-        lambda b: b.select(["doc_id", "n_copies"]), batch_format="pyarrow")
+        lambda b: pa.table({"doc_id": b.column("doc_id_min"),
+                            "n_copies": b.column("n_copies")}),
+        batch_format="pyarrow")
 
 
 _GEO_SQL_CTE = """
@@ -566,7 +565,7 @@ def geo_zonal_docs(sf_dir: str):
 
     agg = grouped_count_sum(ds.map_batches(_cell, batch_format="pyarrow"),
                             ["cell_x", "cell_y"], ["n_chars"],
-                            count_alias="n_docs", coalesce=1)
+                            count_alias="n_docs", buckets=1)
 
     def _final(b: pa.Table) -> pa.Table:
         n = b.column("n_docs").to_numpy().astype(np.float64)
@@ -698,8 +697,6 @@ def flagship_zonal_verified(sf_dir: str):
       32x32 (zone_x, zone_y) grid — the Morton cell id of
       flagship_zonal is the bit-interleave of exactly these coords.
     """
-    from ray.data.aggregate import Count, Min, Sum
-
     from ..stages.extract import extract_text
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -730,19 +727,17 @@ def flagship_zonal_verified(sf_dir: str):
         })
 
     slim = ds.map_batches(_extract_verify, batch_format="pyarrow")
-    winners = slim.groupby("text_hash").aggregate(
-        Min("doc_id", alias_name="doc_id"),
-        Min("n_chars", alias_name="n_chars"),
-        Count(alias_name="n_copies"))
+    winners = grouped_count_sum(slim, ["text_hash"], [], "n_copies",
+                                ["doc_id", "n_chars"])
 
     def _zone(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy()
+        ids = b.column("doc_id_min").to_numpy()
         lat, lon = geocode_doc_ids(ids)
         return pa.table({
             "zone_x": np.floor((lon + 180.0) / 360.0 * 32.0).astype(np.int64),
             "zone_y": np.floor((90.0 - lat) / 180.0 * 32.0).astype(np.int64),
-            "n_chars": b.column("n_chars"),
-            "n_copies": pc.cast(b.column("n_copies"), pa.int64()),
+            "n_chars": b.column("n_chars_min"),
+            "n_copies": b.column("n_copies"),
         })
 
     agg = grouped_count_sum(winners.map_batches(_zone, batch_format="pyarrow"),
@@ -1351,7 +1346,7 @@ def revenue_by_region(sf_dir: str):
         joined = bucketed_hash_join(orders, li_rev,
                                     "o_orderkey", "l_orderkey")
     agg = grouped_count_sum(joined, ["r_code"], ["rev_e4"],
-                            count_alias="n_items", coalesce=1)
+                            count_alias="n_items", buckets=1)
 
     def _final(b: pa.Table) -> pa.Table:
         codes = b.column("r_code").to_numpy().astype(np.int64)
@@ -1531,7 +1526,7 @@ def nearest_site_docs(sf_dir: str):
 
     agg = grouped_count_sum(ds.map_batches(_assign, batch_format="pyarrow"),
                             ["site"], ["dist_km"], count_alias="n_docs",
-                            coalesce=1)
+                            buckets=1)
 
     def _final(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -3640,7 +3635,6 @@ def od_two_hop(sf_dir: str):
     support (occupied cell pairs) bounds both the join and the output;
     n_paths composes exactly in int64 (geoflow.stages.geocode.od_matrix
     feeding functions.joins.bucketed_hash_join)."""
-    from ..functions.agg import grouped_count_sum_bucketed
     from ..functions.joins import bucketed_hash_join
     from ..stages.geocode import od_matrix
 
@@ -3678,11 +3672,10 @@ def od_two_hop(sf_dir: str):
                             * b.column("nb").to_numpy())})
 
     # post-join key cardinality ~= row count (barely any pre-combine
-    # shrink), where Ray's sort-aggregate is ~25x slower than the
-    # hash-bucketed Arrow combine
-    sums = grouped_count_sum_bucketed(
+    # shrink): the bucketed exchange
+    sums = grouped_count_sum(
         j.map_batches(_prod, batch_format="pyarrow"),
-        ["from_x", "from_y", "to_x", "to_y"], ["np_"])
+        ["from_x", "from_y", "to_x", "to_y"], ["np_"], buckets=64)
     # deterministic strongest-flows cut keeps output driver-sized
     out = sums.sort(["np__sum", "from_x", "from_y", "to_x", "to_y"],
                     descending=[True, False, False, False, False]) \

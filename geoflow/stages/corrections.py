@@ -96,16 +96,20 @@ def _closed_form_ols(n, sx, sy, sxx, sxy) -> tuple[float, float]:
 
 
 def fit_corrections(terrain_ds, ctx: CorrectionContext = DEFAULT_CONTEXT) -> dict:
-    """Streaming fit pass -> {raster_id: coeffs} (oracle-shaped dicts)."""
+    """Streaming fit pass -> {raster_id: coeffs} (oracle-shaped dicts).
+
+    Reproducibility: repeated runs over the same blocking give ``==``
+    coefficients, because the merge adds the per-batch moment sums in
+    an order fixed by their values. Across blockings they may differ in
+    the last bits: each batch's float sums depend on which tiles share
+    the batch. The metric tables built on them stay equal."""
     def fit_moments(b):
         return fit_moments_batch(b, ctx)
 
     partials = terrain_ds.map_batches(fit_moments, batch_format="pyarrow")
-    # few (raster, band) keys over many tile blocks: coalesce=1 so the
-    # sort shuffle doesn't make one (mostly empty) reduce partition per
-    # tile block
+    # few (raster, band) keys over many tile blocks: one bucket
     table = merge_partials(partials, ["raster_id", "band"], _MOMENT_COLS,
-                           "n_tiles", coalesce=1).to_pandas()
+                           "n_tiles", buckets=1).to_pandas()
     out: dict[str, dict] = {}
     for rid, g in table.groupby("raster_id"):
         coeffs = {"luminance_mean": None, "h0": ok.pbc_h0(ctx), "bands": {}}

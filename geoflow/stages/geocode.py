@@ -156,8 +156,9 @@ def od_matrix(events_ds, res: int = 6, num_buckets: int = 32):
     rollup (where do users go next?).
 
     Same partitioning as travel_stats (ONE user-keyed bucket shuffle,
-    whole-bucket vectorized pass: sort, shift, cell-assign), then one
-    global groupby over (from_x, from_y, to_x, to_y) counter rows.
+    whole-bucket vectorized pass: sort, shift, cell-assign, combine),
+    then the one partials merge (``functions.agg.merge_partials``) over
+    (from_x, from_y, to_x, to_y).
     Self-transitions (same cell) are kept — they are the dwell signal.
 
     SCALE: transition rows == event rows minus users; the final
@@ -168,8 +169,11 @@ def od_matrix(events_ds, res: int = 6, num_buckets: int = 32):
     import pandas as pd
     import pyarrow as pa
 
+    from ..functions.agg import BUCKETS, combine_partials, merge_partials
     from ..functions.joins import _mix64
     from .cells import lonlat_to_xy
+
+    keys = ["from_x", "from_y", "to_x", "to_y"]
 
     def _tag(b: pa.Table) -> pa.Table:
         ids = b.column("event_id").to_numpy().astype(np.int64)
@@ -185,7 +189,7 @@ def od_matrix(events_ds, res: int = 6, num_buckets: int = 32):
             "cy": pa.array(y.astype(np.int64)),
         })
 
-    def _bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def _bucket(df: pd.DataFrame) -> pa.Table:
         df = df.sort_values(["user_id", "ts", "event_id"],
                             kind="mergesort")
         uid = df["user_id"].to_numpy()
@@ -195,26 +199,12 @@ def od_matrix(events_ds, res: int = 6, num_buckets: int = 32):
         if len(df) > 1:
             same[1:] = uid[1:] == uid[:-1]
         i = np.flatnonzero(same)
-        out = pd.DataFrame({
-            "from_x": cx[i - 1], "from_y": cy[i - 1],
-            "to_x": cx[i], "to_y": cy[i]})
-        g = (out.groupby(["from_x", "from_y", "to_x", "to_y"],
-                         sort=False).size().rename("n_moves")
-             .reset_index())
-        return g.astype(np.int64)
-
-    from ray.data.aggregate import Sum
+        moves = pa.table(dict(zip(keys, (cx[i - 1], cy[i - 1], cx[i], cy[i]))))
+        return combine_partials(moves, keys, [], buckets=BUCKETS)
 
     partial = (events_ds.map_batches(_tag, batch_format="pyarrow")
                .groupby("_b").map_groups(_bucket, batch_format="pandas"))
-    agg = partial.groupby(["from_x", "from_y", "to_x", "to_y"]).aggregate(
-        Sum("n_moves", alias_name="n_moves"))
-    import pyarrow.compute as pc
-    return agg.map_batches(
-        lambda b: pa.table({c: pc.cast(b.column(c), pa.int64())
-                            for c in ["from_x", "from_y", "to_x", "to_y",
-                                      "n_moves"]}),
-        batch_format="pyarrow")
+    return merge_partials(partial, keys, [], "n_moves", buckets=BUCKETS)
 
 
 def stay_points(events_ds, radius_km: float = 60.0,

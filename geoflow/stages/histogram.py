@@ -40,7 +40,7 @@ def band_minmax(terrain_ds) -> dict[int, tuple[float, float]]:
 
     partials = terrain_ds.map_batches(_partial, batch_format="pyarrow")
     df = merge_partials(partials, ["band"], [], "n_pixels", ["value"],
-                        ["value"]).to_pandas()
+                        ["value"], buckets=1).to_pandas()
     return {int(r.band): (float(r.value_min), float(r.value_max))
             for r in df.itertuples(index=False)}
 

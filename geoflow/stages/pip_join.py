@@ -22,6 +22,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..functions.agg import BUCKETS, combine_partials, merge_partials
 
 
 def point_in_ring(lat: np.ndarray, lon: np.ndarray,
@@ -232,61 +235,50 @@ def polygon_metrics(edges_ds):
     rows (region_id, x1, y1, x2, y2), closing edge included.
 
     Shoelace area, perimeter, and area-weighted centroid are all sums
-    of per-edge terms, so the plan is embarrassingly parallel: a
-    vectorized per-batch partial (numpy term arrays -> pandas groupby
-    sum) followed by ONE groupby(region_id).sum shuffle of 6-column
-    partials, then a final vectorized map derives
+    of per-edge terms, so the plan is embarrassingly parallel: numpy
+    per-edge terms collapsed per batch by the shared Arrow combine,
+    then the one partials merge (``functions.agg.merge_partials``) of
+    slim per-region rows, then a final vectorized map derives
     (n_vertices, area, perimeter, centroid_x, centroid_y).
 
     SCALE: the edge-tuple layout is the point — a 10^9-edge polygon
     set streams through map_batches with per-region partials, and the
-    shuffle carries one slim row per (region x batch), never the
+    exchange carries one slim row per (region x batch), never the
     geometry. Rings must be pre-closed (last edge -> first vertex),
     the same contract _pip_edges_sql renders for the PIP oracle.
     """
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    terms = ["cross", "perim", "cx", "cy"]
 
     def _partials(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        x1 = df["x1"].to_numpy()
-        y1 = df["y1"].to_numpy()
-        x2 = df["x2"].to_numpy()
-        y2 = df["y2"].to_numpy()
+        x1, y1, x2, y2 = (b.column(c).to_numpy()
+                          for c in ("x1", "y1", "x2", "y2"))
         cross = x1 * y2 - x2 * y1
-        df2 = pd.DataFrame({
-            "region_id": df["region_id"].to_numpy(),
-            "_cross": cross,
-            "_perim": np.sqrt((x2 - x1) * (x2 - x1)
-                              + (y2 - y1) * (y2 - y1)),
-            "_cx": (x1 + x2) * cross,
-            "_cy": (y1 + y2) * cross,
-            "_n": np.ones(len(df), dtype=np.int64),
+        t = pa.table({
+            "region_id": b.column("region_id"),
+            "cross": cross,
+            "perim": np.sqrt((x2 - x1) * (x2 - x1)
+                             + (y2 - y1) * (y2 - y1)),
+            "cx": (x1 + x2) * cross,
+            "cy": (y1 + y2) * cross,
         })
-        return pa.Table.from_pandas(
-            df2.groupby("region_id", sort=False, as_index=False).sum(),
-            preserve_index=False)
+        return combine_partials(t, ["region_id"], terms, buckets=BUCKETS)
 
-    agg = edges_ds.map_batches(_partials, batch_format="pyarrow").groupby(
-        "region_id").aggregate(
-        Sum("_cross", alias_name="_cross"),
-        Sum("_perim", alias_name="_perim"),
-        Sum("_cx", alias_name="_cx"), Sum("_cy", alias_name="_cy"),
-        Sum("_n", alias_name="_n"))
+    agg = merge_partials(
+        edges_ds.map_batches(_partials, batch_format="pyarrow"),
+        ["region_id"], terms, "n_vertices", buckets=BUCKETS)
 
     def _finish(b: pa.Table) -> pa.Table:
-        cross = b.column("_cross").to_numpy()
+        cross = b.column("cross_sum").to_numpy()
         return pa.table({
             "region_id": pc.cast(b.column("region_id"), pa.int64()),
-            "n_vertices": pc.cast(b.column("_n"), pa.int64()),
+            "n_vertices": b.column("n_vertices"),
             "area": pa.array(np.round(cross / 2, 6)),
             "perimeter": pa.array(
-                np.round(b.column("_perim").to_numpy(), 6)),
+                np.round(b.column("perim_sum").to_numpy(), 6)),
             "centroid_x": pa.array(np.round(
-                b.column("_cx").to_numpy() / (3 * cross), 6)),
+                b.column("cx_sum").to_numpy() / (3 * cross), 6)),
             "centroid_y": pa.array(np.round(
-                b.column("_cy").to_numpy() / (3 * cross), 6)),
+                b.column("cy_sum").to_numpy() / (3 * cross), 6)),
         })
 
     return agg.map_batches(_finish, batch_format="pyarrow")

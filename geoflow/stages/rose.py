@@ -9,9 +9,9 @@ groups_count, bin = (v - lower) // group_size), mean of band pixels per
 Engine shape: the tile kernel derives the bins of every pixel of the
 batch, and the shared Arrow combine (``functions.agg.combine_partials``)
 collapses the (band, slope_bin, aspect_bin, value) rows to per-bin sums;
-``functions.agg.merge_partials`` finishes with a tiny
-``groupby(band, slope_bin, aspect_bin)`` — the same path the raster
-zonal aggregation takes (``stages.zonal``, SURVEY.md section 3.3).
+``functions.agg.merge_partials`` merges the few bins in one task — the
+same path the raster zonal aggregation takes (``stages.zonal``,
+SURVEY.md section 3.3).
 ``npg.aggregate``'s dense fill_value=0 matrix is reproduced on the
 driver by ``densify``.
 """
@@ -53,7 +53,7 @@ def rose_bins_batch(batch: pa.Table, slope_groups: int = 3,
     pixels = pc.list_flatten(batch.column("pixels")).to_numpy()
     flat = pa.table({
         "band": pa.array(np.repeat(batch.column("band").to_numpy(),
-                                   hs * ws)[take], pa.int32()),
+                                   hs * ws)[take], pa.int64()),
         "slope_bin": group_by_range(slope[take], slope_groups, slope_max),
         "aspect_bin": group_by_range(aspect[take], aspect_groups, aspect_max),
         "value": pixels[take].astype(np.float64),
@@ -70,8 +70,8 @@ def rose_diagram_ds(tiles_ds, slope_groups: int = 3, aspect_groups: int = 36):
                                   aspect_groups=aspect_groups),
         batch_format="pyarrow")
     keys = ["band", "slope_bin", "aspect_bin"]
-    return with_mean(merge_partials(partials, keys, ["value"], "n_pixels"),
-                     keys)
+    return with_mean(merge_partials(partials, keys, ["value"], "n_pixels",
+                                    buckets=1), keys)
 
 
 def densify(df: pd.DataFrame, band: int, slope_groups: int = 3,

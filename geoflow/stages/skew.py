@@ -8,10 +8,12 @@ the dataset to three reducers.
 
 Two mechanisms, both preserving exact aggregate semantics:
 
-- ``salted_grouped_count_sum``: stage 1 groups by (key, salt) with
-  salt = row_hash % num_salts — hot keys fan out across reducers —
-  then stage 2 re-groups the per-salt partials by key alone. Correct
-  for any algebraic aggregate (sum/count/min/max partials re-combine).
+- ``salted_grouped_count_sum``: stage 1 merges by (key, salt) with
+  salt = row_hash % num_salts — hot keys fan out across buckets —
+  then stage 2 re-merges the per-salt partials by key alone. Both
+  stages are the one partials merge (``functions.agg.merge_partials``);
+  correct for any algebraic aggregate (sum/count/min/max partials
+  re-combine).
 - ``split_hot_cells``: cells whose row count exceeds ``cap`` are
   re-assigned to their children at a finer resolution (descend until
   under cap or max_res); emits a (cell -> effective_cell) mapping so
@@ -26,47 +28,51 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ray.data.aggregate import Sum
-
 from . import cells as cellmod
-from ..functions.agg import partial_group_sums
+from ..functions.agg import (BUCKETS, bucket_of, combine_partials,
+                             grouped_count_sum, merge_partials)
 
 
-def add_salt(batch: pa.Table, key_col: str, num_salts: int,
-             salt_col: str = "_salt") -> pa.Table:
+def add_salt(batch: pa.Table, key_col: str, num_salts: int) -> pa.Table:
     """Deterministic per-row salt (hash of key + row position mix)."""
     keys = batch.column(key_col).to_numpy().astype(np.int64, copy=False)
     idx = np.arange(len(keys), dtype=np.int64)
     mixed = (keys * 0x9E3779B97F4A7C15 + idx * 0xC2B2AE3D27D4EB4F)
     salt = (mixed % num_salts).astype(np.int32)
-    return batch.append_column(salt_col, pa.array(salt, pa.int32()))
+    return batch.append_column("_salt", pa.array(salt, pa.int32()))
 
 
 def salted_grouped_count_sum(ds, key_col: str, sum_cols: list[str],
                              num_salts: int = 16,
                              count_alias: str = "n"):
-    """Two-stage salted aggregate: exact sums/counts under heavy skew."""
-    partial = partial_group_sums([key_col, "_salt"], sum_cols)
-    stage1 = (ds.map_batches(
-        lambda b: add_salt(b, key_col, num_salts), batch_format="pyarrow")
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby([key_col, "_salt"])
-        .aggregate(Sum("_n", alias_name="_n"),
-                   *[Sum(f"{c}_sum", alias_name=f"{c}_sum") for c in sum_cols]))
-    # stage 2: tiny — one row per (key, salt)
-    final = stage1.groupby(key_col).aggregate(
-        Sum("_n", alias_name=count_alias),
-        *[Sum(f"{c}_sum", alias_name=f"{c}_sum") for c in sum_cols])
-    return final
+    """Two-stage salted aggregate: exact sums/counts under heavy skew.
+    Stage 1's output (one row per key and salt, count as ``_n``) is
+    itself a partials table, so stage 2 is the same merge over the key
+    alone, re-bucketed on it."""
+    salted = [key_col, "_salt"]
+
+    def _salted_partials(b: pa.Table) -> pa.Table:
+        return combine_partials(add_salt(b, key_col, num_salts), salted,
+                                sum_cols, buckets=BUCKETS)
+
+    def _by_key(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return t
+        return t.drop_columns(["_salt"]).append_column(
+            "_b", bucket_of(t, [key_col], BUCKETS))
+
+    stage1 = merge_partials(
+        ds.map_batches(_salted_partials, batch_format="pyarrow"),
+        salted, sum_cols, "_n", buckets=BUCKETS)
+    return merge_partials(stage1.map_batches(_by_key, batch_format="pyarrow"),
+                          [key_col], sum_cols, count_alias, buckets=BUCKETS)
 
 
 def cell_counts(ds, cell_col: str = "cell") -> pd.DataFrame:
     """Per-cell row counts via batch-combined partials (small result);
     empty input gives an empty frame that still has both columns."""
-    from ..functions.agg import grouped_count_sum
-
     return grouped_count_sum(ds, [cell_col], [], count_alias="n",
-                             coalesce=1).to_pandas().reindex(
+                             buckets=1).to_pandas().reindex(
                                  columns=[cell_col, "n"])
 
 

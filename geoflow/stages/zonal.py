@@ -28,7 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import cells as cellmod
-from ..functions.agg import combine_partials, merge_partials
+from ..functions.agg import BUCKETS, combine_partials, merge_partials
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,8 @@ class RasterGeo:
 
 def zonal_partials_batch(batch: pa.Table, geo: RasterGeo, res: int,
                          tile_size: int) -> pa.Table:
-    """Tile rows -> per-(band, cell) partials within the batch."""
+    """Tile rows -> per-(band, cell) partials within the batch, tagged
+    with the exchange bucket of ``raster_zonal_stats``' merge."""
     hs = batch.column("height").to_numpy()
     ws = batch.column("width").to_numpy()
     cell = [np.empty(0, np.uint64)]
@@ -61,12 +62,12 @@ def zonal_partials_batch(batch: pa.Table, geo: RasterGeo, res: int,
         cell.append(cellmod.cell_id(lat, lon, res))
     flat = pa.table({
         "band": pa.array(np.repeat(batch.column("band").to_numpy(), hs * ws),
-                         pa.int32()),
+                         pa.int64()),
         "cell": pa.array(np.concatenate(cell).astype(np.int64), pa.int64()),
         "value": pc.list_flatten(batch.column("pixels")).cast(pa.float64()),
     })
     return combine_partials(flat, ["band", "cell"], ["value"],
-                            ["value"], ["value"])
+                            ["value"], ["value"], BUCKETS)
 
 
 def with_mean(merged, key_cols: list[str]):
@@ -90,7 +91,7 @@ def raster_zonal_stats(tiles_ds, geo: RasterGeo = RasterGeo(), res: int = 6,
         batch_format="pyarrow")
     keys = ["band", "cell"]
     return with_mean(merge_partials(partials, keys, ["value"], "n_pixels",
-                                    ["value"], ["value"]), keys)
+                                    ["value"], ["value"], BUCKETS), keys)
 
 
 def join_zonal_with_pages(raster_zonal_df: pd.DataFrame,

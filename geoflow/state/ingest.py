@@ -12,9 +12,11 @@ Plan (all distributed, nothing corpus-sized on the driver):
 
 1. the new shard runs the flagship enrich + within-shard exact dedup
    (``flagship.dedup_exact`` — bucket-keyed one-shuffle plan);
-2. winners are re-bucketed by the same ``flagship.hash_bucket`` and ONE
-   ``groupby(bucket).map_groups`` pass filters novelty: each task reads
-   ONLY its bucket's index partition (numpy ``isin`` against the
+2. winners are bucketed by ``hash_bucket``, which names the index's
+   on-disk ``bucket=<b>`` partitions (its own fold of the hash, not the
+   dedup's exchange bucket: the partition names must not change), and
+   ONE ``groupby(bucket).map_groups`` pass filters novelty: each task
+   reads ONLY its bucket's index partition (numpy ``isin`` against the
    committed hashes), so the per-task index slice is total_index /
    num_buckets — scale ``num_buckets`` with corpus size exactly like
    the dedup reducer buckets;
@@ -39,7 +41,16 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..pipelines.flagship import dedup_exact, enrich_pages, hash_bucket
+from ..pipelines.flagship import dedup_exact, enrich_pages
+
+
+def hash_bucket(h: np.ndarray, num_buckets: int) -> np.ndarray:
+    """Seen-index partition per 64-bit content hash (splitmix-style
+    fold, then ``% num_buckets``), as int64. Committed indexes are laid
+    out by these values, so the fold must never change."""
+    u = h.astype(np.uint64)
+    u = (u ^ (u >> np.uint64(31))) * np.uint64(0x9E3779B97F4A7C15)
+    return ((u >> np.uint64(40)) % np.uint64(num_buckets)).astype(np.int64)
 
 
 def incremental_ingest(pages_ds, work_dir: str, shard_id: str,

@@ -1,0 +1,55 @@
+"""Grouped reductions merge their partials one way.
+
+``functions.agg.merge_partials`` is the only exchange for per-key
+partials. This walks the source of the modules that reduce partials and
+fails on a second plan coming back: an import of Ray's aggregate
+functions or an ``.aggregate(`` call on anything but an Arrow
+``TableGroupBy``. No Ray, no test data.
+"""
+
+import ast
+from pathlib import Path
+
+import geoflow
+
+_ROOT = Path(geoflow.__file__).parent
+_MODULES = ["functions/agg.py", "pipelines/flagship.py"] + [
+    f"stages/{m}.py" for m in
+    ("skew", "corrections", "zonal", "rose", "histogram", "pip_join",
+     "geocode")]
+
+
+def _is_arrow_groupby(node) -> bool:
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Attribute, ast.Name))
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            == "TableGroupBy")
+
+
+def _second_plans(source: str):
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.startswith("ray.data.aggregate"):
+            yield node.lineno, f"from {node.module} import"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("ray.data.aggregate"):
+                    yield node.lineno, f"import {alias.name}"
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "aggregate"
+              and not _is_arrow_groupby(node.func.value)):
+            yield node.lineno, ".aggregate( on a Ray groupby or dataset"
+
+
+def test_no_second_exchange_plan():
+    found = [f"{m}:{line}: {what}" for m in _MODULES
+             for line, what in _second_plans((_ROOT / m).read_text())]
+    assert not found, "\n".join(found)
+
+
+def test_guard_sees_a_ray_aggregate():
+    src = ("from ray.data.aggregate import Sum\n"
+           "ds.groupby('k').aggregate(Sum('v'))\n"
+           "pa.TableGroupBy(t, 'k').aggregate([('v', 'sum')])\n")
+    assert [line for line, _ in _second_plans(src)] == [1, 2]

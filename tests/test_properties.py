@@ -219,34 +219,51 @@ def test_shared_summary_row_equals_registry_calls(zoned, n, kind, special,
                     if mid != "determination_coefficient":
                         assert _same(direct, ref[mid]), mid
 
-def test_grouped_count_sum_bucketed_parity(ray_session):
-    """The hash-bucketed combine must agree exactly with the Ray-native
-    sort-aggregate path on a multi-key, mostly-unique-key input (the
-    regime it exists for)."""
+def test_merge_partials_bucket_parity(ray_session):
+    """The one partials merge, at one bucket (coalesce) and at many
+    (bucket exchange), over 1 and 8 blocks: counts, sums, minima and
+    maxima equal pandas on integer and string keys, a repeated run gives
+    the same float sums bit for bit, and empty input gives 0 rows."""
     import pandas as pd
     import ray.data as rd
-    from geoflow.functions.agg import (grouped_count_sum,
-                                       grouped_count_sum_bucketed)
+    from geoflow.functions.agg import grouped_count_sum
 
     rng = np.random.default_rng(7)
-    n = 20_000
+    n = 6000
     df = pd.DataFrame({
-        "a": rng.integers(0, 40, n),
-        "b": rng.integers(0, 40, n),
-        "c": rng.integers(0, 7, n),
+        "a": rng.integers(0, 300, n),
+        "b": rng.integers(0, 7, n),
         "v": rng.integers(-1000, 1000, n),
+        "f": rng.normal(size=n),
     })
-    ds = rd.from_pandas(df).repartition(8)
+    key = ["a", "b"]
 
-    def _norm(out):
-        return (out.to_pandas()[["a", "b", "c", "n", "v_sum"]]
-                .sort_values(["a", "b", "c"]).reset_index(drop=True)
-                .astype(np.int64))
+    def _run(ds, buckets):
+        return grouped_count_sum(ds, key, ["v", "f"], min_cols=["v"],
+                                 max_cols=["f"], buckets=buckets).to_pandas()
 
-    native = _norm(grouped_count_sum(ds, ["a", "b", "c"], ["v"]))
-    bucketed = _norm(grouped_count_sum_bucketed(ds, ["a", "b", "c"],
-                                                ["v"], num_buckets=5))
-    pd.testing.assert_frame_equal(native, bucketed)
+    for frame in (df, df.assign(a="k" + df["a"].astype(str))):
+        exp = (frame.groupby(key).agg(n=("v", "size"), v_sum=("v", "sum"),
+                                      f_sum=("f", "sum"), v_min=("v", "min"),
+                                      f_max=("f", "max"))
+               .reset_index())
+        for blocks in (1, 8):
+            ds = rd.from_pandas(frame).repartition(blocks).materialize()
+            for buckets in (1, 5, 64):
+                got = _run(ds, buckets)
+                assert list(got.columns) == ["a", "b", "n", "v_sum", "f_sum",
+                                             "v_min", "f_max"]
+                got = got.sort_values(key).reset_index(drop=True)
+                for c in ("a", "b", "n", "v_sum", "v_min", "f_max"):
+                    assert got[c].tolist() == exp[c].tolist(), (blocks,
+                                                                buckets, c)
+                np.testing.assert_allclose(got["f_sum"], exp["f_sum"],
+                                           rtol=1e-12, atol=1e-12)
+                again = _run(ds, buckets).sort_values(key)
+                assert again["f_sum"].tolist() == got["f_sum"].tolist()
+
+    for buckets in (1, 5):
+        assert len(_run(rd.from_pandas(df.iloc[:0]), buckets).index) == 0
 
 
 def test_nonempty_block_helpers(ray_session):

@@ -107,3 +107,28 @@ def test_export_rank_report(zoned_fixture, tmp_path):
     back = pd.read_parquet(tmp_path / "scores.parquet")
     assert list(back.columns) == ["zone", "correction", "Score"]
     assert list(zip(back["zone"], back["correction"])) == list(scores.index)
+
+
+def test_fit_coefficients_repeat_per_blocking(zoned_fixture):
+    """Repeated fits over one blocking give ``==`` coefficients (the
+    merge's float sums do not depend on task completion order); across
+    blockings they agree to 1e-12 relative."""
+    from geoflow.pipelines.correction import prepare_terrain
+    from geoflow.stages.corrections import fit_corrections
+
+    def _flat(coeffs):
+        return {(rid, b, k): v for rid, c in coeffs.items()
+                for b, kv in c["bands"].items() for k, v in kv.items()}
+
+    fits = {}
+    for n in (1, 4, 8):
+        terrain = prepare_terrain(zoned_fixture[0].repartition(n),
+                                  CTX).materialize()
+        runs = [_flat(fit_corrections(terrain, CTX))
+                for _ in range(1 if n == 1 else 3)]
+        assert all(r == runs[0] for r in runs[1:]), n
+        fits[n] = runs[0]
+    for n in (4, 8):
+        assert fits[n].keys() == fits[1].keys()
+        for k, v in fits[1].items():
+            assert abs(fits[n][k] - v) <= 1e-12 * abs(v), (n, k)
