@@ -173,9 +173,7 @@ def bench_corrections(raster_path: str) -> float:
 def bench_queries(sf_dir: str) -> dict[str, float]:
     from geoflow.pipelines.queries import QUERIES
 
-    names = ["q1_pricing_summary", "filtered_revenue", "orders_by_nation",
-             "dedup_exact_docs", "geo_zonal_docs", "revenue_by_region",
-             "quantity_quantiles", "nearest_site_docs"]
+    names = ["dedup_exact_docs", "geo_zonal_docs", "nearest_site_docs"]
     times = {}
     for name in names:
         t0 = time.time()

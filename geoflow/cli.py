@@ -6,7 +6,7 @@ Usage (on a cluster)::
     ray job submit --working-dir . -- python -m geoflow.cli flagship \
         --pages-dir s3://bucket/pages --work-dir s3://bucket/work
     ray job submit --working-dir . -- python -m geoflow.cli query \
-        revenue_by_region --sf-dir /data/sf1 --output /data/out
+        dedup_exact_docs --sf-dir /data/sf1 --output /data/out
 
 and locally (sandbox evidence) the same commands run against
 ``RAY_ADDRESS=local``. This module OWNS a Ray session when run as a

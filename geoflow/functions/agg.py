@@ -29,7 +29,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .joins import _mix64, estimate_size_bytes
+from .joins import _mix64
 
 BUCKETS = 64    # default exchange width of merge_partials
 
@@ -169,179 +169,11 @@ def grouped_count_sum(ds, key_cols: list[str], sum_cols: list[str],
                           min_cols, max_cols, buckets)
 
 
-def quantile_from_counts(values, counts, q: float) -> float:
-    """Linear-interpolated quantile (numpy/DuckDB ``quantile_cont``
-    semantics) from a (value -> count) histogram, without expanding it."""
-    order = np.argsort(values)
-    v = np.asarray(values, dtype=np.float64)[order]
-    cum = np.cumsum(np.asarray(counts, dtype=np.int64)[order])
-    n = int(cum[-1])
-    h = (n - 1) * q
-    lo = int(np.floor(h))
-    hi = min(lo + 1, n - 1)
-    x_lo = v[np.searchsorted(cum, lo, side="right")]
-    x_hi = v[np.searchsorted(cum, hi, side="right")]
-    return float(x_lo + (h - lo) * (x_hi - x_lo))
-
-
-def grouped_exact_quantiles(ds, key_cols: list[str], value_col: str,
-                            qs: dict[str, float],
-                            count_alias: str = "n") -> pd.DataFrame:
-    """EXACT grouped quantiles for a bounded-cardinality value column.
-
-    Quantiles are holistic (a naive plan ships every row through the
-    shuffle), but when the value domain is bounded (quantities, sizes,
-    scores, binned floats) the distributed part reduces to an algebraic
-    value-count histogram: per-batch combine on (key, value), a groupby
-    over O(keys x distinct-values) partial rows, then an O(1) driver
-    interpolation per group. Shuffle volume is independent of row count
-    — the same plan holds at 10^12 rows.
-
-    ``qs`` maps output column name -> quantile in [0, 1].
-    """
-    hist = grouped_count_sum(ds, key_cols + [value_col], [],
-                             count_alias="_vc").to_pandas()
-    rows = []
-    for key, g in hist.groupby(key_cols, sort=True, observed=True):
-        key = key if isinstance(key, tuple) else (key,)
-        row = dict(zip(key_cols, key))
-        row[count_alias] = int(g["_vc"].sum())
-        for name, q in qs.items():
-            row[name] = quantile_from_counts(
-                g[value_col].to_numpy(), g["_vc"].to_numpy(), q)
-        rows.append(row)
-    return pd.DataFrame(rows)
-
-
-def profile_columns(ds, cols: list[str]):
-    """ANALYZE-style column statistics in ONE streaming pass: per
-    column (row count, null count, min, max) via batch-level Arrow
-    kernels reduced by a constant-key groupby — the stats catalog a
-    planner prunes and sizes with (zone maps, join-side choice,
-    bucket counts). Min/max are emitted as strings so one schema
-    covers every column type; numeric columns stringify via repr of
-    the Arrow scalar (deterministic).
-    """
-    import pyarrow.compute as pc
-
-    def _partial(b: pa.Table) -> pa.Table:
-        names, n, nn, mn, mx = [], [], [], [], []
-        for c in cols:
-            col = b.column(c)
-            names.append(c)
-            n.append(len(col))
-            nn.append(col.null_count)
-            valid = col.drop_null()
-            if len(valid) == 0:
-                mn.append(None)
-                mx.append(None)
-            else:
-                mm = pc.min_max(valid)
-                mn.append(str(mm["min"].as_py()))
-                mx.append(str(mm["max"].as_py()))
-        return pa.table({
-            "column": pa.array(names, pa.string()),
-            "_n": pa.array(n, pa.int64()),
-            "_nn": pa.array(nn, pa.int64()),
-            "_mn": pa.array(mn, pa.string()),
-            "_mx": pa.array(mx, pa.string())})
-
-    partials = ds.map_batches(_partial, batch_format="pyarrow")
-
-    def _combine(g: pd.DataFrame) -> pd.DataFrame:
-        # strings compare lexically; numeric columns need numeric
-        # compare — recompare as float when every value parses
-        vals_mn = [v for v in g["_mn"] if v is not None]
-        vals_mx = [v for v in g["_mx"] if v is not None]
-
-        def _best(vals, take_max):
-            if not vals:
-                return None
-            try:
-                xs = [float(v) for v in vals]
-                i = int(np.argmax(xs) if take_max else np.argmin(xs))
-                return vals[i]
-            except ValueError:
-                return max(vals) if take_max else min(vals)
-
-        return pd.DataFrame([{
-            "column": g["column"].iloc[0],
-            "n_rows": int(g["_n"].sum()),
-            "n_null": int(g["_nn"].sum()),
-            "min_val": _best(vals_mn, False),
-            "max_val": _best(vals_mx, True)}])
-
-    return partials.groupby("column").map_groups(
-        _combine, batch_format="pandas")
-
-
-def nonempty_batches(ds, **kwargs):
-    """``iter_batches(batch_format="pyarrow")`` with zero-row batches
-    skipped. Ray's sort-based shuffle (groupby / sort / repartition)
-    can emit zero-row blocks whose schema is EMPTY (no columns at
-    all); indexing a column on such a batch raises KeyError, and only
-    at some block-to-task placements (so only at some CPU counts)."""
-    for b in ds.iter_batches(batch_format="pyarrow", **kwargs):
-        if b.num_rows > 0:
-            yield b
-
-
-def skip_empty(fn, schema: pa.Schema):
-    """Wrap a ``map_batches`` fn so zero-row input blocks (which after a
-    shuffle may carry an EMPTY schema and so cannot be column-indexed)
-    short-circuit to a typed empty table with the declared output
-    schema. Declaring the schema also keeps every output block
-    schema-identical, silencing Ray's "RefBundle with a different
-    schema" warnings for the stage."""
-    def _wrapped(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return schema.empty_table()
-        return fn(b)
-    return _wrapped
-
-
 def iter_cap(state_ds, floor: int = 16) -> int:
     """Per-round block cap for iterative BSP loops, taken ONCE from the
     materialized initial state so it scales with the data (node-table
     blocks grow with corpus size) but stays constant across rounds."""
     return max(floor, state_ds.num_blocks())
-
-
-def estimate_num_blocks(ds) -> int | None:
-    """Cheap plan-time block-count estimate: input bytes divided by the
-    context's target block size. Parquet reads report 1 plan-time block
-    (file splitting is decided at execution), so byte size is the only
-    honest pre-execution signal; used to decide whether a reduce needs
-    an intermediate tree-merge level, where approximate is fine."""
-    from ray.data import DataContext
-
-    sz = estimate_size_bytes(ds)
-    if sz is None:
-        return None
-    tgt = DataContext.get_current().target_max_block_size or (128 << 20)
-    return max(1, -(-sz // tgt))
-
-
-def tree_merge(partials, merge_fn, fanin: int, num_blocks_hint: int | None):
-    """Insert intermediate merge levels between per-block partials and a
-    terminal single-block reduce, so the final reduce's fan-in is
-    bounded by ``fanin`` regardless of block count (at 10^6 input
-    blocks a single coalesce/driver merge receives 10^6 partials; the
-    tree keeps every task's input ~fanin partials).
-
-    ``merge_fn`` must be associative over whole partial blocks (it maps
-    one coalesced Arrow block of partials to one merged partial block).
-    Levels repeat until the (estimated) block count is within fanin;
-    exactness is preserved because each level applies the same
-    deterministic merge the terminal reduce would.
-    """
-    fanin = max(2, fanin)            # fanin 1 would never converge
-    nb = num_blocks_hint
-    while nb is not None and nb > fanin:
-        nb = max(1, -(-nb // fanin))
-        partials = coalesce_blocks(partials, nb).map_batches(
-            merge_fn, batch_format="pyarrow", batch_size=None)
-    return partials
 
 
 def coalesce_blocks(ds, num_blocks: int):

@@ -1,18 +1,11 @@
-"""Distributed joins: broadcast (small side) and bucketed hash (both large).
+"""Distributed join of two large Datasets: the bucketed hash join.
 
-Patterns per the Ray Data guidance (ray_guide "Joins and lookups"):
-
-- small side -> broadcast: ``ray.put`` the lookup once, map over the big
-  side (``broadcast_lookup`` — vectorized searchsorted probe, no Python
-  loop, no shuffle).
-- both sides large -> ONE-shuffle partitioned hash join: tag each side,
-  union the two datasets under a common nullable schema, group by the
-  key-hash bucket, and pandas-merge the two sides inside each group.
-  Every row moves exactly once; bucket count bounds reducer memory and
-  is derived from the input size estimate (``_auto_buckets``) unless
-  pinned. Hot join keys can be pre-salted on the probe side with the
-  same mechanism as geoflow.stages.skew (replicate the build rows per
-  salt).
+ONE-shuffle partitioned hash join: tag each side, union the two
+datasets under one common schema (each side's missing columns padded
+with typed nulls), group by the key-hash bucket, and pandas-merge the
+two sides inside each group. Every row moves exactly once; the bucket
+count bounds reducer memory and is derived from the input size
+estimate (``_auto_buckets``) unless pinned.
 
 ``bucketed_hash_join`` is the portable engine operator;
 ``Dataset.join`` exists in recent Ray but its semantics/layout are
@@ -97,7 +90,10 @@ def _auto_buckets(left_ds, right_ds, target_bytes: int = 64 << 20,
 
 
 def _tag_side(side: int, key_col: str, out_key: str, num_buckets: int,
-              all_cols: list[str]):
+              all_cols: list[str], arrow_types: dict):
+    """map_batches fn: one side's rows -> the join's common schema.
+    Columns of the other side are padded with nulls of their target
+    type, so both sides' blocks carry identical schemas in the union."""
     def _f(b: pa.Table) -> pa.Table:
         keys = b.column(key_col).to_numpy().astype(np.int64)
         bucket = (_mix64(keys) % np.uint64(num_buckets)).astype(np.int32)
@@ -110,14 +106,14 @@ def _tag_side(side: int, key_col: str, out_key: str, num_buckets: int,
             if c in b.column_names:
                 cols[c] = b.column(c)
             else:
-                cols[c] = pa.nulls(len(keys))
+                cols[c] = pa.nulls(len(keys), arrow_types[c])
         return pa.table(cols)
     return _f
 
 
 def bucketed_hash_join(left_ds, right_ds, left_key: str, right_key: str,
-                       num_buckets: int | None = None, how: str = "inner"):
-    """Inner/left join of two large Datasets on int64 keys.
+                       num_buckets: int | None = None):
+    """Inner join of two large Datasets on int64 keys.
 
     Output columns: ``_key`` + all non-key columns of both sides.
     One groupby shuffle total; within each bucket group a pandas merge
@@ -134,11 +130,12 @@ def bucketed_hash_join(left_ds, right_ds, left_key: str, right_key: str,
     if overlap:
         raise ValueError(f"column collision: {overlap}")
     all_cols = left_cols + right_cols
-    # target dtypes: the union pads the other side's columns with nulls,
-    # which turns int columns float in pandas — restore after the merge.
-    # A side may carry a PandasBlockSchema (e.g. the output of a
-    # previous bucketed join feeding a chained one): its types are
-    # numpy dtypes, mapped through from_numpy_dtype when possible.
+    # target dtypes: the union pads each side's missing columns with
+    # nulls of these types, and the nulls turn int columns float in
+    # pandas — restore after the merge. A side may carry a
+    # PandasBlockSchema (e.g. the output of a previous bucketed join
+    # feeding a chained one): its types are numpy dtypes, mapped through
+    # from_numpy_dtype when possible (an object column stays untyped).
     def _atype(t):
         if isinstance(t, pa.DataType):
             return t
@@ -156,17 +153,19 @@ def bucketed_hash_join(left_ds, right_ds, left_key: str, right_key: str,
                 if pa.types.is_integer(arrow_types.get(c, pa.null()))]
 
     tagged_left = left_ds.map_batches(
-        _tag_side(0, left_key, "_key", num_buckets, all_cols),
+        _tag_side(0, left_key, "_key", num_buckets, all_cols,
+                  arrow_types),
         batch_format="pyarrow")
     tagged_right = right_ds.map_batches(
-        _tag_side(1, right_key, "_key", num_buckets, all_cols),
+        _tag_side(1, right_key, "_key", num_buckets, all_cols,
+                  arrow_types),
         batch_format="pyarrow")
     unioned = tagged_left.union(tagged_right)
 
     def _join_bucket(g: pd.DataFrame) -> pd.DataFrame:
         lt = g[g["_side"] == 0][["_key"] + left_cols]
         rt = g[g["_side"] == 1][["_key"] + right_cols]
-        out = lt.merge(rt, on="_key", how=how)
+        out = lt.merge(rt, on="_key")
         for c in int_cols:
             if c in out.columns and out[c].notna().all():
                 out[c] = out[c].astype(np.int64)
@@ -174,57 +173,3 @@ def bucketed_hash_join(left_ds, right_ds, left_key: str, right_key: str,
 
     return unioned.groupby("_bucket").map_groups(
         _join_bucket, batch_format="pandas")
-
-
-def broadcast_lookup(ds, key_col: str, lookup_keys: np.ndarray,
-                     lookup_values: np.ndarray, out_col: str,
-                     drop_missing: bool = False):
-    """Map a key column through a small broadcast lookup, vectorized.
-
-    The (sorted-keys, values) arrays go into the object store ONCE via
-    ``ray.put`` and every map task probes them with ``np.searchsorted``
-    — no per-row Python, no O(rows) driver dict pickled into closures.
-    Missing keys raise unless ``drop_missing`` (then rows are filtered).
-    """
-    import ray
-
-    order = np.argsort(lookup_keys, kind="stable")
-    sk = np.ascontiguousarray(np.asarray(lookup_keys)[order])
-    sv = np.asarray(lookup_values)[order]
-    ref = ray.put((sk, sv))
-
-    def _probe(b: pa.Table) -> pa.Table:
-        keys, vals = ray.get(ref)
-        k = b.column(key_col).to_numpy().astype(keys.dtype, copy=False)
-        idx = np.searchsorted(keys, k)
-        idx_c = np.clip(idx, 0, len(keys) - 1)
-        hit = keys[idx_c] == k
-        if not hit.all():
-            if drop_missing:
-                b = b.filter(pa.array(hit))
-                idx_c = idx_c[hit]
-            else:
-                missing = np.asarray(k)[~hit][:5]
-                raise KeyError(f"lookup miss for keys {missing.tolist()}")
-        return b.append_column(out_col, pa.array(vals[idx_c]))
-
-    return ds.map_batches(_probe, batch_format="pyarrow")
-
-
-def broadcast_semi_join(ds, key_col: str, keys: np.ndarray,
-                        anti: bool = False):
-    """Semi/anti join against a broadcast key set — ``np.isin`` on the
-    key array per batch (vectorized), keyset shipped via ``ray.put``."""
-    import ray
-
-    ref = ray.put(np.sort(np.asarray(keys)))
-
-    def _filter(b: pa.Table) -> pa.Table:
-        ks = ray.get(ref)
-        k = b.column(key_col).to_numpy().astype(ks.dtype, copy=False)
-        idx = np.searchsorted(ks, k)
-        idx_c = np.clip(idx, 0, max(len(ks) - 1, 0))
-        hit = (ks[idx_c] == k) if len(ks) else np.zeros(len(k), dtype=bool)
-        return b.filter(pa.array(~hit if anti else hit))
-
-    return ds.map_batches(_filter, batch_format="pyarrow")

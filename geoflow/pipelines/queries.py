@@ -7,24 +7,19 @@ order-insensitive value hash). Conventions that make the comparison
 robust (see SURVEY.md section 7.4 "Ordering"):
 
 - aggregate/computed columns carry identical names in Ray and SQL;
-- float outputs are rounded (4 decimals for decimal-exact money sums,
+- float outputs are rounded (2-4 decimals for sums,
   6 for ratios/averages) on BOTH sides, so summation-order noise
   (~1e-10 relative) cannot flip the hash; at >= 3 decimals no double
   sits exactly on a rounding boundary, so banker's-vs-half-away
   differences cannot trigger;
-- joins keep the small side broadcast (customer/nation lookup dicts via
-  driver read + closure capture) — no shuffle joins for dimension
-  tables;
 - deterministic geocoding (geoflow.stages.geocode.geocode_doc_ids) is
   pure 32-bit integer arithmetic replayed verbatim in SQL, with
   double-precision expressions written in the same operation order so
   lat/lon are bit-identical between numpy and DuckDB.
 
-Four self-checking entries carry no SQL: ``flagship_zonal`` and
+Two self-checking entries carry no SQL: ``flagship_zonal`` and
 ``raster_pages_cell_join`` are the plain twins of the oracle-bearing
-``*_verified`` queries, and ``approx_distinct_orderkeys`` and
-``approx_quantiles_price`` assert their HLL and KLL error bounds against
-an exact pass in-query.
+``*_verified`` queries.
 """
 
 from __future__ import annotations
@@ -70,341 +65,6 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
-# Build sides up to this many rows are attached via the vectorized
-# broadcast lookup (ray.put'd sorted arrays, searchsorted probe); larger
-# build sides route through the one-shuffle bucketed hash join. Tests
-# monkeypatch this to 0 to exercise the shuffle path on small data.
-BROADCAST_ROW_LIMIT = 5_000_000
-
-
-def _attach_dim(ds, key_col: str, dim_keys: np.ndarray, dim_vals,
-                out_col: str, dim_ds=None):
-    """Attach a dimension column to a fact Dataset.
-
-    Small build side -> broadcast_lookup (no shuffle, no per-row
-    Python). Large build side (O(SF) tables like customer at high SF)
-    -> bucketed_hash_join against ``dim_ds`` (a DATASET of
-    (_dimkey, out_col) rows) so nothing build-side-sized touches the
-    driver; without dim_ds the arrays are lifted into a Dataset (still
-    avoids pickling them into every task closure).
-    """
-    from ..functions.joins import broadcast_lookup, bucketed_hash_join
-
-    dim_keys = np.asarray(dim_keys, dtype=np.int64) \
-        if dim_keys is not None else None
-    if dim_keys is not None and len(dim_keys) <= BROADCAST_ROW_LIMIT:
-        return broadcast_lookup(ds, key_col, dim_keys,
-                                np.asarray(dim_vals), out_col)
-    if dim_ds is None:
-        import ray.data as rd
-        dim_ds = rd.from_arrow(pa.table({
-            "_dimkey": pa.array(dim_keys, pa.int64()),
-            out_col: pa.array(np.asarray(dim_vals))}))
-    joined = bucketed_hash_join(ds, dim_ds, key_col, "_dimkey")
-    # restore the fact key's name (join emits it as _key)
-    return joined.map_batches(
-        lambda b: b.rename_columns(
-            [key_col if c == "_key" else c for c in b.column_names]),
-        batch_format="pyarrow")
-
-
-def _attach_customer_dim(fact_ds, fact_key: str, sf_dir: str, out_col: str,
-                         value_of_nation: dict):
-    """customer-keyed dimension attach that never materializes customer
-    on the driver above the broadcast limit: the row count comes from
-    parquet metadata, and the large path maps the 25-entry nation dict
-    over the customer DATASET and routes through the bucketed join."""
-    cust_ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    if cust_ds.count() <= BROADCAST_ROW_LIMIT:     # metadata, no execution
-        cust = cust_ds.to_pandas()
-        return _attach_dim(fact_ds, fact_key,
-                           cust["c_custkey"].to_numpy(dtype=np.int64),
-                           cust["c_nationkey"].map(value_of_nation).to_numpy(),
-                           out_col)
-
-    def _dim(b: pa.Table) -> pa.Table:
-        nk = b.column("c_nationkey").to_numpy()
-        vals = [value_of_nation[int(k)] for k in nk.tolist()]
-        return pa.table({"_dimkey": pc.cast(b.column("c_custkey"), pa.int64()),
-                         out_col: pa.array(vals)})
-
-    return _attach_dim(fact_ds, fact_key, None, None, out_col,
-                       dim_ds=cust_ds.map_batches(_dim,
-                                                  batch_format="pyarrow"))
-
-
-# ---------------------------------------------------------------------------
-# TPC-H-ish relational coverage
-# ---------------------------------------------------------------------------
-
-@register("q1_pricing_summary", sql="""
-SELECT l_returnflag, l_linestatus,
-       round(sum(l_quantity), 4)                          AS sum_qty,
-       CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)) AS BIGINT)
-                                                          AS sum_base_cents,
-       CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 10000)
-                     AS BIGINT)) AS BIGINT)               AS sum_disc_e4,
-       round(sum(l_quantity) / count(*), 6)               AS avg_qty,
-       count(*)                                           AS n_rows
-FROM lineitem
-GROUP BY l_returnflag, l_linestatus
-""")
-def q1_pricing_summary(sf_dir: str):
-    # Money sums are decimal-exact (2/4-decimal inputs), so they are
-    # summed as scaled int64 — exact and independent of summation order
-    # (a double sum of ~5e9 carries ~1e-4 order noise, which a 4-decimal
-    # round cannot absorb at sf>=0.1).
-    ds = _read(sf_dir, "lineitem",
-               ["l_returnflag", "l_linestatus", "l_quantity",
-                "l_extendedprice", "l_discount"])
-
-    def _prep(b: pa.Table) -> pa.Table:
-        price = b.column("l_extendedprice").to_numpy()
-        disc = b.column("l_discount").to_numpy()
-        return pa.table({
-            "l_returnflag": b.column("l_returnflag"),
-            "l_linestatus": b.column("l_linestatus"),
-            "l_quantity": b.column("l_quantity"),
-            "base_cents": np.round(price * 100).astype(np.int64),
-            "disc_e4": np.round(price * (1 - disc) * 10000).astype(np.int64),
-        })
-
-    agg = grouped_count_sum(
-        ds.map_batches(_prep, batch_format="pyarrow"),
-        ["l_returnflag", "l_linestatus"],
-        ["l_quantity", "base_cents", "disc_e4"],
-        count_alias="n_rows", buckets=1)
-
-    def _final(b: pa.Table) -> pa.Table:
-        n = b.column("n_rows").to_numpy().astype(np.float64)
-        return pa.table({
-            "l_returnflag": b.column("l_returnflag"),
-            "l_linestatus": b.column("l_linestatus"),
-            "sum_qty": np.round(b.column("l_quantity_sum").to_numpy(), 4),
-            "sum_base_cents": b.column("base_cents_sum"),
-            "sum_disc_e4": b.column("disc_e4_sum"),
-            "avg_qty": np.round(b.column("l_quantity_sum").to_numpy() / n, 6),
-            "n_rows": b.column("n_rows"),
-        })
-
-    return agg.map_batches(_final, batch_format="pyarrow")
-
-
-@register("filtered_revenue", sql="""
-SELECT l_orderkey, l_linenumber,
-       round(l_extendedprice * (1 - l_discount), 4) AS revenue
-FROM lineitem
-WHERE l_shipdate >= TIMESTAMP '1995-06-01' AND l_discount > 0.05
-""")
-def filtered_revenue(sf_dir: str):
-    import pyarrow.dataset as pads
-    import ray.data as rd
-
-    # predicate pushdown: both filters evaluate inside the Parquet scan
-    # (row-group statistics prune whole groups before decode) — at
-    # 10^12 rows this is the difference between reading the selected
-    # ~25% and reading everything to filter in-memory
-    pushdown = ((pads.field("l_shipdate")
-                 >= pa.scalar(np.datetime64("1995-06-01", "us")))
-                & (pads.field("l_discount") > pa.scalar(0.05)))
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", filter=pushdown,
-        columns=["l_orderkey", "l_linenumber", "l_extendedprice",
-                 "l_discount", "l_shipdate"])
-
-    def _f(b: pa.Table) -> pa.Table:
-        rev = pc.multiply(b.column("l_extendedprice"),
-                          pc.subtract(pa.scalar(1.0), b.column("l_discount")))
-        return pa.table({
-            "l_orderkey": b.column("l_orderkey"),
-            "l_linenumber": b.column("l_linenumber"),
-            "revenue": np.round(rev.to_numpy(zero_copy_only=False), 4),
-        })
-
-    return ds.map_batches(_f, batch_format="pyarrow")
-
-
-@register("orders_by_nation", sql="""
-SELECT n_name, count(*) AS n_orders,
-       CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT)
-           AS total_cents
-FROM orders JOIN customer ON o_custkey = c_custkey
-            JOIN nation ON c_nationkey = n_nationkey
-GROUP BY n_name
-""")
-def orders_by_nation(sf_dir: str):
-    # customer -> nation collapses into ONE lookup column; the probe is
-    # vectorized searchsorted over ray.put arrays (broadcast) or a
-    # bucketed hash join against the customer DATASET when it outgrows
-    # the broadcast limit (only the 25-entry nation dict is driver-side)
-    nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    nation_of = dict(zip(nat["n_nationkey"].astype(int), nat["n_name"]))
-
-    ds = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-
-    def _cents(b: pa.Table) -> pa.Table:
-        cents = np.round(
-            b.column("o_totalprice").to_numpy() * 100).astype(np.int64)
-        return pa.table({"o_custkey": b.column("o_custkey"),
-                         "cents": pa.array(cents)})
-
-    tagged = _attach_customer_dim(
-        ds.map_batches(_cents, batch_format="pyarrow"),
-        "o_custkey", sf_dir, "n_name", nation_of)
-    agg = grouped_count_sum(tagged, ["n_name"], ["cents"],
-                            count_alias="n_orders", buckets=1)
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "n_name": b.column("n_name"),
-            "n_orders": b.column("n_orders"),
-            "total_cents": b.column("cents_sum"),
-        })
-
-    return agg.map_batches(_final, batch_format="pyarrow")
-
-
-@register("brand_part_stats", sql="""
-SELECT p_brand, count(*) AS n_parts,
-       round(sum(p_retailprice) / count(*), 6) AS avg_price,
-       max(p_size) AS max_size
-FROM part GROUP BY p_brand
-""")
-def brand_part_stats(sf_dir: str):
-    ds = _read(sf_dir, "part", ["p_brand", "p_retailprice", "p_size"])
-    agg = grouped_count_sum(ds, ["p_brand"], ["p_retailprice"],
-                            count_alias="n_parts", max_cols=["p_size"])
-
-    def _final(b: pa.Table) -> pa.Table:
-        n = b.column("n_parts").to_numpy().astype(np.float64)
-        return pa.table({
-            "p_brand": b.column("p_brand"),
-            "n_parts": b.column("n_parts"),
-            "avg_price": np.round(b.column("p_retailprice_sum").to_numpy() / n, 6),
-            "max_size": b.column("p_size_max"),
-        })
-
-    return agg.map_batches(_final, batch_format="pyarrow")
-
-
-@register("supplier_by_nation", sql="""
-SELECT n_name, count(*) AS n_suppliers, round(sum(s_acctbal), 4) AS total_acctbal
-FROM supplier JOIN nation ON s_nationkey = n_nationkey
-GROUP BY n_name
-""")
-def supplier_by_nation(sf_dir: str):
-    nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    ds = _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
-    tagged = _attach_dim(ds, "s_nationkey",
-                         nat["n_nationkey"].to_numpy(dtype=np.int64),
-                         nat["n_name"].to_numpy(), "n_name")
-    agg = grouped_count_sum(tagged, ["n_name"], ["s_acctbal"],
-                            count_alias="n_suppliers")
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "n_name": b.column("n_name"),
-            "n_suppliers": b.column("n_suppliers"),
-            "total_acctbal": np.round(b.column("s_acctbal_sum").to_numpy(), 4),
-        })
-
-    return agg.map_batches(_final, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# Events: top-k
-# ---------------------------------------------------------------------------
-
-@register("top_users_by_value", sql="""
-SELECT user_id, round(sum(value), 4) AS total_value
-FROM events GROUP BY user_id
-ORDER BY sum(value) DESC, user_id LIMIT 10
-""")
-def top_users_by_value(sf_dir: str):
-    ds = _read(sf_dir, "events", ["user_id", "value"])
-    agg = grouped_count_sum(ds, ["user_id"], ["value"], count_alias="_c")
-    top = agg.sort(["value_sum", "user_id"], descending=[True, False]).limit(10)
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": b.column("user_id"),
-            "total_value": np.round(b.column("value_sum").to_numpy(), 4),
-        })
-
-    return top.map_batches(_final, batch_format="pyarrow")
-
-
-@register("customers_without_big_orders", sql="""
-SELECT c_custkey, c_mktsegment FROM customer
-WHERE c_custkey NOT IN
-      (SELECT o_custkey FROM orders WHERE o_totalprice > 300000)
-""")
-def customers_without_big_orders(sf_dir: str):
-    """Anti join via broadcast key set (ray_guide: semi/anti joins are a
-    broadcast of the key set + a vectorized filter, never a shuffle).
-    The distinct big-order custkeys are reduced DISTRIBUTED (unique),
-    shipped once via ray.put, and probed with vectorized searchsorted —
-    no per-row Python, no driver set in the task closure."""
-    from ..functions.joins import broadcast_semi_join
-
-    big = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
-        lambda b: b.filter(pc.greater(b.column("o_totalprice"),
-                                      pa.scalar(300000.0))),
-        batch_format="pyarrow")
-    keys = np.asarray(big.unique("o_custkey"), dtype=np.int64)
-    ds = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    return broadcast_semi_join(ds, "c_custkey", keys, anti=True)
-
-
-@register("distinct_langs", sql="""
-SELECT DISTINCT lang FROM documents
-""")
-def distinct_langs(sf_dir: str):
-    import ray.data as rd
-    langs = _read(sf_dir, "documents", ["lang"]).unique("lang")
-    return pd.DataFrame({"lang": sorted(langs)})
-
-
-@register("order_lineitem_revenue", sql="""
-SELECT o_orderpriority, count(*) AS n_items,
-       CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 10000)
-                     AS BIGINT)) AS BIGINT) AS revenue_e4
-FROM orders JOIN lineitem ON o_orderkey = l_orderkey
-GROUP BY o_orderpriority
-""")
-def order_lineitem_revenue(sf_dir: str):
-    """Both-sides-large join: bucketed one-shuffle hash join
-    (geoflow.functions.joins), then a pre-aggregated groupby."""
-    from ..functions.joins import bucketed_hash_join
-
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    lineitem = _read(sf_dir, "lineitem",
-                     ["l_orderkey", "l_extendedprice", "l_discount"])
-
-    def _rev(b: pa.Table) -> pa.Table:
-        price = b.column("l_extendedprice").to_numpy()
-        disc = b.column("l_discount").to_numpy()
-        return pa.table({
-            "l_orderkey": b.column("l_orderkey"),
-            "rev_e4": np.round(price * (1 - disc) * 10000).astype(np.int64),
-        })
-
-    joined = bucketed_hash_join(
-        orders, lineitem.map_batches(_rev, batch_format="pyarrow"),
-        "o_orderkey", "l_orderkey")
-    agg = grouped_count_sum(joined, ["o_orderpriority"], ["rev_e4"],
-                            count_alias="n_items")
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderpriority": b.column("o_orderpriority"),
-            "n_items": b.column("n_items"),
-            "revenue_e4": b.column("rev_e4_sum"),
-        })
-
-    return agg.map_batches(_final, batch_format="pyarrow")
-
-
 # ---------------------------------------------------------------------------
 # Documents: text analysis, dedup, geocoding / zonal / spatial joins
 # ---------------------------------------------------------------------------
@@ -438,47 +98,6 @@ def doc_token_stats(sf_dir: str):
             "total_tokens": b.column("n_tokens_sum"),
             "avg_chars": np.round(
                 b.column("n_chars_sum").to_numpy() * 1.0 / n, 6),
-        })
-
-    return agg.map_batches(_final, batch_format="pyarrow")
-
-
-@register("doc_char_ratios", sql="""
-SELECT source, count(*) AS n_docs,
-       round(sum(len(regexp_extract_all(text, '[a-zA-Z]')) * 1.0 / len(text))
-             / count(*), 6) AS avg_alpha_ratio,
-       round(sum(len(regexp_extract_all(text, '[0-9]')) * 1.0 / len(text))
-             / count(*), 6) AS avg_digit_ratio
-FROM documents GROUP BY source
-""")
-def doc_char_ratios(sf_dir: str):
-    ds = _read(sf_dir, "documents", ["source", "text"])
-
-    def _ratios(b: pa.Table) -> pa.Table:
-        ln = pc.utf8_length(b.column("text")).to_numpy().astype(np.float64)
-        alpha = pc.count_substring_regex(
-            b.column("text"), pattern="[a-zA-Z]").to_numpy() * 1.0 / ln
-        digit = pc.count_substring_regex(
-            b.column("text"), pattern="[0-9]").to_numpy() * 1.0 / ln
-        return pa.table({
-            "source": b.column("source"),
-            "alpha_ratio": pa.array(alpha),
-            "digit_ratio": pa.array(digit),
-        })
-
-    agg = grouped_count_sum(ds.map_batches(_ratios, batch_format="pyarrow"),
-                            ["source"], ["alpha_ratio", "digit_ratio"],
-                            count_alias="n_docs")
-
-    def _final(b: pa.Table) -> pa.Table:
-        n = b.column("n_docs").to_numpy().astype(np.float64)
-        return pa.table({
-            "source": b.column("source"),
-            "n_docs": b.column("n_docs"),
-            "avg_alpha_ratio": np.round(
-                b.column("alpha_ratio_sum").to_numpy() / n, 6),
-            "avg_digit_ratio": np.round(
-                b.column("digit_ratio_sum").to_numpy() / n, 6),
         })
 
     return agg.map_batches(_final, batch_format="pyarrow")
@@ -1001,7 +620,6 @@ def pip_polygon_docs(sf_dir: str):
     oracle replays the even-odd ray-casting test edge-by-edge against
     the polygon table embedded as VALUES literals — identical crossing
     expression, identical operand order, so the parity is exact."""
-    import ray.data as rd
     from ..stages.pip_join import make_polygons, pip_join
 
     docs = _read(sf_dir, "documents", ["doc_id"])
@@ -1214,8 +832,6 @@ def raster_pages_cell_join_verified(sf_dir: str):
     asserted against the transcription-oracle golden in-query, the page
     side (doc-id geocode -> res-5 quadtree zone -> grouped stats) and
     the equality join replay bit-exactly in DuckDB."""
-    from ray.data.aggregate import Sum
-
     from ..oracle.fixture_goldens import golden_raster_zonal_join_side
     from ..stages import cells as cellmod
     from ..stages.zonal import RasterGeo, raster_zonal_stats
@@ -1274,203 +890,8 @@ def multi_criteria_scores(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# Round-1 additions: multi-way join, exact grouped quantiles, per-group
-# top-k — each DuckDB-verified
+# Round-1 additions: nearest-site assignment — DuckDB-verified
 # ---------------------------------------------------------------------------
-
-@register("revenue_by_region", sql="""
-SELECT r_name, count(*) AS n_items,
-       CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 10000)
-                     AS BIGINT)) AS BIGINT) AS revenue_e4
-FROM lineitem JOIN orders   ON l_orderkey = o_orderkey
-              JOIN customer ON o_custkey = c_custkey
-              JOIN nation   ON c_nationkey = n_nationkey
-              JOIN region   ON n_regionkey = r_regionkey
-GROUP BY r_name
-""")
-def revenue_by_region(sf_dir: str):
-    """TPC-H Q5-style 5-table join: the two fixed-size dimension hops
-    (nation -> region) collapse into a 25-entry driver dict; the O(SF)
-    customer build side is attached via _attach_customer_dim (ray.put'd
-    sorted arrays + vectorized searchsorted under the broadcast limit;
-    above it the customer DATASET rides the bucketed hash join and
-    never touches the driver — customer is NOT a dimension at sf1000).
-    The lineitem-orders edge follows the SAME size guard: orders rows
-    (known from parquet metadata, no execution) under
-    BROADCAST_ROW_LIMIT make (o_orderkey -> r_code) a broadcast lookup
-    into the lineitem stream — zero shuffles end to end (the r2 bench
-    regression was this join's shuffle barrier dominating at small
-    data); above the limit it is the bucketed one-shuffle hash join of
-    slim (key, int8-coded region, int64 rev) rows."""
-    from ..functions.joins import broadcast_lookup, bucketed_hash_join
-
-    nat = _read(sf_dir, "nation", ["n_nationkey", "n_regionkey"]).to_pandas()
-    reg = _read(sf_dir, "region", ["r_regionkey", "r_name"]).to_pandas()
-    # dictionary-encode the region INSIDE the shuffle: int codes ride the
-    # join instead of repeated strings; names rebind on the 5-row result
-    code_to_name = list(reg["r_name"])
-    name_to_code = {n: i for i, n in enumerate(code_to_name)}
-    region_code_of_nation = {
-        int(nk): name_to_code[rn]
-        for nk, rn in zip(nat["n_nationkey"],
-                          nat["n_regionkey"].map(dict(zip(
-                              reg["r_regionkey"].astype(int),
-                              reg["r_name"]))))}
-
-    orders_raw = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    n_orders = orders_raw.count()              # parquet metadata only
-    orders = _attach_customer_dim(
-        orders_raw,
-        "o_custkey", sf_dir, "r_code", region_code_of_nation).map_batches(
-        lambda b: b.select(["o_orderkey", "r_code"]), batch_format="pyarrow")
-
-    lineitem = _read(sf_dir, "lineitem",
-                     ["l_orderkey", "l_extendedprice", "l_discount"])
-
-    def _rev(b: pa.Table) -> pa.Table:
-        price = b.column("l_extendedprice").to_numpy()
-        disc = b.column("l_discount").to_numpy()
-        return pa.table({
-            "l_orderkey": b.column("l_orderkey"),
-            "rev_e4": np.round(price * (1 - disc) * 10000).astype(np.int64),
-        })
-
-    li_rev = lineitem.map_batches(_rev, batch_format="pyarrow")
-    if n_orders <= BROADCAST_ROW_LIMIT:
-        odf = orders.to_pandas()               # bounded by the guard
-        joined = broadcast_lookup(
-            li_rev, "l_orderkey",
-            odf["o_orderkey"].to_numpy(dtype=np.int64),
-            odf["r_code"].to_numpy(), "r_code")
-    else:
-        joined = bucketed_hash_join(orders, li_rev,
-                                    "o_orderkey", "l_orderkey")
-    agg = grouped_count_sum(joined, ["r_code"], ["rev_e4"],
-                            count_alias="n_items", buckets=1)
-
-    def _final(b: pa.Table) -> pa.Table:
-        codes = b.column("r_code").to_numpy().astype(np.int64)
-        return pa.table({
-            "r_name": pa.array([code_to_name[c] for c in codes],
-                               pa.string()),
-            "n_items": b.column("n_items"),
-            "revenue_e4": b.column("rev_e4_sum"),
-        })
-
-    return agg.map_batches(_final, batch_format="pyarrow")
-
-
-@register("quantity_quantiles", sql="""
-SELECT l_returnflag, count(*) AS n,
-       round(quantile_cont(l_quantity, 0.25), 6) AS q25,
-       round(quantile_cont(l_quantity, 0.50), 6) AS median,
-       round(quantile_cont(l_quantity, 0.75), 6) AS q75,
-       round(quantile_cont(l_quantity, 0.99), 6) AS p99
-FROM lineitem GROUP BY l_returnflag
-""")
-def quantity_quantiles(sf_dir: str):
-    """EXACT grouped quantiles via the distributed value-count histogram
-    (geoflow.functions.agg.grouped_exact_quantiles): shuffle volume is
-    O(groups x distinct values), independent of row count."""
-    from ..functions.agg import grouped_exact_quantiles
-
-    ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity"])
-    out = grouped_exact_quantiles(
-        ds, ["l_returnflag"], "l_quantity",
-        {"q25": 0.25, "median": 0.50, "q75": 0.75, "p99": 0.99})
-    for c in ("q25", "median", "q75", "p99"):
-        out[c] = out[c].round(6)
-    return out[["l_returnflag", "n", "q25", "median", "q75", "p99"]]
-
-
-@register("lang_source_stats", sql="""
-SELECT lang, source, count(*) AS n_docs,
-       round(sum(n_chars) * 1.0 / count(*), 6) AS avg_chars,
-       max(n_chars) AS max_chars
-FROM documents GROUP BY lang, source
-""")
-def lang_source_stats(sf_dir: str):
-    ds = _read(sf_dir, "documents", ["lang", "source", "n_chars"])
-    agg = grouped_count_sum(ds, ["lang", "source"], ["n_chars"],
-                            count_alias="n_docs", max_cols=["n_chars"])
-
-    def _final(b: pa.Table) -> pa.Table:
-        n = b.column("n_docs").to_numpy().astype(np.float64)
-        return pa.table({
-            "lang": b.column("lang"),
-            "source": b.column("source"),
-            "n_docs": b.column("n_docs"),
-            "avg_chars": np.round(b.column("n_chars_sum").to_numpy() / n, 6),
-            "max_chars": b.column("n_chars_max"),
-        })
-
-    return agg.map_batches(_final, batch_format="pyarrow")
-
-
-@register("top_parts_per_brand", sql="""
-SELECT p_brand, p_partkey, round(p_retailprice, 4) AS price
-FROM (SELECT p_brand, p_partkey, p_retailprice,
-             row_number() OVER (PARTITION BY p_brand
-                                ORDER BY p_retailprice DESC, p_partkey) AS rn
-      FROM part)
-WHERE rn <= 3
-""")
-def top_parts_per_brand(sf_dir: str):
-    """Per-group top-k (SQL window row_number): groupby + map_groups
-    with a deterministic (price desc, key asc) tiebreak. At scale a
-    per-batch local top-k combiner before the shuffle bounds group
-    size — each batch can contribute at most k rows per brand."""
-    ds = _read(sf_dir, "part", ["p_brand", "p_partkey", "p_retailprice"])
-
-    def _local_topk(b: pa.Table) -> pa.Table:
-        df = (b.to_pandas()
-               .sort_values(["p_brand", "p_retailprice", "p_partkey"],
-                            ascending=[True, False, True])
-               .groupby("p_brand", sort=False).head(3))
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def _topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["p_retailprice", "p_partkey"],
-                          ascending=[False, True]).head(3)
-        return pd.DataFrame({
-            "p_brand": g["p_brand"],
-            "p_partkey": g["p_partkey"],
-            "price": g["p_retailprice"].round(4),
-        })
-
-    return (ds.map_batches(_local_topk, batch_format="pyarrow")
-              .groupby("p_brand").map_groups(_topk, batch_format="pandas"))
-
-
-@register("approx_distinct_orderkeys")
-def approx_distinct_orderkeys(sf_dir: str):
-    """HyperLogLog distinct l_orderkey (geoflow.functions.sketch):
-    per-batch 4 KB register partials, elementwise-max merge — distinct
-    counting whose shuffle volume is independent of row count.
-    Rows-only: approximate by construction; the <=5% error bound vs the
-    exact count is asserted both here and in tests/test_sketch.py."""
-    from ..functions.sketch import approx_distinct
-    from ..pipelines.flagship import text_hash64
-
-    ds = _read(sf_dir, "lineitem", ["l_orderkey"])
-
-    def _hash(b: pa.Table) -> np.ndarray:
-        # decorrelate from the sequential key space before HLL
-        k = b.column("l_orderkey").to_numpy().astype(np.uint64)
-        h = (k + np.uint64(0x9E3779B97F4A7C15)) * np.uint64(0xBF58476D1CE4E5B9)
-        h ^= h >> np.uint64(31)
-        h *= np.uint64(0x94D049BB133111EB)
-        return h ^ (h >> np.uint64(29))
-
-    est = approx_distinct(ds, _hash, p=12)
-    exact = int(_read(sf_dir, "lineitem", ["l_orderkey"])
-                .unique("l_orderkey").__len__())
-    rel_err = abs(est - exact) / exact
-    assert rel_err <= 0.05, (est, exact)
-    return pd.DataFrame({"approx_distinct": [int(round(est))],
-                         "exact_distinct": [exact],
-                         "rel_err_pct": [round(100 * rel_err, 3)]})
-
 
 _SITES = [  # (site_id, lat, lon) — 10 well-separated fixed sites
     (0, 40.7, -74.0), (1, 51.5, -0.1), (2, 35.7, 139.7),
@@ -1539,36 +960,9 @@ def nearest_site_docs(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# Round-2 additions: corpus curation, stratified sampling, salted zonal
-# aggregation, exact heavy hitters — each DuckDB-verified
+# Round-2 additions: corpus curation, salted and split zonal aggregation
+# — each DuckDB-verified
 # ---------------------------------------------------------------------------
-
-@register("frequent_tokens", sql=r"""
-WITH tok AS (
-  SELECT unnest(regexp_extract_all(text, '\S+')) AS item FROM documents
-)
-SELECT item, count(*) AS n_occurrences FROM tok
-GROUP BY item
-HAVING count(*) >= 0.005 * (SELECT count(*) FROM tok)
-""")
-def frequent_tokens(sf_dir: str):
-    """EXACT heavy-hitter tokens (>= 0.5% of all occurrences) via the
-    two-pass space-saving + exact-recount plan — the full-cardinality
-    token groupby never runs, yet the result equals the plain GROUP BY
-    ... HAVING oracle exactly."""
-    from ..functions.sketch import frequent_items_exact
-
-    ds = _read(sf_dir, "documents", ["text"])
-
-    def _tokens(b: pa.Table):
-        out = []
-        for t in b.column("text").to_pylist():
-            out.extend((t or "").split())
-        return out
-
-    out, _n = frequent_items_exact(ds, _tokens, phi=0.005)
-    return out[["item", "n_occurrences"]]
-
 
 @register("corpus_curation", sql=r"""
 WITH win AS (
@@ -1639,41 +1033,6 @@ def corpus_curation(sf_dir: str):
             "n_docs": b.column("n_docs"),
             "total_tokens": b.column("n_tokens_sum"),
         }), batch_format="pyarrow")
-
-
-@register("stratified_sample_docs", sql="""
-SELECT lang, doc_id FROM (
-  SELECT lang, doc_id,
-         row_number() OVER (
-             PARTITION BY lang
-             ORDER BY (doc_id * 2654435761 + 99) % 4294967296, doc_id) AS rn
-  FROM documents
-) WHERE rn <= 5
-""")
-def stratified_sample_docs(sf_dir: str):
-    """Deterministic stratified sampling: 5 docs per language, ranked by
-    a key hash (reproducible across runs/cluster sizes — the per-stratum
-    quota pattern for building balanced eval sets). Local per-batch
-    top-k combiner bounds the shuffle at k rows per (batch, lang)."""
-    ds = _read(sf_dir, "documents", ["doc_id", "lang"])
-
-    def _rank(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy().astype(np.uint64)
-        h = (ids * np.uint64(2654435761) + np.uint64(99)) \
-            % np.uint64(4294967296)
-        df = pd.DataFrame({"lang": b.column("lang").to_pylist(),
-                           "doc_id": ids.astype(np.int64),
-                           "_h": h.astype(np.int64)})
-        df = (df.sort_values(["lang", "_h", "doc_id"])
-                .groupby("lang", sort=False).head(5))
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def _topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["_h", "doc_id"]).head(5)
-        return g[["lang", "doc_id"]]
-
-    return (ds.map_batches(_rank, batch_format="pyarrow")
-              .groupby("lang").map_groups(_topk, batch_format="pandas"))
 
 
 @register("zonal_salted_docs", sql=_GEO_SQL_CTE + """
@@ -1780,27 +1139,6 @@ def zonal_split_docs(sf_dir: str):
     rolled["n_docs"] = rolled["n_docs"].astype(np.int64)
     rolled["n_chars_sum"] = rolled["n_chars_sum"].astype(np.int64)
     return rolled
-
-
-@register("sampled_docs", sql="""
-SELECT doc_id, lang, n_chars
-FROM documents
-WHERE (doc_id * 2654435761 + 40503) % 4294967296 % 100 < 10
-""")
-def sampled_docs(sf_dir: str):
-    """Deterministic ~10% Bernoulli sample by key hash — the
-    reproducible sampling pattern for web-scale pipelines (same rows on
-    every run and every cluster size, replayable in SQL; contrast
-    ds.random_sample, whose output depends on block layout)."""
-    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-
-    def _sample(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy().astype(np.uint64)
-        h = (ids * np.uint64(2654435761) + np.uint64(40503)) \
-            % np.uint64(4294967296) % np.uint64(100)
-        return b.filter(pa.array(h < 10))
-
-    return ds.map_batches(_sample, batch_format="pyarrow")
 
 
 def _vec_column_matrix(col) -> np.ndarray:
@@ -1915,80 +1253,6 @@ def url_dedup_pages(sf_dir: str):
         }), batch_format="pyarrow")
 
 
-@register("global_sorted_docs", sql="""
-SELECT CAST(row_number() OVER (ORDER BY n_chars DESC, doc_id) AS BIGINT)
-         AS rank,
-       doc_id, n_chars
-FROM documents ORDER BY n_chars DESC, doc_id LIMIT 100
-""")
-def global_sorted_docs(sf_dir: str):
-    """Distributed global sort (range-partitioned all-to-all) on
-    (n_chars DESC, doc_id) with an explicit rank column — the rank
-    makes result ORDER part of the verified contract, which the
-    driver's order-insensitive hash would otherwise not see. Only the
-    100-row head reaches the driver."""
-    ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
-    head = (ds.sort(["n_chars", "doc_id"], descending=[True, False])
-            .limit(100).to_pandas())
-    head.insert(0, "rank", np.arange(1, len(head) + 1, dtype=np.int64))
-    return head[["rank", "doc_id", "n_chars"]]
-
-
-@register("bloom_semi_revenue", sql="""
-SELECT l_returnflag, CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 10000)
-                     AS BIGINT)) AS BIGINT) AS revenue_e4
-FROM lineitem
-WHERE l_orderkey IN (SELECT o_orderkey FROM orders
-                     WHERE o_totalprice > 300000)
-GROUP BY 1 ORDER BY 1
-""")
-def bloom_semi_revenue(sf_dir: str):
-    """Bloom-prefiltered EXACT semi-join (functions/bloom.py): lineitem
-    keeps only rows whose order cleared a price bar — the filter keys
-    broadcast as a ~1.2-byte/key bitmap, the surviving sliver is
-    confirmed in one bucketed shuffle, and false positives cannot
-    escape, so the DuckDB IN-subquery replay hash-matches exactly.
-    Revenue is aggregated in exact integer 1e-4 units (2-dp price x
-    2-dp discount is a 4-decimal number — no float-tie risk)."""
-    import pyarrow.dataset as pads
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from ..functions.bloom import bloom_semi_join
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        filter=pads.field("o_totalprice") > pa.scalar(300000.0),
-        columns=["o_orderkey", "o_totalprice"]).map_batches(
-        lambda b: b.select(["o_orderkey"]), batch_format="pyarrow")
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_returnflag", "l_extendedprice",
-                "l_discount"])
-    kept, _stats = bloom_semi_join(li, "l_orderkey", orders,
-                                   "o_orderkey", fpr=0.01)
-
-    def _partial(b: pa.Table) -> pa.Table:
-        e4 = np.round(
-            b.column("l_extendedprice").to_numpy()
-            * (1.0 - b.column("l_discount").to_numpy())
-            * 10000.0).astype(np.int64)
-        t = pa.table({"l_returnflag": b.column("l_returnflag"),
-                      "_n": pa.array(np.ones(len(b), np.int64)),
-                      "_c": pa.array(e4)})
-        g = pa.TableGroupBy(t, ["l_returnflag"]).aggregate(
-            [("_n", "sum"), ("_c", "sum")])
-        return pa.table({"l_returnflag": g.column("l_returnflag"),
-                         "_n": g.column("_n_sum"),
-                         "_c": g.column("_c_sum")})
-
-    out = (kept.map_batches(_partial, batch_format="pyarrow")
-           .groupby("l_returnflag")
-           .aggregate(Sum("_n", alias_name="n"),
-                      Sum("_c", alias_name="revenue_e4")))
-    return out.sort("l_returnflag")
-
-
 @register("warc_roundtrip_docs", sql="""
 SELECT doc_id, CAST(octet_length(encode(text)) AS BIGINT) AS n_bytes
 FROM documents WHERE doc_id % 5 = 0 ORDER BY doc_id
@@ -2083,42 +1347,6 @@ def jsonl_roundtrip_docs(sf_dir: str):
                       columns=["doc_id", "lang", "text"],
                       range_bytes=16 << 10) \
         .map_batches(_reduce, batch_format="pyarrow").sort("doc_id")
-
-
-@register("approx_quantiles_price")
-def approx_quantiles_price(sf_dir: str):
-    """Mergeable KLL-style quantile sketch (functions/sketch.py) over
-    lineitem prices: per-block sketches stream to the driver (one
-    sketch of memory, rows never leave workers). Approximate values
-    cannot hash-match SQL, so the query SELF-CHECKS: a second
-    distributed pass counts exact <-/<= ranks of each estimate and
-    asserts the tie-aware rank error is within the 3/k bound the
-    property test pins. Output: (q, value) rows."""
-    from ray.data.aggregate import Sum
-
-    from ..functions.sketch import approx_quantiles
-
-    qs = [0.5, 0.9, 0.99]
-    li = _read(sf_dir, "lineitem", ["l_extendedprice"])
-    vals, n = approx_quantiles(li, "l_extendedprice", qs, k=200)
-
-    ests = np.asarray(vals)
-
-    def _ranks(b: pa.Table) -> pa.Table:
-        x = b.column("l_extendedprice").to_numpy()
-        lt = np.array([(x < e).sum() for e in ests], np.int64)
-        le = np.array([(x <= e).sum() for e in ests], np.int64)
-        return pa.table({"qi": pa.array(np.arange(len(ests)), pa.int64()),
-                         "_lt": pa.array(lt), "_le": pa.array(le)})
-
-    ranks = (li.map_batches(_ranks, batch_format="pyarrow")
-             .groupby("qi").aggregate(Sum("_lt", alias_name="lt"),
-                                      Sum("_le", alias_name="le"))
-             .to_pandas().sort_values("qi"))
-    for q, lo, hi in zip(qs, ranks["lt"] / n, ranks["le"] / n):
-        err = 0.0 if lo <= q <= hi else min(abs(q - lo), abs(q - hi))
-        assert err <= 3.0 / 200, f"quantile rank error {err} at q={q}"
-    return pd.DataFrame({"q": qs, "value": np.round(ests, 4)})
 
 
 @register("grid_dbscan_docs", sql="WITH RECURSIVE "
@@ -3002,42 +2230,6 @@ def time_travel_reads(sf_dir: str):
     return pd.DataFrame(rows)
 
 
-@register("profile_docs_stats", sql="""
-SELECT 'doc_id' AS col_name, count(*) AS n_rows,
-       count(*) - count(doc_id) AS n_null,
-       CAST(min(doc_id) AS VARCHAR) AS min_val,
-       CAST(max(doc_id) AS VARCHAR) AS max_val FROM documents
-UNION ALL
-SELECT 'lang', count(*), count(*) - count(lang),
-       min(lang), max(lang) FROM documents
-UNION ALL
-SELECT 'source', count(*), count(*) - count(source),
-       min(source), max(source) FROM documents
-UNION ALL
-SELECT 'n_chars', count(*), count(*) - count(n_chars),
-       CAST(min(n_chars) AS VARCHAR),
-       CAST(max(n_chars) AS VARCHAR) FROM documents
-""")
-def profile_docs_stats(sf_dir: str):
-    """ANALYZE-style stats catalog over the documents table: per
-    column (rows, nulls, min, max) in ONE streaming pass — batch-level
-    Arrow min_max kernels reduced by a tiny per-column groupby. These
-    are the statistics the engine's own planner features feed on (zone
-    maps, broadcast-vs-shuffle join sizing, bucket counts); restricted
-    here to int/string columns so stringified bounds are exact on both
-    sides (geoflow.functions.agg.profile_columns)."""
-    from ..functions.agg import profile_columns
-
-    ds = _read(sf_dir, "documents",
-               ["doc_id", "lang", "source", "n_chars"])
-    out = profile_columns(
-        ds, ["doc_id", "lang", "source", "n_chars"]).to_pandas()
-    out = out.rename(columns={"column": "col_name"})
-    out["n_rows"] = out["n_rows"].astype(np.int64)
-    out["n_null"] = out["n_null"].astype(np.int64)
-    return out[["col_name", "n_rows", "n_null", "min_val", "max_val"]]
-
-
 @register("upsert_versioned_reads", sql="""
 WITH m AS (SELECT max(event_id) AS hi FROM events),
 v2 AS (
@@ -3129,7 +2321,7 @@ def delete_versioned_reads(sf_dir: str):
     from ray.data.aggregate import Count, Sum
 
     from ..state.timetravel import (commit_delete_range, commit_initial,
-                                    load_manifest, read_version_pruned)
+                                    read_version_pruned)
 
     ev = _read(sf_dir, "events", ["event_id", "value"])
     d = tempfile.mkdtemp(prefix="ttdel_", dir="/tmp")
@@ -3725,8 +2917,7 @@ def colocation_pairs(sf_dir: str):
     (user, cell, hour) visit rows (one combiner dedup), ONE groupby on
     the (cell, hour) key, vectorized in-bucket pair emission, then a
     pair-keyed count. Group fan-in is bounded by co-present users per
-    cell-hour — the natural partition key; hot venues would be capped
-    + exact-recounted like the heavy-hitter path."""
+    cell-hour — the natural partition key."""
     from ..functions.agg import grouped_count_sum
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
@@ -4357,252 +3548,6 @@ def elevation_profile_route(sf_dir: str):
                              tile=_HYDRO_TILE)
 
 
-@register("rollup_lang_source", sql="""
-SELECT coalesce(lang, '(all)') AS lang,
-       coalesce(source, '(all)') AS source,
-       CAST(count(*) AS BIGINT) AS n_docs,
-       CAST(sum(n_chars) AS BIGINT) AS n_chars_sum
-FROM documents GROUP BY ROLLUP(lang, source)
-""")
-def rollup_lang_source(sf_dir: str):
-    """GROUP BY ROLLUP(lang, source): counts + char sums at all three
-    grouping levels with '(all)' totals. ONE distributed combiner pass
-    produces the finest-level partials (groups-sized); the coarser
-    levels re-aggregate those partials on the driver — associative
-    sums over a groups-sized table, never rows."""
-    ds = _read(sf_dir, "documents", ["lang", "source", "n_chars"])
-    fine = grouped_count_sum(ds, ["lang", "source"], ["n_chars"],
-                             count_alias="n_docs").to_pandas()
-    fine = fine.rename(columns={"n_chars_sum": "cs"})
-    lang = fine.groupby("lang", as_index=False)[["n_docs", "cs"]].sum()
-    lang["source"] = "(all)"
-    total = pd.DataFrame({"lang": ["(all)"], "source": ["(all)"],
-                          "n_docs": [fine["n_docs"].sum()],
-                          "cs": [fine["cs"].sum()]})
-    out = pd.concat([fine, lang, total], ignore_index=True)
-    return pd.DataFrame({
-        "lang": out["lang"], "source": out["source"],
-        "n_docs": out["n_docs"].astype(np.int64),
-        "n_chars_sum": out["cs"].astype(np.int64)})
-
-
-@register("pivot_source_by_lang", sql="""
-SELECT source,
-       CAST(count(*) FILTER (lang = 'en') AS BIGINT) AS n_en,
-       CAST(count(*) FILTER (lang = 'de') AS BIGINT) AS n_de,
-       CAST(count(*) FILTER (lang = 'zh') AS BIGINT) AS n_zh,
-       CAST(count(*) FILTER (lang = 'fr') AS BIGINT) AS n_fr,
-       CAST(count(*) FILTER (lang = 'es') AS BIGINT) AS n_es
-FROM documents GROUP BY source
-""")
-def pivot_source_by_lang(sf_dir: str):
-    """PIVOT: per-source wide row of per-language doc counts. The
-    distributed work is the same finest-level combiner pass as the
-    rollup; the pivot itself reshapes the groups-sized partial table
-    (driver-side, provably small)."""
-    ds = _read(sf_dir, "documents", ["lang", "source"])
-    fine = grouped_count_sum(ds, ["lang", "source"], [],
-                             count_alias="n").to_pandas()
-    wide = fine.pivot_table(index="source", columns="lang", values="n",
-                            aggfunc="sum", fill_value=0)
-    out = pd.DataFrame({"source": wide.index})
-    for lg in ("en", "de", "zh", "fr", "es"):
-        out[f"n_{lg}"] = (wide[lg].to_numpy(np.int64)
-                          if lg in wide.columns
-                          else np.zeros(len(wide), np.int64))
-    return out.reset_index(drop=True)
-
-
-@register("constraint_audit", sql="""
-SELECT 'orders_pk_unique' AS constraint_name,
-       (SELECT CAST(count(*) AS BIGINT) FROM orders) AS n_checked,
-       (SELECT CAST(count(*) - count(DISTINCT o_orderkey) AS BIGINT)
-        FROM orders) AS n_violations
-UNION ALL
-SELECT 'lineitem_fk_orders',
-       (SELECT CAST(count(*) AS BIGINT) FROM lineitem),
-       (SELECT CAST(count(*) AS BIGINT) FROM lineitem l
-        LEFT JOIN orders o ON l.l_orderkey = o.o_orderkey
-        WHERE o.o_orderkey IS NULL)
-UNION ALL
-SELECT 'documents_lang_domain',
-       (SELECT CAST(count(*) AS BIGINT) FROM documents),
-       (SELECT CAST(count(*) AS BIGINT) FROM documents
-        WHERE lang NOT IN ('en', 'de', 'zh', 'fr', 'es')
-           OR lang IS NULL)
-UNION ALL
-SELECT 'events_value_nonnegative',
-       (SELECT CAST(count(*) AS BIGINT) FROM events),
-       (SELECT CAST(count(*) AS BIGINT) FROM events
-        WHERE value IS NULL OR value < 0)
-UNION ALL
-SELECT 'lineitem_quantity_range',
-       (SELECT CAST(count(*) AS BIGINT) FROM lineitem),
-       (SELECT CAST(count(*) AS BIGINT) FROM lineitem
-        WHERE l_quantity < 1 OR l_quantity > 50)
-""")
-def constraint_audit(sf_dir: str):
-    """Data-quality constraint audit (the dbt-test layer at scale):
-    one row per declared constraint with checked/violation counts —
-    primary-key uniqueness (exact distinct via batch-local unique +
-    ONE bucketed shuffle), referential integrity (pre-aggregated
-    foreign keys through ONE bucketed LEFT join against the parent
-    key set, orphans counted row-weighted), a categorical domain
-    check and two range/null checks (streaming filtered-count
-    passes). Every table is read once with pruned columns; results
-    are constraints-sized."""
-    import ray
-    from ray.data.aggregate import Sum
-
-    from ..functions.joins import _mix64, bucketed_hash_join
-
-    rows = []
-
-    # -- orders PK uniqueness: exact distinct, one bucketed shuffle
-    ok = _read(sf_dir, "orders", ["o_orderkey"])
-    n_orders = ok.count()
-    nb = np.uint64(64)
-
-    def _uniq(b: pa.Table) -> pa.Table:
-        k = np.unique(b.column("o_orderkey").to_numpy().astype(np.int64))
-        return pa.table({"k": pa.array(k),
-                         "_b": pa.array((_mix64(k) % nb).astype(np.int32))})
-
-    def _cnt(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"n": [int(g["k"].nunique())]})
-
-    nd = ok.map_batches(_uniq, batch_format="pyarrow") \
-        .groupby("_b").map_groups(_cnt, batch_format="pandas") \
-        .to_pandas()["n"].sum()
-    rows.append(("orders_pk_unique", n_orders, n_orders - int(nd)))
-
-    # -- lineitem FK -> orders: pre-agg child keys, ONE bucketed left
-    # join against the parent key set, orphan rows counted by weight
-    li = _read(sf_dir, "lineitem", ["l_orderkey"])
-    n_li = li.count()
-    child = li.map_batches(
-        lambda b: (lambda t: pa.table({
-            "ck": pc.cast(t.column("l_orderkey"), pa.int64()),
-            "n": pc.cast(t.column("count_all"), pa.int64())}))(
-            pa.TableGroupBy(b, "l_orderkey").aggregate(
-                [([], "count_all")])),
-        batch_format="pyarrow")
-    parent = ok.map_batches(
-        lambda b: pa.table({
-            "pk": pc.cast(b.column("o_orderkey"), pa.int64()),
-            "_one": pa.array(np.ones(len(b), np.int64))}),
-        batch_format="pyarrow")
-    j = bucketed_hash_join(child, parent, "ck", "pk", how="left")
-    orphan = j.map_batches(
-        lambda b: pa.table({"_o": pa.array(np.where(
-            pc.is_null(b.column("_one")).to_numpy(zero_copy_only=False),
-            b.column("n").to_numpy(), 0).astype(np.int64))}),
-        batch_format="pyarrow").aggregate(Sum("_o"))["sum(_o)"]
-    rows.append(("lineitem_fk_orders", n_li, int(orphan or 0)))
-
-    # -- streaming filtered counts
-    def _count_where(ds, fn, name, total):
-        bad = ds.map_batches(
-            lambda b: pa.table({"_v": pa.array(
-                [int(fn(b))], pa.int64())}),
-            batch_format="pyarrow").aggregate(Sum("_v"))["sum(_v)"]
-        rows.append((name, total, int(bad or 0)))
-
-    langs = {"en", "de", "zh", "fr", "es"}
-    docs = _read(sf_dir, "documents", ["lang"])
-    _count_where(
-        docs,
-        lambda b: sum((x not in langs)
-                      for x in b.column("lang").to_pylist()),
-        "documents_lang_domain", docs.count())
-    ev = _read(sf_dir, "events", ["value"])
-    _count_where(
-        ev,
-        lambda b: int(np.count_nonzero(
-            ~(b.column("value").to_numpy(zero_copy_only=False) >= 0))),
-        "events_value_nonnegative", ev.count())
-    lq = _read(sf_dir, "lineitem", ["l_quantity"])
-    _count_where(
-        lq,
-        lambda b: int(np.count_nonzero(
-            (b.column("l_quantity").to_numpy() < 1)
-            | (b.column("l_quantity").to_numpy() > 50))),
-        "lineitem_quantity_range", lq.count())
-
-    return pd.DataFrame(rows, columns=["constraint_name", "n_checked",
-                                       "n_violations"])
-
-
-@register("value_outliers_mad", sql="""
-WITH med AS (SELECT event_type, quantile_cont(value, 0.5) AS med
-             FROM events GROUP BY 1),
-dev AS (SELECT e.event_type, abs(e.value - m.med) AS d
-        FROM events e JOIN med m USING (event_type)),
-mad AS (SELECT event_type, quantile_cont(d, 0.5) AS mad
-        FROM dev GROUP BY 1)
-SELECT e.event_type, CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(CASE WHEN abs(e.value - m.med) > 3 * md.mad
-                     THEN 1 ELSE 0 END) AS BIGINT) AS n_outliers,
-       round(m.med, 6) AS median_value,
-       round(md.mad, 6) AS mad
-FROM events e JOIN med m USING (event_type) JOIN mad md USING (event_type)
-GROUP BY e.event_type, m.med, md.mad
-""")
-def value_outliers_mad(sf_dir: str):
-    """Robust per-group outlier detection: median absolute deviation
-    (the robust sigma) per event_type, then the count of events beyond
-    3 MAD of the median — the standard heavy-tail-safe anomaly filter.
-    Three streaming passes, each with shuffle volume
-    O(groups x distinct values) via the exact value-count-histogram
-    quantile (functions.agg.grouped_exact_quantiles — the same
-    machinery quantity_quantiles verifies); group medians/MADs are
-    groups-sized and broadcast between passes."""
-    import ray
-
-    from ..functions.agg import grouped_count_sum, grouped_exact_quantiles
-
-    ev = _read(sf_dir, "events", ["event_type", "value"])
-    med_df = grouped_exact_quantiles(ev, ["event_type"], "value",
-                                     {"med": 0.5})
-    med_ref = ray.put(dict(zip(med_df["event_type"], med_df["med"])))
-
-    def _dev(b: pa.Table) -> pa.Table:
-        m = ray.get(med_ref)
-        et = b.column("event_type").to_pylist()
-        medv = np.fromiter((m[t] for t in et), np.float64, len(et))
-        d = np.abs(b.column("value").to_numpy() - medv)
-        return pa.table({"event_type": b.column("event_type"),
-                         "d": pa.array(d, pa.float64())})
-
-    mad_df = grouped_exact_quantiles(
-        ev.map_batches(_dev, batch_format="pyarrow"),
-        ["event_type"], "d", {"mad": 0.5})
-    mad_ref = ray.put(dict(zip(mad_df["event_type"], mad_df["mad"])))
-
-    def _flag(b: pa.Table) -> pa.Table:
-        m = ray.get(med_ref)
-        md = ray.get(mad_ref)
-        et = b.column("event_type").to_pylist()
-        medv = np.fromiter((m[t] for t in et), np.float64, len(et))
-        madv = np.fromiter((md[t] for t in et), np.float64, len(et))
-        out = (np.abs(b.column("value").to_numpy() - medv)
-               > 3.0 * madv).astype(np.int64)
-        return pa.table({"event_type": b.column("event_type"),
-                         "_out": pa.array(out)})
-
-    counts = grouped_count_sum(
-        ev.map_batches(_flag, batch_format="pyarrow"),
-        ["event_type"], ["_out"], count_alias="n").to_pandas()
-    res = counts.merge(med_df, on="event_type").merge(mad_df,
-                                                      on="event_type")
-    return pd.DataFrame({
-        "event_type": res["event_type"],
-        "n": res["n"].astype(np.int64),
-        "n_outliers": res["_out_sum"].astype(np.int64),
-        "median_value": res["med"].round(6),
-        "mad": res["mad"].round(6)})
-
-
 def _focal_stats_sql():
     from ..stages.hydrology import hydro_dem_sql
 
@@ -4651,107 +3596,43 @@ def focal_terrain_stats(sf_dir: str):
     return focal_stats(tiles, H, W, tile=_HYDRO_TILE)
 
 
-@register("cms_frequent_tokens", sql=r"""
-WITH tok AS (
-  SELECT unnest(regexp_extract_all(text, '\S+')) AS item FROM documents
-)
-SELECT item, count(*) AS n_occurrences FROM tok
-GROUP BY item
-HAVING count(*) >= 0.01 * (SELECT count(*) FROM tok)
-""")
-def cms_frequent_tokens(sf_dir: str):
-    """Heavy hitters (>= 1% of token occurrences) cross-checked by a
-    distributed COUNT-MIN SKETCH: exact counts come from the two-pass
-    space-saving + recount plan (the full-cardinality groupby never
-    runs), and a depth-4 x 16384 CMS — per-block partial matrices
-    merged by elementwise sum, the mergeable-sketch twin of the HLL
-    plan — must bound every reported count from above within the
-    classic CMS guarantee (overestimate <= eN/width, failing with
-    probability e^-depth per item; deterministic for fixed data and
-    seeds, verified at all three sf scales). Violation raises
-    ValueError in-query, so the check survives ``python -O``."""
-    from ..functions.sketch import cms_build, cms_estimate, frequent_items_exact
-
-    ds = _read(sf_dir, "documents", ["text"])
-
-    def _tokens(b: pa.Table):
-        out = []
-        for t in b.column("text").to_pylist():
-            out.extend((t or "").split())
-        return out
-
-    exact, _n = frequent_items_exact(ds, _tokens, phi=0.01)
-    cms, n_cms = cms_build(ds, _tokens, depth=4, width=16384)
-    est = cms_estimate(cms, exact["item"].tolist())
-    true = exact["n_occurrences"].to_numpy()
-    if n_cms != _n:
-        raise ValueError(f"CMS stream count {n_cms} != exact pass {_n}")
-    if np.any(est < true):
-        raise ValueError("CMS underestimated a count — impossible for a "
-                         "correct Count-Min merge")
-    slack = np.e * n_cms / 16384
-    if np.any(est > true + slack):
-        raise ValueError(
-            f"CMS overestimate beyond the eN/width bound: "
-            f"max err {int(np.max(est - true))} vs slack {slack:.1f}")
-    return exact[["item", "n_occurrences"]]
-
-
 # ---------------------------------------------------------------------------
 # Registration order = driver check order. The correctness driver hash-
 # verifies the FIRST 50 registered queries, so every window slot should
-# carry a DuckDB oracle: the 4 self-checking no-oracle entries (HLL
-# and KLL error bounds, twins of *_verified queries) and the
-# oracle-bearing queries whose semantics a STRONGER in-window twin
-# already covers (plain Bernoulli sample vs the stratified sampler;
-# char ratios vs quality scores + token stats; bbox join vs the polygon
-# PIP join; lang-source rollup vs langid + corpus curation) move past
-# the window, which frees slots for one hash-checked representative of
-# EVERY operator family.
+# carry a DuckDB oracle: the 2 self-checking no-oracle entries (twins
+# of *_verified queries) and the oracle-bearing queries whose semantics
+# a STRONGER in-window twin already covers (e.g. the bbox join vs the
+# polygon PIP join) move past the window, which frees slots for one
+# hash-checked representative of EVERY operator family.
 # tools/validate_queries.py still validates the full oracle-bearing set
 # at sf0.001/0.01/0.1 — see BASELINE.md.
 # ---------------------------------------------------------------------------
 _PAST_WINDOW = [
     # oracle-bearing, locally validated, covered by in-window twins
-    "sampled_docs", "doc_char_ratios", "bbox_join_docs",
-    "lang_source_stats", "top_users_by_value",
-    # relational shapes with in-window representatives (q1, filtered_
-    # revenue, order_lineitem_revenue, revenue_by_region)
-    "orders_by_nation", "brand_part_stats", "supplier_by_nation",
-    "customers_without_big_orders", "distinct_langs", "filtered_revenue",
-    "top_parts_per_brand", "label_centroids",
-    # token counting subsumed by the frequent-token family; per-cell
-    # top-k subsumed by geo_zonal + top_parts_per_brand
+    "bbox_join_docs",
+    # the per-label centroid rollup lost its stated in-window cover
+    # with the relational queries; validated locally at 3 scales.
+    "label_centroids",
+    # token counting is replayed in-window by corpus_curation (same
+    # whitespace split, token sums per language); per-cell top-k rides
+    # the shared geo CTE and bm25_top_docs' per-group ranked cut.
     "doc_token_stats", "top_doc_cells",
     # zonal salting is proven invisible by the SAME oracle shape as the
     # in-window split-cell twin (zonal_split_docs) over the in-window
     # base query (geo_zonal_docs)
     "zonal_salted_docs",
-    # per-lang Bernoulli sampling: demoted for a query since retired, so
-    # it has no stated in-window cover; validated locally at 3 scales.
-    "stratified_sample_docs",
     # two twin-covered demotions that admit one hash-checked
-    # representative of EACH new operator family (bloom semi-join,
-    # zone-map layout): nearest-site top-1 haversine is contained in
-    # the in-window pinned-index top-k (knn_haversine_docs, same trig
-    # replayed in SQL); quality-score thresholds are APPLIED
+    # representative of a new operator family (the zone-map layout):
+    # nearest-site top-1 haversine is contained in the in-window
+    # pinned-index top-k (knn_haversine_docs, same trig replayed in
+    # SQL); quality-score thresholds are APPLIED
     # decision-level by in-window corpus_curation.
     "nearest_site_docs", "doc_quality_scores",
-    # a twin-covered demotion: the order->lineitem join rollup is the
-    # same join+agg plan as in-window revenue_by_region AND
-    # bloom_semi_revenue over the same tables.
-    "order_lineitem_revenue",
     # the plain zonal rollup is strictly contained in the in-window
     # split-cell twin (zonal_split_docs replays the SAME zonal oracle
     # shape over the SAME geocoded base and additionally proves the
     # rebalance invisible) — freeing a slot for user_travel_stats.
     "geo_zonal_docs",
-    # demotion admitting the vector-geometry family: the global sort has
-    # no stated in-window twin and stays locally validated at 3 scales.
-    "global_sorted_docs",
-    # exact heavy hitters' space-saving candidate superset guarantee is
-    # pinned by its property test.
-    "frequent_tokens",
     # a webtext demotion whose family keeps an in-window rep, to admit
     # the movement/interpolation/labeling geo trio: langid's decision
     # replay is applied AND replayed inside in-window corpus_curation.
@@ -4762,13 +3643,6 @@ _PAST_WINDOW = [
     # machinery travel never had); travel_stats stays locally
     # validated at 3 scales.
     "user_travel_stats",
-    # demotion admitting equalized_histogram: exact grouped quantiles'
-    # machinery (distinct-value histogram + cumulative counts + integer
-    # cuts) is the SAME shape the equalization query hash-checks
-    # in-window (window cumsum over the value histogram); grouped
-    # quantiles stay locally validated at 3 scales, with the KLL
-    # sketch's self-check covering the approximate path.
-    "quantity_quantiles",
     # demotion admitting corridor_docs: the quad-hierarchy machinery
     # compaction exercises keeps TWO in-window reps — bbox_cover_scan_
     # docs (quad-descent cover, Morton ranges, pruned scan + exact
@@ -4813,12 +3687,6 @@ _PAST_WINDOW = [
     # rollups stay in-window via user_travel_stats (same LAG-pair
     # machinery the OD matrix buckets by cell pair).
     "cell_focal_density", "od_matrix_cells",
-    # self-demotion (window at capacity): the stats catalog is the
-    # min/max/count combiner shape a dozen in-window queries pin
-    # (partial_group_sums feeds zonal/top-k/layout manifests); its
-    # whole-column Arrow min_max + null accounting is hash-checked
-    # locally at 3 scales.
-    "profile_docs_stats",
     # self-demotion (window at capacity): MERGE is the fourth manifest
     # mechanism of the versioned-layout module (see the time-travel /
     # schema-evolution / delete notes below; zone-map machinery
@@ -4869,8 +3737,8 @@ _PAST_WINDOW = [
     # mechanisms all keep in-window reps — postings/tokenization with
     # the same SQL-replayed split via bm25_top_docs, query-vocabulary
     # posting filters likewise, and the bucketed hash join via
-    # od_two_hop / revenue_by_region; the start-position adjacency
-    # KEY is pinned by unit tests + 3-scale local validation.
+    # od_two_hop; the start-position adjacency KEY is pinned by unit
+    # tests + 3-scale local validation.
     "phrase_search_docs",
     # demotion admitting rasterized_polygons: the WARC round-trip's
     # CONTRACT (byte-faithful write -> distributed read -> hash match
@@ -4896,9 +3764,8 @@ _PAST_WINDOW = [
     # demotion admitting jsonl_roundtrip_docs: per-cell argmax keeps
     # BOTH its mechanisms in-window — the shared geo-cell CTE through
     # every geo query (zonal_split_docs, getis_ord_hotspots, ...) and
-    # the per-group ranked cut through top_parts_per_brand and
-    # bm25_top_docs; the JSONL ranged reader's mid-line resync is
-    # machinery nothing else exercises.
+    # the per-group ranked cut through bm25_top_docs; the JSONL ranged
+    # reader's mid-line resync is machinery nothing else exercises.
     "cell_top_lang",
     # demotion admitting hilbert_cells: the geohash encode's two
     # mechanisms both keep in-window reps — the Morton bit-spread is
@@ -4910,7 +3777,6 @@ _PAST_WINDOW = [
     "geohash_cells",
     # self-checking no-oracle entries
     "flagship_zonal", "raster_pages_cell_join",
-    "approx_distinct_orderkeys", "approx_quantiles_price",
 ]
 for _n in _PAST_WINDOW:
     QUERIES[_n] = QUERIES.pop(_n)

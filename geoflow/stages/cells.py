@@ -152,11 +152,6 @@ def cell_neighbors(cell: np.ndarray, include_self: bool = True) -> np.ndarray:
     return out
 
 
-def cell_token(cell: np.ndarray) -> np.ndarray:
-    """Hex string form (stable partition key for directory names)."""
-    return np.array([format(int(c), "016x") for c in np.asarray(cell).ravel()])
-
-
 # ---------------------------------------------------------------------------
 # Geohash (base-32 interleaved cell strings)
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert "flagship_zonal" in out["queries"]
-    assert "revenue_by_region" in out["duckdb_verified"]
+    assert "flagship_zonal_verified" in out["duckdb_verified"]
 
 
 def test_cli_query(ray_session, capsys, sf_small):
-    assert main(["query", "distinct_langs", "--sf-dir", sf_small]) == 0
+    assert main(["query", "dedup_exact_docs", "--sf-dir", sf_small]) == 0
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert out["rows"] >= 1
 

@@ -60,35 +60,6 @@ def test_haversine_properties(lat1, lon1, lat2, lon2):
     assert float(haversine_km(lat1, lon1, lat1, lon1)) < 1e-6
 
 
-@given(vals=st.lists(st.integers(0, 30), min_size=1, max_size=300),
-       q=st.floats(0.0, 1.0))
-@settings(max_examples=200, deadline=None)
-def test_quantile_from_counts_property(vals, q):
-    from geoflow.functions.agg import quantile_from_counts
-
-    arr = np.array(vals, dtype=np.float64)
-    uniq, counts = np.unique(arr, return_counts=True)
-    got = quantile_from_counts(uniq, counts, q)
-    exp = float(np.percentile(arr, q * 100))
-    assert abs(got - exp) < 1e-9
-
-
-@given(seed=st.integers(0, 10_000), n=st.integers(1, 3000),
-       p=st.integers(4, 14))
-@settings(max_examples=60, deadline=None)
-def test_hll_merge_equals_oneshot_property(seed, n, p):
-    """Splitting a stream arbitrarily and max-merging the registers
-    always equals hashing the whole stream at once (associativity —
-    the property that makes the sketch safe under ANY partitioning)."""
-    from geoflow.functions.sketch import hll_registers
-
-    rng = np.random.default_rng(seed)
-    h = rng.integers(0, 2**63, size=n, dtype=np.int64).astype(np.uint64)
-    cut = int(rng.integers(0, n + 1))
-    merged = np.maximum(hll_registers(h[:cut], p), hll_registers(h[cut:], p))
-    assert (merged == hll_registers(h, p)).all()
-
-
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=100, deadline=None)
 def test_range_probe_matches_scan(seed):
@@ -264,24 +235,3 @@ def test_merge_partials_bucket_parity(ray_session):
 
     for buckets in (1, 5):
         assert len(_run(rd.from_pandas(df.iloc[:0]), buckets).index) == 0
-
-
-def test_nonempty_block_helpers(ray_session):
-    import pyarrow as pa
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from geoflow.functions.agg import nonempty_batches, skip_empty
-
-    # groupby over heavily over-partitioned tiny data produces zero-row
-    # (often empty-schema) blocks; the helpers must drop them
-    ds = (rd.from_items([{"k": i % 2, "v": i} for i in range(6)])
-          .repartition(32).groupby("k").aggregate(Sum("v", alias_name="s")))
-    assert sum(b.num_rows for b in nonempty_batches(ds)) == 2
-
-    # skip_empty: empty-schema input short-circuits to the typed table
-    schema = pa.schema([("x", pa.int64())])
-    fn = skip_empty(lambda b: pa.table({"x": b.column("k")}), schema)
-    out = fn(pa.table({}))
-    assert out.schema == schema and out.num_rows == 0
-    assert fn(pa.table({"k": [1, 2]})).num_rows == 2
