@@ -18,20 +18,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-
-def _mix64(keys: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer: mixes high bits into low bits so that a
-    power-of-two bucket modulo sees the whole key, not just ``key mod
-    2^k`` (a bare ``key * odd_const % 2^k`` is a bijection on the low k
-    bits — key sets sharing low bits would collapse into one reducer)."""
-    h = keys.astype(np.uint64, copy=True)
-    h += np.uint64(0x9E3779B97F4A7C15)
-    h ^= h >> np.uint64(30)
-    h *= np.uint64(0xBF58476D1CE4E5B9)
-    h ^= h >> np.uint64(27)
-    h *= np.uint64(0x94D049BB133111EB)
-    h ^= h >> np.uint64(31)
-    return h
+from .agg import _mix64, plan_estimate
 
 
 def _mix_cols(*cols) -> np.ndarray:
@@ -46,34 +33,6 @@ def _mix_cols(*cols) -> np.ndarray:
     return h
 
 
-def estimate_size_bytes(ds) -> int | None:
-    """Cheap size estimate from the logical plan's metadata — walks the
-    DAG down to the datasource if needed and NEVER triggers execution
-    (``Dataset.size_bytes()`` executes the plan when metadata is
-    missing, which would double-run a lazy pipeline)."""
-    try:
-        dag = ds._logical_plan.dag
-    except Exception:
-        return None
-
-    def _walk(op):
-        try:
-            m = op.infer_metadata()
-            if m.size_bytes is not None:
-                return m.size_bytes
-        except Exception:
-            pass
-        sizes = [_walk(dep)
-                 for dep in getattr(op, "input_dependencies", [])]
-        sizes = [s for s in sizes if s]
-        return sum(sizes) if sizes else None
-
-    try:
-        return _walk(dag)
-    except Exception:
-        return None
-
-
 def _auto_buckets(left_ds, right_ds, target_bytes: int = 64 << 20,
                   lo: int = 16, hi: int = 4096) -> int:
     """Bucket count ~ total input bytes / 64 MiB, clamped to [16, 4096]
@@ -81,8 +40,7 @@ def _auto_buckets(left_ds, right_ds, target_bytes: int = 64 << 20,
     cap reducer parallelism, so both must scale with the input."""
     total = 0
     for ds in (left_ds, right_ds):
-        sz = estimate_size_bytes(ds)
-        total += sz or 0
+        total += plan_estimate(ds)[1] or 0
     if total <= 0:
         return 64
     want = max(1, total // target_bytes)

@@ -22,7 +22,8 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
-from ..functions.agg import combine_partials, grouped_count_sum, merge_partials
+from ..functions.agg import (bucket_count, combine_partials, grouped_count_sum,
+                             merge_partials, plan_estimate)
 from ..stages import cells
 from ..stages.extract import extract_text
 from ..stages.geocode import geocode_urls
@@ -118,40 +119,41 @@ def enrich_pages(pages_ds, cell_res: int = PAGE_CELL_RES,
     )
 
 
-def dedup_exact(enriched_ds, num_buckets: int = 64):
+def dedup_exact(enriched_ds):
     """First-wins exact dedup on the content hash (deterministic: min url).
 
     Shuffle-light shape: the batch-local Arrow combine over ``text_hash``
     (minimum url and n_chars, copy count) fuses with the enrich map and
-    cuts shuffle rows when duplicates are block-local; then the one
-    bucketed merge (``functions.agg.merge_partials``) exchanges the
-    partials on a bucket of the hash and merges each bucket in one
-    Arrow pass. Keying the shuffle on a small bucket id instead of the
-    raw 64-bit hash measured 3x faster end to end than
-    ``groupby("text_hash").aggregate(Min, Min, Sum)`` at 10^6 rows
-    (Ray's sort comparator and per-unique-key aggregate paths are the
-    cost; the bucket sort is nearly free). ``num_buckets`` bounds
-    reducer memory — scale it with input rows (rows/5M is a good
-    target).
+    cuts exchanged rows when duplicates are block-local; then the one
+    partials merge (``functions.agg.merge_partials``). Its width B is
+    ``functions.agg.bucket_count`` over the plan's row estimate of
+    ``enriched_ds`` (at most one partial per enriched row), taken on
+    the driver before anything runs: below ROWS_PER_BUCKET rows the
+    partials coalesce to one block and merge in one task, with no
+    shuffle; above it they are exchanged on a bucket of the hash and
+    each bucket merges in one Arrow pass. Keying the shuffle on a small
+    bucket id instead of the raw 64-bit hash measured 3x faster end to
+    end than ``groupby("text_hash").aggregate(Min, Min, Sum)`` at 10^6
+    rows (Ray's sort comparator and per-unique-key aggregate paths are
+    the cost; the bucket sort is nearly free).
     Winners' geocode/cell are re-derived from the url, which is cheaper
     than shuffling the full rows.
     """
     mins = ["url", "n_chars"]
+    buckets = bucket_count(plan_estimate(enriched_ds)[0])
 
     def _local_combine(b: pa.Table) -> pa.Table:
-        return combine_partials(b, ["text_hash"], [], mins,
-                                buckets=num_buckets)
+        return combine_partials(b, ["text_hash"], [], mins, buckets=buckets)
 
     slim = enriched_ds.map_batches(_local_combine, batch_format="pyarrow")
-    # NOTE: do NOT coalesce slim before the exchange. A
-    # repartition(shuffle=False) here measured +30% flagship wall time
-    # at 8 CPUs (52 -> 68 s interleaved A/B at sf0.1) for a mild 32-CPU
-    # gain: the repartition is an AllToAll barrier whose fixed cost
-    # dominates at low parallelism, while the empty reduce partitions
-    # it would remove cost only idle microtasks here (the slim rows are
-    # pre-combined; the groupby's sort moves ~24 B/row either way).
+    # NOTE: at 4,000 pages the rule gives B = 1, a coalesce of slim
+    # before the merge. On a 1-core host that beat the 64-bucket sort
+    # shuffle in 12 of 12 rounds (0.53 against 0.61 s per flagship
+    # pass): the shuffle's per-partition tasks cost more than the
+    # ~24 B/row it moves. Coalescing loses from ~300k rows, which is
+    # why B grows past ROWS_PER_BUCKET (see bucket_count).
     winners = merge_partials(slim, ["text_hash"], [], "n_copies", mins,
-                             buckets=num_buckets)
+                             buckets=buckets)
 
     def _rederive(batch: pa.Table) -> pa.Table:
         urls = batch.column("url_min").to_pylist()

@@ -2864,10 +2864,11 @@ def od_two_hop(sf_dir: str):
                             * b.column("nb").to_numpy())})
 
     # post-join key cardinality ~= row count (barely any pre-combine
-    # shrink): the bucketed exchange
+    # shrink); B from the rule over the join's inputs (both sides' OD
+    # rows), the plan's only row figure for a join output
     sums = grouped_count_sum(
         j.map_batches(_prod, batch_format="pyarrow"),
-        ["from_x", "from_y", "to_x", "to_y"], ["np_"], buckets=64)
+        ["from_x", "from_y", "to_x", "to_y"], ["np_"])
     # deterministic strongest-flows cut keeps output driver-sized
     out = sums.sort(["np__sum", "from_x", "from_y", "to_x", "to_y"],
                     descending=[True, False, False, False, False]) \

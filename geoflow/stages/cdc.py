@@ -109,12 +109,14 @@ def chunk_rows(batch: pa.Table, id_col: str = "doc_id",
 def cdc_dup_chunks(ds, id_col: str = "doc_id", text_col: str = "text"):
     """Corpus-wide duplicated-chunk stats: (h1, h2, chunk_len, n_copies)
     for every chunk occurring >= 2 times."""
-    from ..functions.agg import grouped_count_sum
+    from ..functions.agg import bucket_count, grouped_count_sum, plan_estimate
 
     rows = ds.map_batches(lambda b: chunk_rows(b, id_col, text_col),
                           batch_format="pyarrow")
+    # one chunk row per text byte at most: the source's bytes bound them
     counts = grouped_count_sum(rows, ["h1", "h2", "chunk_len"], [],
-                               count_alias="n_copies")
+                               count_alias="n_copies",
+                               buckets=bucket_count(plan_estimate(ds)[1]))
     return counts.filter(expr="n_copies >= 2")
 
 

@@ -89,7 +89,7 @@ def compact_cells(cells_ds, res: int):
     promote to the parent with summed weight, everything else passes
     through unchanged."""
 
-    from ..functions.joins import _mix64
+    from ..functions.agg import _mix64
 
     num_buckets = 16
 

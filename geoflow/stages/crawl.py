@@ -140,7 +140,7 @@ def frontier_order(docs_ds, num_domains: int = 97, n_docs: int | None = None,
     """
     from ray.data.aggregate import Count
 
-    from ..functions.joins import _mix64
+    from ..functions.agg import _mix64
 
     if n_docs is None:
         n_docs = docs_ds.count()

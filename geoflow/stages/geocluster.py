@@ -42,7 +42,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.joins import _mix64
+from ..functions.agg import _mix64
 
 # composite cell key offsets: lat/eps and lon/eps stay well inside
 # +/-2e8 for any eps >= 1e-6 degrees, so (cx+OFF)*SPAN+(cy+OFF) is an

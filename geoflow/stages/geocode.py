@@ -103,7 +103,7 @@ def travel_stats(events_ds, num_buckets: int = 32):
     import pandas as pd
     import pyarrow as pa
 
-    from ..functions.joins import _mix64
+    from ..functions.agg import _mix64
     from .knn import haversine_km
 
     def _tag(b: pa.Table) -> pa.Table:
@@ -169,11 +169,13 @@ def od_matrix(events_ds, res: int = 6, num_buckets: int = 32):
     import pandas as pd
     import pyarrow as pa
 
-    from ..functions.agg import BUCKETS, combine_partials, merge_partials
-    from ..functions.joins import _mix64
+    from ..functions.agg import (_mix64, bucket_count, combine_partials,
+                                 merge_partials, plan_estimate)
     from .cells import lonlat_to_xy
 
     keys = ["from_x", "from_y", "to_x", "to_y"]
+    # one transition per event at most: the events bound the partials
+    buckets = bucket_count(plan_estimate(events_ds)[0])
 
     def _tag(b: pa.Table) -> pa.Table:
         ids = b.column("event_id").to_numpy().astype(np.int64)
@@ -200,11 +202,11 @@ def od_matrix(events_ds, res: int = 6, num_buckets: int = 32):
             same[1:] = uid[1:] == uid[:-1]
         i = np.flatnonzero(same)
         moves = pa.table(dict(zip(keys, (cx[i - 1], cy[i - 1], cx[i], cy[i]))))
-        return combine_partials(moves, keys, [], buckets=BUCKETS)
+        return combine_partials(moves, keys, [], buckets=buckets)
 
     partial = (events_ds.map_batches(_tag, batch_format="pyarrow")
                .groupby("_b").map_groups(_bucket, batch_format="pandas"))
-    return merge_partials(partial, keys, [], "n_moves", buckets=BUCKETS)
+    return merge_partials(partial, keys, [], "n_moves", buckets=buckets)
 
 
 def stay_points(events_ds, radius_km: float = 60.0,
@@ -227,7 +229,7 @@ def stay_points(events_ds, radius_km: float = 60.0,
     import pandas as pd
     import pyarrow as pa
 
-    from ..functions.joins import _mix64
+    from ..functions.agg import _mix64
     from .knn import haversine_km
 
     def _tag(b: pa.Table) -> pa.Table:

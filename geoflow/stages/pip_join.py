@@ -24,7 +24,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.agg import BUCKETS, combine_partials, merge_partials
+from ..functions.agg import (bucket_count, combine_partials, merge_partials,
+                             plan_estimate)
 
 
 def point_in_ring(lat: np.ndarray, lon: np.ndarray,
@@ -248,6 +249,7 @@ def polygon_metrics(edges_ds):
     the same contract _pip_edges_sql renders for the PIP oracle.
     """
     terms = ["cross", "perim", "cx", "cy"]
+    buckets = bucket_count(plan_estimate(edges_ds)[0])   # <= one per edge
 
     def _partials(b: pa.Table) -> pa.Table:
         x1, y1, x2, y2 = (b.column(c).to_numpy()
@@ -261,11 +263,11 @@ def polygon_metrics(edges_ds):
             "cx": (x1 + x2) * cross,
             "cy": (y1 + y2) * cross,
         })
-        return combine_partials(t, ["region_id"], terms, buckets=BUCKETS)
+        return combine_partials(t, ["region_id"], terms, buckets=buckets)
 
     agg = merge_partials(
         edges_ds.map_batches(_partials, batch_format="pyarrow"),
-        ["region_id"], terms, "n_vertices", buckets=BUCKETS)
+        ["region_id"], terms, "n_vertices", buckets=buckets)
 
     def _finish(b: pa.Table) -> pa.Table:
         cross = b.column("cross_sum").to_numpy()

@@ -154,7 +154,7 @@ def equalize_histogram(tiles_ds, levels: int = 256):
     """
     import ray
 
-    from ..functions.agg import grouped_count_sum
+    from ..functions.agg import bucket_count, grouped_count_sum, plan_estimate
     from .terrain import _rows_as_arrays
 
     def _vals(batch: pa.Table) -> pa.Table:
@@ -170,9 +170,11 @@ def equalize_histogram(tiles_ds, levels: int = 256):
         return pa.table({"v": pa.array(u), "n": pa.array(c)})
 
     base = tiles_ds.filter(lambda r: r["band"] == 0)
+    # one value row per pixel at most: the tiles' bytes bound them
     hist = grouped_count_sum(
         base.map_batches(_vals, batch_format="pyarrow"),
-        ["v"], ["n"]).to_pandas().sort_values("v")
+        ["v"], ["n"], buckets=bucket_count(plan_estimate(base)[1])
+    ).to_pandas().sort_values("v")
     vals = hist["v"].to_numpy()
     cdf = np.cumsum(hist["n_sum"].to_numpy())
     n_total = int(cdf[-1])
@@ -197,7 +199,7 @@ def equalize_histogram(tiles_ds, levels: int = 256):
 
     out = grouped_count_sum(
         base.map_batches(_remap, batch_format="pyarrow"),
-        ["level"], ["n"]).to_pandas()
+        ["level"], ["n"], buckets=1).to_pandas()     # <= levels keys
     out = out.rename(columns={"n_sum": "n_pixels"})
     return out[["level", "n_pixels"]].astype(np.int64)
 

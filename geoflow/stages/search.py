@@ -84,7 +84,7 @@ def bm25_topk(ds, id_col: str = "doc_id", text_col: str = "text",
     """
     import ray
 
-    from ..functions.agg import grouped_count_sum
+    from ..functions.agg import bucket_count, grouped_count_sum, plan_estimate
     from ..functions.joins import _mix_cols
 
     assert terms_per_query <= 2, \
@@ -94,7 +94,10 @@ def bm25_topk(ds, id_col: str = "doc_id", text_col: str = "text",
 
     tf = ds.map_batches(lambda b: tf_dl_rows(b, id_col, text_col),
                         batch_format="pyarrow")
-    df_ds = grouped_count_sum(tf, ["term"], [], count_alias="df")
+    # one (doc, term) row per token at most: the source's bytes bound them
+    tf_buckets = bucket_count(plan_estimate(ds)[1])
+    df_ds = grouped_count_sum(tf, ["term"], [], count_alias="df",
+                              buckets=tf_buckets)
     n_qterms = n_queries * terms_per_query
     top_terms = df_ds.sort(["df", "term"], descending=[True, False]) \
         .limit(n_qterms).to_pandas()
@@ -130,7 +133,8 @@ def bm25_topk(ds, id_col: str = "doc_id", text_col: str = "text",
                          "w": pa.array(w, pa.float64())})
 
     scored = tf.map_batches(_score, batch_format="pyarrow")
-    sums = grouped_count_sum(scored, ["q_id", id_col], ["w"])
+    sums = grouped_count_sum(scored, ["q_id", id_col], ["w"],
+                             buckets=tf_buckets)
 
     def _tag(b: pa.Table) -> pa.Table:
         gb = (_mix_cols(b.column(id_col).to_numpy())

@@ -29,8 +29,8 @@ import pandas as pd
 import pyarrow as pa
 
 from . import cells as cellmod
-from ..functions.agg import (BUCKETS, bucket_of, combine_partials,
-                             grouped_count_sum, merge_partials)
+from ..functions.agg import (bucket_count, bucket_of, combine_partials,
+                             grouped_count_sum, merge_partials, plan_estimate)
 
 
 def add_salt(batch: pa.Table, key_col: str, num_salts: int) -> pa.Table:
@@ -50,30 +50,31 @@ def salted_grouped_count_sum(ds, key_col: str, sum_cols: list[str],
     itself a partials table, so stage 2 is the same merge over the key
     alone, re-bucketed on it."""
     salted = [key_col, "_salt"]
+    # both stages' partials are at most one per input row
+    buckets = bucket_count(plan_estimate(ds)[0])
 
     def _salted_partials(b: pa.Table) -> pa.Table:
         return combine_partials(add_salt(b, key_col, num_salts), salted,
-                                sum_cols, buckets=BUCKETS)
+                                sum_cols, buckets=buckets)
 
     def _by_key(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
+        if t.num_rows == 0 or buckets == 1:
             return t
         return t.drop_columns(["_salt"]).append_column(
-            "_b", bucket_of(t, [key_col], BUCKETS))
+            "_b", bucket_of(t, [key_col], buckets))
 
     stage1 = merge_partials(
         ds.map_batches(_salted_partials, batch_format="pyarrow"),
-        salted, sum_cols, "_n", buckets=BUCKETS)
+        salted, sum_cols, "_n", buckets=buckets)
     return merge_partials(stage1.map_batches(_by_key, batch_format="pyarrow"),
-                          [key_col], sum_cols, count_alias, buckets=BUCKETS)
+                          [key_col], sum_cols, count_alias, buckets=buckets)
 
 
 def cell_counts(ds, cell_col: str = "cell") -> pd.DataFrame:
     """Per-cell row counts via batch-combined partials (small result);
     empty input gives an empty frame that still has both columns."""
-    return grouped_count_sum(ds, [cell_col], [], count_alias="n",
-                             buckets=1).to_pandas().reindex(
-                                 columns=[cell_col, "n"])
+    return grouped_count_sum(ds, [cell_col], [], count_alias="n"
+                             ).to_pandas().reindex(columns=[cell_col, "n"])
 
 
 def compute_split_plan(counts: pd.DataFrame, cap: int,

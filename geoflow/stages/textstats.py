@@ -263,11 +263,13 @@ def fuzzy_token_pairs(ds, text_col: str = "text",
     """
     import pandas as pd
 
-    from ..functions.agg import grouped_count_sum
+    from ..functions.agg import bucket_count, grouped_count_sum, plan_estimate
 
     tf = ds.map_batches(lambda b: tf_rows(b, "doc_id", text_col),
                         batch_format="pyarrow")
-    df_ds = grouped_count_sum(tf, ["term"], [], count_alias="df")
+    # one (doc, term) row per token at most: the source's bytes bound them
+    df_ds = grouped_count_sum(tf, ["term"], [], count_alias="df",
+                              buckets=bucket_count(plan_estimate(ds)[1]))
 
     def _vocab_filter(b: pa.Table) -> pa.Table:
         terms = b.column("term").to_pylist()

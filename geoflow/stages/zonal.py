@@ -28,7 +28,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import cells as cellmod
-from ..functions.agg import BUCKETS, combine_partials, merge_partials
+from ..functions.agg import (bucket_count, combine_partials, merge_partials,
+                             plan_estimate)
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class RasterGeo:
 
 
 def zonal_partials_batch(batch: pa.Table, geo: RasterGeo, res: int,
-                         tile_size: int) -> pa.Table:
+                         tile_size: int, buckets: int = 1) -> pa.Table:
     """Tile rows -> per-(band, cell) partials within the batch, tagged
     with the exchange bucket of ``raster_zonal_stats``' merge."""
     hs = batch.column("height").to_numpy()
@@ -67,7 +68,7 @@ def zonal_partials_batch(batch: pa.Table, geo: RasterGeo, res: int,
         "value": pc.list_flatten(batch.column("pixels")).cast(pa.float64()),
     })
     return combine_partials(flat, ["band", "cell"], ["value"],
-                            ["value"], ["value"], BUCKETS)
+                            ["value"], ["value"], buckets)
 
 
 def with_mean(merged, key_cols: list[str]):
@@ -86,12 +87,16 @@ def raster_zonal_stats(tiles_ds, geo: RasterGeo = RasterGeo(), res: int = 6,
                        tile_size: int = 64):
     """-> Dataset (band, cell, value_sum, n_pixels, value_min, value_max,
     mean_value)."""
+    # at most one partial per pixel: tiles x pixels per tile
+    tiles = plan_estimate(tiles_ds)[0]
+    buckets = bucket_count(tiles and tiles * tile_size * tile_size)
     partials = tiles_ds.map_batches(
-        lambda b: zonal_partials_batch(b, geo, res, tile_size),
+        lambda b: zonal_partials_batch(b, geo, res, tile_size, buckets),
         batch_format="pyarrow")
     keys = ["band", "cell"]
     return with_mean(merge_partials(partials, keys, ["value"], "n_pixels",
-                                    ["value"], ["value"], BUCKETS), keys)
+                                    ["value"], ["value"], buckets=buckets),
+                     keys)
 
 
 def join_zonal_with_pages(raster_zonal_df: pd.DataFrame,

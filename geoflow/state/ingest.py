@@ -11,15 +11,16 @@ partitioned by content-hash bucket::
 Plan (all distributed, nothing corpus-sized on the driver):
 
 1. the new shard runs the flagship enrich + within-shard exact dedup
-   (``flagship.dedup_exact`` — bucket-keyed one-shuffle plan);
+   (``flagship.dedup_exact``, whose exchange width follows the shard's
+   row count);
 2. winners are bucketed by ``hash_bucket``, which names the index's
    on-disk ``bucket=<b>`` partitions (its own fold of the hash, not the
    dedup's exchange bucket: the partition names must not change), and
    ONE ``groupby(bucket).map_groups`` pass filters novelty: each task
    reads ONLY its bucket's index partition (numpy ``isin`` against the
    committed hashes), so the per-task index slice is total_index /
-   num_buckets — scale ``num_buckets`` with corpus size exactly like
-   the dedup reducer buckets;
+   num_buckets — scale ``num_buckets`` with the committed corpus size
+   (it fixes the on-disk layout, so it is chosen once per index);
 3. the same task commits its bucket's novel hashes atomically
    (tmp + ``os.replace``) under the shard's name. Writes are
    IDEMPOTENT per (shard, bucket): a task retry or a full shard re-run
@@ -63,8 +64,7 @@ def incremental_ingest(pages_ds, work_dir: str, shard_id: str,
     extraction fails the ingest with a ``byte-identity`` error."""
     if "/" in shard_id or shard_id.startswith("."):
         raise ValueError(f"invalid shard_id: {shard_id!r}")
-    winners = dedup_exact(enrich_pages(pages_ds, strict=True, slim=True),
-                          num_buckets=num_buckets)
+    winners = dedup_exact(enrich_pages(pages_ds, strict=True, slim=True))
 
     def _tag(b: pa.Table) -> pa.Table:
         h = b.column("text_hash").to_numpy()
