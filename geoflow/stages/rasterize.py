@@ -1,14 +1,13 @@
 """Polygon rasterization: even-odd scanline fill over a global grid.
 
-The vector-to-raster inverse of stages/contours.py. For each grid row,
-every polygon edge crossing the row's center latitude contributes one
-crossing abscissa ``xin = (x2-x1)*(yc-y1)/(y2-y1) + x1`` — the SAME
-float expression, operand order included, as the per-point even-odd
-test the PIP oracle replays (stages/pip_join.point_in_ring), so a
-cell center is inside iff the count of crossings to its right is odd,
-and scanline output equals the per-cell point test EXACTLY (no
-epsilon, pinned by pytest and by the DuckDB twin running the point
-test per cell).
+For each grid row, every polygon edge crossing the row's center
+latitude contributes one crossing abscissa
+``xin = (x2-x1)*(yc-y1)/(y2-y1) + x1`` — the SAME float expression,
+operand order included, as the per-point even-odd test the PIP oracle
+replays (stages/pip_join.point_in_ring), so a cell center is inside
+iff the count of crossings to its right is odd, and scanline output
+equals the per-cell point test EXACTLY (no epsilon, pinned by pytest
+and by the DuckDB twin running the point test per cell).
 
 Scale shape: polygons are the small side (broadcast once); the grid
 streams as row blocks. Covered cells are produced as RUN SPANS

@@ -106,8 +106,7 @@ def focal_stats_batch(batch: pa.Table, height: int, width: int,
 
     The tile's 1-px DEM halo supplies every cross-tile neighbor, so the
     whole operator is ONE stateless map over the tile table — no
-    neighbor join, no shuffle (same distribution shape as
-    geoflow.stages.contours). Reference anchor: the reference derives
+    neighbor join, no shuffle. Reference anchor: the reference derives
     slope/aspect with gdal:slope / gdal:aspect (execution_context.py:
     193-262); TRI/TPI/roughness are the remaining three gdaldem modes
     of the same 3x3 focal family.

@@ -1,5 +1,6 @@
-"""Golden-oracle machinery: VALUES rendering round-trips through DuckDB
-and the lazy SQL registry resolves for every raster query."""
+"""Golden-oracle machinery: VALUES rendering round-trips through DuckDB,
+the lazy SQL registry resolves for every raster query, and the focal
+raster query matches its SQL twin."""
 
 import duckdb
 import numpy as np
@@ -32,6 +33,23 @@ def test_lazy_oracle_sql_resolves():
         assert name in ORACLE_SQL_LAZY
         assert "VALUES" in sqls[name]
         duckdb.sql(sqls[name]).df()        # parseable + executable
+
+
+def test_focal_terrain_stats_matches_oracle_sql(ray_session):
+    """The registry's focal query (tiled halo map over the closed-form
+    DEM) equals its DuckDB twin (8-offset neighbor join over the same DEM
+    written in SQL), row for row in any order."""
+    from geoflow.pipelines.queries import QUERIES, get_oracle_sql
+
+    got = QUERIES["focal_terrain_stats"]("unused").to_pandas()
+    want = duckdb.sql(get_oracle_sql()["focal_terrain_stats"]).df()
+    assert len(got) == 192 * 192
+    cols = sorted(want.columns)
+    assert sorted(got.columns) == cols
+    got = got[cols].sort_values(["y", "x"], ignore_index=True)
+    want = want[cols].sort_values(["y", "x"], ignore_index=True)
+    assert (got.dtypes == np.int64).all() and (want.dtypes == np.int64).all()
+    assert got.equals(want)
 
 
 def test_default_ndv_lookup():
