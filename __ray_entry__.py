@@ -8,9 +8,9 @@ here (or in geoflow) calls ``ray.init`` / ``ray.shutdown``.
   Common-Crawl-style pages schema.
 - ``queries()``: one callable per implemented operator/pipeline
   (SURVEY.md section 2 + the training-data ops) over ``sf_dir``.
-- ``oracle_sql()``: DuckDB-equivalent SQL for the SQL-expressible
-  entries (identical column names; floats rounded identically on both
-  sides — see geoflow/pipelines/queries.py docstring).
+- ``oracle_sql()``: DuckDB-equivalent SQL for every entry (identical
+  column names; floats rounded identically on both sides — see
+  geoflow/pipelines/queries.py docstring).
 """
 
 from __future__ import annotations
@@ -27,50 +27,25 @@ if _REPO not in sys.path:               # make geoflow importable for driver
 
 def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001; driver checks rows>=0."""
-    from geoflow.pipelines.queries import QUERIES
+    import pyarrow as pa
+    import pyarrow.compute as pc
 
-    return QUERIES["flagship_zonal"]("/root/testdata/sf0.001")
+    from geoflow.pipelines.flagship import run_flagship
+    from geoflow.sources.pages import pages_from_documents
+
+    out = run_flagship(pages_from_documents("/root/testdata/sf0.001"))
+    return out.map_batches(
+        lambda b: b.set_column(b.column_names.index("zone"), "zone",
+                               pc.cast(b.column("zone"), pa.int64())),
+        batch_format="pyarrow")
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    """All registered pipelines, ordered for maximal NEW hard signal
-    under a driver that samples a prefix of this dict:
+    """All registered pipelines in registration order; every one carries
+    an oracle in ``oracle_sql()``."""
+    from geoflow.pipelines.queries import QUERIES
 
-    1. oracle-bearing entries that have NEVER hash-matched in a past
-       driver round (rotating the window converts their local-sweep
-       evidence into hard driver signal),
-    2. oracle-bearing entries already driver-verified,
-    3. self-checking no-oracle entries last.
-
-    Registration order is preserved within each class (stable sort).
-    Past coverage is read from the CORRECTNESS_r*.json files the driver
-    leaves in the repo root, so the rotation is self-maintaining."""
-    import glob
-    import json
-
-    from geoflow.pipelines.queries import (ORACLE_SQL, ORACLE_SQL_LAZY,
-                                           QUERIES)
-
-    # key membership only — invoking get_oracle_sql() here would execute
-    # every lazy SQL builder (incl. deferred golden-fixture computations)
-    # just to order the dict
-    has_oracle = set(ORACLE_SQL) | set(ORACLE_SQL_LAZY)
-    seen = set()
-    for path in glob.glob(os.path.join(_REPO, "CORRECTNESS_r*.json")):
-        try:
-            with open(path) as f:
-                rec = json.load(f)
-            seen.update(k for k, v in rec.items()
-                        if (v or {}).get("hash_match") is True)
-        except Exception:
-            continue
-
-    def _prio(k: str) -> int:
-        if k in has_oracle:
-            return 0 if k not in seen else 1
-        return 2
-
-    return dict(sorted(QUERIES.items(), key=lambda kv: _prio(kv[0])))
+    return dict(QUERIES)
 
 
 def oracle_sql() -> dict[str, str]:

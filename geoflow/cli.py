@@ -103,10 +103,10 @@ def cmd_query(args) -> dict:
 
 
 def cmd_list(_args) -> dict:
-    from geoflow.pipelines.queries import ORACLE_SQL, QUERIES
+    from geoflow.pipelines.queries import ORACLE_SQL, ORACLE_SQL_LAZY, QUERIES
 
     return {"queries": sorted(QUERIES),
-            "duckdb_verified": sorted(ORACLE_SQL)}
+            "duckdb_verified": sorted(set(ORACLE_SQL) | set(ORACLE_SQL_LAZY))}
 
 
 def cmd_correct(args) -> dict:

@@ -1,7 +1,7 @@
 """Connected components over an (id_a, id_b) edge list.
 
-Callers: grid DBSCAN (``stages.geocluster``) links core points within
-eps, and blob labelling (``stages.compaction``) links 4-neighbour cells.
+Caller: grid DBSCAN (``stages.geocluster``) links core points within
+eps.
 ``dup_components`` labels each id with the minimum id of its component:
 union-find on the driver for small edge sets, distributed min-label
 propagation above ``driver_limit`` edges.

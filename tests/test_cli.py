@@ -8,8 +8,8 @@ from geoflow.cli import main
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert "flagship_zonal" in out["queries"]
-    assert "flagship_zonal_verified" in out["duckdb_verified"]
+    assert "flagship_zonal_verified" in out["queries"]
+    assert out["duckdb_verified"] == out["queries"]
 
 
 def test_cli_query(ray_session, capsys, sf_small):

@@ -1,6 +1,6 @@
 """Golden-oracle machinery: VALUES rendering round-trips through DuckDB,
 the lazy SQL registry resolves for every raster query, and the focal
-raster query matches its SQL twin."""
+raster query and the raster<->page cell join match their SQL twins."""
 
 import duckdb
 import numpy as np
@@ -50,6 +50,29 @@ def test_focal_terrain_stats_matches_oracle_sql(ray_session):
     want = want[cols].sort_values(["y", "x"], ignore_index=True)
     assert (got.dtypes == np.int64).all() and (want.dtypes == np.int64).all()
     assert got.equals(want)
+
+
+def test_raster_pages_cell_join_matches_oracle_sql(ray_session, sf_small):
+    """The raster<->page cell join (the asserted raster side joined with
+    the geocoded page zones by stages.zonal.join_zonal_with_pages)
+    equals its DuckDB twin on sf_small, row for row in any order."""
+    import pandas as pd
+
+    from geoflow.pipelines.queries import ORACLE_SQL_LAZY, QUERIES
+
+    name = "raster_pages_cell_join_verified"
+    got = QUERIES[name](sf_small)
+    con = duckdb.connect()
+    con.execute("CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{sf_small}/documents.parquet')")
+    want = con.sql(ORACLE_SQL_LAZY[name]()).df()
+    assert len(got) > 0
+    cols = sorted(want.columns)
+    assert sorted(got.columns) == cols
+    got = got[cols].sort_values(["band", "cell"], ignore_index=True)
+    want = want[cols].sort_values(["band", "cell"], ignore_index=True)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                  check_exact=True)
 
 
 def test_default_ndv_lookup():

@@ -106,18 +106,21 @@ def test_rank_rejects_multi_raster_input(ray_session):
 
 def test_driver_window_slots_carry_oracles():
     """The correctness driver hash-checks a 50-query prefix of
-    ``__ray_entry__.queries()``; every slot of it must carry an oracle."""
+    ``__ray_entry__.queries()``; every slot of it must carry an oracle.
+    The registry fits in that prefix, so ``queries()`` is the registry
+    in registration order."""
     import importlib.util
     import pathlib
 
-    from geoflow.pipelines.queries import ORACLE_SQL, ORACLE_SQL_LAZY
+    from geoflow.pipelines.queries import ORACLE_SQL, ORACLE_SQL_LAZY, QUERIES
 
     path = pathlib.Path(__file__).resolve().parents[1] / "__ray_entry__.py"
     spec = importlib.util.spec_from_file_location("_entry", path)
     entry = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(entry)
     names = list(entry.queries())
-    window = names[:min(50, len(names))]
-    missing = [n for n in window
+    assert names == list(QUERIES)
+    assert len(QUERIES) <= 50
+    missing = [n for n in names
                if n not in ORACLE_SQL and n not in ORACLE_SQL_LAZY]
     assert not missing, missing

@@ -3,6 +3,7 @@ cases (exact microdegree centroid sums, truncated durations)."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data as rd
 
 from geoflow.stages.geocode import geocode_doc_ids, stay_points
@@ -61,3 +62,22 @@ def test_single_event_users_and_no_stays():
     got = stay_points(rd.from_pandas(ev)).to_pandas()
     want = reference(ev)
     assert len(got) == len(want)
+
+
+def test_od_matrix_conserves_transitions():
+    import pandas as pd
+
+    from geoflow.stages.geocode import od_matrix
+
+    rng = np.random.default_rng(21)
+    n = 300
+    eid = np.arange(n, dtype=np.int64)
+    uid = rng.integers(0, 20, n).astype(np.int64)
+    ts = pd.to_datetime(rng.integers(0, 5000, n), unit="s")
+    ds = rd.from_arrow(pa.table({
+        "event_id": pa.array(eid), "user_id": pa.array(uid),
+        "ts": pa.array(ts)})).repartition(4)
+    got = od_matrix(ds, res=6, num_buckets=8).to_pandas()
+    n_users = len(np.unique(uid))
+    assert got["n_moves"].sum() == n - n_users  # one leg per event, minus firsts
+    assert (got["n_moves"] > 0).all()

@@ -3,6 +3,7 @@ keys its shuffle buckets (geoflow.stages.crawl)."""
 
 import numpy as np
 import pyarrow as pa
+import ray.data as rd
 
 from geoflow.stages.crawl import (
     canonicalize_urls_batch,
@@ -62,3 +63,26 @@ def test_poly_hash_matches_scalar_fold():
         for byte in s.encode("utf-8"):
             acc = (acc * _FP_B_CHAR + byte) % _FP_P
         assert acc == v
+
+
+def test_frontier_order_fair_interleave():
+    import pandas as pd
+
+    from geoflow.stages.crawl import frontier_order
+
+    ids = np.arange(137, dtype=np.int64)
+    ds = rd.from_arrow(pa.table({"doc_id": pa.array(ids)})).repartition(4)
+    got = (frontier_order(ds, num_domains=7).to_pandas()
+           .sort_values("pos").reset_index(drop=True))
+    assert got["pos"].tolist() == list(range(1, 138))
+    # schedule order == lexicographic (round, domain, doc_id)
+    key = list(zip(got["rnd"], got["domain_key"], got["doc_id"]))
+    assert key == sorted(key)
+    # per-domain: rounds are 0..k-1 in doc_id order
+    for dom, g in got.groupby("domain_key"):
+        g = g.sort_values("doc_id")
+        assert g["rnd"].tolist() == list(range(len(g)))
+        assert (g["doc_id"] % 7 == dom).all()
+    # fairness: round r is only scheduled once every domain with >= r
+    # urls has had its r-1 round (positions of round r all after r-1)
+    assert (got.groupby("rnd")["pos"].min().diff().dropna() > 0).all()

@@ -83,7 +83,8 @@ def main():
             continue
         dt = time.time() - t0
         if name not in oracles:
-            print(f"rows  {name}: {len(got)} rows ({dt:.1f}s, no oracle)")
+            failures.append(name)
+            print(f"FAIL  {name}: {len(got)} rows ({dt:.1f}s), no oracle")
             continue
         exp = con.sql(oracles[name]).df()
         ok_rows = len(got) == len(exp)
