@@ -15,7 +15,9 @@ One plan serves every such reduction, pages and rasters alike:
   after laying out per-pixel or per-tile key/value columns;
 - ``partial_group_sums`` wraps it as a ``map_batches`` fn for flat rows;
 - ``merge_partials`` is the one exchange and final merge over partials
-  that already exist (``grouped_count_sum`` = the two composed).
+  that already exist (``grouped_count_sum`` = the two composed); each
+  of its merge tasks runs ``merge_partials_local``, which a task that
+  holds all of a key's partials can call on its own.
 
 Partials have the layout ``key_cols, {c}_sum, _n, {c}_min, {c}_max``,
 plus the bucket column ``_b`` when the merge runs over more than one
@@ -176,6 +178,40 @@ def partial_group_sums(key_cols: list[str], sum_cols: list[str],
     return _combine
 
 
+def merge_partials_local(t: pa.Table, key_cols: list[str],
+                         sum_cols: list[str], count_alias: str = "n",
+                         min_cols: list[str] | None = None,
+                         max_cols: list[str] | None = None) -> pa.Table:
+    """The final merge of one table of partials -> key_cols,
+    ``count_alias``, ``{c}_sum`` per sum col (plus ``{c}_min``/``{c}_max``
+    when requested), sorted by the keys.
+
+    It sorts the rows on the keys and then on every partial column, then
+    runs one single-threaded Arrow group-by. A float sum therefore adds
+    its partials in an order fixed by their values, not by the order in
+    which the rows arrived: the same multiset of partial rows gives the
+    same sums bit for bit. ``merge_partials`` runs it in every merge
+    task; a task that already holds all its partials calls it directly.
+    """
+    if t.num_rows == 0 and not t.num_columns:
+        return t                     # empty-schema block from a coalesce
+    min_cols = min_cols or []
+    max_cols = max_cols or []
+    outs = ([(count_alias, "_n", "sum")]
+            + [(f"{c}_sum", f"{c}_sum", "sum") for c in sum_cols]
+            + [(f"{c}_min", f"{c}_min", "min") for c in min_cols]
+            + [(f"{c}_max", f"{c}_max", "max") for c in max_cols])
+    parts = [p for _, p, _ in outs]
+    t = t.select(key_cols + parts).sort_by(
+        [(c, "ascending") for c in key_cols + parts])
+    out = pa.TableGroupBy(t, key_cols, use_threads=False).aggregate(
+        [(p, op) for _, p, op in outs])
+    cols = {k: out.column(k) for k in key_cols}
+    for name, p, op in outs:
+        cols[name] = out.column(f"{p}_{op}")
+    return pa.table(cols)
+
+
 def merge_partials(partials, key_cols: list[str], sum_cols: list[str],
                    count_alias: str = "n",
                    min_cols: list[str] | None = None,
@@ -201,31 +237,12 @@ def merge_partials(partials, key_cols: list[str], sum_cols: list[str],
       faster than Ray's per-key sort-aggregate at ~10^6 mostly-unique
       keys).
 
-    Every task runs the same merge: sort the rows on the keys and then
-    on every partial column, then one single-threaded Arrow group-by. A
-    float sum therefore adds its partials in an order fixed by their
-    values, not by which task finished first, so repeated runs over the
+    Every task runs ``merge_partials_local``, so repeated runs over the
     same blocks give equal sums bit for bit.
     """
-    min_cols = min_cols or []
-    max_cols = max_cols or []
-    outs = ([(count_alias, "_n", "sum")]
-            + [(f"{c}_sum", f"{c}_sum", "sum") for c in sum_cols]
-            + [(f"{c}_min", f"{c}_min", "min") for c in min_cols]
-            + [(f"{c}_max", f"{c}_max", "max") for c in max_cols])
-    parts = [p for _, p, _ in outs]
-
     def _merge(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 and not t.num_columns:
-            return t                 # empty-schema block from a coalesce
-        t = t.select(key_cols + parts).sort_by(
-            [(c, "ascending") for c in key_cols + parts])
-        out = pa.TableGroupBy(t, key_cols, use_threads=False).aggregate(
-            [(p, op) for _, p, op in outs])
-        cols = {k: out.column(k) for k in key_cols}
-        for name, p, op in outs:
-            cols[name] = out.column(f"{p}_{op}")
-        return pa.table(cols)
+        return merge_partials_local(t, key_cols, sum_cols, count_alias,
+                                    min_cols, max_cols)
 
     if buckets == 1:
         return partials.repartition(1, shuffle=False).map_batches(

@@ -1,12 +1,18 @@
 """Multi-criteria ranking of corrections (reference entry point #5).
 
-Engine shape (SURVEY.md section 3.2): a single terrain + fit pass feeds
-ONE band ``groupby`` that moves only the terrain columns the corrections
-read. Each band task applies every correction to its own tiles (one
-column per correction; the reference spawns a process per correction
-and round-trips GeoTIFFs, ``multi_criteria_rank.py:199-239``) and
-computes all metrics for the original and every correction; the tiny
+Engine shape (SURVEY.md section 3.2): ONE Ray Data job per rank. The
+tiles stream through the terrain derivation into ONE band ``groupby``
+that moves only the terrain columns the corrections read; nothing is
+materialized before it and there is no separate fit job. Each band task
+fits its band from its own tiles (the reference fits each band from that
+band's pixels, ``multi_criteria_rank.py:199-239``), applies every
+correction to them (one column per correction; the reference spawns a
+process per correction and round-trips GeoTIFFs) and computes all
+metrics for the original and every correction; the tiny
 (corrections x bands) table is normalized/weighted/ranked on the driver.
+The band task's fit merges the same per-tile moment rows as
+``stages.corrections.fit_corrections`` in the same order, so its
+coefficients are ``==`` to that fit's.
 Tiles that carry ``zone_ids`` (the reference's classification map) are
 evaluated and ranked per zone by the same code; tiles without it are
 one zone.
@@ -33,13 +39,19 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..context import CorrectionContext, DEFAULT_CONTEXT
 from ..oracle import kernels as ok
-from ..stages.corrections import fit_corrections
+from ..stages.corrections import (fit_moments_batch, merge_moments,
+                                  solve_corrections)
 from ..stages.metrics import ORIG_KEY, metric_ids, metrics_for_band_group
-from ..stages.terrain import _rows_as_arrays
-from .correction import prepare_terrain
+from ..stages.terrain import _rows_as_arrays, derive_terrain
+# the stand-alone terrain and fit steps; perfbench's traced rank pass
+# wraps them under these names, so they stay importable from here
+from ..stages.corrections import fit_corrections  # noqa: F401
+from .correction import prepare_terrain  # noqa: F401
+
 
 # column-safe names for the wide layout
 def _col(name: str) -> str:
@@ -71,41 +83,53 @@ def apply_all_wide_batch(batch: pa.Table, fns: list,
     return keep
 
 
-def evaluate_corrections_ds(terrain, fns: list, coeffs_by_raster: dict,
-                            ctx: CorrectionContext):
+def fit_band(group: pa.Table, ctx: CorrectionContext) -> dict:
+    """{raster_id: coeffs} fitted from one band group's own tiles.
+
+    A group that holds two rasters would pool their pixels, min and max
+    into one band, so it is refused, naming the raster ids."""
+    rids = pc.unique(group.column("raster_id")).to_pylist()
+    if len(rids) > 1:
+        raise ValueError("rank input must hold one raster, got raster ids "
+                         f"{sorted(rids)}")
+    return solve_corrections(
+        merge_moments(fit_moments_batch(group, ctx)).to_pylist(), ctx)
+
+
+def evaluate_corrections_ds(terrain, fns: list, ctx: CorrectionContext):
     """Terrain Dataset -> (correction, band[, zone], metrics) Dataset; each
-    band task builds and evaluates the wide table of its own tiles."""
+    band task fits its band, then builds and evaluates the wide table of
+    its own tiles."""
     cols = ["raster_id", "band", "tile_y", "tile_x", "pixels", "luminance",
-            "slope"]
-    if "zone_ids" in terrain.schema().names:
-        cols.append("zone_ids")
+            "slope", "zone_ids"]
     evaluate = metrics_for_band_group([_col(n) for n, _ in fns])
 
-    def apply_and_evaluate(group: pa.Table) -> pd.DataFrame:
-        return evaluate(
-            apply_all_wide_batch(group, fns, coeffs_by_raster, ctx))
+    def band_columns(batch: pa.Table) -> pa.Table:
+        # per batch, not ``select_columns``: whether ``zone_ids`` is there
+        # would otherwise take the lazy terrain's schema, which runs it
+        return batch.select([c for c in cols if c in batch.column_names])
 
-    return terrain.select_columns(cols).groupby("band").map_groups(
-        apply_and_evaluate, batch_format="pyarrow")
+    def fit_apply_evaluate(group: pa.Table) -> pd.DataFrame:
+        coeffs = fit_band(group, ctx)
+        return evaluate(apply_all_wide_batch(group, fns, coeffs, ctx))
+
+    return terrain.map_batches(band_columns, batch_format="pyarrow").groupby(
+        "band").map_groups(fit_apply_evaluate, batch_format="pyarrow")
 
 
 def compute_metrics_table(tiles_ds, names: list[str] | None = None,
                           ctx: CorrectionContext = DEFAULT_CONTEXT) -> pd.DataFrame:
     """-> DataFrame indexed (correction, band) with the metric columns;
     tiles that carry ``zone_ids`` add a trailing ``zone`` level. The tiles
-    must come from one raster (``ValueError`` otherwise)."""
+    must come from one raster (``ValueError`` otherwise). One lazy
+    pipeline, so one Ray Data execution: read, terrain, band shuffle,
+    band tasks."""
     from ..registry import CORRECTIONS
 
     names = names or list(ok.CORRECTION_NAMES)
     fns = [(n, CORRECTIONS[n]) for n in names]   # driver-side resolve
-    terrain = prepare_terrain(tiles_ds, ctx)
-    coeffs = fit_corrections(terrain, ctx)
-    if len(coeffs) > 1:
-        # metric groups are per band: two rasters would pool their pixels
-        # and min/max into one group, in shuffle-dependent order
-        raise ValueError("rank input must hold one raster, got raster ids "
-                         f"{sorted(coeffs)}")
-    mt = evaluate_corrections_ds(terrain, fns, coeffs, ctx).to_pandas()
+    terrain = derive_terrain(tiles_ds, ctx)
+    mt = evaluate_corrections_ds(terrain, fns, ctx).to_pandas()
     inv = {_col(n): n for n in names}
     mt["correction"] = mt["correction"].map(lambda c: inv.get(c, c))
     keys = ["correction", "band"] + (["zone"] if "zone" in mt.columns else [])

@@ -2,12 +2,17 @@
 
 Two-phase design (SURVEY.md section 2.3 "Ray Data mapping"):
 
-FIT — one streaming pass over the terrain-enriched tile dataset computes
-one row of float64 moments per tile inside ``map_batches``, the shared
-Arrow combine (``functions.agg.combine_partials``) sums them to one row
-per (raster_id, band) per batch, ``functions.agg.merge_partials``
-merges the batches, and the driver solves the closed-form OLS / means.
-This single pass yields the coefficients for ALL 11 corrections at
+FIT — one row of float64 moments per tile (``fit_moments_batch``), with
+no per-batch combine, so a band's partial rows are the same whatever the
+blocking. ``merge_moments`` (``functions.agg.merge_partials_local``)
+sums them per (raster_id, band) in an order fixed by their values, and
+``solve_corrections`` solves the closed-form OLS / means. Two callers
+share these steps: ``fit_corrections`` maps the moments over a terrain
+Dataset and merges every band in one task (``merge_partials`` at
+B = 1) for ``run_correction`` / ``run_all_corrections``; the rank band
+task (``pipelines.rank``) fits its own band from its own tiles. Both add
+the same rows in the same order, so they give ``==`` coefficients. The
+one set of moments yields the coefficients for ALL 11 corrections at
 once — the reference reruns its full fit per correction and per band in
 the driver process
 (``LuminanceRegressionTopoCorrectionAlgorithm.py:30-35``,
@@ -33,16 +38,21 @@ import numpy as np
 import pyarrow as pa
 
 from ..context import CorrectionContext, DEFAULT_CONTEXT
-from ..functions.agg import combine_partials, merge_partials
+from ..functions.agg import merge_partials, merge_partials_local
 from ..oracle import kernels as ok
 from ..registry import CORRECTIONS
 from .terrain import _rows_as_arrays
 
 CORRECTION_NAMES = list(ok.CORRECTION_NAMES)
 
-# per-tile moments; the merge sums each into ``{c}_sum``
+_FIT_KEYS = ["raster_id", "band"]
+
+# per-tile moments; the merge sums each into ``{c}_sum``. The merge sorts
+# its rows on these columns in this order, and ``n`` and ``lum`` do not
+# depend on the band, so every band of a raster adds its tiles' ``lum``
+# in one order and gets the same ``luminance_mean`` bit for bit.
 _MOMENT_COLS = [
-    "n", "I", "lum",
+    "n", "lum", "I",
     "m_n", "m_x", "m_y", "m_xx", "m_xy",     # OLS on masked px
     "mn_x", "mn_y", "mn_xx", "mn_xy",        # Minnaert log-fit
 ]
@@ -50,7 +60,10 @@ _MOMENT_COLS = [
 
 def fit_moments_batch(batch: pa.Table,
                       ctx: CorrectionContext = DEFAULT_CONTEXT) -> pa.Table:
-    """Collapse a tile batch to per-(raster_id, band) moment partials."""
+    """One moment row per tile: ``raster_id``, ``band``, ``{c}_sum`` per
+    moment and ``_n`` = 1, the partial layout ``functions.agg`` merges.
+    No rows are combined here, so the partials of a band are the same
+    rows however the tiles are blocked."""
     pixels = _rows_as_arrays(batch.column("pixels"))
     lums = _rows_as_arrays(batch.column("luminance"))
     slopes = _rows_as_arrays(batch.column("slope"))
@@ -67,15 +80,16 @@ def fit_moments_batch(batch: pa.Table,
         mx = ok.minnaert_x(L, s).astype(np.float64).ravel()
         my = ok.minnaert_y(I, s).astype(np.float64).ravel()
         rows.append([[
-            I.size, I64.sum(), L64.sum(),
+            I.size, L64.sum(), I64.sum(),
             x.size, x.sum(), y.sum(), (x * x).sum(), (x * y).sum(),
             mx.sum(), my.sum(), (mx * mx).sum(), (mx * my).sum(),
         ]])
     moments = np.concatenate(rows)
-    tile = pa.table({"raster_id": batch.column("raster_id"),
-                     "band": batch.column("band").cast(pa.int32()),
-                     **{c: moments[:, j] for j, c in enumerate(_MOMENT_COLS)}})
-    return combine_partials(tile, ["raster_id", "band"], _MOMENT_COLS)
+    return pa.table({
+        "raster_id": batch.column("raster_id"),
+        "band": batch.column("band").cast(pa.int32()),
+        **{f"{c}_sum": moments[:, j] for j, c in enumerate(_MOMENT_COLS)},
+        "_n": np.ones(batch.num_rows, np.int64)})
 
 
 def _closed_form_ols(n, sx, sy, sxx, sxy) -> tuple[float, float]:
@@ -95,50 +109,62 @@ def _closed_form_ols(n, sx, sy, sxx, sxy) -> tuple[float, float]:
     return float(intercept), float(slope)
 
 
+def merge_moments(moments: pa.Table) -> pa.Table:
+    """Per-tile moment rows -> one merged row per (raster_id, band)."""
+    return merge_partials_local(moments, _FIT_KEYS, _MOMENT_COLS, "n_tiles")
+
+
+def solve_corrections(rows, ctx: CorrectionContext = DEFAULT_CONTEXT) -> dict:
+    """Merged moment rows (dicts, one per (raster_id, band)) ->
+    {raster_id: coeffs} (oracle-shaped dicts), with an entry under
+    ``bands`` for each band the rows hold."""
+    out: dict[str, dict] = {}
+    for row in rows:
+        coeffs = out.setdefault(row["raster_id"], {
+            "luminance_mean": None, "h0": ok.pbc_h0(ctx), "bands": {}})
+        b = int(row["band"])
+        intercept, slope = _closed_form_ols(
+            row["m_n_sum"], row["m_x_sum"], row["m_y_sum"], row["m_xx_sum"],
+            row["m_xy_sum"])
+        m_int, m_slope = _closed_form_ols(
+            row["n_sum"], row["mn_x_sum"], row["mn_y_sum"], row["mn_xx_sum"],
+            row["mn_xy_sum"])
+        coeffs["bands"][b] = {
+            "ols_intercept": intercept,
+            "ols_slope": slope,
+            # degenerate fits (slope/intercept 0 on flat terrain —
+            # see _closed_form_ols): c / pbc_c are arbitrary there
+            # because the correction factor is identically 1 when
+            # luminance is constant; pin 0.0 to keep kernels finite
+            "c": intercept / slope if slope != 0 else 0.0,
+            "minnaert_intercept": m_int,
+            "minnaert_k": m_slope,
+            "pbc_c": m_slope / m_int if m_int != 0 else 0.0,
+            "band_mean": float(row["I_sum"] / row["n_sum"]),
+            "zero_noise": ok.deterministic_zero_noise(b),
+        }
+        # luminance is band-independent, and so is the order in which
+        # the merge adds it (see _MOMENT_COLS): every band gives one mean
+        coeffs["luminance_mean"] = float(row["lum_sum"] / row["n_sum"])
+    return out
+
+
 def fit_corrections(terrain_ds, ctx: CorrectionContext = DEFAULT_CONTEXT) -> dict:
     """Streaming fit pass -> {raster_id: coeffs} (oracle-shaped dicts).
 
-    Reproducibility: repeated runs over the same blocking give ``==``
-    coefficients, because the merge adds the per-batch moment sums in
-    an order fixed by their values. Across blockings they may differ in
-    the last bits: each batch's float sums depend on which tiles share
-    the batch. The metric tables built on them stay equal."""
+    The per-tile moment rows merge in one task (``merge_partials`` at
+    B = 1), which adds them in an order fixed by their values. A band's
+    rows do not depend on the blocking, so the coefficients are ``==``
+    across blockings and tile orders, and ``==`` to the fit each rank
+    band task makes from its own tiles."""
     def fit_moments(b):
         return fit_moments_batch(b, ctx)
 
     partials = terrain_ds.map_batches(fit_moments, batch_format="pyarrow")
-    # few (raster, band) keys over many tile blocks: one bucket
-    table = merge_partials(partials, ["raster_id", "band"], _MOMENT_COLS,
-                           "n_tiles", buckets=1).to_pandas()
-    out: dict[str, dict] = {}
-    for rid, g in table.groupby("raster_id"):
-        coeffs = {"luminance_mean": None, "h0": ok.pbc_h0(ctx), "bands": {}}
-        for row in g.itertuples(index=False):
-            b = int(row.band)
-            intercept, slope = _closed_form_ols(
-                row.m_n_sum, row.m_x_sum, row.m_y_sum, row.m_xx_sum,
-                row.m_xy_sum)
-            m_int, m_slope = _closed_form_ols(
-                row.n_sum, row.mn_x_sum, row.mn_y_sum, row.mn_xx_sum,
-                row.mn_xy_sum)
-            coeffs["bands"][b] = {
-                "ols_intercept": intercept,
-                "ols_slope": slope,
-                # degenerate fits (slope/intercept 0 on flat terrain —
-                # see _closed_form_ols): c / pbc_c are arbitrary there
-                # because the correction factor is identically 1 when
-                # luminance is constant; pin 0.0 to keep kernels finite
-                "c": intercept / slope if slope != 0 else 0.0,
-                "minnaert_intercept": m_int,
-                "minnaert_k": m_slope,
-                "pbc_c": m_slope / m_int if m_int != 0 else 0.0,
-                "band_mean": float(row.I_sum / row.n_sum),
-                "zero_noise": ok.deterministic_zero_noise(b),
-            }
-            # luminance is band-independent; any band's sums give the mean
-            coeffs["luminance_mean"] = float(row.lum_sum / row.n_sum)
-        out[rid] = coeffs
-    return out
+    # few (raster, band) keys over tiles x bands partial rows: one bucket
+    merged = merge_partials(partials, _FIT_KEYS, _MOMENT_COLS, "n_tiles",
+                            buckets=1)
+    return solve_corrections(merged.take_all(), ctx)
 
 
 def apply_correction_batch(batch: pa.Table, fn, coeffs_by_raster: dict,

@@ -17,9 +17,10 @@ Transcribed metric semantics (reference
 standard formula behind scipy.stats.linregress, metrics.py:193-195;
 scipy is not available in this environment -- SURVEY.md section 7.0).
 
-Evaluation shape: one ``groupby("band").map_groups`` over the terrain
-columns (``geoflow.pipelines.rank.evaluate_corrections_ds``); each band
-task applies every correction to its own tiles and computes every
+Evaluation shape: one ``groupby("band").map_groups`` over the lazy
+terrain columns (``geoflow.pipelines.rank.evaluate_corrections_ds``),
+in the rank's one Ray Data job; each band task fits its band from its
+own tiles, applies every correction to them and computes every
 registered metric for the original and all corrections of that band.
 Exact medians/percentiles come from the gathered per-band group (the
 reference holds full bands in the driver, multi_criteria_eval.py:128).

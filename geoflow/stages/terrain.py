@@ -15,7 +15,9 @@ parity tests exercise the genuinely distributed risk: tiled + halo
 execution must reproduce the oracle's full-array results exactly.
 
 Scale notes: the stage is stateless (task pool, elastic), output drops
-``dem_halo`` so the heaviest column dies as early as possible, and all
+``dem_halo`` so the heaviest column dies as early as possible, each
+batch derives a tile's terrain once for all of its band rows
+(``raster_to_tile_table`` emits them next to each other), and all
 downstream correction stages consume the slope/aspect/luminance columns
 without recomputing them (the reference recomputes derived layers per
 correction run — SURVEY.md section 3.2).
@@ -50,19 +52,30 @@ def derive_terrain_batch(batch: pa.Table,
     ``ewres``/``nsres``: pixel size from the raster geotransform (GDAL
     convention: nsres negative for north-up rasters); defaults keep the
     synthetic fixtures' unit grid.
+
+    The band rows of one tile share its DEM halo, so the terrain is
+    derived once per distinct tile in the batch: a row reuses an earlier
+    row's output when its ``height``, ``width`` and ``dem_halo`` bytes
+    are all equal to that row's. Equal bytes give equal outputs, NaN
+    halos included, so each row's output is the one it would get alone.
     """
     heights = batch.column("height").to_numpy()
     widths = batch.column("width").to_numpy()
     halos = _rows_as_arrays(batch.column("dem_halo"))
+    derived: dict[tuple, tuple] = {}
     slopes, aspects, lums = [], [], []
     for h, w, halo in zip(heights, widths, halos):
-        p = halo.reshape(h + 2, w + 2)
-        slope_rad = np.deg2rad(ok.zt_slope_degrees_padded(p, ewres, nsres))
-        aspect_rad = np.deg2rad(ok.zt_aspect_degrees_padded(p))
-        lum = ok.luminance(slope_rad, aspect_rad, ctx).astype(np.float32)
-        slopes.append(slope_rad.ravel())
-        aspects.append(aspect_rad.ravel())
-        lums.append(lum.ravel())
+        key = (int(h), int(w), halo.tobytes())
+        if key not in derived:
+            p = halo.reshape(h + 2, w + 2)
+            slope_rad = np.deg2rad(ok.zt_slope_degrees_padded(p, ewres, nsres))
+            aspect_rad = np.deg2rad(ok.zt_aspect_degrees_padded(p))
+            lum = ok.luminance(slope_rad, aspect_rad, ctx).astype(np.float32)
+            derived[key] = (slope_rad.ravel(), aspect_rad.ravel(), lum.ravel())
+        slope, aspect, lum = derived[key]
+        slopes.append(slope)
+        aspects.append(aspect)
+        lums.append(lum)
     out = batch.drop_columns(["dem_halo"])
     out = out.append_column("slope", pa.array(slopes, pa.list_(pa.float32())))
     out = out.append_column("aspect", pa.array(aspects, pa.list_(pa.float32())))

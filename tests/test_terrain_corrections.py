@@ -133,3 +133,68 @@ def test_unknown_correction_raises(tile_ds):
     from geoflow.stages.corrections import apply_correction_ds
     with pytest.raises(KeyError):
         apply_correction_ds(tile_ds, "NOPE", {})
+
+
+def _float_bits(t):
+    """``t`` with each float32 list column's values viewed as uint32, so
+    ``Table.equals`` compares floats by their bits (NaN equals NaN)."""
+    import pyarrow as pa
+
+    cols = {}
+    for name in t.column_names:
+        arr = t.column(name).combine_chunks()
+        if arr.type == pa.list_(pa.float32()):
+            offsets = np.concatenate([[0], np.cumsum(
+                arr.value_lengths().to_numpy())]).astype(np.int32)
+            arr = pa.ListArray.from_arrays(
+                pa.array(offsets),
+                pa.array(arr.flatten().to_numpy().view(np.uint32)))
+        cols[name] = arr
+    return pa.table(cols)
+
+
+def test_terrain_reuse_needs_bitwise_equal_tiles():
+    """A batch derives each distinct tile once; a row reuses an earlier
+    row's output only for equal ``height``, ``width`` and halo bytes, so
+    every row comes out as it does alone: two band rows of one tile
+    whose halos differ in one bit, a NaN halo (repeated, so it is
+    reused), and two tiles with equal halo bytes but swapped shapes.
+    All rows share one tile key, so a reuse keyed on the tile alone
+    gives some row another row's terrain. Rows compare with their floats
+    as bits, since ``Table.equals`` never finds a NaN equal to itself."""
+    import pyarrow as pa
+
+    from geoflow.stages.terrain import derive_terrain_batch
+
+    dem = tsrc.synth_dem(16, 16, seed=3)
+    table = tsrc.raster_to_tile_table(np.stack([dem, dem]), dem, tile=8)
+    # one tile's band rows sit next to each other
+    tiles = list(zip(table.column("tile_y").to_pylist(),
+                     table.column("tile_x").to_pylist()))
+    assert tiles[0::2] == tiles[1::2]
+    halo = np.asarray(table.column("dem_halo")[0].as_py(), np.float32)
+    flipped = halo.copy()
+    flipped.view(np.uint32)[45] ^= 1 << 20
+    nan_halo = halo.copy()
+    nan_halo[33] = np.nan
+    flat = np.linspace(0, 40, 40, dtype=np.float32)   # 4 x 10 or 10 x 4
+    rows = [(8, 8, halo), (8, 8, flipped), (8, 8, halo), (8, 8, nan_halo),
+            (8, 8, nan_halo), (2, 8, flat), (8, 2, flat), (2, 8, flat)]
+    pixels = [np.ones(h * w, np.float32) for h, w, _ in rows]
+    batch = pa.table({
+        "raster_id": ["synt0"] * len(rows),
+        "band": pa.array(range(len(rows)), pa.int32()),
+        "tile_y": pa.array([0] * len(rows), pa.int32()),
+        "tile_x": pa.array([0] * len(rows), pa.int32()),
+        "height": pa.array([h for h, _, _ in rows], pa.int32()),
+        "width": pa.array([w for _, w, _ in rows], pa.int32()),
+        "pixels": pa.array(pixels, pa.list_(pa.float32())),
+        "dem_halo": pa.array([r[2] for r in rows], pa.list_(pa.float32())),
+    })
+    out = derive_terrain_batch(batch, CTX)
+    for i in range(len(rows)):
+        alone = derive_terrain_batch(batch.slice(i, 1), CTX)
+        assert _float_bits(out.slice(i, 1)).equals(_float_bits(alone)), i
+    slope = out.column("slope").to_pylist()
+    assert slope[0] == slope[2] and slope[0] != slope[1]
+    assert np.isnan(slope[3]).any() and slope[5] != slope[6]

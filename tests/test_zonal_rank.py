@@ -110,25 +110,50 @@ def test_export_rank_report(zoned_fixture, tmp_path):
 
 
 def test_fit_coefficients_repeat_per_blocking(zoned_fixture):
-    """Repeated fits over one blocking give ``==`` coefficients (the
-    merge's float sums do not depend on task completion order); across
-    blockings they agree to 1e-12 relative."""
+    """The fit's coefficients are ``==`` at 1, 4 and 8 blocks and in a
+    shuffled tile order (the merge adds the per-tile moment rows in an
+    order fixed by their values), and ``==`` to the fit each rank band
+    task makes from its own tiles, luminance mean included."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
+
     from geoflow.pipelines.correction import prepare_terrain
+    from geoflow.pipelines.rank import fit_band
     from geoflow.stages.corrections import fit_corrections
 
-    def _flat(coeffs):
-        return {(rid, b, k): v for rid, c in coeffs.items()
-                for b, kv in c["bands"].items() for k, v in kv.items()}
+    ds = zoned_fixture[0]
+    fits = [fit_corrections(prepare_terrain(ds.repartition(n), CTX), CTX)
+            for n in (1, 4, 8)]
+    fits.append(fit_corrections(
+        prepare_terrain(ds.random_shuffle(seed=3).repartition(4), CTX), CTX))
+    assert all(f == fits[0] for f in fits[1:])
 
-    fits = {}
-    for n in (1, 4, 8):
-        terrain = prepare_terrain(zoned_fixture[0].repartition(n),
-                                  CTX).materialize()
-        runs = [_flat(fit_corrections(terrain, CTX))
-                for _ in range(1 if n == 1 else 3)]
-        assert all(r == runs[0] for r in runs[1:]), n
-        fits[n] = runs[0]
-    for n in (4, 8):
-        assert fits[n].keys() == fits[1].keys()
-        for k, v in fits[1].items():
-            assert abs(fits[n][k] - v) <= 1e-12 * abs(v), (n, k)
+    terrain = prepare_terrain(ds, CTX)
+    table = pa.concat_tables(ray.get(terrain.to_arrow_refs()))
+    (coeffs,) = fits[0].values()
+    bands = sorted(set(table.column("band").to_pylist()))
+    assert sorted(coeffs["bands"]) == bands
+    for b in bands:
+        group = table.filter(pc.equal(table.column("band"), b))
+        (own,) = fit_band(group, CTX).values()
+        assert own["bands"] == {b: coeffs["bands"][b]}, b
+        assert own["luminance_mean"] == coeffs["luminance_mean"], b
+        assert own["h0"] == coeffs["h0"]
+
+
+def test_metrics_table_runs_one_execution(zoned_fixture, monkeypatch):
+    """``compute_metrics_table`` is one lazy pipeline: read, terrain,
+    band shuffle and band tasks run in one Ray Data execution."""
+    from ray.data._internal.execution import streaming_executor as se
+
+    runs = []
+    execute = se.StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(se.StreamingExecutor, "execute", counted)
+    compute_metrics_table(zoned_fixture[0].repartition(4), NAMES, CTX)
+    assert len(runs) == 1
