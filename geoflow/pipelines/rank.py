@@ -1,15 +1,21 @@
 """Multi-criteria ranking of corrections (reference entry point #5).
 
 Engine shape (SURVEY.md section 3.2): ONE Ray Data job per rank. The
-tiles stream through the terrain derivation into ONE band ``groupby``
-that moves only the terrain columns the corrections read; nothing is
-materialized before it and there is no separate fit job. Each band task
-fits its band from its own tiles (the reference fits each band from that
-band's pixels, ``multi_criteria_rank.py:199-239``), applies every
-correction to them (one column per correction; the reference spawns a
-process per correction and round-trips GeoTIFFs) and computes all
-metrics for the original and every correction; the tiny
-(corrections x bands) table is normalized/weighted/ranked on the driver.
+tiles stream through the terrain derivation into the band step, which
+moves only the terrain columns the corrections read; nothing is
+materialized before it and there is no separate fit job. The band step
+takes its width from the plan (``one_band_task``): when the band
+columns fit in one block they are coalesced and one task runs every
+band, else a ``groupby("band")`` gives each band its own task. A band
+task fits each of its bands from the band's own tiles (the reference
+fits each band from that band's pixels,
+``multi_criteria_rank.py:199-239``), flattens the band's pixels,
+luminance and slope once in tile order, calls every correction once on
+the whole band (the reference applies them to full rasters, spawning a
+process per correction and round-tripping GeoTIFFs) and computes all
+metrics for the original and every correction from those flat arrays;
+the tiny (corrections x bands) table is normalized/weighted/ranked on
+the driver.
 The band task's fit merges the same per-tile moment rows as
 ``stages.corrections.fit_corrections`` in the same order, so its
 coefficients are ``==`` to that fit's.
@@ -42,10 +48,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..context import CorrectionContext, DEFAULT_CONTEXT
+from ..functions.agg import plan_estimate
 from ..oracle import kernels as ok
 from ..stages.corrections import (fit_moments_batch, merge_moments,
                                   solve_corrections)
-from ..stages.metrics import ORIG_KEY, metric_ids, metrics_for_band_group
+from ..stages.metrics import (ORIG_KEY, array_evaluator, flat, metric_ids,
+                              tile_order)
 from ..stages.terrain import _rows_as_arrays, derive_terrain
 # the stand-alone terrain and fit steps; perfbench's traced rank pass
 # wraps them under these names, so they stay importable from here
@@ -96,25 +104,73 @@ def fit_band(group: pa.Table, ctx: CorrectionContext) -> dict:
         merge_moments(fit_moments_batch(group, ctx)).to_pylist(), ctx)
 
 
+def one_band_task(terrain) -> bool:
+    """The band step's width: True when the band columns fit in one
+    block (``DataContext.target_max_block_size``), so one task runs
+    every band; False keeps one task per band after a band shuffle.
+
+    Read from the plan's byte estimate of the source
+    (``agg.plan_estimate``, which runs nothing). The band columns hold
+    12 B/px (pixels, luminance, slope; 16 with ``zone_ids``), the source
+    at least 8 B/px (pixels plus a DEM halo of at least h x w floats; 12
+    with ``zone_ids``), so they are at most 1.5x the source bytes. An
+    unknown estimate keeps the band shuffle."""
+    from ray.data import DataContext
+
+    nbytes = plan_estimate(terrain)[1]
+    limit = DataContext.get_current().target_max_block_size
+    return nbytes is not None and limit is not None and 1.5 * nbytes <= limit
+
+
 def evaluate_corrections_ds(terrain, fns: list, ctx: CorrectionContext):
-    """Terrain Dataset -> (correction, band[, zone], metrics) Dataset; each
-    band task fits its band, then builds and evaluates the wide table of
-    its own tiles."""
+    """Terrain Dataset -> (correction, band[, zone], metrics) Dataset.
+
+    The band columns go to one task when they fit in one block
+    (``one_band_task``: a coalesce, no shuffle), else through a
+    ``groupby("band")`` to one task per band. Either task fits each of
+    its bands from the band's own tiles, flattens pixels, luminance and
+    slope (and ``zone_ids``) once in tile order, calls each correction
+    once on the whole band and evaluates the flat arrays."""
     cols = ["raster_id", "band", "tile_y", "tile_x", "pixels", "luminance",
             "slope", "zone_ids"]
-    evaluate = metrics_for_band_group([_col(n) for n, _ in fns])
+    evaluate = array_evaluator()
 
     def band_columns(batch: pa.Table) -> pa.Table:
         # per batch, not ``select_columns``: whether ``zone_ids`` is there
         # would otherwise take the lazy terrain's schema, which runs it
         return batch.select([c for c in cols if c in batch.column_names])
 
-    def fit_apply_evaluate(group: pa.Table) -> pd.DataFrame:
-        coeffs = fit_band(group, ctx)
-        return evaluate(apply_all_wide_batch(group, fns, coeffs, ctx))
+    def band_task(batch: pa.Table) -> pd.DataFrame:
+        tiles = tile_order(batch)
+        bands = tiles.column("band").to_numpy()
+        cuts = np.flatnonzero(np.diff(bands)) + 1
+        frames = []
+        for lo, hi in zip([0, *cuts], [*cuts, bands.size]):
+            group = tiles.slice(lo, hi - lo)
+            (coeffs,) = fit_band(group, ctx).values()
+            band = int(bands[lo])
+            I, L, s = (flat(group.column(c))
+                       for c in ("pixels", "luminance", "slope"))
+            corrected = [(name, np.asarray(fn(I, L, s, coeffs, band, ctx),
+                                           dtype=np.float32).ravel())
+                         for name, fn in fns]
+            zones = (flat(group.column("zone_ids"))
+                     if "zone_ids" in group.column_names else None)
+            frames.append(evaluate(band, L, I, corrected, zones))
+        return pd.concat(frames, ignore_index=True)
 
-    return terrain.map_batches(band_columns, batch_format="pyarrow").groupby(
-        "band").map_groups(fit_apply_evaluate, batch_format="pyarrow")
+    def every_band(batch: pa.Table):
+        # a generator, so that a refused band reaches the caller as its
+        # ValueError, as from map_groups, not wrapped in Ray's
+        # UserCodeException
+        yield band_task(batch)
+
+    columns = terrain.map_batches(band_columns, batch_format="pyarrow")
+    if one_band_task(terrain):
+        return columns.repartition(1, shuffle=False).map_batches(
+            every_band, batch_format="pyarrow", batch_size=None)
+    return columns.groupby("band").map_groups(band_task,
+                                              batch_format="pyarrow")
 
 
 def compute_metrics_table(tiles_ds, names: list[str] | None = None,
@@ -122,16 +178,13 @@ def compute_metrics_table(tiles_ds, names: list[str] | None = None,
     """-> DataFrame indexed (correction, band) with the metric columns;
     tiles that carry ``zone_ids`` add a trailing ``zone`` level. The tiles
     must come from one raster (``ValueError`` otherwise). One lazy
-    pipeline, so one Ray Data execution: read, terrain, band shuffle,
-    band tasks."""
+    pipeline, so one Ray Data execution: read, terrain, band step."""
     from ..registry import CORRECTIONS
 
     names = names or list(ok.CORRECTION_NAMES)
     fns = [(n, CORRECTIONS[n]) for n in names]   # driver-side resolve
     terrain = derive_terrain(tiles_ds, ctx)
     mt = evaluate_corrections_ds(terrain, fns, ctx).to_pandas()
-    inv = {_col(n): n for n in names}
-    mt["correction"] = mt["correction"].map(lambda c: inv.get(c, c))
     keys = ["correction", "band"] + (["zone"] if "zone" in mt.columns else [])
     return mt.set_index(keys).sort_index()
 
@@ -153,29 +206,24 @@ def combine_vs_original(metrics: pd.DataFrame) -> pd.DataFrame:
     return out
 
 
-def _per_band(series_by_band: pd.Series, index: pd.MultiIndex) -> pd.Series:
-    """Broadcast a band-indexed series onto a (correction, band) index."""
-    vals = index.get_level_values(1).map(series_by_band)
-    return pd.Series(np.asarray(vals, dtype=float), index=index)
+def _by_band(by_band: pd.DataFrame, index: pd.MultiIndex) -> pd.DataFrame:
+    """Broadcast a band-indexed frame onto a (correction, band) index."""
+    return by_band.reindex(index.get_level_values(1)).set_axis(index)
 
 
 def normalize_vs_original(combined: pd.DataFrame,
                           orig_raw: pd.DataFrame) -> pd.DataFrame:
     """Split min-max normalization around the PRE-combine original value
-    (reference quirk — see module docstring)."""
-    norm = pd.DataFrame(index=combined.index, columns=metric_ids(), dtype=float)
-    for m in metric_ids():
-        col = combined[m]
-        ov = _per_band(orig_raw[m], col.index)
-        good = col > ov
-        bad = col < ov
-        max_good = _per_band(col.where(good).groupby(level=1).max(), col.index)
-        min_bad = _per_band(col.where(bad).groupby(level=1).min(), col.index)
-        n = pd.Series(np.nan, index=col.index)
-        n[good] = ((col - ov) / (max_good - ov))[good]
-        n[bad] = ((col - min_bad) / (ov - min_bad) - 1)[bad]
-        n[col == ov] = 0.0
-        norm[m] = n
+    (reference quirk — see module docstring), over every metric column
+    at once."""
+    col = combined[metric_ids()].copy()   # one block: where/mask run once
+    ov = _by_band(orig_raw[col.columns], col.index)
+    good, bad = col > ov, col < ov
+    max_good = _by_band(col.where(good).groupby(level=1).max(), col.index)
+    min_bad = _by_band(col.where(bad).groupby(level=1).min(), col.index)
+    norm = ((col - ov) / (max_good - ov)).where(good)
+    norm = norm.mask(bad, (col - min_bad) / (ov - min_bad) - 1)
+    norm = norm.mask(col == ov, 0.0)
     return norm.drop(ORIG_KEY, level=0)
 
 

@@ -10,6 +10,11 @@ pure functions.
 - correction: ``fn(I, L, slope_rad, coeffs, band_idx, ctx) -> float32``
   registered with ``@register_correction(name)``; a custom correction
   can read per-band fit results from ``coeffs['bands'][band_idx]``.
+  It must be elementwise over 1-D arrays: output pixel i depends only
+  on input pixel i and the coefficients. The arrays may be one tile or
+  a whole band (the rank calls it once per band, as the reference
+  applies a correction to the full raster), and both must give the
+  same values.
 - metric: ``fn(values, orig_min, orig_max, luminance) -> float``
   registered with ``@register_metric(id, is_reduction=..., weight=...)``;
   registered metrics flow through the distributed evaluation and the

@@ -17,16 +17,17 @@ Transcribed metric semantics (reference
 standard formula behind scipy.stats.linregress, metrics.py:193-195;
 scipy is not available in this environment -- SURVEY.md section 7.0).
 
-Evaluation shape: one ``groupby("band").map_groups`` over the lazy
-terrain columns (``geoflow.pipelines.rank.evaluate_corrections_ds``),
-in the rank's one Ray Data job; each band task fits its band from its
-own tiles, applies every correction to them and computes every
-registered metric for the original and all corrections of that band.
-Exact medians/percentiles come from the gathered per-band group (the
-reference holds full bands in the driver, multi_criteria_eval.py:128).
-The evaluator reads an Arrow group: tiles are ordered by (tile_y,
-tile_x) and each column is flattened straight from its list buffers, so
-floating reductions are deterministic and no pandas copy is made.
+Evaluation shape: the rank's band task
+(``geoflow.pipelines.rank.evaluate_corrections_ds``, in the rank's one
+Ray Data job) fits each band from its own tiles, flattens the band's
+columns once in (tile_y, tile_x) order, applies every correction to the
+whole band and hands the flat arrays to ``array_evaluator``, which
+computes every registered metric for the original and all corrections.
+Exact medians/percentiles come from the whole band held in one task
+(the reference holds full bands in the driver,
+multi_criteria_eval.py:128); the fixed tile order keeps floating
+reductions deterministic. ``metrics_for_band_group`` flattens a wide
+band group (Arrow or pandas) the same way and calls the same evaluator.
 
 One summary per (zone, source) serves all seven built-ins
 (``SourceSummary``): one ``np.sort`` of the values gives the quartiles
@@ -34,7 +35,8 @@ and the median as order statistics, with ``np.percentile``'s linear
 interpolation and ``np.median``'s mean of the middle pair; a NaN in the
 values sorts last and makes all three NaN, as in numpy. ``np.std`` is
 taken once for std and cv, and the float64 luminance cast and its sums
-once per zone for every source's r^2. The outlier counts compare the
+once per zone for every source's r^2. One ``Scratch`` per band holds
+the sort buffer and the two float64 r^2 buffers for all its sources. The outlier counts compare the
 unsorted values elementwise. A metric id whose registry function is no
 longer the built-in (``geoflow.registry.BUILTIN_METRICS``) -- a
 replaced built-in or a user metric -- is called on the raw
@@ -56,8 +58,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-
-from .terrain import _rows_as_arrays
 
 METRIC_IDS = [
     "std_reduction", "cv_reduction", "iqr_reduction",
@@ -129,23 +129,47 @@ class ZoneLuminance:
         return self.x.sum(), (self.x * self.x).sum()
 
 
+class Scratch:
+    """The buffers one band's evaluation reuses for every source: one
+    for the sort and two float64 ones for the r^2 sums, each ``n``
+    long (the band) and allocated on first use."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._bufs: dict = {}
+
+    def take(self, key: str, n: int, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        buf = self._bufs.get((key, dtype))
+        if buf is None:
+            buf = self._bufs[key, dtype] = np.empty(self.n, dtype)
+        return buf[:n]
+
+
 class SourceSummary:
     """The reductions the built-in metrics share for one (zone, source).
 
     Each is computed on first use and kept: one ``np.sort`` serves the
     quartiles and the median, one ``np.std`` serves std and cv, and the
     luminance side of r^2 comes from the zone's ``ZoneLuminance``.
+    With a ``Scratch`` the sort and the r^2 temporaries live in its
+    buffers (the same values bit for bit), so a summary must be used up
+    before the next one takes them.
     """
 
     def __init__(self, values: np.ndarray, orig_min: float, orig_max: float,
-                 lum: ZoneLuminance):
+                 lum: ZoneLuminance, scratch: Scratch | None = None):
         self.values = values
         self.orig_min, self.orig_max = orig_min, orig_max
         self.lum = lum
+        self.scratch = scratch or Scratch(values.size)
 
     @cached_property
     def sorted(self) -> np.ndarray:
-        return np.sort(self.values)
+        s = self.scratch.take("sort", self.values.size, self.values.dtype)
+        np.copyto(s, self.values)
+        s.sort()
+        return s
 
     @cached_property
     def quartiles(self) -> np.ndarray:
@@ -162,8 +186,13 @@ class SourceSummary:
     @cached_property
     def sums(self):
         """(sy, syy, sxy) with x the zone's luminance, all float64."""
-        y = self.values.astype(np.float64)
-        return y.sum(), (y * y).sum(), (self.lum.x * y).sum()
+        n = self.values.size
+        y = self.scratch.take("y", n, np.float64)
+        prod = self.scratch.take("prod", n, np.float64)
+        np.copyto(y, self.values)
+        sy = y.sum()
+        syy = np.multiply(y, y, out=prod).sum()
+        return sy, syy, np.multiply(self.lum.x, y, out=prod).sum()
 
 
 def _std(s: SourceSummary) -> float:                # metrics.py:81-91
@@ -228,7 +257,7 @@ def _metric_snapshot():
 
 
 def _zone_slices(zones: np.ndarray | None):
-    """Pixel order and [(zone, start, stop)] slices of one band group.
+    """Pixel order and [(zone, start, stop)] slices of one band.
 
     With per-pixel ``zones`` the pixels are grouped by one stable
     argsort, so each zone's pixels keep their boolean-mask order; without
@@ -242,51 +271,80 @@ def _zone_slices(zones: np.ndarray | None):
     return order, list(zip(ids.tolist(), starts, stops))
 
 
-def metrics_for_band_group(correction_cols: list[str]):
-    """map_groups fn over a per-band group of wide tile rows.
+def tile_order(table: pa.Table) -> pa.Table:
+    """Tile rows sorted by (band, tile_y, tile_x): each band is one run
+    of rows whose list columns flatten in tile order."""
+    return table.take(pc.sort_indices(table, [
+        ("band", "ascending"), ("tile_y", "ascending"),
+        ("tile_x", "ascending")]))
 
-    Expects columns: band, tile_y, tile_x, pixels (original), luminance,
-    one column per correction name in ``correction_cols`` and optionally
-    ``zone_ids``, as an Arrow table (a pandas group is converted once).
-    Emits one row per (correction, zone), ``__orig__`` included, with
-    every registered metric; the ``zone`` column appears only for zoned
-    input. Each zone's min, max and luminance come from that zone
-    (reference ``eval.py:173-179``, ``multi_criteria_eval.py:123-133``).
+
+def flat(col: pa.ChunkedArray) -> np.ndarray:
+    """A list column's values concatenated in row order."""
+    return pc.list_flatten(col).to_numpy()
+
+
+def array_evaluator():
+    """-> ``evaluate(band, luminance, original, corrected, zones=None)``,
+    the evaluator over one band's flat arrays: ``luminance``,
+    ``original`` pixels and per-pixel ``zones`` as 1-D arrays in one
+    pixel order, ``corrected`` as [(name, values)] in that order.
+
+    Emits one row per (source, zone), ``__orig__`` first, with every
+    registered metric; the ``zone`` column appears only for zoned input.
+    Each zone's min, max and luminance come from that zone (reference
+    ``eval.py:173-179``, ``multi_criteria_eval.py:123-133``). One
+    ``Scratch`` serves every source of the band. The registry snapshot
+    is taken when this is called, ON THE DRIVER.
     """
     specs = _metric_snapshot()
     ids = [mid for mid, _, _ in specs]
 
-    def _eval(g: pa.Table | pd.DataFrame) -> pd.DataFrame:
-        if isinstance(g, pd.DataFrame):
-            g = pa.Table.from_pandas(g, preserve_index=False)
-        tiles = pc.sort_indices(g, [("tile_y", "ascending"),
-                                    ("tile_x", "ascending")]).to_numpy()
-
-        def flat(col):
-            rows = _rows_as_arrays(g.column(col))
-            return np.concatenate([rows[i] for i in tiles])
-
-        band = int(g.column("band")[0].as_py())
-        order, slices = _zone_slices(
-            flat("zone_ids") if "zone_ids" in g.column_names else None)
-        lum, *arrays = [flat(c) for c in
-                        ["luminance", "pixels"] + list(correction_cols)]
+    def evaluate(band: int, luminance: np.ndarray, original: np.ndarray,
+                 corrected: list, zones: np.ndarray | None = None
+                 ) -> pd.DataFrame:
+        sources = [(ORIG_KEY, original)] + list(corrected)
+        order, slices = _zone_slices(zones)
         if order is not None:
-            lum, arrays = lum[order], [a[order] for a in arrays]
-        orig = arrays[0]
-        sources = list(zip([ORIG_KEY] + list(correction_cols), arrays))
+            luminance = luminance[order]
+            sources = [(name, v[order]) for name, v in sources]
+        orig = sources[0][1]
+        scratch = Scratch(original.size)
         rows = []
         for zone, lo, hi in slices:
-            zlum, zorig = lum[lo:hi], orig[lo:hi]
+            zlum, zorig = luminance[lo:hi], orig[lo:hi]
             omin, omax = float(zorig.min()), float(zorig.max())
             zone_lum = ZoneLuminance(zlum)
             for name, vals in sources:
                 v = vals[lo:hi]
-                summary = SourceSummary(v, omin, omax, zone_lum)
+                summary = SourceSummary(v, omin, omax, zone_lum, scratch)
                 rows.append({"correction": name, "band": band, "zone": zone,
                              **{mid: (from_summary(summary) if from_summary
                                       else fn(v, omin, omax, zlum))
                                 for mid, fn, from_summary in specs}})
         keys = ["correction", "band"] + (["zone"] if order is not None else [])
         return pd.DataFrame(rows)[keys + ids]
+    return evaluate
+
+
+def metrics_for_band_group(correction_cols: list[str]):
+    """map_groups fn over a per-band group of wide tile rows.
+
+    Expects columns: band, tile_y, tile_x, pixels (original), luminance,
+    one column per correction name in ``correction_cols`` and optionally
+    ``zone_ids``, as an Arrow table (a pandas group is converted once).
+    Flattens the group in tile order and runs ``array_evaluator`` on it.
+    """
+    evaluate = array_evaluator()
+
+    def _eval(g: pa.Table | pd.DataFrame) -> pd.DataFrame:
+        if isinstance(g, pd.DataFrame):
+            g = pa.Table.from_pandas(g, preserve_index=False)
+        g = tile_order(g)
+        zones = (flat(g.column("zone_ids"))
+                 if "zone_ids" in g.column_names else None)
+        return evaluate(int(g.column("band")[0].as_py()),
+                        flat(g.column("luminance")), flat(g.column("pixels")),
+                        [(c, flat(g.column(c))) for c in correction_cols],
+                        zones)
     return _eval

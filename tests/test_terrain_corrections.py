@@ -198,3 +198,38 @@ def test_terrain_reuse_needs_bitwise_equal_tiles():
     slope = out.column("slope").to_pylist()
     assert slope[0] == slope[2] and slope[0] != slope[1]
     assert np.isnan(slope[3]).any() and slope[5] != slope[6]
+
+
+@pytest.mark.parametrize("name", ok.CORRECTION_NAMES)
+def test_correction_is_elementwise_over_a_band(fixture_raster, name):
+    """The rank calls each correction once on a whole band's flat arrays,
+    where the per-tile pipeline calls it once per tile: one call over the
+    band must equal the per-tile calls concatenated, bit for bit. Tile
+    sizes are 1-999 px (not multiples of a SIMD width, and the tiles
+    start at any offset of the band), with NaN pixels and pixels at or
+    below ``pixel_ignore_threshold``."""
+    from geoflow.registry import CORRECTIONS
+
+    dem, bands, _ = fixture_raster
+    slope = ok.zt_slope_radians(dem)
+    lum = ok.luminance(slope, ok.zt_aspect_radians(dem), CTX).astype(
+        np.float32)
+    coeffs = ok.fit_coefficients(bands, lum, slope, CTX)
+    fn = CORRECTIONS[name]
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        sizes = rng.integers(1, 1000, rng.integers(1, 6))
+        b = int(rng.integers(NB))
+        px = rng.integers(0, H * W, sizes.sum())
+        I, L, s = bands[b].ravel()[px], lum.ravel()[px], slope.ravel()[px]
+        I[rng.random(I.size) < 0.05] = np.nan
+        low = rng.random(I.size) < 0.05
+        I[low] = rng.uniform(0, CTX.pixel_ignore_threshold, low.sum())
+        I[rng.random(I.size) < 0.01] = CTX.pixel_ignore_threshold
+        whole = np.asarray(fn(I, L, s, coeffs, b, CTX), np.float32)
+        cuts = np.cumsum(sizes)[:-1]
+        tiles = np.concatenate([
+            np.asarray(fn(i, lt, st, coeffs, b, CTX), np.float32)
+            for i, lt, st in zip(np.split(I, cuts), np.split(L, cuts),
+                                 np.split(s, cuts))])
+        assert np.array_equal(whole.view(np.uint32), tiles.view(np.uint32))
