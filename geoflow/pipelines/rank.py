@@ -4,13 +4,12 @@ Engine shape (SURVEY.md section 3.2): ONE Ray Data job per rank. The
 tiles stream through the terrain derivation into the band step, which
 moves only the terrain columns the corrections read; nothing is
 materialized before it and there is no separate fit job. The band step
-takes its width from the plan (``one_band_task``): when the band
-columns fit in one block they are coalesced and one task runs every
-band, else a ``groupby("band")`` gives each band its own task. A band
-task fits each of its bands from the band's own tiles (the reference
-fits each band from that band's pixels,
-``multi_criteria_rank.py:199-239``), flattens the band's pixels,
-luminance and slope once in tile order, calls every correction once on
+coalesces those columns into one block, with no shuffle, and one task
+runs every band in turn (the reference scores whole bands held in one
+process, ``multi_criteria_eval.py:123-133``). The task fits each band
+from the band's own tiles (the reference fits each band from that
+band's pixels, ``multi_criteria_rank.py:199-239``), flattens the band's
+pixels, luminance and slope once in tile order, calls every correction once on
 the whole band (the reference applies them to full rasters, spawning a
 process per correction and round-tripping GeoTIFFs) and computes all
 metrics for the original and every correction from those flat arrays;
@@ -48,7 +47,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..context import CorrectionContext, DEFAULT_CONTEXT
-from ..functions.agg import plan_estimate
 from ..oracle import kernels as ok
 from ..stages.corrections import (fit_moments_batch, merge_moments,
                                   solve_corrections)
@@ -92,10 +90,10 @@ def apply_all_wide_batch(batch: pa.Table, fns: list,
 
 
 def fit_band(group: pa.Table, ctx: CorrectionContext) -> dict:
-    """{raster_id: coeffs} fitted from one band group's own tiles.
+    """{raster_id: coeffs} fitted from one band's own tiles.
 
-    A group that holds two rasters would pool their pixels, min and max
-    into one band, so it is refused, naming the raster ids."""
+    A band whose tiles come from two rasters would pool their pixels,
+    min and max, so it is refused, naming the raster ids."""
     rids = pc.unique(group.column("raster_id")).to_pylist()
     if len(rids) > 1:
         raise ValueError("rank input must hold one raster, got raster ids "
@@ -104,33 +102,14 @@ def fit_band(group: pa.Table, ctx: CorrectionContext) -> dict:
         merge_moments(fit_moments_batch(group, ctx)).to_pylist(), ctx)
 
 
-def one_band_task(terrain) -> bool:
-    """The band step's width: True when the band columns fit in one
-    block (``DataContext.target_max_block_size``), so one task runs
-    every band; False keeps one task per band after a band shuffle.
-
-    Read from the plan's byte estimate of the source
-    (``agg.plan_estimate``, which runs nothing). The band columns hold
-    12 B/px (pixels, luminance, slope; 16 with ``zone_ids``), the source
-    at least 8 B/px (pixels plus a DEM halo of at least h x w floats; 12
-    with ``zone_ids``), so they are at most 1.5x the source bytes. An
-    unknown estimate keeps the band shuffle."""
-    from ray.data import DataContext
-
-    nbytes = plan_estimate(terrain)[1]
-    limit = DataContext.get_current().target_max_block_size
-    return nbytes is not None and limit is not None and 1.5 * nbytes <= limit
-
-
 def evaluate_corrections_ds(terrain, fns: list, ctx: CorrectionContext):
     """Terrain Dataset -> (correction, band[, zone], metrics) Dataset.
 
-    The band columns go to one task when they fit in one block
-    (``one_band_task``: a coalesce, no shuffle), else through a
-    ``groupby("band")`` to one task per band. Either task fits each of
-    its bands from the band's own tiles, flattens pixels, luminance and
-    slope (and ``zone_ids``) once in tile order, calls each correction
-    once on the whole band and evaluates the flat arrays."""
+    The band columns are coalesced into one block (no shuffle) and one
+    task runs every band: it fits each band from the band's own tiles,
+    flattens pixels, luminance and slope (and ``zone_ids``) once in tile
+    order, calls each correction once on the whole band and evaluates
+    the flat arrays."""
     cols = ["raster_id", "band", "tile_y", "tile_x", "pixels", "luminance",
             "slope", "zone_ids"]
     evaluate = array_evaluator()
@@ -140,7 +119,9 @@ def evaluate_corrections_ds(terrain, fns: list, ctx: CorrectionContext):
         # would otherwise take the lazy terrain's schema, which runs it
         return batch.select([c for c in cols if c in batch.column_names])
 
-    def band_task(batch: pa.Table) -> pd.DataFrame:
+    def every_band(batch: pa.Table):
+        # a generator, so that a refused band reaches the caller as its
+        # ValueError, not wrapped in Ray's UserCodeException
         tiles = tile_order(batch)
         bands = tiles.column("band").to_numpy()
         cuts = np.flatnonzero(np.diff(bands)) + 1
@@ -157,20 +138,11 @@ def evaluate_corrections_ds(terrain, fns: list, ctx: CorrectionContext):
             zones = (flat(group.column("zone_ids"))
                      if "zone_ids" in group.column_names else None)
             frames.append(evaluate(band, L, I, corrected, zones))
-        return pd.concat(frames, ignore_index=True)
+        yield pd.concat(frames, ignore_index=True)
 
-    def every_band(batch: pa.Table):
-        # a generator, so that a refused band reaches the caller as its
-        # ValueError, as from map_groups, not wrapped in Ray's
-        # UserCodeException
-        yield band_task(batch)
-
-    columns = terrain.map_batches(band_columns, batch_format="pyarrow")
-    if one_band_task(terrain):
-        return columns.repartition(1, shuffle=False).map_batches(
-            every_band, batch_format="pyarrow", batch_size=None)
-    return columns.groupby("band").map_groups(band_task,
-                                              batch_format="pyarrow")
+    return (terrain.map_batches(band_columns, batch_format="pyarrow")
+            .repartition(1, shuffle=False)
+            .map_batches(every_band, batch_format="pyarrow", batch_size=None))
 
 
 def compute_metrics_table(tiles_ds, names: list[str] | None = None,

@@ -35,9 +35,9 @@ and the median as order statistics, with ``np.percentile``'s linear
 interpolation and ``np.median``'s mean of the middle pair; a NaN in the
 values sorts last and makes all three NaN, as in numpy. ``np.std`` is
 taken once for std and cv, and the float64 luminance cast and its sums
-once per zone for every source's r^2. One ``Scratch`` per band holds
-the sort buffer and the two float64 r^2 buffers for all its sources. The outlier counts compare the
-unsorted values elementwise. A metric id whose registry function is no
+once per zone for every source's r^2. One sort buffer and two float64
+r^2 buffers per band serve all its sources. The outlier counts compare
+the unsorted values elementwise. A metric id whose registry function is no
 longer the built-in (``geoflow.registry.BUILTIN_METRICS``) -- a
 replaced built-in or a user metric -- is called on the raw
 ``(values, orig_min, orig_max, luminance)`` instead. The built-in
@@ -129,44 +129,31 @@ class ZoneLuminance:
         return self.x.sum(), (self.x * self.x).sum()
 
 
-class Scratch:
-    """The buffers one band's evaluation reuses for every source: one
-    for the sort and two float64 ones for the r^2 sums, each ``n``
-    long (the band) and allocated on first use."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self._bufs: dict = {}
-
-    def take(self, key: str, n: int, dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        buf = self._bufs.get((key, dtype))
-        if buf is None:
-            buf = self._bufs[key, dtype] = np.empty(self.n, dtype)
-        return buf[:n]
-
-
 class SourceSummary:
     """The reductions the built-in metrics share for one (zone, source).
 
     Each is computed on first use and kept: one ``np.sort`` serves the
     quartiles and the median, one ``np.std`` serves std and cv, and the
     luminance side of r^2 comes from the zone's ``ZoneLuminance``.
-    With a ``Scratch`` the sort and the r^2 temporaries live in its
-    buffers (the same values bit for bit), so a summary must be used up
-    before the next one takes them.
+    ``bufs`` is (sort, y, prod): the arrays the sort and the r^2 sums
+    write into, each at least ``values.size`` long, ``sort`` of the
+    values' dtype and the other two float64 (fresh ones by default). The
+    values come out the same bit for bit; a summary must be used up
+    before another one writes into the same buffers.
     """
 
     def __init__(self, values: np.ndarray, orig_min: float, orig_max: float,
-                 lum: ZoneLuminance, scratch: Scratch | None = None):
+                 lum: ZoneLuminance, bufs: tuple | None = None):
         self.values = values
         self.orig_min, self.orig_max = orig_min, orig_max
         self.lum = lum
-        self.scratch = scratch or Scratch(values.size)
+        self.bufs = ((np.empty_like(values), np.empty(values.shape),
+                      np.empty(values.shape)) if bufs is None
+                     else tuple(b[:values.size] for b in bufs))
 
     @cached_property
     def sorted(self) -> np.ndarray:
-        s = self.scratch.take("sort", self.values.size, self.values.dtype)
+        s = self.bufs[0]
         np.copyto(s, self.values)
         s.sort()
         return s
@@ -186,9 +173,7 @@ class SourceSummary:
     @cached_property
     def sums(self):
         """(sy, syy, sxy) with x the zone's luminance, all float64."""
-        n = self.values.size
-        y = self.scratch.take("y", n, np.float64)
-        prod = self.scratch.take("prod", n, np.float64)
+        _, y, prod = self.bufs
         np.copyto(y, self.values)
         sy = y.sum()
         syy = np.multiply(y, y, out=prod).sum()
@@ -293,9 +278,10 @@ def array_evaluator():
     Emits one row per (source, zone), ``__orig__`` first, with every
     registered metric; the ``zone`` column appears only for zoned input.
     Each zone's min, max and luminance come from that zone (reference
-    ``eval.py:173-179``, ``multi_criteria_eval.py:123-133``). One
-    ``Scratch`` serves every source of the band. The registry snapshot
-    is taken when this is called, ON THE DRIVER.
+    ``eval.py:173-179``, ``multi_criteria_eval.py:123-133``). One sort
+    buffer and two float64 buffers, allocated once per call, serve every
+    source of the band. The registry snapshot is taken when this is
+    called, ON THE DRIVER.
     """
     specs = _metric_snapshot()
     ids = [mid for mid, _, _ in specs]
@@ -309,7 +295,7 @@ def array_evaluator():
             luminance = luminance[order]
             sources = [(name, v[order]) for name, v in sources]
         orig = sources[0][1]
-        scratch = Scratch(original.size)
+        bufs = (np.empty_like(orig), np.empty(orig.size), np.empty(orig.size))
         rows = []
         for zone, lo, hi in slices:
             zlum, zorig = luminance[lo:hi], orig[lo:hi]
@@ -317,7 +303,9 @@ def array_evaluator():
             zone_lum = ZoneLuminance(zlum)
             for name, vals in sources:
                 v = vals[lo:hi]
-                summary = SourceSummary(v, omin, omax, zone_lum, scratch)
+                summary = SourceSummary(
+                    v, omin, omax, zone_lum,
+                    bufs if v.dtype == orig.dtype else None)
                 rows.append({"correction": name, "band": band, "zone": zone,
                              **{mid: (from_summary(summary) if from_summary
                                       else fn(v, omin, omax, zlum))

@@ -21,14 +21,6 @@ def ray_session():
     ray.shutdown()
 
 
-@pytest.fixture
-def band_groupby(monkeypatch):
-    """Puts the rank's band step on its band-groupby path (a band
-    shuffle, then one task per band) whatever the input size."""
-    from geoflow.pipelines import rank
-    monkeypatch.setattr(rank, "one_band_task", lambda terrain: False)
-
-
 SF_SMALL = "/root/testdata/sf0.001"
 SF_MED = "/root/testdata/sf0.01"
 

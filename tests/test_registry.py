@@ -87,7 +87,7 @@ def test_replaced_builtin_metric_is_honoured(tile_ds):
     assert compute_metrics_table(tile_ds, ["SCS"], CTX).equals(before)
 
 
-def _rejects_multi_raster_input():
+def test_rank_rejects_multi_raster_input(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
@@ -102,15 +102,6 @@ def _rejects_multi_raster_input():
     ds = rd.from_arrow(pa.concat_tables(parts))
     with pytest.raises(ValueError, match=r"\['north', 'south'\]"):
         compute_metrics_table(ds, ["SCS"], CTX)
-
-
-def test_rank_rejects_multi_raster_input(ray_session):
-    _rejects_multi_raster_input()
-
-
-def test_rank_rejects_multi_raster_input_band_groupby(ray_session,
-                                                      band_groupby):
-    _rejects_multi_raster_input()
 
 
 def test_driver_window_slots_carry_oracles():

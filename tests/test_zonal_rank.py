@@ -41,33 +41,26 @@ def test_zonal_metrics_match_oracle(zoned_fixture):
 
 
 @pytest.mark.parametrize("zoned", [False, True])
-def test_metrics_table_block_count_and_probe_form(zoned_fixture, zoned,
-                                                  monkeypatch):
-    """Both band-step widths -- one task for every band (the fixture fits
-    in one block) and the band groupby -- give the same table at 1, 4
-    and 8 blocks with the tile rows shuffled, whole-band and zoned, and
-    the same table as the driver-side evaluator on pandas band groups of
-    the wide table (the kernel probe's form)."""
+def test_metrics_table_block_count_and_probe_form(zoned_fixture, zoned):
+    """The engine's band task gives the same table at 1, 4 and 8 blocks
+    with the tile rows shuffled, whole-band and zoned, and the same table
+    as the driver-side evaluator on pandas band groups of the wide table
+    (the kernel probe's form)."""
     import pyarrow as pa
     import ray
 
-    from geoflow.pipelines import rank
     from geoflow.pipelines.correction import prepare_terrain
     from geoflow.pipelines.rank import _col, apply_all_wide_batch
     from geoflow.registry import CORRECTIONS
     from geoflow.stages.corrections import fit_corrections
     from geoflow.stages.metrics import metrics_for_band_group
-    from geoflow.stages.terrain import derive_terrain
 
     ds = zoned_fixture[0]
     if not zoned:
         ds = ds.drop_columns(["zone_ids"])
-    assert rank.one_band_task(derive_terrain(ds, CTX))
-    inputs = [ds] + [ds.random_shuffle(seed=n).repartition(n)
-                     for n in (4, 8)]
-    tables = [compute_metrics_table(d, NAMES, CTX) for d in inputs]
-    monkeypatch.setattr(rank, "one_band_task", lambda terrain: False)
-    tables += [compute_metrics_table(d, NAMES, CTX) for d in inputs]
+    tables = [compute_metrics_table(ds, NAMES, CTX)] + [
+        compute_metrics_table(ds.random_shuffle(seed=n).repartition(n),
+                              NAMES, CTX) for n in (4, 8)]
     assert all(t.equals(tables[0]) for t in tables[1:])
 
     terrain = prepare_terrain(ds, CTX)
@@ -149,7 +142,9 @@ def test_fit_coefficients_repeat_per_blocking(zoned_fixture):
         assert own["h0"] == coeffs["h0"]
 
 
-def _executions(ds, monkeypatch) -> int:
+def test_metrics_table_runs_one_execution(zoned_fixture, monkeypatch):
+    """``compute_metrics_table`` is one lazy pipeline: read, terrain,
+    band step and band task run in one Ray Data execution."""
     from ray.data._internal.execution import streaming_executor as se
 
     runs = []
@@ -160,46 +155,5 @@ def _executions(ds, monkeypatch) -> int:
         return execute(self, *args, **kwargs)
 
     monkeypatch.setattr(se.StreamingExecutor, "execute", counted)
-    compute_metrics_table(ds, NAMES, CTX)
-    return len(runs)
-
-
-def test_metrics_table_runs_one_execution(zoned_fixture, monkeypatch):
-    """``compute_metrics_table`` is one lazy pipeline: read, terrain,
-    band step and band tasks run in one Ray Data execution."""
-    assert _executions(zoned_fixture[0].repartition(4), monkeypatch) == 1
-
-
-def test_metrics_table_runs_one_execution_band_groupby(
-        zoned_fixture, monkeypatch, band_groupby):
-    assert _executions(zoned_fixture[0].repartition(4), monkeypatch) == 1
-
-
-def test_band_step_width_rule(zoned_fixture, monkeypatch):
-    """One task while 1.5x the plan's source bytes fit in
-    ``target_max_block_size``, the band groupby above that or when the
-    plan knows no bytes; and the band columns stay within that bound."""
-    import math
-
-    import pyarrow as pa
-    import ray
-    from ray.data import DataContext
-
-    from geoflow.functions.agg import plan_estimate
-    from geoflow.pipelines import rank
-    from geoflow.stages.terrain import derive_terrain
-
-    terrain = derive_terrain(zoned_fixture[0], CTX)
-    nbytes = plan_estimate(terrain)[1]
-    ctx = DataContext.get_current()
-    monkeypatch.setattr(ctx, "target_max_block_size", math.ceil(1.5 * nbytes))
-    assert rank.one_band_task(terrain)
-    monkeypatch.setattr(ctx, "target_max_block_size",
-                        math.ceil(1.5 * nbytes) - 1)
-    assert not rank.one_band_task(terrain)
-    monkeypatch.setattr(rank, "plan_estimate", lambda ds: (None, None))
-    assert not rank.one_band_task(terrain)
-
-    table = pa.concat_tables(ray.get(terrain.to_arrow_refs()))
-    band = table.select(["pixels", "luminance", "slope", "zone_ids"])
-    assert band.nbytes <= 1.5 * nbytes
+    compute_metrics_table(zoned_fixture[0].repartition(4), NAMES, CTX)
+    assert len(runs) == 1
