@@ -184,14 +184,16 @@ def merge_partials_local(t: pa.Table, key_cols: list[str],
                          max_cols: list[str] | None = None) -> pa.Table:
     """The final merge of one table of partials -> key_cols,
     ``count_alias``, ``{c}_sum`` per sum col (plus ``{c}_min``/``{c}_max``
-    when requested), sorted by the keys.
+    when requested), one row per key in no promised order.
 
     It sorts the rows on the keys and then on every partial column, then
     runs one single-threaded Arrow group-by. A float sum therefore adds
     its partials in an order fixed by their values, not by the order in
-    which the rows arrived: the same multiset of partial rows gives the
-    same sums bit for bit. ``merge_partials`` runs it in every merge
-    task; a task that already holds all its partials calls it directly.
+    which the rows arrived: the same multiset of partial rows, in any
+    input order, gives a ``Table.equals`` output. The group-by emits its
+    groups out of key order, so a caller that needs an order sorts.
+    ``merge_partials`` runs it in every merge task; a task that already
+    holds all its partials calls it directly.
     """
     if t.num_rows == 0 and not t.num_columns:
         return t                     # empty-schema block from a coalesce
@@ -226,9 +228,10 @@ def merge_partials(partials, key_cols: list[str], sum_cols: list[str],
     (zones, bands, bins).
 
     - B = 1 coalesces the partials to one block (no shuffle) and merges
-      them in one task; the output is sorted by the keys. A sort
-      shuffle would launch one mostly-empty reduce partition per input
-      block, and below ROWS_PER_BUCKET rows the one task is faster.
+      them in one task, so the output is ``merge_partials_local``'s
+      over all of them. A sort shuffle would launch one mostly-empty
+      reduce partition per input block, and below ROWS_PER_BUCKET rows
+      the one task is faster.
     - B > 1 exchanges the partials on their bucket column ``_b``
       through ``groupby("_b").map_groups`` and merges each bucket in
       its own task, so no task holds more than about ROWS_PER_BUCKET
@@ -258,7 +261,8 @@ def grouped_count_sum(ds, key_cols: list[str], sum_cols: list[str],
     """count + sums (+ mins/maxes) per key: the per-batch combine of flat
     rows followed by ``merge_partials``. ``buckets=None`` applies the
     rule to the plan's row estimate of ``ds``, which bounds the partial
-    rows unless a map in ``ds`` adds rows."""
+    rows unless a map in ``ds`` adds rows. With no ``key_cols`` the
+    output is one row over the whole Dataset."""
     if buckets is None:
         buckets = bucket_count(plan_estimate(ds)[0])
     partials = ds.map_batches(
@@ -267,21 +271,3 @@ def grouped_count_sum(ds, key_cols: list[str], sum_cols: list[str],
     return merge_partials(partials, key_cols, sum_cols, count_alias,
                           min_cols, max_cols, buckets=buckets)
 
-
-def iter_cap(state_ds, floor: int = 16) -> int:
-    """Per-round block cap for iterative BSP loops, taken ONCE from the
-    materialized initial state so it scales with the data (node-table
-    blocks grow with corpus size) but stays constant across rounds."""
-    return max(floor, state_ds.num_blocks())
-
-
-def coalesce_blocks(ds, num_blocks: int):
-    """Cap block count between BSP rounds. Ray's sort-based shuffle
-    emits one output block per input block, so an iterate that unions
-    its own previous state compounds blocks geometrically (measured
-    16 -> 48 -> 112 -> 240 -> 496 over 4 BFS rounds at sf0.001, with
-    per-round wall time x2.5 each round from pure task-scheduling
-    overhead). A no-shuffle coalescing repartition between rounds
-    keeps per-round cost constant; it moves only the node-sized state
-    table, never the edge table."""
-    return ds.repartition(num_blocks, shuffle=False)

@@ -1312,113 +1312,6 @@ def jsonl_roundtrip_docs(sf_dir: str):
         .map_batches(_reduce, batch_format="pyarrow").sort("doc_id")
 
 
-@register("grid_dbscan_docs", sql="WITH RECURSIVE "
-          + _GEO_SQL_CTE.split("WITH ", 1)[1] + """,
-prm AS MATERIALIZED (
-  SELECT count(*) AS n, 0.03 * sqrt(5000.0 / count(*)) AS eps
-  FROM documents),
-pts AS MATERIALIZED (SELECT doc_id, lat, lon FROM geo),
-nb AS MATERIALIZED (
-  SELECT a.doc_id AS pa, b.doc_id AS pb
-  FROM pts a, pts b, prm
-  WHERE (a.lat - b.lat) * (a.lat - b.lat)
-      + (a.lon - b.lon) * (a.lon - b.lon) <= prm.eps * prm.eps
-),
-cnt AS (SELECT pa AS doc_id, count(*) AS c FROM nb GROUP BY 1),
-core AS MATERIALIZED (SELECT doc_id FROM cnt WHERE c >= 5),
-ce AS MATERIALIZED (
-  SELECT nb.pa AS s, nb.pb AS d FROM nb
-  JOIN core c1 ON nb.pa = c1.doc_id JOIN core c2 ON nb.pb = c2.doc_id
-  WHERE nb.pa <> nb.pb),
-reach(a, b) AS (
-  SELECT s, d FROM ce
-  UNION
-  SELECT r.a, e.d FROM reach r JOIN ce e ON r.b = e.s),
-comp AS MATERIALIZED (
-  SELECT c.doc_id,
-         coalesce(least(c.doc_id, m.mb), c.doc_id) AS cluster
-  FROM core c LEFT JOIN (SELECT a, min(b) AS mb FROM reach GROUP BY a) m
-    ON c.doc_id = m.a),
-border AS (
-  SELECT nb.pa AS doc_id, min(comp.cluster) AS cluster
-  FROM nb JOIN comp ON nb.pb = comp.doc_id
-  WHERE nb.pa <> nb.pb
-    AND nb.pa NOT IN (SELECT doc_id FROM core)
-  GROUP BY 1)
-SELECT doc_id, cluster, CAST(1 AS BIGINT) AS is_core FROM comp
-UNION ALL
-SELECT doc_id, cluster, CAST(0 AS BIGINT) AS is_core FROM border
-""")
-def grid_dbscan_docs(sf_dir: str):
-    """Deterministic grid-partitioned DBSCAN over geocoded document
-    points (eps scaled ~ 1/sqrt(n) so per-point neighbor counts are
-    scale-invariant; min_pts=5, ties broken by min doc_id everywhere).
-    Engine: 9-cell replication of a 24-byte projection -> ONE
-    bucket-keyed neighbor shuffle with vectorized per-cell broadcast
-    -> core flags -> dup_components over core-core edges -> border
-    labels via one bucketed join + groupby-min (geoflow.stages
-    .geocluster.grid_dbscan). Oracle: brute-force pair join + a
-    recursive-CTE transitive closure with identical float operand
-    order, so every core/border/noise decision hash-matches."""
-    import math
-
-    from ..stages.geocluster import grid_dbscan
-
-    ds = _read(sf_dir, "documents", ["doc_id"])
-    n = ds.count()
-    eps = 0.03 * math.sqrt(5000.0 / n)
-    pts = ds.map_batches(_geocode_batch, batch_format="pyarrow")
-    return grid_dbscan(pts, eps, min_pts=5)
-
-
-@register("user_travel_stats", sql="""
-WITH eg AS (
-  SELECT user_id, ts, event_id,
-         (event_id * 2654435761 + 17) % 4294967296 AS h1,
-         (event_id * 2246822519 + 101) % 4294967296 AS h2,
-         event_id % 10 AS sel
-  FROM events
-), egeo AS (
-  SELECT user_id, ts, event_id,
-    CASE WHEN sel = 0 THEN 40.7 + (h1 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 1 THEN 51.5 + (h1 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 2 THEN 35.7 + (h1 / 4294967296.0 - 0.5) * 0.5
-         ELSE h1 / 4294967296.0 * 130.0 - 60.0 END AS lat,
-    CASE WHEN sel = 0 THEN -74.0 + (h2 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 1 THEN -0.1 + (h2 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 2 THEN 139.7 + (h2 / 4294967296.0 - 0.5) * 0.5
-         ELSE h2 / 4294967296.0 * 360.0 - 180.0 END AS lon
-  FROM eg
-), lagged AS (
-  SELECT user_id, lat, lon,
-         lag(lat) OVER w AS plat, lag(lon) OVER w AS plon
-  FROM egeo WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-), legs AS (
-  SELECT user_id,
-         2 * 6371.0088 * asin(sqrt(
-             pow(sin(radians(lat - plat) / 2), 2)
-             + cos(radians(plat)) * cos(radians(lat))
-               * pow(sin(radians(lon - plon) / 2), 2))) AS km
-  FROM lagged WHERE plat IS NOT NULL)
-SELECT user_id, CAST(count(*) AS BIGINT) AS n_legs,
-       round(sum(km), 3) AS total_km, round(max(km), 3) AS max_leg_km
-FROM legs GROUP BY user_id
-""")
-def user_travel_stats(sf_dir: str):
-    """Per-user movement analytics over the geocoded event stream:
-    consecutive-event haversine legs in (ts, event_id) order, rolled
-    up to (n_legs, total_km, max_leg_km). ONE bucket-keyed shuffle on
-    user_id, then a fully vectorized per-bucket pass (one sort, one
-    shifted-array haversine over the whole bucket, one pandas groupby
-    — no per-user loop). Oracle: the same geocode arithmetic + LAG
-    window + trig replayed in SQL, both sides rounded to 3 decimals
-    (geoflow.stages.geocode.travel_stats)."""
-    from ..stages.geocode import travel_stats
-
-    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    return travel_stats(ev)
-
-
 @register("polygon_metrics", lazy_sql=lambda: f"""
 WITH edges0(region_id, name, x1, y1, x2, y2) AS (VALUES {_pip_edges_sql()}),
 edges AS (
@@ -1588,131 +1481,6 @@ def idw_interpolation_docs(sf_dir: str):
                          "idw_value": pa.array(np.round(v, 6))})
 
     return ds.map_batches(_idw, batch_format="pyarrow")
-
-
-@register("od_matrix_cells", sql="""
-WITH eg AS (
-  SELECT user_id, ts, event_id,
-         (event_id * 2654435761 + 17) % 4294967296 AS h1,
-         (event_id * 2246822519 + 101) % 4294967296 AS h2,
-         event_id % 10 AS sel
-  FROM events
-), egeo AS (
-  SELECT user_id, ts, event_id,
-    CASE WHEN sel = 0 THEN 40.7 + (h1 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 1 THEN 51.5 + (h1 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 2 THEN 35.7 + (h1 / 4294967296.0 - 0.5) * 0.5
-         ELSE h1 / 4294967296.0 * 130.0 - 60.0 END AS lat,
-    CASE WHEN sel = 0 THEN -74.0 + (h2 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 1 THEN -0.1 + (h2 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 2 THEN 139.7 + (h2 / 4294967296.0 - 0.5) * 0.5
-         ELSE h2 / 4294967296.0 * 360.0 - 180.0 END AS lon
-  FROM eg
-), cells AS (
-  SELECT user_id, ts, event_id,
-         CAST(least(greatest(
-           floor((lon + 180.0) / 360.0 * 64.0), 0), 63.0) AS BIGINT) AS cx,
-         CAST(least(greatest(
-           floor((90.0 - lat) / 180.0 * 64.0), 0), 63.0) AS BIGINT) AS cy
-  FROM egeo
-), lagged AS (
-  SELECT user_id, cx, cy,
-         lag(cx) OVER w AS px, lag(cy) OVER w AS py
-  FROM cells WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id))
-SELECT px AS from_x, py AS from_y, cx AS to_x, cy AS to_y,
-       CAST(count(*) AS BIGINT) AS n_moves
-FROM lagged WHERE px IS NOT NULL
-GROUP BY 1, 2, 3, 4
-""")
-def od_matrix_cells(sf_dir: str):
-    """Origin-destination matrix: per-user transitions between
-    consecutive events' res-6 grid cells in (ts, event_id) order —
-    movement analytics' standard rollup, self-transitions included.
-    Same user-keyed single-shuffle plan as travel_stats, then one
-    groupby over transition counter rows (geoflow.stages.geocode
-    .od_matrix). Oracle: geocode + LAG window + cell floors replayed
-    in SQL."""
-    from ..stages.geocode import od_matrix
-
-    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    return od_matrix(ev, res=6)
-
-
-@register("cell_convex_hulls", sql=_GEO_SQL_CTE + """
-, pts AS (
-  SELECT min(doc_id) AS doc_id, ix, iy,
-         CAST(floor((ix / 1000000.0 + 180.0) / 360.0 * 8.0) AS BIGINT)
-           AS cell_x,
-         CAST(floor((90.0 - iy / 1000000.0) / 180.0 * 8.0) AS BIGINT)
-           AS cell_y
-  FROM (SELECT doc_id,
-               CAST(floor(lon * 1000000.0 + 0.5) AS BIGINT) AS ix,
-               CAST(floor(lat * 1000000.0 + 0.5) AS BIGINT) AS iy
-        FROM geo WHERE doc_id % 17 = 0) s
-  GROUP BY ix, iy
-),
-tric AS (
-  SELECT p.cell_x, p.cell_y, p.doc_id,
-    (b.ix - a.ix) * (p.iy - a.iy) - (b.iy - a.iy) * (p.ix - a.ix) AS s1,
-    (c.ix - b.ix) * (p.iy - b.iy) - (c.iy - b.iy) * (p.ix - b.ix) AS s2,
-    (a.ix - c.ix) * (p.iy - c.iy) - (a.iy - c.iy) * (p.ix - c.ix) AS s3,
-    LEAST(a.ix, b.ix, c.ix) AS xlo, GREATEST(a.ix, b.ix, c.ix) AS xhi,
-    LEAST(a.iy, b.iy, c.iy) AS ylo, GREATEST(a.iy, b.iy, c.iy) AS yhi,
-    p.ix AS px, p.iy AS py
-  FROM pts p
-  JOIN pts a ON a.cell_x = p.cell_x AND a.cell_y = p.cell_y
-            AND a.doc_id <> p.doc_id
-  JOIN pts b ON b.cell_x = p.cell_x AND b.cell_y = p.cell_y
-            AND b.doc_id > a.doc_id AND b.doc_id <> p.doc_id
-  JOIN pts c ON c.cell_x = p.cell_x AND c.cell_y = p.cell_y
-            AND c.doc_id > b.doc_id AND c.doc_id <> p.doc_id
-),
-segv AS (
-  -- 2-point Caratheodory case: p exactly on a segment of two others
-  -- (the geocode map is affine in doc_id, so exact collinearity is
-  -- common, not a measure-zero fluke)
-  SELECT DISTINCT p.cell_x, p.cell_y, p.doc_id
-  FROM pts p
-  JOIN pts a ON a.cell_x = p.cell_x AND a.cell_y = p.cell_y
-            AND a.doc_id <> p.doc_id
-  JOIN pts b ON b.cell_x = p.cell_x AND b.cell_y = p.cell_y
-            AND b.doc_id > a.doc_id AND b.doc_id <> p.doc_id
-  WHERE (b.ix - a.ix) * (p.iy - a.iy)
-        - (b.iy - a.iy) * (p.ix - a.ix) = 0
-    AND p.ix >= LEAST(a.ix, b.ix) AND p.ix <= GREATEST(a.ix, b.ix)
-    AND p.iy >= LEAST(a.iy, b.iy) AND p.iy <= GREATEST(a.iy, b.iy)
-),
-nonv AS (
-  SELECT DISTINCT cell_x, cell_y, doc_id FROM tric
-  WHERE ((s1 >= 0 AND s2 >= 0 AND s3 >= 0)
-         OR (s1 <= 0 AND s2 <= 0 AND s3 <= 0))
-    AND NOT (s1 = 0 AND s2 = 0 AND s3 = 0
-             AND (px < xlo OR px > xhi OR py < ylo OR py > yhi))
-  UNION SELECT cell_x, cell_y, doc_id FROM segv
-)
-SELECT p.cell_x, p.cell_y, p.doc_id, p.ix, p.iy
-FROM pts p
-WHERE NOT EXISTS (SELECT 1 FROM nonv n
-                  WHERE n.cell_x = p.cell_x AND n.cell_y = p.cell_y
-                    AND n.doc_id = p.doc_id)
-""")
-def cell_convex_hulls_docs(sf_dir: str):
-    """Convex hull vertex set of the geocoded point cloud per 8x8
-    lon/lat cell (doc_id % 17 sample; microdegree integer snap so every
-    geometric predicate is EXACT int64; duplicate coords collapse to
-    min doc_id). Engine: Andrew's monotone chain per cell group after
-    ONE groupby. Oracle: Caratheodory — a point is a non-vertex iff a
-    triangle of three OTHER cell points (or, degenerately, a segment
-    of two) contains it — hull membership replayed without replaying
-    the chain (geoflow.stages.geocluster.cell_convex_hulls)."""
-    from ..stages.geocluster import cell_convex_hulls
-
-    ds = _read(sf_dir, "documents", ["doc_id"])
-    sampled = ds.map_batches(
-        lambda b: b.filter(pa.array(b.column("doc_id").to_numpy() % 17 == 0)),
-        batch_format="pyarrow")
-    pts = sampled.map_batches(_geocode_batch, batch_format="pyarrow")
-    return cell_convex_hulls(pts, nx=8, ny=8)
 
 
 def _cdc_sql():
@@ -1919,286 +1687,6 @@ def robots_filter_docs(sf_dir: str):
     return agg[["host", "n_allowed", "n_denied"]]
 
 
-def _route_match_sql():
-    from ..stages.geocode import snap_route_sql
-    return """
-WITH eg AS (
-  SELECT user_id, event_id,
-         (event_id * 2654435761 + 17) % 4294967296 AS h1,
-         (event_id * 2246822519 + 101) % 4294967296 AS h2,
-         event_id % 10 AS sel
-  FROM events
-), egeo AS (
-  SELECT user_id, event_id,
-    CASE WHEN sel = 0 THEN 40.7 + (h1 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 1 THEN 51.5 + (h1 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 2 THEN 35.7 + (h1 / 4294967296.0 - 0.5) * 0.5
-         ELSE h1 / 4294967296.0 * 130.0 - 60.0 END AS lat,
-    CASE WHEN sel = 0 THEN -74.0 + (h2 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 1 THEN -0.1 + (h2 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 2 THEN 139.7 + (h2 / 4294967296.0 - 0.5) * 0.5
-         ELSE h2 / 4294967296.0 * 360.0 - 180.0 END AS lon
-  FROM eg
-),
-""" + snap_route_sql().strip() + """
-SELECT seg, count(DISTINCT user_id) AS n_users, count(*) AS n_events,
-       CAST(sum(event_id) AS BIGINT) AS ev_checksum
-FROM snapped WHERE rn = 1 GROUP BY seg
-"""
-
-
-@register("route_matched_events", lazy_sql=_route_match_sql)
-def route_matched_events(sf_dir: str):
-    """Map matching: every geocoded event snaps to its nearest segment
-    of the patrol route. The argmin across segments is EXACT INTEGER —
-    all route legs share one squared length (Pythagorean vectors), so
-    every candidate distance is an int64 numerator over the common
-    denominator and ties resolve to the lowest segment id; the oracle
-    replays the same numerators in a window rank. One stateless
-    vectorized scan + a combiner rollup per segment
-    (geoflow.stages.geocode.snap_to_route / match_segments)."""
-    from ..functions.agg import grouped_count_sum
-    from ..stages.geocode import geocode_doc_ids, snap_to_route
-
-    ev = _read(sf_dir, "events", ["event_id", "user_id"])
-
-    def _geo(b: pa.Table) -> pa.Table:
-        ids = b.column("event_id").to_numpy().astype(np.int64)
-        lat, lon = geocode_doc_ids(ids)
-        return pa.table({
-            "event_id": pa.array(ids, pa.int64()),
-            "user_id": pc.cast(b.column("user_id"), pa.int64()),
-            "lat": pa.array(lat), "lon": pa.array(lon)})
-
-    snapped = snap_to_route(ev.map_batches(_geo, batch_format="pyarrow"))
-
-    def _evsum(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "seg": b.column("seg"), "user_id": b.column("user_id"),
-            "ev": b.column("event_id")})
-
-    per_user = grouped_count_sum(
-        snapped.map_batches(_evsum, batch_format="pyarrow"),
-        ["seg", "user_id"], ["ev"], count_alias="n")
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "seg": b.column("seg"),
-            "one": pa.array(np.ones(b.num_rows, np.int64)),
-            "n": pc.cast(b.column("n"), pa.int64()),
-            "ev_sum": pc.cast(b.column("ev_sum"), pa.int64())})
-
-    out = grouped_count_sum(
-        per_user.map_batches(_final, batch_format="pyarrow"),
-        ["seg"], ["one", "n", "ev_sum"], count_alias="_g").to_pandas()
-    out["n_users"] = out["one_sum"].astype(np.int64)
-    out["n_events"] = out["n_sum"].astype(np.int64)
-    out["ev_checksum"] = out["ev_sum_sum"].astype(np.int64)
-    return out[["seg", "n_users", "n_events", "ev_checksum"]]
-
-
-@register("od_two_hop", sql="""
-WITH eg AS (
-  SELECT user_id, ts, event_id,
-         (event_id * 2654435761 + 17) % 4294967296 AS h1,
-         (event_id * 2246822519 + 101) % 4294967296 AS h2,
-         event_id % 10 AS sel
-  FROM events
-), egeo AS (
-  SELECT user_id, ts, event_id,
-    CASE WHEN sel = 0 THEN 40.7 + (h1 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 1 THEN 51.5 + (h1 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 2 THEN 35.7 + (h1 / 4294967296.0 - 0.5) * 0.5
-         ELSE h1 / 4294967296.0 * 130.0 - 60.0 END AS lat,
-    CASE WHEN sel = 0 THEN -74.0 + (h2 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 1 THEN -0.1 + (h2 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 2 THEN 139.7 + (h2 / 4294967296.0 - 0.5) * 0.5
-         ELSE h2 / 4294967296.0 * 360.0 - 180.0 END AS lon
-  FROM eg
-), cells6 AS (
-  SELECT user_id, ts, event_id,
-    CAST(least(greatest(floor((lon + 180.0) / 360.0 * 64.0), 0), 63.0)
-         AS BIGINT) AS cx,
-    CAST(least(greatest(floor((90.0 - lat) / 180.0 * 64.0), 0), 63.0)
-         AS BIGINT) AS cy
-  FROM egeo
-), moves AS (
-  SELECT user_id, cx AS to_x, cy AS to_y,
-         lag(cx) OVER w AS from_x, lag(cy) OVER w AS from_y
-  FROM cells6 WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-), od AS (
-  SELECT from_x, from_y, to_x, to_y, count(*) AS n_moves
-  FROM moves WHERE from_x IS NOT NULL GROUP BY 1, 2, 3, 4
-)
-SELECT a.from_x, a.from_y, b.to_x, b.to_y,
-       CAST(SUM(a.n_moves * b.n_moves) AS BIGINT) AS n_paths
-FROM od a JOIN od b ON a.to_x = b.from_x AND a.to_y = b.from_y
-GROUP BY 1, 2, 3, 4
-ORDER BY 5 DESC, 1, 2, 3, 4
-LIMIT 1000
-""")
-def od_two_hop(sf_dir: str):
-    """Two-hop flow composition — the OD transition matrix SQUARED,
-    computed relationally: sparse matrix multiply as ONE bucketed hash
-    join on the mid cell + a grouped sum of count products. The OD
-    support (occupied cell pairs) bounds both the join and the output;
-    n_paths composes exactly in int64 (geoflow.stages.geocode.od_matrix
-    feeding functions.joins.bucketed_hash_join)."""
-    from ..functions.joins import bucketed_hash_join
-    from ..stages.geocode import od_matrix
-
-    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    # The OD support is bounded by the occupied-cell-pair count (at
-    # res 6 at most 64^4 rows, ~8e3 here) INDEPENDENT of input rows, so
-    # materializing stops the two join branches re-running the full
-    # geocode+lag plan once each.
-    od = od_matrix(ev, res=6).materialize()
-
-    def _mid_out(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "_mid": pa.array(b.column("to_x").to_numpy() * 64
-                             + b.column("to_y").to_numpy()),
-            "from_x": b.column("from_x"), "from_y": b.column("from_y"),
-            "na": b.column("n_moves")})
-
-    def _mid_in(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "_min": pa.array(b.column("from_x").to_numpy() * 64
-                             + b.column("from_y").to_numpy()),
-            "to_x": b.column("to_x"), "to_y": b.column("to_y"),
-            "nb": b.column("n_moves")})
-
-    j = bucketed_hash_join(
-        od.map_batches(_mid_out, batch_format="pyarrow"),
-        od.map_batches(_mid_in, batch_format="pyarrow"),
-        "_mid", "_min")
-
-    def _prod(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "from_x": b.column("from_x"), "from_y": b.column("from_y"),
-            "to_x": b.column("to_x"), "to_y": b.column("to_y"),
-            "np_": pa.array(b.column("na").to_numpy()
-                            * b.column("nb").to_numpy())})
-
-    # post-join key cardinality ~= row count (barely any pre-combine
-    # shrink); B from the rule over the join's inputs (both sides' OD
-    # rows), the plan's only row figure for a join output
-    sums = grouped_count_sum(
-        j.map_batches(_prod, batch_format="pyarrow"),
-        ["from_x", "from_y", "to_x", "to_y"], ["np_"])
-    # deterministic strongest-flows cut keeps output driver-sized
-    out = sums.sort(["np__sum", "from_x", "from_y", "to_x", "to_y"],
-                    descending=[True, False, False, False, False]) \
-        .limit(1000).to_pandas()
-    out = out.rename(columns={"np__sum": "n_paths"})
-    return out[["from_x", "from_y", "to_x", "to_y", "n_paths"]] \
-        .astype(np.int64)
-
-
-@register("colocation_pairs", sql="""
-WITH eg AS (
-  SELECT user_id, ts, event_id,
-         (event_id * 2654435761 + 17) % 4294967296 AS h1,
-         (event_id * 2246822519 + 101) % 4294967296 AS h2,
-         event_id % 10 AS sel
-  FROM events
-), egeo AS (
-  SELECT user_id, ts,
-    CASE WHEN sel = 0 THEN 40.7 + (h1 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 1 THEN 51.5 + (h1 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 2 THEN 35.7 + (h1 / 4294967296.0 - 0.5) * 0.5
-         ELSE h1 / 4294967296.0 * 130.0 - 60.0 END AS lat,
-    CASE WHEN sel = 0 THEN -74.0 + (h2 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 1 THEN -0.1 + (h2 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 2 THEN 139.7 + (h2 / 4294967296.0 - 0.5) * 0.5
-         ELSE h2 / 4294967296.0 * 360.0 - 180.0 END AS lon
-  FROM eg
-), visits AS (
-  SELECT DISTINCT user_id,
-    CAST(floor((lon + 180.0) / 360.0 * 256.0) AS BIGINT) AS cx,
-    CAST(floor((90.0 - lat) / 180.0 * 256.0) AS BIGINT) AS cy,
-    CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hour_bucket
-  FROM egeo
-)
-SELECT a.user_id AS user_a, b.user_id AS user_b,
-       count(*) AS n_cooccur
-FROM visits a
-JOIN visits b ON a.cx = b.cx AND a.cy = b.cy
-            AND a.hour_bucket = b.hour_bucket
-            AND a.user_id < b.user_id
-GROUP BY 1, 2 HAVING count(*) >= 2
-""")
-def colocation_pairs(sf_dir: str):
-    """Co-location contact graph: user pairs sharing >= 2 distinct
-    (256-grid cell, hour) visits — the spatiotemporal self-join at the
-    heart of contact tracing / companionship mining. Plan: distinct
-    (user, cell, hour) visit rows (one combiner dedup), ONE groupby on
-    the (cell, hour) key, vectorized in-bucket pair emission, then a
-    pair-keyed count. Group fan-in is bounded by co-present users per
-    cell-hour — the natural partition key."""
-    from ..functions.agg import grouped_count_sum
-
-    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-
-    def _visits(b: pa.Table) -> pa.Table:
-        ids = b.column("event_id").to_numpy().astype(np.int64)
-        uid = b.column("user_id").to_numpy().astype(np.int64)
-        lat, lon = geocode_doc_ids(ids)
-        us = b.column("ts").to_numpy(zero_copy_only=False).astype(
-            "datetime64[us]").view("int64")
-        t = pa.table({
-            "user_id": pa.array(uid),
-            "cx": pa.array(np.floor((lon + 180.0) / 360.0 * 256.0)
-                           .astype(np.int64)),
-            "cy": pa.array(np.floor((90.0 - lat) / 180.0 * 256.0)
-                           .astype(np.int64)),
-            "hour_bucket": pa.array(us // 3_600_000_000)})
-        gb = pa.TableGroupBy(t, ["user_id", "cx", "cy", "hour_bucket"])
-        return gb.aggregate([]).select(
-            ["user_id", "cx", "cy", "hour_bucket"])
-
-    visits = ev.map_batches(_visits, batch_format="pyarrow")
-    # global dedup of (user, cell, hour): one grouped pass
-    visits = grouped_count_sum(
-        visits, ["user_id", "cx", "cy", "hour_bucket"], []) \
-        .drop_columns(["n"])
-
-    def _pairs(g: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for _, grp in g.groupby(["cx", "cy", "hour_bucket"], sort=False):
-            u = np.sort(grp["user_id"].to_numpy())
-            if len(u) < 2:
-                continue
-            i, j = np.triu_indices(len(u), k=1)
-            out.append(pd.DataFrame({"user_a": u[i], "user_b": u[j]}))
-        if not out:
-            return pd.DataFrame({"user_a": pd.Series([], dtype=np.int64),
-                                 "user_b": pd.Series([], dtype=np.int64)})
-        return pd.concat(out, ignore_index=True)
-
-    from ..functions.joins import _mix_cols
-
-    def _tag(b: pa.Table) -> pa.Table:
-        key = (b.column("cx").to_numpy() * 131072
-               + b.column("cy").to_numpy() * 512
-               + b.column("hour_bucket").to_numpy() % 512)
-        gb = (_mix_cols(key) % np.uint64(64)).astype(np.int32)
-        return b.append_column("_gb", pa.array(gb))
-
-    # bucket the (cell, hour) keys: 64 reducer groups, each running the
-    # per-key pair emission vectorized inside one pandas pass
-    pairs = visits.map_batches(_tag, batch_format="pyarrow") \
-        .groupby("_gb").map_groups(_pairs, batch_format="pandas")
-    counts = grouped_count_sum(pairs, ["user_a", "user_b"], [],
-                               count_alias="n_cooccur")
-    out = counts.filter(expr="n_cooccur >= 2").to_pandas()
-    if "user_a" not in out.columns:
-        out = pd.DataFrame({"user_a": pd.Series([], dtype=np.int64),
-                            "user_b": pd.Series([], dtype=np.int64),
-                            "n_cooccur": pd.Series([], dtype=np.int64)})
-    return out[["user_a", "user_b", "n_cooccur"]]
-
-
 @register("cell_top_lang", sql=_GEO_SQL_CTE + """
 , cl AS (
   SELECT CAST(floor((lon + 180.0) / 360.0 * 64.0) AS BIGINT) AS cell_x,
@@ -2263,27 +1751,6 @@ def cell_top_lang(sf_dir: str):
 
     return counts.map_batches(_tag, batch_format="pyarrow") \
         .groupby("_gb").map_groups(_top1, batch_format="pandas")
-
-
-def _corridor_sql():
-    from ..stages.geocode import corridor_sql
-    return _GEO_SQL_CTE + ", " + corridor_sql().lstrip()
-
-
-@register("corridor_docs", lazy_sql=_corridor_sql)
-def corridor_docs(sf_dir: str):
-    """Corridor / route-buffer query: all docs within 8 degrees of the
-    NYC->London->Tokyo polyline. Point-to-segment distance is EXACT
-    integer (centidegree snap; endpoint cases compare squared
-    distances, interior case cross-multiplies |AP|^2|AB|^2 - dot^2 <=
-    r^2|AB|^2 — no sqrt/division ever), segments broadcast as literals
-    shared verbatim with the SQL twin; one stateless scan, zero
-    shuffles (geoflow.stages.geocode.corridor_hits)."""
-    from ..stages.geocode import corridor_hits
-
-    ds = _read(sf_dir, "documents", ["doc_id"])
-    pts = ds.map_batches(_geocode_batch, batch_format="pyarrow")
-    return corridor_hits(pts)
 
 
 def _fuzzy_sql():
@@ -2491,71 +1958,6 @@ def skyline_docs(sf_dir: str):
 
     m = ds.map_batches(_m, batch_format="pyarrow")
     return pareto_skyline(m, "lang", "n_chars", "n_tokens", "doc_id")
-
-
-@register("stay_points_events", sql="""
-WITH eg AS (
-  SELECT user_id, ts, event_id,
-         (event_id * 2654435761 + 17) % 4294967296 AS h1,
-         (event_id * 2246822519 + 101) % 4294967296 AS h2,
-         event_id % 10 AS sel
-  FROM events
-), egeo AS (
-  SELECT user_id, ts, event_id,
-    CASE WHEN sel = 0 THEN 40.7 + (h1 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 1 THEN 51.5 + (h1 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 2 THEN 35.7 + (h1 / 4294967296.0 - 0.5) * 0.5
-         ELSE h1 / 4294967296.0 * 130.0 - 60.0 END AS lat,
-    CASE WHEN sel = 0 THEN -74.0 + (h2 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 1 THEN -0.1 + (h2 / 4294967296.0 - 0.5) * 0.5
-         WHEN sel = 2 THEN 139.7 + (h2 / 4294967296.0 - 0.5) * 0.5
-         ELSE h2 / 4294967296.0 * 360.0 - 180.0 END AS lon
-  FROM eg
-), lagged AS (
-  SELECT user_id, ts, event_id, lat, lon,
-         lag(lat) OVER w AS plat, lag(lon) OVER w AS plon
-  FROM egeo WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-), flags AS (
-  SELECT user_id, ts, event_id, lat, lon,
-    CASE WHEN plat IS NULL THEN 1
-         WHEN 2 * 6371.0088 * asin(sqrt(
-             pow(sin(radians(lat - plat) / 2), 2)
-             + cos(radians(plat)) * cos(radians(lat))
-               * pow(sin(radians(lon - plon) / 2), 2))) < 60.0 THEN 0
-         ELSE 1 END AS newrun
-  FROM lagged
-), isl AS (
-  SELECT user_id, ts, event_id, lat, lon,
-     SUM(newrun) OVER (PARTITION BY user_id
-                       ORDER BY ts, event_id) AS island
-  FROM flags
-), rn AS (
-  SELECT *, row_number() OVER (PARTITION BY user_id, island
-                               ORDER BY ts, event_id) AS rk
-  FROM isl
-)
-SELECT user_id,
-       MAX(CASE WHEN rk = 1 THEN event_id END) AS start_event_id,
-       count(*) AS n_events,
-       (epoch_us(max(ts)) - epoch_us(min(ts))) // 1000000 AS dur_s,
-       CAST(SUM(CAST(floor(lat * 1000000.0 + 0.5) AS BIGINT))
-            AS BIGINT) AS sum_ilat,
-       CAST(SUM(CAST(floor(lon * 1000000.0 + 0.5) AS BIGINT))
-            AS BIGINT) AS sum_ilon
-FROM rn GROUP BY user_id, island HAVING count(*) >= 2
-""")
-def stay_points_events(sf_dir: str):
-    """Stay-point detection (Li et al. 2008 run variant): per-user
-    maximal runs of consecutive events whose successive legs are all
-    < 60 km; runs >= 2 events are stays, with exact microdegree
-    centroid sums. Same ONE user-keyed bucket shuffle as travel_stats,
-    vectorized gaps-and-islands per bucket. Oracle: geocode + LAG +
-    trig + window prefix-sum island ids replayed in SQL
-    (geoflow.stages.geocode.stay_points)."""
-    from ..stages.geocode import stay_points
-
-    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    return stay_points(ev)
 
 
 # focal_terrain_stats' integer DEM: 192 x 192 cells in 3 x 3 tiles of

@@ -138,9 +138,7 @@ def frontier_order(docs_ds, num_domains: int = 97, n_docs: int | None = None,
     domain across rounds). At 10^12 URLs raise num_rank_buckets so a
     bucket stays task-sized.
     """
-    from ray.data.aggregate import Count
-
-    from ..functions.agg import _mix64
+    from ..functions.agg import _mix64, grouped_count_sum
 
     if n_docs is None:
         n_docs = docs_ds.count()
@@ -176,7 +174,9 @@ def frontier_order(docs_ds, num_domains: int = 97, n_docs: int | None = None,
         return b.append_column("_rb", pa.array(k // width, pa.int64()))
 
     tagged = keyed.map_batches(_rb, batch_format="pyarrow").materialize()
-    counts = (tagged.groupby("_rb").aggregate(Count(alias_name="_c"))
+    # one row per rank bucket: a bounded key space, so one merge task
+    counts = (grouped_count_sum(tagged, ["_rb"], [], count_alias="_c",
+                                buckets=1)
               .to_pandas().sort_values("_rb"))
     offsets = dict(zip(counts["_rb"].astype(int),
                        np.concatenate([[0], counts["_c"].to_numpy()

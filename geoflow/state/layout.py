@@ -32,10 +32,12 @@ def write_clustered(ds, col: str, out_dir: str,
     """Range-partition ``ds`` by int64 ``col`` into ``num_partitions``
     parquet files under ``out_dir`` and write a zone-map manifest.
     Returns the manifest dict."""
-    from ray.data.aggregate import Max, Min
+    from ..functions.agg import grouped_count_sum
 
-    stats = ds.aggregate(Min(col), Max(col))
-    lo, hi = int(stats[f"min({col})"]), int(stats[f"max({col})"])
+    # the global range: a grouped reduction over no key columns
+    stats = grouped_count_sum(ds, [], [], min_cols=[col], max_cols=[col],
+                              buckets=1).take(1)[0]
+    lo, hi = int(stats[f"{col}_min"]), int(stats[f"{col}_max"])
     width = max(1, (hi - lo + num_partitions) // num_partitions)
 
     def _tag(b: pa.Table) -> pa.Table:

@@ -1,7 +1,7 @@
 """Grouped reductions merge their partials one way.
 
 ``functions.agg.merge_partials`` is the only exchange for per-key
-partials. This walks the source of the modules that reduce partials and
+partials. This walks the source of every module under ``geoflow/`` and
 fails on a second plan coming back: an import of Ray's aggregate
 functions or an ``.aggregate(`` call on anything but an Arrow
 ``TableGroupBy``. No Ray, no test data.
@@ -13,10 +13,8 @@ from pathlib import Path
 import geoflow
 
 _ROOT = Path(geoflow.__file__).parent
-_MODULES = ["functions/agg.py", "pipelines/flagship.py"] + [
-    f"stages/{m}.py" for m in
-    ("skew", "corrections", "zonal", "rose", "histogram", "pip_join",
-     "geocode")]
+_MODULES = sorted(p.relative_to(_ROOT).as_posix()
+                  for p in _ROOT.rglob("*.py"))
 
 
 def _is_arrow_groupby(node) -> bool:

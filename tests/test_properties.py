@@ -194,7 +194,8 @@ def test_merge_partials_bucket_parity(ray_session):
     """The one partials merge, at one bucket (coalesce) and at many
     (bucket exchange), over 1 and 8 blocks: counts, sums, minima and
     maxima equal pandas on integer and string keys, a repeated run gives
-    the same float sums bit for bit, and empty input gives 0 rows."""
+    the same float sums bit for bit, empty input gives 0 rows, and the
+    same partial rows in any input order merge to an equal table."""
     import pandas as pd
     import ray.data as rd
     from geoflow.functions.agg import grouped_count_sum
@@ -235,3 +236,21 @@ def test_merge_partials_bucket_parity(ray_session):
 
     for buckets in (1, 5):
         assert len(_run(rd.from_pandas(df.iloc[:0]), buckets).index) == 0
+
+    # in one task and through the one-bucket coalesce
+    import pyarrow as pa
+    from geoflow.functions.agg import (combine_partials, merge_partials,
+                                       merge_partials_local)
+
+    rows = pa.Table.from_pandas(df, preserve_index=False)
+    parts = pa.concat_tables(
+        combine_partials(rows.slice(i, n // 8), key, ["v", "f"], ["v"], ["f"])
+        for i in range(0, n, n // 8))
+    args = (key, ["v", "f"], "n", ["v"], ["f"])
+    merged = merge_partials_local(parts, *args)
+    for trial in range(3):
+        shuffled = parts.take(rng.permutation(parts.num_rows))
+        assert merge_partials_local(shuffled, *args).equals(merged), trial
+        got = merge_partials(rd.from_arrow(shuffled).repartition(4), *args,
+                             buckets=1).to_pandas()
+        assert got.equals(merged.to_pandas()), trial
