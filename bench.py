@@ -214,13 +214,6 @@ def run_bench() -> dict:
     rd.range(NUM_CPUS * 8, override_num_blocks=NUM_CPUS * 8).map_batches(
         _warm, batch_size=1).count()
     rd.read_parquet(pages_path).count()
-    # warm the sort-shuffle path too (aggregator setup is a multi-second
-    # one-time cost in a fresh session; it would otherwise land entirely
-    # inside the first timed pipeline)
-    from ray.data.aggregate import Count
-    rd.range(10_000, override_num_blocks=16).add_column(
-        "g", lambda df: df["id"] % 64).groupby("g").aggregate(
-        Count(alias_name="n")).materialize()
 
     t_flag = bench_flagship(pages_path)
     if os.environ.get("GRAFT_FLAGSHIP_ONLY"):

@@ -12,7 +12,7 @@ of the reference QGIS plugin ``tigrulya-exe/terraform`` (read-only copy at
   lookups and raster<->vector zonal aggregation (north-rule additions),
 - a Common-Crawl-style web-page ingestion pipeline (url, warc_ts, html,
   text, lang) with deterministic byte-identical text extraction,
-- exact dedup, text analysis, lineage + checkpoint resume.
+- exact dedup, lineage + checkpoint resume.
 
 No module in this package calls ``ray.init`` / ``ray.shutdown``; sessions
 are owned by the caller (driver, tests, bench.py).

@@ -27,7 +27,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.agg import grouped_count_sum
-from ..stages import textstats
 from ..stages.geocode import geocode_doc_ids
 
 QUERIES: dict = {}
@@ -63,41 +62,8 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Documents: text analysis, dedup, geocoding / zonal / spatial joins
+# Documents: dedup, geocoding / zonal / spatial joins
 # ---------------------------------------------------------------------------
-
-@register("doc_token_stats", sql=r"""
-SELECT lang, count(*) AS n_docs,
-       CAST(sum(len(regexp_extract_all(text, '\S+'))) AS BIGINT) AS total_tokens,
-       round(sum(n_chars) * 1.0 / count(*), 6) AS avg_chars
-FROM documents GROUP BY lang
-""")
-def doc_token_stats(sf_dir: str):
-    ds = _read(sf_dir, "documents", ["lang", "text", "n_chars"])
-
-    def _tok(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "lang": b.column("lang"),
-            "n_tokens": pc.cast(textstats.token_count(b.column("text")),
-                                pa.int64()),
-            "n_chars": b.column("n_chars"),
-        })
-
-    agg = grouped_count_sum(ds.map_batches(_tok, batch_format="pyarrow"),
-                            ["lang"], ["n_tokens", "n_chars"],
-                            count_alias="n_docs")
-
-    def _final(b: pa.Table) -> pa.Table:
-        n = b.column("n_docs").to_numpy().astype(np.float64)
-        return pa.table({
-            "lang": b.column("lang"),
-            "n_docs": b.column("n_docs"),
-            "total_tokens": b.column("n_tokens_sum"),
-            "avg_chars": np.round(
-                b.column("n_chars_sum").to_numpy() * 1.0 / n, 6),
-        })
-
-    return agg.map_batches(_final, batch_format="pyarrow")
 
 
 @register("dedup_exact_docs", sql="""
@@ -368,144 +334,6 @@ def flagship_zonal_verified(sf_dir: str):
         }), batch_format="pyarrow")
 
 
-_STOPLIST_SQL = {
-    lang: "[" + ", ".join(f"'{w}'" for w in sorted(ws)) + "]"
-    for lang, ws in textstats._STOPWORDS.items() if ws}
-
-
-@register("langid_docs", sql=rf"""
-WITH t AS (
-  SELECT doc_id, text,
-         list_transform(regexp_extract_all(text, '\pL+'),
-                        w -> lower(w)) AS toks
-  FROM documents
-), h AS (
-  SELECT doc_id, text, toks,
-    len(list_filter(toks, w -> list_contains({_STOPLIST_SQL['en']}, w))) AS h_en,
-    len(list_filter(toks, w -> list_contains({_STOPLIST_SQL['de']}, w))) AS h_de,
-    len(list_filter(toks, w -> list_contains({_STOPLIST_SQL['fr']}, w))) AS h_fr,
-    len(list_filter(toks, w -> list_contains({_STOPLIST_SQL['es']}, w))) AS h_es
-  FROM t
-)
-SELECT doc_id,
-  CASE WHEN text IS NULL OR text = '' THEN 'und'
-       WHEN regexp_matches(text, '[一-鿿]') THEN 'zh'
-       WHEN regexp_matches(text, '[Ѐ-ӿ]') THEN 'ru'
-       WHEN len(toks) = 0 THEN 'und'
-       WHEN h_es > greatest(h_en, h_de, h_fr) THEN 'es'
-       WHEN h_fr > greatest(h_en, h_de) THEN 'fr'
-       WHEN h_de > h_en THEN 'de'
-       ELSE 'en' END AS lang_pred
-FROM h
-""")
-def langid_docs(sf_dir: str):
-    """Stopword/script language ID; the DuckDB oracle replays the exact
-    decision procedure (script regexes first, then strict-greater argmax
-    over per-language stopword hit counts in en,de,fr,es order)."""
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(textstats.LangId, batch_format="pyarrow",
-                          concurrency=2).map_batches(
-        lambda b: b.select(["doc_id", "lang_pred"]), batch_format="pyarrow")
-
-
-@register("doc_quality_scores", sql=r"""
-SELECT doc_id,
-  CAST(len(regexp_extract_all(text, '[a-zA-Z]'))
-       * (greatest(len(text), 1) - len(regexp_extract_all(text, '[0-9]')))
-       * 1000000
-       // (greatest(len(text), 1) * greatest(len(text), 1)) AS BIGINT)
-      AS quality_e6,
-  CAST(len(regexp_extract_all(text, '\S+')) AS BIGINT) AS n_tokens
-FROM documents
-""")
-def doc_quality_scores(sf_dir: str):
-    """Composite quality = alpha_ratio * (1 - digit_ratio), emitted as
-    the EXACT scaled integer floor(na*(len-nd)*1e6 / len^2): ratio
-    scores with power-of-two denominators (len 128, 512, ...) land
-    exactly on decimal rounding boundaries where numpy (banker's) and
-    DuckDB (half-away) disagree — integer arithmetic on both sides
-    removes float rounding from the contract entirely."""
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def _q(b: pa.Table) -> pa.Table:
-        out = textstats.quality_score_batch(b)
-        ln = np.maximum(out.column("text_len").to_numpy(), 1).astype(np.int64)
-        na = out.column("n_alpha").to_numpy().astype(np.int64)
-        nd = out.column("n_digit").to_numpy().astype(np.int64)
-        q_e6 = na * (ln - nd) * 1_000_000 // (ln * ln)
-        return pa.table({
-            "doc_id": out.column("doc_id"),
-            "quality_e6": pa.array(q_e6, pa.int64()),
-            "n_tokens": pc.cast(out.column("n_tokens"), pa.int64()),
-        })
-
-    return ds.map_batches(_q, batch_format="pyarrow")
-
-
-def _fingerprint_sql() -> str:
-    from ..stages.textstats import _FP_B_TOK, _FP_P
-
-    pw = ", ".join(f"({e}, {pow(_FP_B_TOK, e, _FP_P)})" for e in range(8))
-    return rf"""
-WITH tokd AS (
-  SELECT doc_id, regexp_extract_all(text, '\S+') AS toks FROM documents
-),
-th AS (
-  SELECT doc_id, i AS pos,
-    list_reduce(list_prepend(CAST(0 AS BIGINT),
-        list_transform(string_split(toks[i], ''),
-                       c -> CAST(unicode(c) AS BIGINT))),
-        (a, c) -> (a * 31 + c) % {_FP_P}) AS h,
-    len(toks) AS ntok
-  FROM tokd, unnest(range(1, len(toks) + 1)) AS u(i)
-),
-pw(e, v) AS (VALUES {pw}),
-win AS (
-  SELECT a.doc_id, a.pos AS i,
-     CAST(CAST(sum(CAST(b.h * pw.v AS HUGEINT)) AS HUGEINT)
-          % {_FP_P} AS BIGINT) AS wh
-  FROM th a JOIN th b ON b.doc_id = a.doc_id
-                     AND b.pos BETWEEN a.pos AND a.pos + 7
-            JOIN pw ON pw.e = 7 - (b.pos - a.pos)
-  WHERE a.ntok >= 8 AND a.pos <= a.ntok - 7
-  GROUP BY a.doc_id, a.pos
-),
-longfp AS (SELECT doc_id, min(wh) AS fingerprint FROM win GROUP BY doc_id),
-shortfp AS (
-  SELECT a.doc_id,
-     CAST(CAST(sum(CAST(a.h * pw.v AS HUGEINT)) AS HUGEINT)
-          % {_FP_P} AS BIGINT) AS fingerprint
-  FROM th a JOIN pw ON pw.e = a.ntok - a.pos
-  WHERE a.ntok BETWEEN 1 AND 7
-  GROUP BY a.doc_id
-),
-emptyfp AS (
-  SELECT doc_id, CAST(0 AS BIGINT) AS fingerprint FROM documents
-  WHERE len(regexp_extract_all(text, '\S+')) = 0
-)
-SELECT doc_id, fingerprint FROM longfp
-UNION ALL SELECT doc_id, fingerprint FROM shortfp
-UNION ALL SELECT doc_id, fingerprint FROM emptyfp
-"""
-
-
-@register("doc_fingerprints", lazy_sql=_fingerprint_sql)
-def doc_fingerprints(sf_dir: str):
-    """Winnowing-style document fingerprint (min over 8-token windows of
-    a rolling polynomial hash), now with a FULL DuckDB replay: per-token
-    char-polynomial hashes via list_reduce, window folds via a power
-    table + HUGEINT modular sums — every fold step is integer-exact on
-    both sides."""
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def _fp(b: pa.Table) -> pa.Table:
-        out = textstats.fingerprint_poly_batch(b)
-        return pa.table({"doc_id": out.column("doc_id"),
-                         "fingerprint": out.column("fingerprint_poly")})
-
-    return ds.map_batches(_fp, batch_format="pyarrow")
-
-
 _QUERY_GEO_CTE = """
 qid0 AS (SELECT unnest(range(0, 20)) AS query_id),
 qid1 AS (SELECT query_id, query_id + 777000 AS gid FROM qid0),
@@ -653,7 +481,6 @@ def _assert_close(name: str, got, want, rtol=1e-6, atol=2e-6):
         raise AssertionError(
             f"{name}: engine diverged from transcription oracle "
             f"(worst {got.flat[worst]} vs {want.flat[worst]})")
-
 
 
 def _golden_sql(fn_name: str):
@@ -923,79 +750,9 @@ def nearest_site_docs(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# Round-2 additions: corpus curation, salted and split zonal aggregation
-# — each DuckDB-verified
+# Round-2 additions: salted and split zonal aggregation — each
+# DuckDB-verified
 # ---------------------------------------------------------------------------
-
-@register("corpus_curation", sql=r"""
-WITH win AS (
-  SELECT min(doc_id) AS doc_id FROM documents GROUP BY text
-),
-kept AS (
-  SELECT d.lang,
-         len(regexp_extract_all(d.text, '\S+')) AS n_tokens
-  FROM documents d JOIN win w ON d.doc_id = w.doc_id
-  WHERE len(regexp_extract_all(d.text, '[a-zA-Z]'))
-        * (greatest(len(d.text), 1) - len(regexp_extract_all(d.text, '[0-9]')))
-        * 1000000 // (greatest(len(d.text), 1) * greatest(len(d.text), 1))
-        >= 500000
-    AND len(regexp_extract_all(d.text, '\S+')) BETWEEN 5 AND 5000
-    AND d.lang IN ('en', 'de', 'fr')
-)
-SELECT lang, count(*) AS n_docs,
-       CAST(sum(n_tokens) AS BIGINT) AS total_tokens
-FROM kept GROUP BY lang
-""")
-def corpus_curation(sf_dir: str):
-    """The canonical LLM-corpus curation pipeline, end to end: quality
-    metrics are computed IN the same pass as the content hash (one read,
-    text never shuffles), exact dedup picks the min-doc_id winner ROW
-    (metrics ride along) via the bucket-keyed argmin shuffle, then
-    language + quality + length filters and per-language token stats.
-    Nothing corpus-sized touches the driver — the shuffle carries only
-    ~40 B/doc metric rows. DuckDB replays the whole chain."""
-    from .flagship import text_hash64
-
-    docs = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
-
-    def _prep(b: pa.Table) -> pa.Table:
-        out = textstats.quality_score_batch(b)
-        ln = np.maximum(out.column("text_len").to_numpy(), 1).astype(np.int64)
-        na = out.column("n_alpha").to_numpy().astype(np.int64)
-        nd = out.column("n_digit").to_numpy().astype(np.int64)
-        q_e6 = na * (ln - nd) * 1_000_000 // (ln * ln)
-        th = text_hash64(b.column("text").to_pylist())
-        bk = ((th.view(np.uint64) ^ (th.view(np.uint64) >> np.uint64(31)))
-              * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(40)) \
-            % np.uint64(64)
-        return pa.table({
-            "text_hash": pa.array(th, pa.int64()),
-            "doc_id": b.column("doc_id"),
-            "lang": b.column("lang"),
-            "n_tokens": pc.cast(out.column("n_tokens"), pa.int64()),
-            "q_e6": pa.array(q_e6, pa.int64()),
-            "_bk": pa.array(bk.astype(np.int32)),
-        })
-
-    def _winners_and_filter(g: pd.DataFrame) -> pd.DataFrame:
-        w = (g.sort_values(["text_hash", "doc_id"], kind="mergesort")
-              .drop_duplicates("text_hash", keep="first"))
-        keep = ((w["q_e6"] >= 500_000) & (w["n_tokens"] >= 5)
-                & (w["n_tokens"] <= 5000)
-                & w["lang"].isin(("en", "de", "fr")))
-        return w[keep][["lang", "n_tokens"]]
-
-    kept = (docs.map_batches(_prep, batch_format="pyarrow")
-            .groupby("_bk")
-            .map_groups(_winners_and_filter, batch_format="pandas"))
-    agg = grouped_count_sum(kept, ["lang"], ["n_tokens"],
-                            count_alias="n_docs")
-    return agg.map_batches(
-        lambda b: pa.table({
-            "lang": b.column("lang"),
-            "n_docs": b.column("n_docs"),
-            "total_tokens": b.column("n_tokens_sum"),
-        }), batch_format="pyarrow")
 
 
 @register("zonal_salted_docs", sql=_GEO_SQL_CTE + """
@@ -1104,69 +861,6 @@ def zonal_split_docs(sf_dir: str):
     return rolled
 
 
-def _vec_column_matrix(col) -> np.ndarray:
-    """Arrow list/tensor column -> (n, d) float64 matrix (zero-copy from
-    the flattened list buffer where the layout allows)."""
-    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
-    mats = []
-    for c in chunks:
-        if len(c) == 0:
-            continue
-        if hasattr(c, "flatten"):                      # list<float>
-            # offset-aware (sliced chunks): .values would ignore the
-            # ListArray slice offset and misalign rows to vectors
-            flat = c.flatten().to_numpy(zero_copy_only=False)
-            mats.append(flat.reshape(len(c), -1).astype(np.float64))
-        else:                                          # tensor extension
-            arr = c.to_numpy(zero_copy_only=False)
-            if arr.dtype == object:
-                arr = np.stack([np.asarray(v) for v in arr])
-            mats.append(np.asarray(arr, dtype=np.float64))
-    return np.vstack(mats) if mats else np.empty((0, 0))
-
-
-@register("label_centroids", sql="""
-SELECT CAST(label AS BIGINT) AS label, count(*) AS n_vecs,
-       round(avg(embedding[1]), 6) AS c0,
-       round(avg(embedding[2]), 6) AS c1,
-       round(avg(embedding[3]), 6) AS c2,
-       round(avg(embedding[4]), 6) AS c3
-FROM embeddings GROUP BY label
-""")
-def label_centroids(sf_dir: str):
-    """Per-label embedding centroid (first 4 dims reported): the
-    distributed vector-mean every clustering / domain-mixing audit
-    needs. Combiner pattern — each batch collapses to one partial-sum
-    row per label (grouped_count_sum), the groupby moves labels x
-    batches rows, means close on the tiny result."""
-    from ..functions.agg import grouped_count_sum
-
-    ds = _read(sf_dir, "embeddings", ["label", "embedding"])
-
-    def _dims(b: pa.Table) -> pa.Table:
-        mat = _vec_column_matrix(b.column("embedding"))
-        return pa.table({
-            "label": pc.cast(b.column("label"), pa.int64()),
-            "c0": pa.array(mat[:, 0]), "c1": pa.array(mat[:, 1]),
-            "c2": pa.array(mat[:, 2]), "c3": pa.array(mat[:, 3]),
-        })
-
-    agg = grouped_count_sum(ds.map_batches(_dims, batch_format="pyarrow"),
-                            ["label"], ["c0", "c1", "c2", "c3"],
-                            count_alias="n_vecs")
-
-    def _final(b: pa.Table) -> pa.Table:
-        n = b.column("n_vecs").to_numpy().astype(np.float64)
-        cols = {"label": b.column("label"),
-                "n_vecs": pc.cast(b.column("n_vecs"), pa.int64())}
-        for i in range(4):
-            cols[f"c{i}"] = pa.array(
-                np.round(b.column(f"c{i}_sum").to_numpy() / n, 6))
-        return pa.table(cols)
-
-    return agg.map_batches(_final, batch_format="pyarrow")
-
-
 @register("url_dedup_pages", sql="""
 WITH d AS (SELECT doc_id, doc_id - doc_id % 3 AS gid FROM documents)
 SELECT 'https://site' || (gid % 999) || '.example/s' || ((gid // 999) % 37)
@@ -1180,10 +874,11 @@ def url_dedup_pages(sf_dir: str):
     canonical target; variants add uppercase scheme+host + #fragment,
     or utm_* tracking params + trailing slash). The ENGINE canonicalizes
     with its real pyarrow regex kernels (crawl
-    .canonicalize_urls_batch) and dedups via the bucket-keyed
-    one-shuffle plan; the oracle computes the expected canonical form
-    from doc_id arithmetic alone — so the hash match proves the
-    canonicalizer exactly undoes every injected variation."""
+    .canonicalize_urls_batch) and dedups through the partials merge
+    (crawl.url_dedup, a grouped min and count); the oracle computes the
+    expected canonical form from doc_id arithmetic alone — so the hash
+    match proves the canonicalizer exactly undoes every injected
+    variation."""
     from ..stages.crawl import url_dedup
 
     ds = _read(sf_dir, "documents", ["doc_id"])
@@ -1206,14 +901,7 @@ def url_dedup_pages(sf_dir: str):
         return pa.table({"doc_id": pa.array(ids, pa.int64()),
                          "url": pa.array(urls, pa.string())})
 
-    dirty = ds.map_batches(_dirty, batch_format="pyarrow")
-    out = url_dedup(dirty, id_col="doc_id", url_col="url")
-    return out.map_batches(
-        lambda b: pa.table({
-            "canon_url": b.column("canon_url"),
-            "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
-            "n_variants": pc.cast(b.column("n_variants"), pa.int64()),
-        }), batch_format="pyarrow")
+    return url_dedup(ds.map_batches(_dirty, batch_format="pyarrow"))
 
 
 @register("warc_roundtrip_docs", sql="""
@@ -1260,56 +948,6 @@ def warc_roundtrip_docs(sf_dir: str):
 
     return read_warc([f"{d}/a.warc", f"{d}/b.warc.gz"]).map_batches(
         _reduce, batch_format="pyarrow").sort("doc_id")
-
-
-@register("jsonl_roundtrip_docs", sql="""
-SELECT doc_id, lang, CAST(octet_length(encode(text)) AS BIGINT) AS n_bytes
-FROM documents WHERE doc_id % 7 = 0 ORDER BY doc_id
-""")
-def jsonl_roundtrip_docs(sf_dir: str):
-    """JSONL source round-trip (sources/jsonl.py): every 7th document
-    is dumped as newline-delimited JSON, then read back by the RANGED
-    reader with a deliberately tiny range size (16 KiB) so thousands
-    of byte ranges start mid-line and must resynchronize at the next
-    newline — the mechanism that makes NDJSON splittable without an
-    index at 100 TB. The oracle measures the ORIGINAL table, so a
-    hash match proves writer escaping, the range/resync partition
-    (each line owned by exactly one range) and the vectorized C++
-    parse are all lossless. (Fixture written driver-side by necessity;
-    the operator under test, read_jsonl, is the distributed path.)"""
-    import tempfile
-
-    from ..sources.jsonl import read_jsonl, write_jsonl
-
-    docs = (_read(sf_dir, "documents", ["doc_id", "lang", "text"])
-            .map_batches(
-                lambda b: b.filter(pa.array(
-                    b.column("doc_id").to_numpy() % 7 == 0)),
-                batch_format="pyarrow").to_pandas())
-    rows = [{"doc_id": int(i), "lang": la, "text": t or ""}
-            for i, la, t in zip(docs["doc_id"], docs["lang"],
-                                docs["text"])]
-    d = tempfile.mkdtemp(prefix="jsonl_", dir="/tmp")
-    half = len(rows) // 2
-    write_jsonl(f"{d}/a.jsonl", rows[:half])
-    write_jsonl(f"{d}/b.jsonl", rows[half:])
-
-    def _reduce(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "lang": pa.array([], pa.string()),
-                             "n_bytes": pa.array([], pa.int64())})
-        lens = [len(t.encode("utf-8"))
-                for t in b.column("text").to_pylist()]
-        return pa.table({
-            "doc_id": pc.cast(b.column("doc_id"), pa.int64()),
-            "lang": b.column("lang"),
-            "n_bytes": pa.array(lens, pa.int64())})
-
-    return read_jsonl([f"{d}/a.jsonl", f"{d}/b.jsonl"],
-                      columns=["doc_id", "lang", "text"],
-                      range_bytes=16 << 10) \
-        .map_batches(_reduce, batch_format="pyarrow").sort("doc_id")
 
 
 @register("polygon_metrics", lazy_sql=lambda: f"""
@@ -1483,89 +1121,6 @@ def idw_interpolation_docs(sf_dir: str):
     return ds.map_batches(_idw, batch_format="pyarrow")
 
 
-def _cdc_sql():
-    from ..stages.cdc import cdc_oracle_sql
-    return cdc_oracle_sql()
-
-
-@register("cdc_chunk_dups", lazy_sql=_cdc_sql)
-def cdc_chunk_dups(sf_dir: str):
-    """Content-defined chunking dedup (LBFS-style, 32-bit buzhash
-    rolling window): identical substrings chunk identically anywhere
-    they appear, so cross-doc duplicated chunks fall out of ONE
-    combiner-pattern groupby over slim (h1, h2, len) rows — shuffle is
-    one 28-byte row per ~32-char chunk, never the text. Oracle replays
-    the buzhash bit-for-bit (bit_xor window + rotation identity) and
-    the dual polynomial chunk hashes fold-by-fold
-    (geoflow.stages.cdc)."""
-    from ..stages.cdc import cdc_dup_chunks
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return cdc_dup_chunks(ds)
-
-
-def _bm25_sql():
-    from ..stages.search import bm25_oracle_sql
-    return bm25_oracle_sql()
-
-
-@register("bm25_top_docs", lazy_sql=_bm25_sql)
-def bm25_top_docs(sf_dir: str):
-    """BM25 (Okapi) top-10 docs for 3 auto-derived 2-term queries (the
-    6 highest-DF corpus terms, chunked in DF-desc/term-asc order).
-    Distributed inverted index: slim posting rows, combiner-pattern DF,
-    broadcast query dictionary, two-level per-query top-k; ranking on
-    the ROUNDED score so a last-ulp ln() difference cannot reorder
-    (geoflow.stages.search.bm25_topk)."""
-    from ..stages.search import bm25_topk
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return bm25_topk(ds, "doc_id", "text", n_queries=3,
-                     terms_per_query=2, k=10)
-
-
-_PHRASES = ["sort merge", "batch batch", "table scan merge"]
-
-
-def _phrase_sql():
-    parts = []
-    for phrase in _PHRASES:
-        terms = phrase.split(" ")
-        k = len(terms)
-        cond = " AND ".join(f"l[i + {j}] = '{t}'"
-                            for j, t in enumerate(terms))
-        parts.append(f"""
-SELECT '{phrase}' AS phrase, lang,
-       count(*) AS n_docs,
-       CAST(sum(n) AS BIGINT) AS n_matches,
-       CAST(sum(doc_id * n) AS BIGINT) AS doc_checksum
-FROM (
-  SELECT doc_id, lang,
-         len(list_filter(range(1, len(l) + 2 - {k}),
-                         i -> {cond})) AS n
-  FROM (SELECT doc_id, lang, string_split(text, ' ') AS l
-        FROM documents)
-) WHERE n > 0 GROUP BY 1, 2""")
-    return " UNION ALL ".join(parts)
-
-
-@register("phrase_search_docs", lazy_sql=_phrase_sql)
-def phrase_search_docs(sf_dir: str):
-    """Exact phrase (n-gram) search over a POSITIONAL inverted index:
-    postings (doc, term, pos) are built once, restricted batch-side to
-    the query phrases' vocabulary (non-query terms never leave the
-    map), and a k-term phrase resolves as k-1 bucketed hash joins on
-    one shared key — every term keyed to the occurrence's START
-    position (doc * 2^20 + pos - i). Output: per-(phrase, lang) doc
-    and match counts plus a doc-weighted checksum; the oracle counts
-    occurrences per doc with a list_filter window over the same
-    single-space tokenization (geoflow.stages.search.phrase_search)."""
-    from ..stages.search import phrase_search
-
-    ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
-    return phrase_search(ds, _PHRASES)
-
-
 def _rasterize_sql():
     return f"""
 WITH edges(region_id, name, x1, y1, x2, y2) AS (VALUES {_pip_edges_sql()}),
@@ -1685,108 +1240,6 @@ def robots_filter_docs(sf_dir: str):
     agg["n_allowed"] = agg["a_sum"].astype(np.int64)
     agg["n_denied"] = (agg["_n"] - agg["a_sum"]).astype(np.int64)
     return agg[["host", "n_allowed", "n_denied"]]
-
-
-@register("cell_top_lang", sql=_GEO_SQL_CTE + """
-, cl AS (
-  SELECT CAST(floor((lon + 180.0) / 360.0 * 64.0) AS BIGINT) AS cell_x,
-         CAST(floor((90.0 - lat) / 180.0 * 64.0) AS BIGINT) AS cell_y,
-         d.lang, count(*) AS n
-  FROM geo JOIN documents d USING (doc_id)
-  GROUP BY 1, 2, 3
-),
-rk AS (
-  SELECT cell_x, cell_y, lang, n,
-         SUM(n) OVER (PARTITION BY cell_x, cell_y) AS n_docs,
-         row_number() OVER (PARTITION BY cell_x, cell_y
-                            ORDER BY n DESC, lang ASC) AS r
-  FROM cl
-)
-SELECT cell_x, cell_y, lang AS top_lang, n AS n_top,
-       CAST(n_docs AS BIGINT) AS n_docs
-FROM rk WHERE r = 1
-""")
-def cell_top_lang(sf_dir: str):
-    """Per-cell modal category (majority vote): the most frequent doc
-    language per 64x64 zonal cell, ties broken lexicographically —
-    the categorical zonal statistic (raster 'majority' resample rule).
-    One combiner groupby to (cell, lang) counter rows, then per-cell
-    argmax inside hash(cell) buckets (geoflow pattern: footprint-sized
-    wide steps only)."""
-    from ..functions.agg import grouped_count_sum
-    from ..functions.joins import _mix_cols
-
-    ds = _read(sf_dir, "documents", ["doc_id", "lang"])
-
-    def _cells(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy()
-        lat, lon = geocode_doc_ids(ids)
-        return pa.table({
-            "cell_x": pa.array(np.floor((lon + 180.0) / 360.0 * 64.0)
-                               .astype(np.int64)),
-            "cell_y": pa.array(np.floor((90.0 - lat) / 180.0 * 64.0)
-                               .astype(np.int64)),
-            "lang": b.column("lang")})
-
-    counts = grouped_count_sum(
-        ds.map_batches(_cells, batch_format="pyarrow"),
-        ["cell_x", "cell_y", "lang"], [], count_alias="n")
-
-    def _tag(b: pa.Table) -> pa.Table:
-        key = (b.column("cell_x").to_numpy() * 64
-               + b.column("cell_y").to_numpy())
-        gb = (_mix_cols(key) % np.uint64(16)).astype(np.int32)
-        return b.append_column("_gb", pa.array(gb))
-
-    def _top1(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cell_x", "cell_y", "n", "lang"],
-                          ascending=[True, True, False, True],
-                          kind="mergesort")
-        tot = g.groupby(["cell_x", "cell_y"], sort=False)["n"] \
-            .transform("sum")
-        g = g.assign(n_docs=tot.astype(np.int64))
-        g = g.drop_duplicates(["cell_x", "cell_y"], keep="first")
-        g = g.rename(columns={"lang": "top_lang", "n": "n_top"})
-        return g[["cell_x", "cell_y", "top_lang", "n_top", "n_docs"]]
-
-    return counts.map_batches(_tag, batch_format="pyarrow") \
-        .groupby("_gb").map_groups(_top1, batch_format="pandas")
-
-
-def _fuzzy_sql():
-    from ..stages.textstats import fuzzy_pairs_oracle_sql
-    return fuzzy_pairs_oracle_sql(min_df=1)
-
-
-@register("fuzzy_token_pairs", lazy_sql=_fuzzy_sql)
-def fuzzy_token_pairs_docs(sf_dir: str):
-    """Typo mining / fuzzy vocabulary join: every pair of corpus terms
-    at edit distance EXACTLY 1, found by deletion-neighborhood
-    blocking (FastSS) — one groupby over O(vocab x len) deletion keys,
-    never vocab^2 — with exact in-bucket verification. The oracle
-    replays the SAME blocking but verifies with DuckDB's builtin
-    levenshtein(), independently pinning the engine's edit-distance
-    code (geoflow.stages.textstats.fuzzy_token_pairs)."""
-    from ..stages.textstats import fuzzy_token_pairs
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def _inject_typo(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy()
-        texts = b.column("text").to_pylist()
-        out = []
-        for d, t in zip(ids, texts):
-            toks = (t or "").split()
-            if d % 13 == 0 and toks and len(toks[0]) > 1:
-                p = int((d // 13) % len(toks[0]))
-                toks[0] = toks[0][:p] + toks[0][p + 1:]
-                t = " ".join(toks)
-            out.append(t)
-        return pa.table({"doc_id": b.column("doc_id"),
-                         "text": pa.array(out, pa.string())})
-
-    return fuzzy_token_pairs(
-        ds.map_batches(_inject_typo, batch_format="pyarrow"), min_df=1)
 
 
 def _geohash_sql():

@@ -4,11 +4,11 @@ politeness-aware frontier schedule.
 - ``canonicalize_urls_batch`` + ``url_dedup``: URL canonicalization
   (scheme/host lowercase, tracking-param strip, trailing-slash and
   fragment strip) followed by a keep-first-crawl dedup grouped on the
-  canonical URL. The dedup is the same bucket-keyed one-shuffle plan
-  as the flagship exact dedup: batch-local pre-dedup, then ONE
-  groupby on ``hash(canon_url) % num_buckets`` with a vectorized
-  per-bucket combine — shuffle volume is slim (url, doc_id) rows,
-  never page bodies.
+  canonical URL. The min id and the count per canonical URL are an
+  algebraic reduction, so the dedup is the flagship exact dedup's
+  plan: a batch-local combine, then the one partials merge
+  (``functions.agg.grouped_count_sum``). The merge moves slim
+  (url, id) partial rows, never page bodies.
 - ``frontier_order``: breadth-across-domains crawl schedule with the
   exact global position of every URL.
 
@@ -23,7 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .textstats import _FP_B_CHAR, _FP_P
+from ..functions.agg import _mix64, grouped_count_sum
 
 # Tracking params stripped by the canonicalizer (the usual suspects).
 # The separator is CAPTURED (not lookbehind — RE2 has none) so a
@@ -61,57 +61,23 @@ def canonicalize_urls_batch(batch: pa.Table,
     return batch.append_column("canon_url", u)
 
 
-def url_dedup(ds, id_col: str = "doc_id", url_col: str = "url",
-              num_buckets: int = 64):
-    """Keep-first (min id) per canonical URL: canonicalize, batch-local
-    pre-dedup, ONE bucket-keyed shuffle, vectorized per-bucket combine.
+def url_dedup(ds, id_col: str = "doc_id", url_col: str = "url"):
+    """Keep-first (min id) per canonical URL: canonicalize each batch,
+    then one grouped min and count (``grouped_count_sum``).
     Output: (canon_url, doc_id winner, n_variants)."""
-    def _local(b: pa.Table) -> pa.Table:
+    def _slim(b: pa.Table) -> pa.Table:
         b = canonicalize_urls_batch(b, url_col)
-        t = pa.table({"canon_url": b.column("canon_url"),
-                      id_col: pc.cast(b.column(id_col), pa.int64())})
-        g = pa.TableGroupBy(t, ["canon_url"]).aggregate(
-            [(id_col, "min"), ([], "count_all")])
-        # deterministic bucket key (NEVER builtins.hash — it is
-        # PYTHONHASHSEED-randomized per worker process)
-        uh = poly_string_hash_vec(g.column("canon_url").to_pylist())
-        return pa.table({
-            "bucket": pa.array(uh % num_buckets, pa.int64()),
-            "canon_url": g.column("canon_url"),
-            id_col: g.column(f"{id_col}_min"),
-            "n_variants": g.column("count_all"),
-        })
+        return pa.table({"canon_url": b.column("canon_url"),
+                         id_col: pc.cast(b.column(id_col), pa.int64())})
 
-    def _combine(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.groupby("canon_url", sort=False)
-               .agg(**{id_col: (id_col, "min"),
-                       "n_variants": ("n_variants", "sum")})
-               .reset_index())
-        return out[["canon_url", id_col, "n_variants"]]
-
-    pre = ds.map_batches(_local, batch_format="pyarrow")
-    return (pre.groupby("bucket")
-            .map_groups(_combine, batch_format="pandas"))
-
-
-def poly_string_hash_vec(strings: list[str]) -> np.ndarray:
-    """Vectorized char-polynomial hash (same fold arithmetic as
-    textstats.poly_token_hash: acc = acc*31 + byte mod 2^31-1).
-    Deterministic across processes, unlike ``builtins.hash``."""
-    if not strings:
-        return np.zeros(0, dtype=np.int64)
-    maxlen = max(len(s) for s in strings)
-    buf = np.zeros((len(strings), maxlen), dtype=np.int64)
-    mask = np.zeros((len(strings), maxlen), dtype=bool)
-    for r, s in enumerate(strings):
-        b = np.frombuffer(s.encode("utf-8"), dtype=np.uint8)
-        buf[r, :len(b)] = b
-        mask[r, :len(b)] = True
-    acc = np.zeros(len(strings), dtype=np.int64)
-    for k in range(maxlen):
-        live = mask[:, k]
-        acc[live] = (acc[live] * _FP_B_CHAR + buf[live, k]) % _FP_P
-    return acc
+    agg = grouped_count_sum(ds.map_batches(_slim, batch_format="pyarrow"),
+                            ["canon_url"], [], count_alias="n_variants",
+                            min_cols=[id_col])
+    return agg.map_batches(
+        lambda b: pa.table({"canon_url": b.column("canon_url"),
+                            id_col: b.column(f"{id_col}_min"),
+                            "n_variants": b.column("n_variants")}),
+        batch_format="pyarrow")
 
 
 def frontier_order(docs_ds, num_domains: int = 97, n_docs: int | None = None,
@@ -138,8 +104,6 @@ def frontier_order(docs_ds, num_domains: int = 97, n_docs: int | None = None,
     domain across rounds). At 10^12 URLs raise num_rank_buckets so a
     bucket stays task-sized.
     """
-    from ..functions.agg import _mix64, grouped_count_sum
-
     if n_docs is None:
         n_docs = docs_ds.count()
     nb = 32

@@ -1,15 +1,11 @@
-"""URL canonicalization, URL-level dedup and the string hash that
-keys its shuffle buckets (geoflow.stages.crawl)."""
+"""URL canonicalization, URL-level dedup and the crawl-frontier
+schedule (geoflow.stages.crawl)."""
 
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from geoflow.stages.crawl import (
-    canonicalize_urls_batch,
-    poly_string_hash_vec,
-    url_dedup,
-)
+from geoflow.stages.crawl import canonicalize_urls_batch, url_dedup
 
 
 def _tbl(**cols):
@@ -52,18 +48,7 @@ def test_url_dedup_winners(ray_session):
     assert out.loc["https://b.ex/q", "n_variants"] == 2
 
 
-# --- bucket hash ---------------------------------------------------------
-
-def test_poly_hash_matches_scalar_fold():
-    from geoflow.stages.textstats import _FP_B_CHAR, _FP_P
-    strs = ["", "a", "https://x.ex/p?q=1", "é-unicode"]
-    vec = poly_string_hash_vec(strs)
-    for s, v in zip(strs, vec):
-        acc = 0
-        for byte in s.encode("utf-8"):
-            acc = (acc * _FP_B_CHAR + byte) % _FP_P
-        assert acc == v
-
+# --- crawl frontier ------------------------------------------------------
 
 def test_frontier_order_fair_interleave():
     import pandas as pd

@@ -63,9 +63,8 @@ def main():
     import __ray_entry__ as e
 
     con = duckdb.connect()
-    for t in ("documents", "embeddings"):
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
-                    f"read_parquet('{sf_dir}/{t}.parquet')")
+    con.execute("CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{sf_dir}/documents.parquet')")
 
     qs = e.queries()
     oracles = e.oracle_sql()
