@@ -825,7 +825,7 @@ def zonal_split_docs(sf_dir: str):
     group respects ~cap; the DuckDB oracle is the plain res-5 zonal —
     rebalancing must be invisible in the result."""
     from ..stages import cells as cellmod
-    from ..stages.skew import rebalanced_cells_iterative
+    from ..stages.skew import rebalanced_cells
 
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
 
@@ -839,7 +839,7 @@ def zonal_split_docs(sf_dir: str):
                          "n_chars": g.column("n_chars")})
 
     cap = 40
-    eff, plan, rounds = rebalanced_cells_iterative(
+    eff, plan, rounds = rebalanced_cells(
         ds.map_batches(_enc, batch_format="pyarrow"), cap=cap)
     assert plan, "hot geocode clusters must trigger cell splits"
 
@@ -1166,80 +1166,6 @@ def rasterized_polygons(sf_dir: str):
     out["n_cells"] = out["n_cells_sum"].astype(np.int64)
     out["cell_checksum"] = out["cell_checksum_sum"].astype(np.int64)
     return out[["region_id", "n_cells", "cell_checksum"]]
-
-
-@register("robots_filter_docs", sql="""
-WITH hosts AS (SELECT range AS k FROM range(0, 999)),
-rules AS (
-  SELECT k, '/' AS prefix, 1 AS allow FROM hosts
-  UNION ALL SELECT k, '/s' || (k % 37) || '/', 0 FROM hosts
-  UNION ALL SELECT k, '/s' || (k % 37) || '/page1', 1 FROM hosts
-),
-d AS (
-  SELECT doc_id, doc_id % 999 AS k,
-         '/s' || ((doc_id // 999) % 37) || '/page' || doc_id AS path
-  FROM documents
-),
-m AS (
-  SELECT d.doc_id, d.k, r.allow,
-         row_number() OVER (PARTITION BY d.doc_id
-                            ORDER BY length(r.prefix) DESC,
-                                     r.allow DESC) AS rn
-  FROM d JOIN rules r ON r.k = d.k AND starts_with(d.path, r.prefix)
-)
-SELECT 'site' || k || '.example' AS host,
-       CAST(sum(allow) AS BIGINT) AS n_allowed,
-       CAST(sum(1 - allow) AS BIGINT) AS n_denied
-FROM m WHERE rn = 1 GROUP BY 1
-""")
-def robots_filter_docs(sf_dir: str):
-    """Robots-rules politeness gate (RFC 9309 semantics): per host a
-    3-rule set (allow /, deny its /s{k}/ section, re-allow the
-    .../page1 prefix inside it) decides every crawl URL by LONGEST
-    matching prefix, allow winning ties. The ruleset broadcasts once
-    (ray.put'd host-sorted arrays); each batch probes with
-    searchsorted + elementwise startswith + a lexsort argmax — no
-    Python row loop, no shuffle until the per-host rollup. The oracle
-    replays the decision as a window argmax over the same rule
-    relation (geoflow.stages.robots)."""
-    from ..functions.agg import grouped_count_sum
-    from ..stages.robots import robots_filter
-
-    rules = []
-    for k in range(999):
-        a = k % 37
-        rules.append((f"site{k}.example", "/", True))
-        rules.append((f"site{k}.example", f"/s{a}/", False))
-        rules.append((f"site{k}.example", f"/s{a}/page1", True))
-    rules_df = pd.DataFrame(rules, columns=["host", "prefix", "allow"])
-
-    ds = _read(sf_dir, "documents", ["doc_id"])
-
-    def _urls(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy().astype(np.int64)
-        urls = [f"https://site{i % 999}.example/"
-                f"s{(i // 999) % 37}/page{i}" for i in ids.tolist()]
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "url": pa.array(urls, pa.string())})
-
-    decided = robots_filter(ds.map_batches(_urls, batch_format="pyarrow"),
-                            "url", rules_df)
-
-    def _host_flag(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy().astype(np.int64)
-        return pa.table({
-            "host": pa.array([f"site{i}.example"
-                              for i in (ids % 999).tolist()],
-                             pa.string()),
-            "a": pa.array(b.column("allowed").to_numpy()
-                          .astype(np.int64))})
-
-    agg = grouped_count_sum(
-        decided.map_batches(_host_flag, batch_format="pyarrow"),
-        ["host"], ["a"], count_alias="_n").to_pandas()
-    agg["n_allowed"] = agg["a_sum"].astype(np.int64)
-    agg["n_denied"] = (agg["_n"] - agg["a_sum"]).astype(np.int64)
-    return agg[["host", "n_allowed", "n_denied"]]
 
 
 def _geohash_sql():

@@ -1,12 +1,14 @@
 """Multi-criteria ranking of corrections (reference entry point #5).
 
 Engine shape (SURVEY.md section 3.2): ONE Ray Data job per rank. The
-tiles stream through the terrain derivation into the band step, which
+tiles stream through the terrain derivation into the band step
+(``stages.metrics.per_band``, shared with the correlation eval), which
 moves only the terrain columns the corrections read; nothing is
 materialized before it and there is no separate fit job. The band step
 coalesces those columns into one block, with no shuffle, and one task
-runs every band in turn (the reference scores whole bands held in one
-process, ``multi_criteria_eval.py:123-133``). The task fits each band
+runs every band in turn, refusing tiles from two rasters (the
+reference scores whole bands held in one process,
+``multi_criteria_eval.py:123-133``). The task fits each band
 from the band's own tiles (the reference fits each band from that
 band's pixels, ``multi_criteria_rank.py:199-239``), flattens the band's
 pixels, luminance and slope once in tile order, calls every correction once on
@@ -44,14 +46,13 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..context import CorrectionContext, DEFAULT_CONTEXT
 from ..oracle import kernels as ok
 from ..stages.corrections import (fit_moments_batch, merge_moments,
                                   solve_corrections)
 from ..stages.metrics import (ORIG_KEY, array_evaluator, flat, metric_ids,
-                              tile_order)
+                              per_band)
 from ..stages.terrain import _rows_as_arrays, derive_terrain
 # the stand-alone terrain and fit steps; perfbench's traced rank pass
 # wraps them under these names, so they stay importable from here
@@ -90,14 +91,7 @@ def apply_all_wide_batch(batch: pa.Table, fns: list,
 
 
 def fit_band(group: pa.Table, ctx: CorrectionContext) -> dict:
-    """{raster_id: coeffs} fitted from one band's own tiles.
-
-    A band whose tiles come from two rasters would pool their pixels,
-    min and max, so it is refused, naming the raster ids."""
-    rids = pc.unique(group.column("raster_id")).to_pylist()
-    if len(rids) > 1:
-        raise ValueError("rank input must hold one raster, got raster ids "
-                         f"{sorted(rids)}")
+    """{raster_id: coeffs} fitted from one band's own tiles."""
     return solve_corrections(
         merge_moments(fit_moments_batch(group, ctx)).to_pylist(), ctx)
 
@@ -105,44 +99,25 @@ def fit_band(group: pa.Table, ctx: CorrectionContext) -> dict:
 def evaluate_corrections_ds(terrain, fns: list, ctx: CorrectionContext):
     """Terrain Dataset -> (correction, band[, zone], metrics) Dataset.
 
-    The band columns are coalesced into one block (no shuffle) and one
-    task runs every band: it fits each band from the band's own tiles,
-    flattens pixels, luminance and slope (and ``zone_ids``) once in tile
-    order, calls each correction once on the whole band and evaluates
-    the flat arrays."""
-    cols = ["raster_id", "band", "tile_y", "tile_x", "pixels", "luminance",
-            "slope", "zone_ids"]
+    One ``per_band`` task runs every band: it fits each band from the
+    band's own tiles, flattens pixels, luminance and slope (and
+    ``zone_ids``) once in tile order, calls each correction once on the
+    whole band and evaluates the flat arrays."""
     evaluate = array_evaluator()
 
-    def band_columns(batch: pa.Table) -> pa.Table:
-        # per batch, not ``select_columns``: whether ``zone_ids`` is there
-        # would otherwise take the lazy terrain's schema, which runs it
-        return batch.select([c for c in cols if c in batch.column_names])
+    def evaluate_band(band: int, group: pa.Table) -> pd.DataFrame:
+        (coeffs,) = fit_band(group, ctx).values()
+        I, L, s = (flat(group.column(c))
+                   for c in ("pixels", "luminance", "slope"))
+        corrected = [(name, np.asarray(fn(I, L, s, coeffs, band, ctx),
+                                       dtype=np.float32).ravel())
+                     for name, fn in fns]
+        zones = (flat(group.column("zone_ids"))
+                 if "zone_ids" in group.column_names else None)
+        return evaluate(band, L, I, corrected, zones)
 
-    def every_band(batch: pa.Table):
-        # a generator, so that a refused band reaches the caller as its
-        # ValueError, not wrapped in Ray's UserCodeException
-        tiles = tile_order(batch)
-        bands = tiles.column("band").to_numpy()
-        cuts = np.flatnonzero(np.diff(bands)) + 1
-        frames = []
-        for lo, hi in zip([0, *cuts], [*cuts, bands.size]):
-            group = tiles.slice(lo, hi - lo)
-            (coeffs,) = fit_band(group, ctx).values()
-            band = int(bands[lo])
-            I, L, s = (flat(group.column(c))
-                       for c in ("pixels", "luminance", "slope"))
-            corrected = [(name, np.asarray(fn(I, L, s, coeffs, band, ctx),
-                                           dtype=np.float32).ravel())
-                         for name, fn in fns]
-            zones = (flat(group.column("zone_ids"))
-                     if "zone_ids" in group.column_names else None)
-            frames.append(evaluate(band, L, I, corrected, zones))
-        yield pd.concat(frames, ignore_index=True)
-
-    return (terrain.map_batches(band_columns, batch_format="pyarrow")
-            .repartition(1, shuffle=False)
-            .map_batches(every_band, batch_format="pyarrow", batch_size=None))
+    return per_band(terrain, ["pixels", "luminance", "slope", "zone_ids"],
+                    evaluate_band)
 
 
 def compute_metrics_table(tiles_ds, names: list[str] | None = None,

@@ -95,12 +95,24 @@ def fit_moments_batch(batch: pa.Table,
 def _closed_form_ols(n, sx, sy, sxx, sxy) -> tuple[float, float]:
     """(intercept, slope) from float64 moments — matches polyfit analytically.
 
-    Degenerate regressor (constant x — e.g. flat terrain giving constant
-    luminance, as on the reference's own 10x10 test grid): the normal
-    equations are rank-deficient; the minimum-norm least-squares solution
-    is slope 0, intercept mean(y) (what lstsq returns where polyfit
-    warns). Corrections built on these coefficients reduce to identity
-    on such rasters, which is the physically right answer."""
+    Degenerate regressor (constant x = c — e.g. flat terrain giving
+    constant luminance, as on the reference's own 10x10 test grid): the
+    normal equations are rank-deficient and every line through (c,
+    mean(y)) is a least-squares fit. When the denominator comes out
+    exactly 0 this returns slope 0, intercept mean(y); float32
+    luminance, whose squares and sums float64 holds (nearly) exactly,
+    gets there or to a slope within rounding of 0 (a float64 constant
+    such as 0.7 over 1,000 pixels leaves a rounding-error denominator
+    and a slope of about 16, with the intercept still putting the line
+    through (c, mean(y))). polyfit warns and returns another one, intercept mean(y)/2
+    and slope mean(y)/(2c) for c != 0 (it scales the columns before
+    lstsq). Both predict mean(y) at x = c, so VECA and Teillet, which
+    read the fit only as intercept + slope * L, give the same output
+    either way; the ratio c = intercept/slope is pinned to 0 for slope
+    0 (``solve_corrections``). On flat terrain (slope and luminance
+    constant) every correction factor is one constant over the pixels
+    it corrects, so no pixel is corrected relative to another whichever
+    fit is taken."""
     denom = n * sxx - sx * sx
     if denom == 0:
         return (float(sy / n) if n else 0.0), 0.0

@@ -11,9 +11,6 @@ politeness-aware frontier schedule.
   (url, id) partial rows, never page bodies.
 - ``frontier_order``: breadth-across-domains crawl schedule with the
   exact global position of every URL.
-
-The robots-rules gate that sits between them lives in
-``stages.robots``.
 """
 
 from __future__ import annotations

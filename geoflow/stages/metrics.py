@@ -17,17 +17,21 @@ Transcribed metric semantics (reference
 standard formula behind scipy.stats.linregress, metrics.py:193-195;
 scipy is not available in this environment -- SURVEY.md section 7.0).
 
-Evaluation shape: the rank's band task
+Evaluation shape: ``per_band`` is the band step of every whole-band
+raster evaluation (the rank here, the correlation eval in
+``stages.histogram``): the band columns coalesce into one block, with
+no shuffle, and one task hands each band's tiles, in (tile_y, tile_x)
+order, to a per-band function. The rank's per-band function
 (``geoflow.pipelines.rank.evaluate_corrections_ds``, in the rank's one
-Ray Data job) fits each band from its own tiles, flattens the band's
-columns once in (tile_y, tile_x) order, applies every correction to the
-whole band and hands the flat arrays to ``array_evaluator``, which
-computes every registered metric for the original and all corrections.
-Exact medians/percentiles come from the whole band held in one task
-(the reference holds full bands in the driver,
-multi_criteria_eval.py:128); the fixed tile order keeps floating
-reductions deterministic. ``metrics_for_band_group`` flattens a wide
-band group (Arrow or pandas) the same way and calls the same evaluator.
+Ray Data job) fits the band from its own tiles, flattens the band's
+columns once, applies every correction to the whole band and hands the
+flat arrays to ``array_evaluator``, which computes every registered
+metric for the original and all corrections. Exact
+medians/percentiles come from the whole band held in one task (the
+reference holds full bands in the driver, multi_criteria_eval.py:128);
+the fixed tile order keeps floating reductions deterministic.
+``metrics_for_band_group`` flattens a wide band group (Arrow or pandas)
+the same way and calls the same evaluator.
 
 One summary per (zone, source) serves all seven built-ins
 (``SourceSummary``): one ``np.sort`` of the values gives the quartiles
@@ -267,6 +271,43 @@ def tile_order(table: pa.Table) -> pa.Table:
 def flat(col: pa.ChunkedArray) -> np.ndarray:
     """A list column's values concatenated in row order."""
     return pc.list_flatten(col).to_numpy()
+
+
+def per_band(ds, cols: list[str], fn):
+    """The band step: tile Dataset -> the concatenated ``fn(band, group)``
+    frames, one call per band, in one Ray Data task.
+
+    Keeps ``raster_id``, ``band``, ``tile_y``, ``tile_x`` and whichever of
+    ``cols`` each batch has, coalesces them into one block (no shuffle)
+    and hands ``fn`` each band's tiles as one Arrow table in
+    ``tile_order``, so ``flat`` gives the whole band in a fixed pixel
+    order however the input was blocked. Tiles from two rasters would
+    pool their pixels, so they are refused, naming the raster ids."""
+    keep = ["raster_id", "band", "tile_y", "tile_x", *cols]
+
+    def band_columns(batch: pa.Table) -> pa.Table:
+        # per batch, not ``select_columns``: whether an optional column
+        # is there would otherwise take the lazy input's schema, which
+        # runs it
+        return batch.select([c for c in keep if c in batch.column_names])
+
+    def every_band(batch: pa.Table):
+        # a generator, so that a refused input reaches the caller as its
+        # ValueError, not wrapped in Ray's UserCodeException
+        rids = pc.unique(batch.column("raster_id")).to_pylist()
+        if len(rids) > 1:
+            raise ValueError("band step input must hold one raster, got "
+                             f"raster ids {sorted(rids)}")
+        tiles = tile_order(batch)
+        bands = tiles.column("band").to_numpy()
+        cuts = np.flatnonzero(np.diff(bands)) + 1
+        yield pd.concat([fn(int(bands[lo]), tiles.slice(lo, hi - lo))
+                         for lo, hi in zip([0, *cuts], [*cuts, bands.size])],
+                        ignore_index=True)
+
+    return (ds.map_batches(band_columns, batch_format="pyarrow")
+            .repartition(1, shuffle=False)
+            .map_batches(every_band, batch_format="pyarrow", batch_size=None))
 
 
 def array_evaluator():

@@ -123,25 +123,8 @@ def apply_split_plan(batch: pa.Table, plan: dict[int, int],
         out_col, pa.array(eff.astype(np.int64), pa.int64()))
 
 
-def rebalanced_cells(ds, cap: int, cell_col: str = "cell"):
-    """One-round split-cell rebalance: count -> plan -> re-encode.
-
-    Returns (dataset with ``effective_cell``, plan). The descent depth
-    assumes children spread roughly uniformly; data concentrated BELOW
-    the split granularity (a point cluster smaller than the child cell)
-    stays hot after one round — use ``rebalanced_cells_iterative`` for
-    the guaranteed bound.
-    """
-    counts = cell_counts(ds, cell_col)
-    plan = compute_split_plan(counts, cap, cell_col)
-    out = ds.map_batches(
-        lambda b: apply_split_plan(b, plan, cell_col=cell_col),
-        batch_format="pyarrow")
-    return out, plan
-
-
-def rebalanced_cells_iterative(ds, cap: int, cell_col: str = "cell",
-                               max_rounds: int = 8):
+def rebalanced_cells(ds, cap: int, cell_col: str = "cell",
+                     max_rounds: int = 8):
     """Split-cell rebalance iterated to a FIXED POINT: re-count, re-plan
     and descend again until every effective cell holds <= cap rows (or
     the resolution/round limit is reached). Handles point clusters

@@ -1,5 +1,7 @@
 """Evaluation-layer parity: metrics / rank / rose / histogram vs oracle."""
 
+import warnings
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -129,6 +131,47 @@ def test_correlation_histogram_matches_fullarray(tile_ds, fixture_raster,
             lum.ravel().astype(np.float64), bands[b].ravel().astype(np.float64), 1)
         assert row["intercept"] == pytest.approx(i, rel=1e-9)
         assert row["slope"] == pytest.approx(s, rel=1e-9)
+
+
+def test_correlation_eval_holds_for_every_input(tile_ds, ray_session):
+    """The fit does not depend on the blocking or the row order, a flat
+    DEM (constant luminance) gets polyfit's finite answer, and tiles from
+    two rasters are refused."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    def fits(ds):
+        out = correlation_eval_ds(derive_terrain(ds, CTX), bins=20)
+        return out.to_pandas().sort_values("band")[["intercept", "slope"]]
+
+    base = fits(tile_ds.repartition(1))
+    for ds in (tile_ds.repartition(4), tile_ds.repartition(8),
+               tile_ds.random_shuffle(seed=3).repartition(4)):
+        assert fits(ds).equals(base)
+
+    dem = np.full((H, W), 300.0, np.float32)
+    bands = tsrc.synth_bands(dem, NB, seed=7, ctx=CTX)
+    got = fits(rd.from_arrow(tsrc.raster_to_tile_table(bands, dem, tile=48)))
+    lum = ok.luminance(ok.zt_slope_radians(dem), ok.zt_aspect_radians(dem),
+                       CTX).astype(np.float32).ravel().astype(np.float64)
+    for b in range(NB):
+        with warnings.catch_warnings():     # polyfit: RankWarning
+            warnings.simplefilter("ignore")
+            i, s = np.polynomial.polynomial.polyfit(
+                lum, bands[b].ravel().astype(np.float64), 1)
+        row = got.iloc[b]
+        assert np.isfinite(row).all()
+        assert row["intercept"] == pytest.approx(i, rel=1e-9)
+        assert row["slope"] == pytest.approx(s, rel=1e-9)
+
+    parts = []
+    for rid, seed in (("north", 3), ("south", 4)):
+        dem = tsrc.synth_dem(32, 32, seed=seed)
+        parts.append(tsrc.raster_to_tile_table(
+            tsrc.synth_bands(dem, 1, seed=seed, ctx=CTX), dem,
+            raster_id=rid, tile=16))
+    with pytest.raises(ValueError, match=r"\['north', 'south'\]"):
+        fits(rd.from_arrow(pa.concat_tables(parts)))
 
 
 def test_normalize_handcrafted():

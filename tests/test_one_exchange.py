@@ -4,7 +4,8 @@
 partials. This walks the source of every module under ``geoflow/`` and
 fails on a second plan coming back: an import of Ray's aggregate
 functions or an ``.aggregate(`` call on anything but an Arrow
-``TableGroupBy``. No Ray, no test data.
+``TableGroupBy``. It also counts the ``.map_groups(`` calls per module,
+so a new hand-rolled exchange fails too. No Ray, no test data.
 """
 
 import ast
@@ -51,3 +52,24 @@ def test_guard_sees_a_ray_aggregate():
            "ds.groupby('k').aggregate(Sum('v'))\n"
            "pa.TableGroupBy(t, 'k').aggregate([('v', 'sum')])\n")
     assert [line for line, _ in _second_plans(src)] == [1, 2]
+
+
+# The hand-rolled exchanges that remain: the partials merge's width
+# bucketing, the crawl frontier's two rank passes, the ingest's novelty
+# check and the clustered-layout writer. A grouped reduction that needs
+# a new one goes through ``functions.agg.merge_partials`` instead.
+_MAP_GROUPS = {"functions/agg.py": 1, "stages/crawl.py": 2,
+               "state/ingest.py": 1, "state/layout.py": 1}
+
+
+def _map_groups_calls(source: str) -> int:
+    return sum(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "map_groups"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_hand_rolled_exchanges_are_counted():
+    found = {m: n for m in _MODULES
+             if (n := _map_groups_calls((_ROOT / m).read_text()))}
+    assert found == _MAP_GROUPS

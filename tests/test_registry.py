@@ -105,8 +105,7 @@ def test_rank_rejects_multi_raster_input(ray_session):
 
 
 # The query registry's keep list: the pipelines the north star names,
-# plus focal_terrain_stats (terrain analysis beside the reference's) and
-# robots_filter_docs (the crawl politeness gate, kept for a later slice).
+# plus focal_terrain_stats (terrain analysis beside the reference's).
 KEEP = {
     "flagship_zonal_verified", "dedup_exact_docs", "url_dedup_pages",
     "crawl_frontier_docs", "warc_roundtrip_docs", "correction_band_stats",
@@ -117,7 +116,6 @@ KEEP = {
     "zonal_salted_docs", "zonal_split_docs", "geo_zonal_docs",
     "top_doc_cells", "geohash_cells", "hilbert_cells",
     "bbox_cover_scan_docs", "bbox_join_docs", "focal_terrain_stats",
-    "robots_filter_docs",
 }
 
 

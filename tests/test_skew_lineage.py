@@ -34,7 +34,7 @@ def test_split_cell_rebalance(ray_session):
     # one cell, so the Zipf skew actually exceeds the cap
     ds = _enriched(4000, res=8).materialize()
     cap = 50
-    out, plan = skew.rebalanced_cells(ds, cap)
+    out, plan, _ = skew.rebalanced_cells(ds, cap, max_rounds=1)
     assert plan, "hot clusters must trigger splits"
     df = out.to_pandas()
     eff_counts = df.groupby("effective_cell").size()
@@ -190,7 +190,7 @@ def test_iterative_rebalance_bounds_concentrated_cluster(ray_session):
     import pyarrow as pa
     import ray.data as rd
     from geoflow.stages import cells as cellmod
-    from geoflow.stages.skew import rebalanced_cells, rebalanced_cells_iterative
+    from geoflow.stages.skew import rebalanced_cells
 
     rng = np.random.default_rng(6)
     # 2000 points inside a 0.2-degree disc: a res-5 cell is ~11 degrees
@@ -201,11 +201,11 @@ def test_iterative_rebalance_bounds_concentrated_cluster(ray_session):
         "cell": pa.array(cell, pa.int64()),
         "lat": pa.array(lat), "lon": pa.array(lon)}))
 
-    one_round, plan1 = rebalanced_cells(ds, cap=50)
+    one_round, plan1, _ = rebalanced_cells(ds, cap=50, max_rounds=1)
     df1 = one_round.to_pandas()
     assert df1.groupby("effective_cell").size().max() > 50  # defeated
 
-    eff, plan, rounds = rebalanced_cells_iterative(ds, cap=50)
+    eff, plan, rounds = rebalanced_cells(ds, cap=50)
     df = eff.to_pandas()
     sizes = df.groupby("effective_cell").size()
     assert sizes.max() <= 50
